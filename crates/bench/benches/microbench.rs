@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use om_codegen::{lpt, CodeGenerator, GenOptions};
 use om_models::bearing2d::{self, BearingConfig};
-use om_runtime::WorkerPool;
+use om_runtime::{ExecutorPool, Strategy};
 use std::hint::black_box;
 
 fn bench_frontend(c: &mut Criterion) {
@@ -137,10 +137,11 @@ fn bench_rhs(c: &mut Criterion) {
         b.iter(|| graph.eval_serial(black_box(0.0), black_box(&y0), &mut dydt))
     });
 
-    // Worker pool (2 workers) — includes channel round trips.
+    // Executor pool (2 workers, fence policy) — includes the per-level fences.
     let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
     let sched = lpt(&costs, 2);
-    let mut pool = WorkerPool::new(graph.clone(), 2, sched.assignment);
+    let mut pool = ExecutorPool::build(graph.clone(), 2, sched.assignment, Strategy::default())
+        .expect("valid pool");
     g.bench_function("rhs_worker_pool_2", |b| {
         let mut dydt = vec![0.0; dim];
         b.iter(|| pool.rhs(black_box(0.0), black_box(&y0), &mut dydt))

@@ -11,7 +11,7 @@
 //! Flags: `--dir PATH` (where the BENCH files live, default `.`),
 //! `--out PATH` (default `<dir>/BENCH_manifest.json`).
 
-use om_runtime::ensemble::json::{self, Json};
+use om_obs::json::{self, Json};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 

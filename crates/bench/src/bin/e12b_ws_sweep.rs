@@ -1,15 +1,18 @@
-//! **Experiment E12b** — barrier vs work-stealing executor: measured
-//! wall-clock per RHS call for every built-in model × worker count, on
-//! real threads on the host.
+//! **Experiment E12b** — level fence vs work stealing, the two
+//! scheduling policies of the one executor pool (`om_runtime::pool`):
+//! measured wall-clock per RHS call for every built-in model × worker
+//! count, on real threads on the host.
 //!
 //! This is the perf gate that seeds the benchmark trajectory
-//! (`BENCH_5.json`): the dependency-driven work-stealing executor
-//! (`om_runtime::exec_ws`) must be no slower than the barrier executor
-//! anywhere, and visibly faster on multi-level graphs where the barrier
-//! idles workers between levels (hydro's parallel gate groups, the 3D
-//! bearing). Graphs are generated with `inline_algebraics = false` so
-//! algebraic producers stay as tasks — the multi-level shape the barrier
-//! pays for.
+//! (`BENCH_5.json`): work stealing must be no slower than the fence on
+//! any multi-level graph, where the fence idles workers between levels
+//! (hydro's parallel gate groups, the 3D bearing). Graphs are generated
+//! with `inline_algebraics = false` so algebraic producers stay as tasks
+//! — the multi-level shape the fence pays for. On a single-level graph
+//! the two policies differ only in stealing (one fence ≡ no fence), so
+//! those cells are reported ungated. The `barrier` column measures the
+//! fence on shared deques; before the executors were unified it measured
+//! an mpsc round-trip per level.
 //!
 //! Measurement protocol (single-machine, noisy-neighbour tolerant): the
 //! two pools are built over the same graph and LPT/list assignment, then
@@ -33,7 +36,7 @@
 //! * `--workers a,b,c` — override the default 1,2,4 sweep.
 
 use om_codegen::{CodeGenerator, GenOptions};
-use om_runtime::{Strategy, WorkStealPool, WorkerPool};
+use om_runtime::{ExecutorPool, Strategy};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -130,8 +133,12 @@ fn main() {
         let mut cells = Vec::new();
         for &w in &workers_list {
             let sched = program.schedule(w);
-            let mut barrier = WorkerPool::new(graph.clone(), w, sched.assignment.clone());
-            let mut ws = WorkStealPool::new(graph.clone(), w, sched.assignment.clone());
+            let build = |strategy| {
+                ExecutorPool::build(graph.clone(), w, sched.assignment.clone(), strategy)
+                    .expect("valid pool")
+            };
+            let mut barrier = build(Strategy::Barrier);
+            let mut ws = build(Strategy::WorkStealing);
             let mut dydt = vec![0.0; graph.dim];
             // Warmup both pools and calibrate the batch size so one batch
             // lands near the target duration.
@@ -248,9 +255,11 @@ fn main() {
         let _ = writeln!(out, "  \"baseline\": \"serial_eval\",");
         let _ = writeln!(
             out,
-            "  \"note\": \"ws_speedup is ws vs barrier (at 1 worker it measures \
-             barrier overhead, not parallelism); *_vs_serial columns use the \
-             measured pool-free serial baseline\","
+            "  \"note\": \"barrier is the level-fence policy of the one executor pool \
+             (not the mpsc round-trips of BENCH_5 files before the executors were \
+             unified); ws_speedup is ws vs barrier (at 1 worker it measures fence \
+             overhead, not parallelism); *_vs_serial columns use the measured \
+             pool-free serial baseline\","
         );
         let _ = writeln!(out, "  \"models\": [");
         for (i, row) in rows.iter().enumerate() {
@@ -284,24 +293,25 @@ fn main() {
     }
 
     // Gate summary: fail loudly (named-column diff + nonzero exit) if
-    // work stealing ever regresses past the barrier beyond noise.
-    let mut worst: Option<(&str, usize, f64)> = None;
-    for row in &rows {
-        for c in &row.cells {
-            let s = c.speedup();
-            if worst.map(|(_, _, ws)| s < ws).unwrap_or(true) {
-                worst = Some((row.name, c.workers, s));
-            }
-        }
-    }
+    // work stealing ever regresses past the fence beyond noise. Only
+    // multi-level graphs are gated: with one level the fence policy *is*
+    // work stealing minus the steals, and the ratio is a coin flip.
     let mut gates = om_bench::GateDiff::new("e12b");
-    if let Some((model, w, s)) = worst {
-        gates.check(
-            &format!("ws_vs_barrier ({model}, {w} workers, worst cell)"),
-            format!("{s:.2}x"),
-            ">= 0.95x",
-            s >= 0.95,
-        );
+    for (gated, required) in [(true, ">= 0.95x"), (false, "ungated (1 level)")] {
+        let worst = rows
+            .iter()
+            .flat_map(|row| row.cells.iter().map(move |c| (row, c)))
+            .filter(|(row, _)| (row.levels > 1) == gated)
+            .map(|(row, c)| (row.name, c.workers, c.speedup()))
+            .min_by(|a, b| a.2.total_cmp(&b.2));
+        if let Some((model, w, s)) = worst {
+            gates.check(
+                &format!("ws_vs_barrier ({model}, {w} workers, worst cell)"),
+                format!("{s:.2}x"),
+                required,
+                !gated || s >= 0.95,
+            );
+        }
     }
     gates.finish();
 }

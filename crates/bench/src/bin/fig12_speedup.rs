@@ -13,7 +13,7 @@
 //! reference.
 
 use om_models::bearing2d::BearingConfig;
-use om_runtime::{MachineSpec, ParallelRhs, WorkerPool};
+use om_runtime::{ExecutorPool, MachineSpec, ParallelRhs, Strategy};
 use om_solver::OdeSystem;
 use std::time::Instant;
 
@@ -107,7 +107,8 @@ fn main() {
         om_obs::init(&om_obs::ObsConfig::enabled());
         let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
         let sched = om_codegen::lpt(&costs, w);
-        let pool = WorkerPool::new(graph.clone(), w, sched.assignment);
+        let pool = ExecutorPool::build(graph.clone(), w, sched.assignment, Strategy::default())
+            .expect("valid pool");
         let mut rhs = ParallelRhs::new(pool, 0);
         let mut dydt = vec![0.0; rhs.dim()];
         // Warm-up.

@@ -13,7 +13,7 @@ use om_codegen::cse::CseMode;
 use om_codegen::{lpt, CodeGenerator, GenOptions};
 use om_models::bearing2d::{self, BearingConfig};
 use om_runtime::sim::simulate_rhs_time;
-use om_runtime::{MachineSpec, ParallelRhs, WorkerPool};
+use om_runtime::{ExecutorPool, MachineSpec, ParallelRhs, Strategy};
 use om_solver::OdeSystem;
 use std::time::Instant;
 
@@ -131,7 +131,8 @@ fn main() {
     for (label, period) in [("static schedule", 0usize), ("semi-dynamic (every 16)", 16)] {
         let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
         let sched = lpt(&costs, 4);
-        let pool = WorkerPool::new(graph.clone(), 4, sched.assignment);
+        let pool = ExecutorPool::build(graph.clone(), 4, sched.assignment, Strategy::default())
+            .expect("valid pool");
         let mut rhs = ParallelRhs::new(pool, period);
         let mut dydt = vec![0.0; rhs.dim()];
         for _ in 0..200 {

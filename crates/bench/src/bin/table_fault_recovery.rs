@@ -4,7 +4,7 @@
 //! Two questions the fault-tolerant supervisor must answer:
 //!
 //! 1. *Steady-state overhead*: with no faults injected, how much slower is
-//!    the timeout-bounded, sequence-checked gather loop than the serial
+//!    the supervised pool (claim words, sweep-on-idle) than the serial
 //!    evaluation baseline would predict? (Target: the supervision
 //!    machinery itself stays under ~5 % of the per-call cost.)
 //! 2. *Recovery latency*: when a worker is killed mid-run, how long is the
@@ -16,7 +16,7 @@
 
 use om_codegen::lpt;
 use om_models::bearing2d::BearingConfig;
-use om_runtime::{FaultConfig, FaultPlan, WorkerPool};
+use om_runtime::{ExecutorPool, FaultConfig, FaultPlan, Strategy};
 use std::time::{Duration, Instant};
 
 fn mean_us(samples: &[f64]) -> f64 {
@@ -53,14 +53,15 @@ fn main() {
     println!("serial baseline            {serial_us:>10.1} µs/call");
 
     // Steady state, no faults: per-call cost of the supervised pool.
-    let make_pool = |config: FaultConfig| -> WorkerPool {
+    let make_pool = |config: FaultConfig| -> ExecutorPool {
         let sched = lpt(&costs, workers);
-        let mut pool = WorkerPool::with_faults(
+        let mut pool = ExecutorPool::with_faults(
             graph.clone(),
             workers,
             sched.assignment,
             FaultPlan::none(),
             config,
+            Strategy::default(),
         )
         .expect("valid pool");
         let mut dydt = vec![0.0; y0.len()];
@@ -69,7 +70,7 @@ fn main() {
         }
         pool
     };
-    let block = |pool: &mut WorkerPool, dydt: &mut [f64], n: usize| -> f64 {
+    let block = |pool: &mut ExecutorPool, dydt: &mut [f64], n: usize| -> f64 {
         let start = Instant::now();
         for k in 0..n {
             pool.rhs(k as f64 * 1e-6, &y0, dydt);
@@ -77,11 +78,10 @@ fn main() {
         start.elapsed().as_secs_f64() * 1e6 / n as f64
     };
 
-    // Overhead of the supervision machinery (timeout-bounded gathers,
-    // sequence numbers, pending-job bookkeeping, deadline arithmetic)
-    // vs. supervision "off": a 60 s task timeout never fires, so that
-    // pool runs the identical code path minus any chance of timeout
-    // handling. The two pools are measured in alternating blocks so
+    // Overhead of the supervision machinery (the claim-table sweep from
+    // the idle-wait loop, deadline arithmetic) vs. supervision "off": a
+    // 60 s task timeout never fires, so that pool runs the identical
+    // code path minus any chance of timeout handling. The two pools are measured in alternating blocks so
     // host-level drift cancels instead of biasing one configuration.
     let mut pool_default = make_pool(FaultConfig::default());
     let mut pool_off = make_pool(FaultConfig {
@@ -116,12 +116,13 @@ fn main() {
     // find the call that absorbed the failure.
     let sched = lpt(&costs, workers);
     let kill_at = 500u64;
-    let mut pool = WorkerPool::with_faults(
+    let mut pool = ExecutorPool::with_faults(
         graph.clone(),
         workers,
         sched.assignment,
         FaultPlan::kill(1, kill_at),
         FaultConfig::default(),
+        Strategy::default(),
     )
     .expect("valid pool");
     let mut dydt = vec![0.0; y0.len()];
@@ -154,20 +155,22 @@ fn main() {
     };
     let recovery_us = spike_us - steady_us;
 
-    println!("\nkill worker 1 at job {kill_at}:");
+    println!("\nkill worker 1 at its task {kill_at}:");
     println!("  steady-state mean        {steady_us:>10.1} µs/call");
     println!("  recovery call (#{spike_idx})    {spike_us:>10.1} µs");
     println!("  recovery latency         {recovery_us:>10.1} µs (detection + respawn + replay)");
     println!("  post-recovery mean       {after_us:>10.1} µs/call");
     println!(
         "  counters: {} respawn(s), {} replayed task(s), {} stale result(s)",
-        pool.recovery.respawns, pool.recovery.replayed_tasks, pool.recovery.stale_results
+        pool.recovery().respawns,
+        pool.recovery().replayed_tasks,
+        pool.recovery().stale_results
     );
 
     println!(
         "\nsupervision overhead (default config vs 60s-timeout baseline): {:.2}% \
-         (target < 5% — the gather returns on message arrival, so with sane \
-         timeouts the poll interval only matters when something is already wrong)",
+         (target < 5% — the supervisor wakes on the last task's notify, so with \
+         sane timeouts the poll interval only matters when something is already wrong)",
         100.0 * spread
     );
 
@@ -180,7 +183,9 @@ fn main() {
             "{serial_us:.2},{default_us:.2},{off_us:.2},{tight_us:.2},{spread:.4},\
              {steady_us:.2},{spike_us:.2},{recovery_us:.2},{after_us:.2},\
              {},{},{}",
-            pool.recovery.respawns, pool.recovery.replayed_tasks, pool.recovery.stale_results
+            pool.recovery().respawns,
+            pool.recovery().replayed_tasks,
+            pool.recovery().stale_results
         )],
     );
 }

@@ -10,7 +10,7 @@
 
 use om_codegen::lpt;
 use om_models::bearing2d::BearingConfig;
-use om_runtime::{ParallelRhs, WorkerPool};
+use om_runtime::{ExecutorPool, ParallelRhs, Strategy};
 use om_solver::OdeSystem;
 use std::time::Instant;
 
@@ -36,7 +36,13 @@ fn main() {
     for period in [1usize, 4, 16, 64] {
         let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
         let sched = lpt(&costs, workers);
-        let pool = WorkerPool::new(graph.clone(), workers, sched.assignment);
+        let pool = ExecutorPool::build(
+            graph.clone(),
+            workers,
+            sched.assignment,
+            Strategy::default(),
+        )
+        .expect("valid pool");
         let mut rhs = ParallelRhs::new(pool, period);
         let mut dydt = vec![0.0; rhs.dim()];
         // Warm-up.
@@ -83,14 +89,16 @@ fn main() {
     // of thousands of floating point operations") — per-event cost is
     // fixed, so the tiny LPT-overhead graph above would overstate the
     // fraction relative to any realistic workload.
-    println!("\n== om-obs tracing/metrics overhead (Fig. 12 workload, resched 16) ==\n");
+    println!(
+        "\n== om-obs tracing/metrics overhead (Fig. 12 workload, resched 16, both policies) ==\n"
+    );
     let obs_cfg = BearingConfig {
         waviness: 24,
         ..BearingConfig::default()
     };
     let graph = om_bench::bearing_graph(&obs_cfg, 64);
     let y0 = om_models::bearing2d::ir(&obs_cfg).initial_state();
-    let timed_run = |enabled: bool| -> f64 {
+    let timed_run = |strategy: Strategy, enabled: bool| -> f64 {
         om_obs::init(&if enabled {
             om_obs::ObsConfig::enabled()
         } else {
@@ -98,7 +106,8 @@ fn main() {
         });
         let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
         let sched = lpt(&costs, workers);
-        let pool = WorkerPool::new(graph.clone(), workers, sched.assignment);
+        let pool = ExecutorPool::build(graph.clone(), workers, sched.assignment, strategy)
+            .expect("valid pool");
         let mut rhs = ParallelRhs::new(pool, 16);
         let mut dydt = vec![0.0; rhs.dim()];
         for _ in 0..50 {
@@ -117,44 +126,48 @@ fn main() {
     // "second run in the pair" bias cancels, (c) many pairs, with the
     // *median of the per-pair relative differences* as the estimator —
     // robust to load spikes corrupting individual pairs on either side.
-    let reps = 40;
-    let mut rel: Vec<f64> = Vec::with_capacity(reps);
-    let mut off: Vec<f64> = Vec::with_capacity(reps);
-    let mut on: Vec<f64> = Vec::with_capacity(reps);
-    for r in 0..reps {
-        let (t_off, t_on) = if r % 2 == 0 {
-            let a = timed_run(false);
-            let b = timed_run(true);
-            (a, b)
-        } else {
-            let b = timed_run(true);
-            let a = timed_run(false);
-            (a, b)
+    let mut csv = Vec::new();
+    for strategy in Strategy::ALL {
+        let reps = 40;
+        let mut rel: Vec<f64> = Vec::with_capacity(reps);
+        let mut off: Vec<f64> = Vec::with_capacity(reps);
+        let mut on: Vec<f64> = Vec::with_capacity(reps);
+        for r in 0..reps {
+            let (t_off, t_on) = if r % 2 == 0 {
+                let a = timed_run(strategy, false);
+                let b = timed_run(strategy, true);
+                (a, b)
+            } else {
+                let b = timed_run(strategy, true);
+                let a = timed_run(strategy, false);
+                (a, b)
+            };
+            rel.push((t_on - t_off) / t_off);
+            off.push(t_off);
+            on.push(t_on);
+        }
+        om_obs::init(&om_obs::ObsConfig::disabled());
+        let median = |xs: &mut Vec<f64>| -> f64 {
+            xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            xs[xs.len() / 2]
         };
-        rel.push((t_on - t_off) / t_off);
-        off.push(t_off);
-        on.push(t_on);
+        let overhead = median(&mut rel).max(0.0);
+        let (t_off, t_on) = (median(&mut off), median(&mut on));
+        println!(
+            "{strategy:<8} disabled: {t_off:.4}s   enabled: {t_on:.4}s   overhead: {:.3}%",
+            100.0 * overhead
+        );
+        csv.push(format!("{strategy},{t_off:.6},{t_on:.6},{overhead:.6}"));
+        assert!(
+            overhead <= 0.02,
+            "{strategy}: observability overhead {:.3}% exceeds the 2% budget",
+            100.0 * overhead
+        );
     }
-    om_obs::init(&om_obs::ObsConfig::disabled());
-    let median = |xs: &mut Vec<f64>| -> f64 {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        xs[xs.len() / 2]
-    };
-    let overhead = median(&mut rel).max(0.0);
-    let (t_off, t_on) = (median(&mut off), median(&mut on));
-    println!(
-        "disabled: {t_off:.4}s   enabled: {t_on:.4}s   overhead: {:.3}%",
-        100.0 * overhead
-    );
     om_bench::write_csv(
         "table_obs_overhead",
-        "disabled_seconds,enabled_seconds,overhead_fraction",
-        &[format!("{t_off:.6},{t_on:.6},{overhead:.6}")],
-    );
-    assert!(
-        overhead <= 0.02,
-        "observability overhead {:.3}% exceeds the 2% budget",
-        100.0 * overhead
+        "strategy,disabled_seconds,enabled_seconds,overhead_fraction",
+        &csv,
     );
     println!("within the <= 2% budget.");
 }

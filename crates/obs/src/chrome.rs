@@ -14,7 +14,7 @@
 //! balanced LIFO `B`/`E` nesting per thread, and per-thread monotonic
 //! timestamps.
 
-use crate::json::{self, Value};
+use crate::json::{self, Json};
 use crate::span::{Phase, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -127,22 +127,22 @@ pub fn validate_chrome_json(doc: &str) -> Result<TraceCheck, String> {
     for (i, ev) in events.iter().enumerate() {
         let name = ev
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing name"))?;
         let ph = ev
             .get("ph")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing ph"))?;
         ev.get("pid")
-            .and_then(Value::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing pid"))?;
         let tid = ev
             .get("tid")
-            .and_then(Value::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing tid"))? as u64;
         let ts = ev
             .get("ts")
-            .and_then(Value::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing ts"))?;
         if ts < 0.0 {
             return Err(format!("event {i}: negative ts {ts}"));
@@ -152,7 +152,7 @@ pub fn validate_chrome_json(doc: &str) -> Result<TraceCheck, String> {
                 if let Some(n) = ev
                     .get("args")
                     .and_then(|a| a.get("name"))
-                    .and_then(Value::as_str)
+                    .and_then(Json::as_str)
                 {
                     check.tracks.entry(tid).or_default().name = Some(n.to_owned());
                 }
@@ -259,6 +259,19 @@ mod tests {
         ]}"#;
         let err = validate_chrome_json(doc).unwrap_err();
         assert!(err.contains("unclosed"), "{err}");
+    }
+
+    #[test]
+    fn validator_reads_the_last_of_duplicate_keys() {
+        // Last occurrence wins, as in every mainstream parser: the second
+        // `ts` keeps the clock monotonic, the second `traceEvents` is the
+        // array that gets validated.
+        let doc = r#"{"traceEvents":[{"ph":"i"}],"traceEvents":[
+            {"name":"a","cat":"t","ph":"i","pid":1,"tid":1,"ts":5.0},
+            {"name":"b","cat":"t","ph":"i","pid":1,"tid":1,"ts":4.0,"ts":6.0}
+        ]}"#;
+        let check = validate_chrome_json(doc).expect("last duplicate wins");
+        assert_eq!(check.events, 2);
     }
 
     #[test]

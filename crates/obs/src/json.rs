@@ -1,254 +1,256 @@
-//! Minimal JSON parser used by the chrome-trace validator.
+//! The workspace's one JSON reader/writer.
 //!
-//! The build environment is offline (no serde), so the validator carries
-//! its own ~150-line recursive-descent parser. It accepts the JSON this
-//! crate emits plus ordinary interchange JSON; it is not meant to be a
-//! full RFC 8259 implementation (no `\u` surrogate-pair pedantry).
+//! Chrome-trace validation here, and the checkpoint file, sweep
+//! manifest, `omc sweep --params` and the serve JSONL protocol in
+//! `om-runtime` (which re-exports this module as `ensemble::json`), all
+//! speak JSON, and the workspace deliberately has no serde (container
+//! builds are network-less). This is a small recursive-descent parser
+//! for the full JSON grammar plus the one escape helper the writers
+//! need. Numbers are parsed as `f64`; the ensemble's bit-exact values
+//! travel as *hex strings* of IEEE-754 bit patterns, never as JSON
+//! numbers, precisely so that no parser rounding can touch them.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+pub enum Json {
     Null,
     Bool(bool),
     Num(f64),
     Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+    Arr(Vec<Json>),
+    /// Insertion-ordered object (duplicate keys keep the last value on
+    /// lookup, like every mainstream parser).
+    Obj(Vec<(String, Json)>),
 }
 
-impl Value {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Value> {
+impl Json {
+    /// Object field lookup (last occurrence wins).
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Json::Num(x) => Some(*x),
             _ => None,
         }
     }
 
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Arr(a) => Some(a),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+                Some(*x as u64)
+            }
+            _ => None,
+        }
+    }
+
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().map(|x| x as usize)
+    }
+
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
 }
 
-/// Parse a complete JSON document.
-pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+/// Parse one JSON document; trailing non-whitespace is an error.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    let value = parse_value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing data at byte {pos}"));
     }
-    Ok(v)
+    Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        None => Err("unexpected end of input".into()),
+        Some(b'{') => parse_obj(bytes, pos),
+        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'"') => parse_str(bytes, pos).map(Json::Str),
+        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
+        Some(_) => parse_num(bytes, pos),
+    }
+}
+
+fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+    if bytes[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Ok(value)
+    } else {
+        Err(format!("invalid literal at byte {pos}"))
+    }
+}
+
+fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    let start = *pos;
+    while *pos < bytes.len()
+        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+    {
+        *pos += 1;
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    text.parse::<f64>()
+        .map(Json::Num)
+        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+}
+
+fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    debug_assert_eq!(bytes[*pos], b'"');
+    *pos += 1;
+    let mut out = String::new();
+    loop {
+        match bytes.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
             }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid keyword at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                other => return Err(format!("expected , or }} found {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("expected , or ] found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
+            Some(b'\\') => {
+                *pos += 1;
+                let esc = bytes.get(*pos).ok_or("unterminated escape")?;
+                *pos += 1;
+                match esc {
+                    b'"' => out.push('"'),
+                    b'\\' => out.push('\\'),
+                    b'/' => out.push('/'),
+                    b'b' => out.push('\u{0008}'),
+                    b'f' => out.push('\u{000c}'),
+                    b'n' => out.push('\n'),
+                    b'r' => out.push('\r'),
+                    b't' => out.push('\t'),
+                    b'u' => {
+                        let hex = bytes.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
+                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        *pos += 4;
+                        // Surrogate pairs are not needed by our writers;
+                        // map lone surrogates to the replacement char.
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
+                    other => return Err(format!("bad escape '\\{}'", *other as char)),
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("empty")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            }
+            Some(_) => {
+                // Consume one UTF-8 scalar (multi-byte safe).
+                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
+                let ch = rest.chars().next().ok_or("unterminated string")?;
+                out.push(ch);
+                *pos += ch.len_utf8();
             }
         }
     }
+}
 
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    *pos += 1; // '['
+    let mut items = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(Json::Arr(items));
+    }
+    loop {
+        items.push(parse_value(bytes, pos)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
         }
-        while self.peek().is_some_and(|b| {
-            b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-'
-        }) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
     }
 }
 
-/// Escape a string for embedding in JSON output.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
+fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    *pos += 1; // '{'
+    let mut fields = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(Json::Obj(fields));
+    }
+    loop {
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(format!("expected object key at byte {pos}"));
+        }
+        let key = parse_str(bytes, pos)?;
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b':') {
+            return Err(format!("expected ':' at byte {pos}"));
+        }
+        *pos += 1;
+        let value = parse_value(bytes, pos)?;
+        fields.push((key, value));
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(Json::Obj(fields));
+            }
+            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+        }
+    }
+}
+
+/// Escape a string for embedding in a JSON document (without quotes).
+pub fn escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for ch in text.chars() {
+        match ch {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -262,16 +264,19 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v =
+        let doc =
             parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny"}, "d": true, "e": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
+        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(-300.0)
+            doc.get("a").unwrap().as_arr().unwrap()[2],
+            Json::Num(-300.0)
         );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("d"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("e"), Some(&Value::Null));
+        assert_eq!(
+            doc.get("b").unwrap().get("c").unwrap().as_str(),
+            Some("x\ny")
+        );
+        assert_eq!(doc.get("d"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("e"), Some(&Json::Null));
     }
 
     #[test]
@@ -285,9 +290,39 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
+        let nasty = "line\nbreak \"quote\" back\\slash tab\t bell\u{7}";
+        let doc = format!("\"{}\"", escape(nasty));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn escaped_field_values_round_trip() {
         let nasty = "quote\" slash\\ newline\n tab\t";
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
-        let v = parse(&doc).unwrap();
-        assert_eq!(v.get("k").unwrap().as_str(), Some(nasty));
+        assert_eq!(parse(&doc).unwrap().get("k").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_last_value_and_stay_iterable() {
+        let doc = parse(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap();
+        assert_eq!(doc.get("a").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.as_obj().unwrap().len(), 3);
+        assert_eq!(doc.get("missing"), None);
+        assert_eq!(Json::Num(1.0).get("a"), None);
+    }
+
+    #[test]
+    fn u64_accessor_rejects_fractions_and_negatives() {
+        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+        assert_eq!(parse("7.5").unwrap().as_u64(), None);
+        assert_eq!(parse("-7").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn bool_accessor_rejects_non_booleans() {
+        assert_eq!(parse("true").unwrap().as_bool(), Some(true));
+        assert_eq!(parse("false").unwrap().as_bool(), Some(false));
+        assert_eq!(parse("1").unwrap().as_bool(), None);
+        assert_eq!(parse("\"true\"").unwrap().as_bool(), None);
     }
 }

@@ -32,7 +32,7 @@
 //! pools (drop them) before exporting.
 
 pub mod chrome;
-mod json;
+pub mod json;
 pub mod metrics;
 pub mod span;
 

@@ -36,7 +36,7 @@
 
 pub mod batch;
 pub mod checkpoint;
-pub mod json;
+pub use om_obs::json;
 pub mod scenario;
 
 pub use checkpoint::{load as load_checkpoint, CheckpointHeader, CheckpointWriter};
@@ -45,7 +45,8 @@ pub use scenario::{
     SweepFaultKind, SweepFaultPlan,
 };
 
-use crate::strategy::{ExecutorPool, Strategy};
+use crate::pool::ExecutorPool;
+use crate::strategy::Strategy;
 use checkpoint::render_record;
 use om_codegen::registry::CompiledModel;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -266,8 +267,6 @@ pub struct SweepReport {
     pub degraded: bool,
     /// Scenario-worker concurrency at the end of the sweep.
     pub final_concurrency: usize,
-    /// The executor strategy scenarios actually ran with.
-    pub effective_strategy: Strategy,
     /// The batch lane width scenarios actually ran with (1 = scalar;
     /// `workers > 1` forces 1 regardless of the requested width).
     pub effective_batch: usize,
@@ -470,9 +469,8 @@ pub fn run_sweep(
     // Scenario-private executor pools are built up front so a pool
     // construction failure is a sweep error, not a scenario outcome.
     let mut pools: Vec<Option<ExecutorPool>> = Vec::with_capacity(n_threads);
-    let effective_strategy = if cfg.workers > 1 {
+    if cfg.workers > 1 {
         let schedule = model.schedule(cfg.workers);
-        let mut strategy = cfg.strategy;
         for _ in 0..n_threads {
             let pool = ExecutorPool::build(
                 model.program().graph.clone(),
@@ -481,14 +479,11 @@ pub fn run_sweep(
                 cfg.strategy,
             )
             .map_err(|e| SweepError::Config(format!("executor pool: {e}")))?;
-            strategy = pool.strategy();
             pools.push(Some(pool));
         }
-        strategy
     } else {
         pools.resize_with(n_threads, || None);
-        cfg.strategy
-    };
+    }
 
     let queue = Arc::new(Mutex::new(pending));
     let stop = Arc::new(AtomicBool::new(false));
@@ -669,7 +664,6 @@ pub fn run_sweep(
             latencies_ns,
             degraded,
             final_concurrency: target.load(Ordering::Relaxed),
-            effective_strategy,
             effective_batch: batch_width,
         },
     })
@@ -982,7 +976,6 @@ mod tests {
             cfg.strategy = strategy;
             cfg.concurrency = 2;
             let pooled = run_sweep(&model, &specs(6), &cfg).unwrap();
-            assert_eq!(pooled.report.effective_strategy, strategy);
             assert_eq!(
                 serial.manifest.render_json(),
                 pooled.manifest.render_json(),

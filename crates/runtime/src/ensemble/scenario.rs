@@ -11,7 +11,7 @@
 //! across substrates. That identity is what lets the chaos tests compare
 //! a concurrent faulted sweep against a sequential no-fault oracle.
 
-use crate::strategy::ExecutorPool;
+use crate::pool::ExecutorPool;
 use om_codegen::registry::CompiledModel;
 use om_codegen::task::TaskGraph;
 use om_solver::{rk4_budgeted, Budget, OdeSystem, RhsError, SolveError};

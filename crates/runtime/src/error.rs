@@ -25,9 +25,6 @@ pub enum RuntimeError {
     ChannelClosed { what: &'static str },
     /// A pipeline stage thread panicked.
     StagePanicked { stage: String },
-    /// A work-stealing helper thread died mid-call (the pool has no
-    /// recovery ladder; rebuild it or fall back to the barrier executor).
-    WorkerDied { worker: usize },
     /// Invalid runtime configuration (bad worker count, assignment, …).
     InvalidConfig { reason: String },
     /// A pipeline coupling was malformed (upstream edge, bad index, …).
@@ -57,13 +54,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::StagePanicked { stage } => {
                 write!(f, "pipeline stage '{stage}' panicked")
-            }
-            RuntimeError::WorkerDied { worker } => {
-                write!(
-                    f,
-                    "work-stealing worker {worker} died mid-call; \
-                     use the barrier executor for fault tolerance"
-                )
             }
             RuntimeError::InvalidConfig { reason } => {
                 write!(f, "invalid runtime configuration: {reason}")

@@ -1,9 +1,9 @@
 //! Deterministic fault injection and recovery accounting.
 //!
 //! A [`FaultPlan`] is a set of one-shot faults, each targeting a specific
-//! worker after it has completed a specific number of jobs. The plan is
-//! shared (via `Arc`) between the supervisor and every worker thread; a
-//! worker consults [`FaultPlan::fire`] once per job and acts out whatever
+//! worker after it has executed a specific number of tasks ("jobs"). The
+//! plan is shared between the supervisor and every worker thread; a
+//! worker consults [`FaultPlan::fire`] once per task execution and acts out whatever
 //! fault it is told to. Because arming is a compare-and-swap on an
 //! `AtomicBool`, each fault fires exactly once even across respawns, and
 //! because the trigger is "jobs completed by worker w" rather than wall
@@ -24,7 +24,7 @@ pub enum FaultKind {
     /// The worker sleeps for the given duration before executing the job,
     /// long enough to trip the supervisor's task timeout.
     Straggle(Duration),
-    /// The worker executes the job but never sends the result message.
+    /// The worker executes the job but never publishes the result.
     DropResult,
     /// The worker corrupts the first output of the job to NaN.
     CorruptNaN,
@@ -145,7 +145,7 @@ impl FaultPlan {
 /// Supervisor recovery policy.
 #[derive(Clone, Debug)]
 pub struct FaultConfig {
-    /// How long the supervisor waits for a dispatched job before treating
+    /// How long the supervisor lets a worker hold a task before treating
     /// the worker as hung.
     pub task_timeout: Duration,
     /// How many times a dead worker slot is respawned before being marked
@@ -153,7 +153,7 @@ pub struct FaultConfig {
     pub max_respawns: usize,
     /// Backoff before the first respawn of a worker; doubles per respawn.
     pub respawn_backoff: Duration,
-    /// Resend a timed-out job once to the same worker before abandoning it.
+    /// Requeue a timed-out task once on the same worker before abandoning it.
     pub retry_before_failing: bool,
     /// When every worker is permanently failed, evaluate in the supervisor
     /// thread instead of returning `PoolExhausted`.

@@ -7,21 +7,17 @@
 //!
 //! Two execution substrates:
 //!
-//! * [`exec`] — a real thread pool (std mpsc channels). Every RHS call
-//!   broadcasts the state vector to the workers, executes each worker's
-//!   tasks in the bytecode VM, and gathers derivatives. Artificial
-//!   per-message latency can be injected to emulate slower fabrics on a
-//!   fast host. The supervisor is fault-tolerant: all waits are
-//!   timeout-bounded, dead workers are respawned (bounded retries), hung
-//!   workers are written off and their work replayed on survivors, and a
-//!   fully failed pool degrades to sequential in-supervisor evaluation.
-//!   [`fault`] provides the deterministic fault-injection plan used by
-//!   the chaos tests, and [`error`] the typed failure taxonomy.
-//! * [`exec_ws`] — a second real-thread strategy: dependency-counter
-//!   work stealing with per-worker deques and no level barrier.
-//!   [`strategy`] selects between the two ([`Strategy`]) and dispatches
-//!   through [`ExecutorPool`]; the barrier executor remains the oracle
-//!   and the fault-recovery fallback.
+//! * [`pool`] — the one real-thread executor: the supervisor works as
+//!   worker 0 beside `n - 1` helper threads over per-task dependency
+//!   counters and per-worker deques. [`Strategy`] is a policy on that
+//!   core: work stealing, or the paper's level fence with static
+//!   assignment (the Fig. 10/12 reproduction mode). Both policies share
+//!   one recovery ladder: dead workers are respawned (bounded retries),
+//!   hung workers are written off and their work replayed on survivors,
+//!   and a fully failed pool degrades to sequential in-supervisor
+//!   evaluation. [`fault`] provides the deterministic fault-injection
+//!   plan used by the chaos tests, and [`error`] the typed failure
+//!   taxonomy.
 //! * [`sim`] — a deterministic machine model that *computes* the time one
 //!   RHS call takes on a parametrized machine (per-message latency,
 //!   bandwidth, flop rate, core count, time-sharing). This replaces the
@@ -41,11 +37,10 @@
 
 pub mod ensemble;
 pub mod error;
-pub mod exec;
-pub mod exec_ws;
 pub mod fault;
 pub mod machine;
 pub mod pipeline;
+pub mod pool;
 pub mod rhs;
 pub mod sched_dyn;
 pub mod serve;
@@ -57,13 +52,12 @@ pub use ensemble::{
     SweepConfig, SweepError, SweepFaultKind, SweepFaultPlan, SweepReport, SweepResult,
 };
 pub use error::RuntimeError;
-pub use exec::WorkerPool;
-pub use exec_ws::WorkStealPool;
 pub use fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
 pub use machine::MachineSpec;
 pub use pipeline::{run_pipeline, PipelineCoupling, PipelineResult, PipelineStage};
+pub use pool::ExecutorPool;
 pub use rhs::ParallelRhs;
-pub use sched_dyn::{Reschedulable, SemiDynamicScheduler};
+pub use sched_dyn::SemiDynamicScheduler;
 pub use serve::{ServeConfig, Server};
 pub use sim::{simulate_rhs_time, simulate_rhs_time_with, SimBreakdown};
-pub use strategy::{ExecutorPool, Strategy};
+pub use strategy::Strategy;

@@ -1,0 +1,1630 @@
+//! The executor core: one supervisor/worker pool (paper §3.2, Figure 10).
+//!
+//! Every task carries an atomic predecessor counter. Completing a task
+//! decrements the counter of each successor
+//! ([`om_codegen::task::TaskGraph::successors`]); a counter reaching
+//! zero makes the successor *ready* and pushes it onto the finishing
+//! worker's deque. Workers pop their own deque from the back (LIFO, hot
+//! caches) and steal from other workers' fronts (FIFO, oldest first).
+//! The static LPT assignment survives as the *initial queue seeding*:
+//! ready tasks land on the deque of their assigned worker, cheapest
+//! first, so each worker pops its longest task first.
+//!
+//! # Policies
+//!
+//! [`Strategy`] is a scheduling policy on this one core, not a second
+//! executor. `WorkStealing` is the description above. `Barrier` is the
+//! paper's Figure 10 static-assignment semantics, kept as the
+//! Fig. 10/12 reproduction mode: the same deques with a *level fence* —
+//! the supervisor seeds one [`TaskGraph::levels`] level at a time and
+//! seeds the next only when `remaining` has dropped to that level's
+//! fence — with stealing and successor pushes off, so a task runs on
+//! the worker it was assigned to.
+//!
+//! # Threading model
+//!
+//! The supervisor thread participates as worker 0; `n_workers - 1`
+//! helper threads park on a condvar between RHS calls. All
+//! synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
+//! condvars (call start, ready work). Within a call an idle worker parks
+//! on the ready-work condvar behind a sleeper count, so a waker pays the
+//! notify syscall only when somebody is parked and a parker cannot miss
+//! it; at the level fence it first yields a bounded number of times,
+//! because there every level is a hand-off. A poisoned lock is recovered
+//! with `PoisonError::into_inner`: the guarded data are plain deques
+//! and counters that every update leaves valid.
+//!
+//! # Determinism
+//!
+//! Every task is a pure function of `(t, y, shared)` and every output
+//! slot is written by exactly one task (lint pass OM042), so the result
+//! is bitwise-identical regardless of which worker runs which task in
+//! which order — or how many times. The required happens-before edges
+//! are: a producer's shared-slot `store(Release)` is ordered before its
+//! `fetch_sub(AcqRel)` on the successor's predecessor counter (under the
+//! fence policy: on `remaining`, which the supervisor loads `Acquire`
+//! before seeding the next level); RMW chains on the same counter order
+//! *all* producers before the final decrement; the ready push / pop
+//! pair synchronises through the deque mutex; and consumers load shared
+//! slots with `Acquire`. `om-lint`'s edge-granularity OM040/OM041
+//! passes check the race-freedom argument statically.
+//!
+//! # Claim words and the recovery ladder
+//!
+//! Each task has a claim word `call generation · worker · state`. A
+//! worker that pops a task stores `RUNNING`; when it has the outputs it
+//! compare-exchanges `RUNNING → DONE`, and only the winner publishes
+//! outputs, decrements successors and `remaining`. The supervisor can
+//! therefore take a task away from a worker at any time by swinging its
+//! word back to `READY` and pushing it on another deque: whichever
+//! execution finishes first wins the word, the loser's exchange fails
+//! (counted as a stale result) and it publishes nothing — in this call
+//! or, the generation being part of the word, any later one.
+//!
+//! Detection is a sweep of the claim table from the supervisor's
+//! idle-wait loop, every [`FaultConfig::poll_interval`] and only while
+//! a call is actually waiting. The ladder, for both policies:
+//!
+//! 1. **respawn** — a helper whose thread has exited is restarted
+//!    (bounded, doubling backoff) and the task it held is requeued,
+//! 2. **retry** — a task `RUNNING` past `task_timeout` is requeued once
+//!    on the same worker (stealable, under work stealing),
+//! 3. **reassign** — a worker that times out again, or sits on a retried
+//!    task for another timeout, is written off: its deque moves to the
+//!    survivors and the assignment is re-balanced over live workers,
+//! 4. **degrade** — with zero live workers the supervisor drains the
+//!    call itself (or returns [`RuntimeError::PoolExhausted`] when
+//!    [`FaultConfig::sequential_fallback`] is off).
+//!
+//! Non-finite outputs are recomputed by the worker before it claims
+//! `DONE`; a genuine blow-up reproduces itself exactly.
+//!
+//! What this costs a task when nothing fails, over the bare
+//! dependency-counter core: a Relaxed store and one AcqRel
+//! compare-exchange on the claim word, an emptiness test of the fault
+//! plan, a finiteness scan of the task's outputs (the repair is for real
+//! corruption too, so it does not hide behind the plan), and a Relaxed
+//! load of `fence` after the `remaining` decrement. No lock, allocation
+//! or clock read.
+//!
+//! Worker 0 is the supervisor's own executor role, and faults injected
+//! on it are acted out on that role: a `Panic` marks the role dead
+//! (respawn budget, then written off — the thread lives on as the
+//! supervisor and only executes tasks again when nobody else is left),
+//! a `DropResult` is found by the supervisor's own sweep, a `Straggle`
+//! just delays the call (nobody supervises the supervisor).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::error::RuntimeError;
+use crate::fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
+use crate::strategy::Strategy;
+use om_codegen::task::{OutSlot, TaskGraph};
+use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long an idle worker parks before rechecking on its own: the
+/// supervisor's sweep clock, and the bound on noticing what nobody
+/// notifies (retirement, shutdown).
+const IDLE_PARK: Duration = Duration::from_micros(200);
+
+/// Looks a worker takes at the fence, yielding the CPU between them,
+/// before it parks. Every level of a fence-policy call is a hand-off
+/// (supervisor → helpers → supervisor), and a futex wake-up costs more
+/// than most levels take to run; yielding rather than spinning keeps an
+/// oversubscribed host (more workers than CPUs) from starving the worker
+/// everybody is waiting for.
+const FENCE_SPINS: usize = 200;
+
+/// Claim states. `READY` is only ever written by the supervisor: the
+/// task was taken back from a worker and waits on `worker`'s deque.
+const READY: u64 = 0;
+const RUNNING: u64 = 1;
+const DONE: u64 = 2;
+const WORKER_BITS: u32 = 16;
+
+fn claim(call: u64, worker: usize, state: u64) -> u64 {
+    call << (WORKER_BITS + 2) | (worker as u64) << 2 | state
+}
+
+fn claim_call(word: u64) -> u64 {
+    word >> (WORKER_BITS + 2)
+}
+
+fn claim_worker(word: u64) -> usize {
+    (word >> 2) as usize & ((1 << WORKER_BITS) - 1)
+}
+
+fn claim_state(word: u64) -> u64 {
+    word & 3
+}
+
+/// Lock a mutex whose data every update leaves valid, poisoned or not.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// State shared between the supervisor and the helper threads.
+struct Shared {
+    graph: Arc<TaskGraph>,
+    strategy: Strategy,
+    faults: FaultPlan,
+    /// `succ[i]` — tasks whose predecessor counter task `i` decrements.
+    succ: Vec<Vec<usize>>,
+    /// Initial predecessor counts (reset template for `preds`).
+    pred_init: Vec<u32>,
+    /// Live predecessor counters, reset each call (work stealing only).
+    preds: Vec<AtomicU32>,
+    /// Per-task claim words (see the module docs).
+    claims: Vec<AtomicU64>,
+    /// Tasks not yet completed this call; 0 = call complete.
+    remaining: AtomicUsize,
+    /// The value of `remaining` the supervisor is waiting for: the
+    /// current level's fence, or 0 under work stealing.
+    fence: AtomicUsize,
+    /// Per-worker deques: own end is the back (LIFO), steal end the
+    /// front (FIFO).
+    deques: Vec<Mutex<VecDeque<usize>>>,
+    /// Shared intermediate slots, written Release / read Acquire.
+    shared_vals: Vec<AtomicU64>,
+    /// Derivative slots, copied out by the supervisor after completion.
+    dydt: Vec<AtomicU64>,
+    /// Last per-task elapsed nanoseconds (EWMA-folded by the supervisor).
+    timings_ns: Vec<AtomicU64>,
+    /// Current `t`, as bits.
+    t_bits: AtomicU64,
+    /// Current state vector; helpers clone the Arc once per call.
+    y: Mutex<Arc<Vec<f64>>>,
+    /// Call generation, bumped (Release) *before* the deques are seeded
+    /// so a worker that pops a task can detect it belongs to a newer
+    /// call than the one it captured `(t, y)` for.
+    call_fast: AtomicU64,
+    /// Call generation + start condvar for parked helpers.
+    call: Mutex<u64>,
+    start_cv: Condvar,
+    /// Ready-work condvar: notified after a push and when `remaining`
+    /// reaches the fence — if `sleepers` says anybody is parked on it.
+    idle: Mutex<()>,
+    work_cv: Condvar,
+    /// Workers inside [`Shared::park`].
+    sleepers: AtomicUsize,
+    shutdown: AtomicBool,
+    /// Record fine-grained spans for the current call (detail-sampled).
+    detailed: AtomicBool,
+    /// Per worker: written off by the supervisor; the thread exits the
+    /// next time it finds itself idle.
+    retired: Vec<AtomicBool>,
+    /// Recovery events observed by workers, folded into
+    /// [`RecoveryStats`] by the supervisor at the end of each call.
+    nan_repairs: AtomicUsize,
+    stale_results: AtomicUsize,
+}
+
+impl Shared {
+    /// Next task for worker `w` and the deque it came from: its own
+    /// deque's back, else — under work stealing — another deque's front,
+    /// scanning round-robin from `w + 1`.
+    fn take(&self, w: usize) -> Option<(usize, usize)> {
+        if let Some(tid) = lock(&self.deques[w]).pop_back() {
+            return Some((tid, w));
+        }
+        if self.strategy == Strategy::Barrier {
+            return None;
+        }
+        let n = self.deques.len();
+        (1..n)
+            .map(|k| (w + k) % n)
+            .find_map(|v| lock(&self.deques[v]).pop_front().map(|tid| (tid, v)))
+    }
+
+    fn push(&self, w: usize, tid: usize) {
+        lock(&self.deques[w]).push_back(tid);
+    }
+
+    /// Return a stale-popped task to the steal end of deque `v`.
+    fn unpop(&self, v: usize, tid: usize) {
+        lock(&self.deques[v]).push_front(tid);
+        self.wake();
+    }
+
+    /// Whether [`Shared::take`] could succeed for worker `w` right now.
+    fn has_work(&self, w: usize) -> bool {
+        match self.strategy {
+            Strategy::Barrier => !lock(&self.deques[w]).is_empty(),
+            Strategy::WorkStealing => self.deques.iter().any(|d| !lock(d).is_empty()),
+        }
+    }
+
+    /// Wake parked workers after a push or a completed phase — a syscall
+    /// only when somebody is parked. A lone supervisor has nobody to wake.
+    fn wake(&self) {
+        if self.deques.len() == 1 {
+            return;
+        }
+        // Pairs with the fence in `park`: the waker publishes (push,
+        // `remaining` decrement) then reads `sleepers`; the parker counts
+        // itself in then looks for what was published. One sees the other.
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            // Through the lock, so the notify cannot fall between a
+            // parker's last look and its wait.
+            drop(lock(&self.idle));
+            self.work_cv.notify_all();
+        }
+    }
+
+    /// Wait for a [`Shared::wake`] unless `ready` already holds, at most
+    /// [`IDLE_PARK`] — under the fence policy after spinning on `ready`.
+    fn park(&self, ready: impl Fn() -> bool) {
+        if self.strategy == Strategy::Barrier {
+            for _ in 0..FENCE_SPINS {
+                if ready() {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+        }
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let guard = lock(&self.idle);
+        if !ready() {
+            drop(self.work_cv.wait_timeout(guard, IDLE_PARK));
+        }
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Per-incarnation scratch + cached metric handles for the execute loop.
+struct WorkerCtx {
+    regs: Vec<f64>,
+    out_buf: Vec<f64>,
+    /// Program clone scratch for array-loop tasks (slot patching).
+    prog_scratch: om_codegen::Program,
+    /// Local copy of the shared slots a task reads (filled per task).
+    shared_local: Vec<f64>,
+    /// Task executions by this incarnation ([`FaultPlan::fire`] trigger).
+    jobs_done: u64,
+    steals: Arc<om_obs::Counter>,
+    ready_pushed: Arc<om_obs::Counter>,
+    busy_ns: Arc<om_obs::Counter>,
+}
+
+impl WorkerCtx {
+    fn new(worker: usize, graph: &TaskGraph) -> WorkerCtx {
+        let max_regs = graph
+            .tasks
+            .iter()
+            .map(|t| t.program.n_regs as usize)
+            .max()
+            .unwrap_or(0);
+        let m = om_obs::metrics();
+        WorkerCtx {
+            regs: vec![0.0; max_regs],
+            out_buf: Vec::new(),
+            prog_scratch: om_codegen::Program::default(),
+            shared_local: vec![0.0; graph.n_shared],
+            jobs_done: 0,
+            steals: m.counter("runtime.steals"),
+            ready_pushed: m.counter("runtime.ready_pushed"),
+            // Keyed by worker id (not incarnation) so respawns keep
+            // accumulating into the same counter.
+            busy_ns: m.counter(&format!("runtime.worker{worker}.busy_ns")),
+        }
+    }
+}
+
+/// Supervisor-side view of one worker. Slot 0 is the supervisor's own
+/// executor role and never holds a thread.
+struct Slot {
+    /// `None` for slot 0, and once joined or detached.
+    join: Option<JoinHandle<()>>,
+    /// Respawns consumed; also the incarnation number in the thread name.
+    respawns: usize,
+    /// Permanently failed: nothing is seeded or requeued here.
+    failed: bool,
+}
+
+/// The [`RecoveryStats`] fields, for [`ExecutorPool::note`].
+#[derive(Clone, Copy)]
+enum Recovered {
+    Respawns,
+    WorkersLost,
+    ReplayedTasks,
+    Retries,
+    DegradedCalls,
+    NanRepairs,
+    StaleResults,
+}
+
+/// The supervisor-side handle to the pool.
+pub struct ExecutorPool {
+    shared: Arc<Shared>,
+    slots: Vec<Slot>,
+    /// task → preferred worker (seeding; the whole schedule under the
+    /// fence policy).
+    assignment: Vec<usize>,
+    /// `(tasks to seed, value of remaining that ends the phase)`: the
+    /// initially-ready tasks and 0 under work stealing, one entry per
+    /// level under the fence policy.
+    phases: Vec<(Vec<usize>, usize)>,
+    /// EWMA of measured per-task seconds, consumed by the semi-dynamic
+    /// rescheduler (paper §3.2.3).
+    measured: Vec<f64>,
+    fault_config: FaultConfig,
+    recovery: RecoveryStats,
+    /// Worker-0 context.
+    ctx: WorkerCtx,
+    /// Sweep state: the claim word last seen per task, and since when.
+    watch: Vec<(u64, Instant)>,
+    /// Sweep state: the call in which each task was last retried.
+    retried: Vec<u64>,
+    rhs_calls: Arc<om_obs::Counter>,
+    tasks_executed: Arc<om_obs::Counter>,
+    task_seconds: Arc<om_obs::Histogram>,
+    live_gauge: Arc<om_obs::Gauge>,
+    /// RHS calls seen, driving the deterministic detail-sampling schedule.
+    obs_calls: u64,
+}
+
+fn spawn_helper(
+    worker: usize,
+    incarnation: usize,
+    shared: &Arc<Shared>,
+) -> Result<JoinHandle<()>, RuntimeError> {
+    let shared = Arc::clone(shared);
+    let join = std::thread::Builder::new()
+        .name(format!("om-worker-{worker}.{incarnation}"))
+        .spawn(move || helper_main(worker, &shared))
+        .map_err(|e| RuntimeError::SpawnFailed {
+            worker,
+            reason: e.to_string(),
+        })?;
+    om_obs::metrics().counter("runtime.worker_spawns").inc();
+    Ok(join)
+}
+
+impl ExecutorPool {
+    /// Build a fault-free pool with `n_workers` total workers (the
+    /// supervisor is worker 0, so `n_workers - 1` threads are created).
+    pub fn build(
+        graph: TaskGraph,
+        n_workers: usize,
+        assignment: Vec<usize>,
+        strategy: Strategy,
+    ) -> Result<ExecutorPool, RuntimeError> {
+        ExecutorPool::with_faults(
+            graph,
+            n_workers,
+            assignment,
+            FaultPlan::none(),
+            FaultConfig::default(),
+            strategy,
+        )
+    }
+
+    /// Build a pool with a fault-injection plan and recovery policy.
+    /// Every worker consults `plan` once per task execution.
+    pub fn with_faults(
+        graph: TaskGraph,
+        n_workers: usize,
+        assignment: Vec<usize>,
+        plan: FaultPlan,
+        fault_config: FaultConfig,
+        strategy: Strategy,
+    ) -> Result<ExecutorPool, RuntimeError> {
+        if !(1..=1 << WORKER_BITS).contains(&n_workers) {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "executor pool needs 1..={} workers, got {n_workers}",
+                    1 << WORKER_BITS
+                ),
+            });
+        }
+        if assignment.len() != graph.tasks.len() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "assignment covers {} tasks but the graph has {}",
+                    assignment.len(),
+                    graph.tasks.len()
+                ),
+            });
+        }
+        if let Some(&w) = assignment.iter().find(|&&w| w >= n_workers) {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!("assignment references worker {w} of {n_workers}"),
+            });
+        }
+        let graph = Arc::new(graph);
+        let n_tasks = graph.tasks.len();
+        let pred_init = graph.pred_counts();
+        let phases = match strategy {
+            Strategy::WorkStealing => {
+                vec![((0..n_tasks).filter(|&i| pred_init[i] == 0).collect(), 0)]
+            }
+            Strategy::Barrier => {
+                let mut left = n_tasks;
+                graph
+                    .levels()
+                    .into_iter()
+                    .map(|level| {
+                        left -= level.len();
+                        (level, left)
+                    })
+                    .collect()
+            }
+        };
+        let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        let shared = Arc::new(Shared {
+            strategy,
+            faults: plan,
+            succ: graph.successors(),
+            pred_init,
+            preds: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
+            claims: atomics(n_tasks),
+            remaining: AtomicUsize::new(0),
+            fence: AtomicUsize::new(0),
+            deques: (0..n_workers)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
+            shared_vals: atomics(graph.n_shared),
+            dydt: atomics(graph.dim),
+            timings_ns: atomics(n_tasks),
+            t_bits: AtomicU64::new(0),
+            y: Mutex::new(Arc::new(Vec::new())),
+            call_fast: AtomicU64::new(0),
+            call: Mutex::new(0),
+            start_cv: Condvar::new(),
+            idle: Mutex::new(()),
+            work_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            detailed: AtomicBool::new(false),
+            retired: (0..n_workers).map(|_| AtomicBool::new(false)).collect(),
+            nan_repairs: AtomicUsize::new(0),
+            stale_results: AtomicUsize::new(0),
+            graph: Arc::clone(&graph),
+        });
+        let m = om_obs::metrics();
+        let mut pool = ExecutorPool {
+            slots: Vec::with_capacity(n_workers),
+            assignment,
+            phases,
+            measured: graph
+                .tasks
+                .iter()
+                .map(|t| t.static_cost as f64 * 1e-9)
+                .collect(),
+            fault_config,
+            recovery: RecoveryStats::default(),
+            ctx: WorkerCtx::new(0, &graph),
+            watch: vec![(0, Instant::now()); n_tasks],
+            retried: vec![0; n_tasks],
+            rhs_calls: m.counter("runtime.rhs_calls"),
+            tasks_executed: m.counter("runtime.tasks_executed"),
+            // 100ns .. ~1s exponential task-time buckets.
+            task_seconds: m.histogram(
+                "runtime.task_seconds",
+                &(0..12).map(|i| 1e-7 * 4f64.powi(i)).collect::<Vec<_>>(),
+            ),
+            live_gauge: m.gauge("runtime.live_workers"),
+            obs_calls: 0,
+            shared,
+        };
+        // Slots are pushed as their threads start, so an early return
+        // drops `pool` and shuts down the helpers already running.
+        for w in 0..n_workers {
+            let join = match w {
+                0 => None,
+                _ => Some(spawn_helper(w, 0, &pool.shared)?),
+            };
+            pool.slots.push(Slot {
+                join,
+                respawns: 0,
+                failed: false,
+            });
+        }
+        pool.live_gauge.set(n_workers as f64);
+        Ok(pool)
+    }
+
+    /// The scheduling policy this pool executes with.
+    pub fn strategy(&self) -> Strategy {
+        self.shared.strategy
+    }
+
+    /// The task graph being executed.
+    pub fn graph(&self) -> &TaskGraph {
+        &self.shared.graph
+    }
+
+    /// Total worker count, the participating supervisor and permanently
+    /// failed workers included.
+    pub fn n_workers(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Number of workers still accepting work.
+    pub fn live_workers(&self) -> usize {
+        self.slots.iter().filter(|slot| !slot.failed).count()
+    }
+
+    /// Current task → worker assignment.
+    pub fn assignment(&self) -> &[usize] {
+        &self.assignment
+    }
+
+    /// EWMA of measured per-task times, in seconds.
+    pub fn measured(&self) -> &[f64] {
+        &self.measured
+    }
+
+    /// What the recovery machinery has done over the pool's life.
+    pub fn recovery(&self) -> &RecoveryStats {
+        &self.recovery
+    }
+
+    /// Recompute the assignment from per-task costs over the *live*
+    /// workers only (LPT for independent graphs, list scheduling
+    /// otherwise). Used by the semi-dynamic scheduler and internally
+    /// after a worker is written off, so a shrunken pool stays balanced.
+    pub fn rebalance(&mut self, costs: &[u64]) {
+        let live: Vec<usize> = (0..self.slots.len())
+            .filter(|&w| !self.slots[w].failed)
+            .collect();
+        let graph = &self.shared.graph;
+        if live.is_empty() || costs.len() != graph.tasks.len() {
+            return;
+        }
+        let _span = om_obs::span("sched.rebalance", "sched");
+        let sched = if graph.is_independent() {
+            om_codegen::lpt(costs, live.len())
+        } else {
+            om_codegen::list_schedule(costs, &graph.deps, live.len())
+        };
+        self.assignment = sched.assignment.iter().map(|&k| live[k]).collect();
+    }
+
+    /// [`ExecutorPool::rebalance`] from the measured task times.
+    pub(crate) fn rebalance_from_measured(&mut self) {
+        let costs: Vec<u64> = self
+            .measured
+            .iter()
+            .map(|&s| (s * 1e9).max(1.0) as u64)
+            .collect();
+        self.rebalance(&costs);
+    }
+
+    /// Evaluate the parallel RHS, panicking on failure (benchmark and
+    /// example convenience).
+    pub fn rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
+        if let Err(e) = self.try_rhs(t, y, dydt) {
+            panic!("executor pool RHS evaluation failed: {e}");
+        }
+    }
+
+    /// Evaluate the parallel RHS: fills `dydt` (length = ODE dimension),
+    /// surviving worker crashes, hangs, lost and corrupted results per
+    /// the recovery ladder in the module docs.
+    pub fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RuntimeError> {
+        let s = Arc::clone(&self.shared);
+        for got in [y.len(), dydt.len()] {
+            if got != s.graph.dim {
+                return Err(RuntimeError::DimensionMismatch {
+                    expected: s.graph.dim,
+                    got,
+                });
+            }
+        }
+        self.check_live()?;
+        let _span = om_obs::span("rhs.eval", "runtime");
+        self.rhs_calls.inc();
+        // Counted here, once and uncontended, rather than by each worker:
+        // a call completes every task exactly once (replays aside).
+        self.tasks_executed.add(s.graph.tasks.len() as u64);
+        // Fine-grained spans and the task-time histogram are recorded on
+        // a deterministic sampling schedule; the always-on signals above
+        // keep every call visible at low cost.
+        #[allow(clippy::manual_is_multiple_of)] // is_multiple_of is past our 1.85 MSRV
+        let detailed =
+            om_obs::is_enabled() && self.obs_calls % u64::from(om_obs::detail_every()) == 0;
+        self.obs_calls += 1;
+
+        // --- reset per-call state (no worker is active: remaining == 0).
+        if s.strategy == Strategy::WorkStealing {
+            for (p, &init) in s.preds.iter().zip(&s.pred_init) {
+                p.store(init, Ordering::Relaxed);
+            }
+        }
+        for v in &s.shared_vals {
+            v.store(0, Ordering::Relaxed);
+        }
+        s.t_bits.store(t.to_bits(), Ordering::Relaxed);
+        let y_arc = Arc::new(y.to_vec());
+        *lock(&s.y) = Arc::clone(&y_arc);
+        s.detailed.store(detailed, Ordering::Relaxed);
+        s.remaining.store(s.graph.tasks.len(), Ordering::Release);
+        // Bump the fast generation *before* seeding so a worker popping a
+        // seeded task always observes the new call id.
+        let call_id = s.call_fast.fetch_add(1, Ordering::Release) + 1;
+
+        for phase in 0..self.phases.len() {
+            // A single-phase call's `level` span would duplicate `rhs.eval`.
+            let _level = (detailed && self.phases.len() > 1)
+                .then(|| om_obs::span_arg("level", "runtime", "level", phase as i64));
+            let fence = self.phases[phase].1;
+            // Relaxed: a finisher reads it after popping a task seeded
+            // below, and the deque mutex orders this store before that.
+            s.fence.store(fence, Ordering::Relaxed);
+            self.seed(&s, phase, detailed);
+            if phase == 0 && self.slots.len() > 1 {
+                *lock(&s.call) = call_id;
+                s.start_cv.notify_all();
+            }
+            self.drain(&s, call_id, t, &y_arc, detailed, fence)?;
+        }
+
+        // --- gather: every derivative slot was written exactly once.
+        for (out, slot) in dydt.iter_mut().zip(&s.dydt) {
+            *out = f64::from_bits(slot.load(Ordering::Acquire));
+        }
+        // Fold the workers' timing measurements into the EWMA (paper
+        // §3.2.3: previous elapsed times predict the next step).
+        for (m, ns) in self.measured.iter_mut().zip(&s.timings_ns) {
+            let ns = ns.load(Ordering::Relaxed);
+            if ns > 0 {
+                let secs = ns as f64 * 1e-9;
+                if detailed {
+                    self.task_seconds.observe(secs);
+                }
+                *m = if *m == 0.0 {
+                    secs
+                } else {
+                    0.8 * *m + 0.2 * secs
+                };
+            }
+        }
+        for (seen, what) in [
+            (&s.nan_repairs, Recovered::NanRepairs),
+            (&s.stale_results, Recovered::StaleResults),
+        ] {
+            if seen.load(Ordering::Relaxed) > 0 {
+                self.note(what, seen.swap(0, Ordering::Relaxed));
+            }
+        }
+        if self.live_workers() == 0 {
+            // Failure is permanent, so none left now means the
+            // supervisor drained (part of) this call alone.
+            om_obs::instant("pool.degraded", "runtime");
+            self.note(Recovered::DegradedCalls, 1);
+        }
+        Ok(())
+    }
+
+    /// Push one phase's tasks onto their assigned workers' deques,
+    /// cheapest first so the LIFO own-end pops the longest task first
+    /// (LPT order).
+    fn seed(&mut self, s: &Shared, phase: usize, detailed: bool) {
+        let measured = &self.measured;
+        self.phases[phase]
+            .0
+            .sort_unstable_by(|&a, &b| measured[a].total_cmp(&measured[b]).then(a.cmp(&b)));
+        for &tid in &self.phases[phase].0 {
+            s.push(self.route(self.assignment[tid]), tid);
+        }
+        if phase > 0 {
+            // Helpers are parked in their work loops, not on `start_cv`.
+            s.wake();
+        }
+        if detailed {
+            om_obs::counter_value("runtime.pending_jobs", self.phases[phase].0.len() as f64);
+        }
+    }
+
+    /// `preferred` if live, else the next live worker round-robin, else
+    /// 0: with nobody left the supervisor drains the call itself.
+    fn route(&self, preferred: usize) -> usize {
+        let n = self.slots.len();
+        (0..n)
+            .map(|k| (preferred + k) % n)
+            .find(|&w| !self.slots[w].failed)
+            .unwrap_or(0)
+    }
+
+    /// Work the call as worker 0 and wait for the helpers until
+    /// `remaining` drops to `fence`, sweeping for dead and hung workers
+    /// every poll interval spent waiting.
+    fn drain(
+        &mut self,
+        s: &Arc<Shared>,
+        call_id: u64,
+        t: f64,
+        y: &[f64],
+        detailed: bool,
+        fence: usize,
+    ) -> Result<(), RuntimeError> {
+        let poll = self.fault_config.poll_interval();
+        let mut next_sweep: Option<Instant> = None;
+        loop {
+            let works = !self.slots[0].failed || self.live_workers() == 0;
+            if works && work_call(0, s, call_id, t, y, &mut self.ctx, detailed) {
+                self.worker_died(s, 0, call_id);
+                self.check_live()?;
+                continue;
+            }
+            if s.remaining.load(Ordering::Acquire) <= fence {
+                return Ok(());
+            }
+            s.park(|| s.remaining.load(Ordering::Acquire) <= fence || (works && s.has_work(0)));
+            // The first wait only starts the clock: a call that never
+            // idles for a whole poll interval never sweeps.
+            let now = Instant::now();
+            if now >= *next_sweep.get_or_insert(now + poll) {
+                self.sweep(s, call_id, now)?;
+                next_sweep = Some(now + poll);
+            }
+        }
+    }
+
+    /// Bump a [`RecoveryStats`] field and its `runtime.*` counter
+    /// together — the only place either is written.
+    fn note(&mut self, what: Recovered, n: usize) {
+        let r = &mut self.recovery;
+        let (field, name) = match what {
+            Recovered::Respawns => (&mut r.respawns, "runtime.respawns"),
+            Recovered::WorkersLost => (&mut r.workers_lost, "runtime.workers_lost"),
+            Recovered::ReplayedTasks => (&mut r.replayed_tasks, "runtime.replayed_tasks"),
+            Recovered::Retries => (&mut r.retries, "runtime.retries"),
+            Recovered::DegradedCalls => (&mut r.degraded_calls, "runtime.degraded_calls"),
+            Recovered::NanRepairs => (&mut r.nan_repairs, "runtime.nan_repairs"),
+            Recovered::StaleResults => (&mut r.stale_results, "runtime.stale_results"),
+        };
+        *field += n;
+        om_obs::metrics().counter(name).add(n as u64);
+    }
+
+    fn check_live(&self) -> Result<(), RuntimeError> {
+        if self.live_workers() == 0 && !self.fault_config.sequential_fallback {
+            return Err(RuntimeError::PoolExhausted {
+                workers: self.slots.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Liveness + deadline sweep over the claim table.
+    fn sweep(&mut self, s: &Arc<Shared>, call_id: u64, now: Instant) -> Result<(), RuntimeError> {
+        // 1. Helpers whose thread has exited.
+        for w in 1..self.slots.len() {
+            let slot = &self.slots[w];
+            if !slot.failed && slot.join.as_ref().is_none_or(JoinHandle::is_finished) {
+                self.worker_died(s, w, call_id);
+            }
+        }
+        // 2. Tasks held — running, or requeued and not picked up — for
+        // longer than the task timeout.
+        for tid in 0..s.claims.len() {
+            let word = s.claims[tid].load(Ordering::Relaxed);
+            if claim_call(word) != call_id || claim_state(word) == DONE {
+                continue;
+            }
+            if self.watch[tid].0 != word {
+                self.watch[tid] = (word, now);
+                continue;
+            }
+            if now.duration_since(self.watch[tid].1) < self.fault_config.task_timeout {
+                continue;
+            }
+            let w = claim_worker(word);
+            let running = claim_state(word) == RUNNING;
+            if running
+                && !self.slots[w].failed
+                && self.fault_config.retry_before_failing
+                && self.retried[tid] != call_id
+            {
+                // One retry on the same worker: a straggler may just be
+                // slow, and whichever execution loses the claim is
+                // filtered as stale.
+                if self.requeue(s, tid, word, call_id, w) {
+                    self.retried[tid] = call_id;
+                    om_obs::instant("job.retry", "runtime");
+                    self.note(Recovered::Retries, 1);
+                }
+            } else {
+                // Out of patience: write the worker off. A requeued
+                // task moves with its deque; a running one is replayed.
+                self.fail_worker(s, w, call_id, "worker.abandoned");
+                let to = self.route(w);
+                if !running || self.requeue(s, tid, word, call_id, to) {
+                    self.note(Recovered::ReplayedTasks, 1);
+                }
+            }
+        }
+        self.check_live()
+    }
+
+    /// Take `tid` back from whoever holds claim `word` and queue it on
+    /// `to`. False when the holder completed it first.
+    fn requeue(&self, s: &Shared, tid: usize, word: u64, call_id: u64, to: usize) -> bool {
+        let ready = claim(call_id, to, READY);
+        let won = s.claims[tid]
+            .compare_exchange(word, ready, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok();
+        if won {
+            s.push(to, tid);
+            s.wake();
+        }
+        won
+    }
+
+    /// Worker `w`'s thread has exited (or, for `w == 0`, an injected
+    /// kill hit the supervisor's worker role): respawn it if the budget
+    /// allows, otherwise write it off; replay what it was running.
+    fn worker_died(&mut self, s: &Arc<Shared>, w: usize, call_id: u64) {
+        if let Some(join) = self.slots[w].join.take() {
+            // Reap; a panicked thread yields Err, which is the point.
+            let _ = join.join();
+        }
+        let Slot {
+            failed, respawns, ..
+        } = self.slots[w];
+        let mut respawned = false;
+        if !failed && respawns < self.fault_config.max_respawns {
+            std::thread::sleep(self.fault_config.respawn_backoff * (1u32 << respawns.min(10)));
+            let incarnation = respawns + 1;
+            self.slots[w].respawns = incarnation;
+            respawned = match w {
+                0 => {
+                    self.ctx.jobs_done = 0;
+                    true
+                }
+                // A refused spawn is one more lost worker, not a failed call.
+                _ => spawn_helper(w, incarnation, s)
+                    .map(|join| self.slots[w].join = Some(join))
+                    .is_ok(),
+            };
+        }
+        if respawned {
+            om_obs::instant("worker.respawn", "runtime");
+            self.note(Recovered::Respawns, 1);
+        } else {
+            self.fail_worker(s, w, call_id, "worker.failed");
+        }
+        let to = self.route(w);
+        let running = claim(call_id, w, RUNNING);
+        let replayed = (0..s.claims.len())
+            .filter(|&tid| self.requeue(s, tid, running, call_id, to))
+            .count();
+        self.note(Recovered::ReplayedTasks, replayed);
+    }
+
+    /// Mark `w` permanently failed, rebalance over the survivors and
+    /// hand them its queued tasks. Idempotent.
+    fn fail_worker(&mut self, s: &Shared, w: usize, call_id: u64, event: &'static str) {
+        if self.slots[w].failed {
+            return;
+        }
+        self.slots[w].failed = true;
+        s.retired[w].store(true, Ordering::Release);
+        // Detach: joining a hung thread could block forever.
+        drop(self.slots[w].join.take());
+        om_obs::instant(event, "runtime");
+        self.note(Recovered::WorkersLost, 1);
+        self.live_gauge.set(self.live_workers() as f64);
+        self.rebalance_from_measured();
+        let orphaned = std::mem::take(&mut *lock(&s.deques[w]));
+        for tid in orphaned {
+            let to = self.route(self.assignment[tid]);
+            // A task that was waiting out a retry on `w` keeps waiting, on `to`.
+            let _ = s.claims[tid].compare_exchange(
+                claim(call_id, w, READY),
+                claim(call_id, to, READY),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            s.push(to, tid);
+        }
+        s.wake();
+    }
+}
+
+impl Drop for ExecutorPool {
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::Release);
+        // Helpers park on the start condvar between calls; taking the
+        // lock orders the flag before their next predicate check.
+        drop(lock(&self.shared.call));
+        self.shared.start_cv.notify_all();
+        self.shared.wake();
+        // Bounded wait so a hung helper cannot wedge the supervisor.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        for slot in &mut self.slots {
+            let Some(join) = slot.join.take() else {
+                continue;
+            };
+            while !join.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            if join.is_finished() {
+                let _ = join.join();
+            }
+            // else: handle dropped → hung thread detached.
+        }
+    }
+}
+
+/// Zero-sized panic payload for injected worker deaths; `resume_unwind`
+/// with it skips the global panic hook, keeping chaos tests quiet.
+struct InjectedWorkerPanic;
+
+/// Helper thread main: park between calls, work each call to completion.
+fn helper_main(worker: usize, s: &Shared) {
+    // On the helper's own track, so every incarnation shows in a trace
+    // whether or not it is ever handed a task.
+    om_obs::instant("worker.spawn", "runtime");
+    let mut ctx = WorkerCtx::new(worker, &s.graph);
+    let mut last_call = 0u64;
+    loop {
+        let call_id = {
+            let mut g = lock(&s.call);
+            loop {
+                if s.shutdown.load(Ordering::Acquire) || s.retired[worker].load(Ordering::Acquire) {
+                    return;
+                }
+                if *g != last_call {
+                    break *g;
+                }
+                g = s.start_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        last_call = call_id;
+        let t = f64::from_bits(s.t_bits.load(Ordering::Relaxed));
+        let y = lock(&s.y).clone();
+        let detailed = s.detailed.load(Ordering::Relaxed);
+        if work_call(worker, s, call_id, t, &y, &mut ctx, detailed) {
+            std::panic::resume_unwind(Box::new(InjectedWorkerPanic));
+        }
+    }
+}
+
+/// What [`execute_task`] left for the work loop to do.
+enum Step {
+    Next,
+    /// That was the call's last task.
+    CallDone,
+    /// An injected `Panic` fired; the task stays `RUNNING`.
+    Killed,
+}
+
+/// Execute tasks of call `call_id` until the call completes — or, for
+/// the supervisor, until nothing can be taken. Safe against the next
+/// call starting concurrently: a popped task whose generation is newer
+/// than `call_id` is returned to its deque untouched. Returns true when
+/// an injected kill fired and the caller must act the death out.
+fn work_call(
+    worker: usize,
+    s: &Shared,
+    call_id: u64,
+    t: f64,
+    y: &[f64],
+    ctx: &mut WorkerCtx,
+    detailed: bool,
+) -> bool {
+    // Opened at the helper's first task of a detail-sampled call, so a
+    // helper that merely woke up leaves no (timing-dependent) mark.
+    let mut span = None;
+    let busy_start = Instant::now();
+    let mut executed = false;
+    let mut stolen = 0u64;
+    let mut killed = false;
+    loop {
+        let Some((tid, src)) = s.take(worker) else {
+            // The supervisor returns to its own wait loop; helpers park
+            // briefly for ready work.
+            if worker == 0
+                || s.remaining.load(Ordering::Acquire) == 0
+                || s.shutdown.load(Ordering::Acquire)
+                || s.retired[worker].load(Ordering::Acquire)
+            {
+                break;
+            }
+            s.park(|| s.has_work(worker) || s.remaining.load(Ordering::Acquire) == 0);
+            continue;
+        };
+        // Stale-pop guard: the task belongs to a newer call than the
+        // (t, y) this loop captured. Put it back and bail out.
+        if s.call_fast.load(Ordering::Acquire) != call_id {
+            s.unpop(src, tid);
+            break;
+        }
+        if detailed && worker > 0 && span.is_none() {
+            span = Some(om_obs::span_arg(
+                "job.execute",
+                "worker",
+                "id",
+                worker as i64,
+            ));
+        }
+        stolen += u64::from(src != worker);
+        executed = true;
+        match execute_task(s, worker, call_id, tid, t, y, ctx) {
+            Step::Next => {}
+            Step::CallDone => break,
+            Step::Killed => {
+                killed = true;
+                break;
+            }
+        }
+    }
+    if executed {
+        ctx.busy_ns.add(busy_start.elapsed().as_nanos() as u64);
+    }
+    if stolen > 0 {
+        ctx.steals.add(stolen);
+    }
+    drop(span);
+    killed
+}
+
+/// Run one task: claim it, gather its shared reads, execute the
+/// bytecode, and — if the claim is still ours — publish outputs,
+/// decrement successor counters and push newly-ready tasks onto the
+/// finishing worker's own deque (LIFO end — hot caches).
+fn execute_task(
+    s: &Shared,
+    worker: usize,
+    call_id: u64,
+    tid: usize,
+    t: f64,
+    y: &[f64],
+    ctx: &mut WorkerCtx,
+) -> Step {
+    let mine = claim(call_id, worker, RUNNING);
+    // Relaxed: the word publishes no data, and nobody else writes it
+    // while the task is out of every deque and not yet RUNNING.
+    s.claims[tid].store(mine, Ordering::Relaxed);
+    let fault = if s.faults.is_empty() {
+        None
+    } else {
+        ctx.jobs_done += 1;
+        s.faults.fire(worker, ctx.jobs_done)
+    };
+    match fault {
+        Some(FaultKind::Panic) => return Step::Killed,
+        Some(FaultKind::Straggle(delay)) => std::thread::sleep(delay),
+        _ => {}
+    }
+    let task = &s.graph.tasks[tid];
+    for &slot in &task.reads_shared {
+        ctx.shared_local[slot as usize] =
+            f64::from_bits(s.shared_vals[slot as usize].load(Ordering::Acquire));
+    }
+    ctx.out_buf.resize(task.n_out(), 0.0);
+    let run = |ctx: &mut WorkerCtx| {
+        task.run_with_regs(
+            t,
+            y,
+            &ctx.shared_local,
+            &mut ctx.out_buf,
+            &mut ctx.regs,
+            &mut ctx.prog_scratch,
+        );
+    };
+    let start = Instant::now();
+    run(ctx);
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    if fault == Some(FaultKind::CorruptNaN) {
+        if let Some(first) = ctx.out_buf.first_mut() {
+            *first = f64::NAN;
+        }
+    }
+    let bad = ctx.out_buf.iter().filter(|v| !v.is_finite()).count();
+    if bad > 0 {
+        // A corrupted result and a genuine blow-up look the same from
+        // here; recomputing is correct for both (the recomputation of a
+        // genuine non-finite value reproduces it exactly).
+        om_obs::instant("result.nan_repair", "runtime");
+        s.nan_repairs.fetch_add(bad, Ordering::Relaxed);
+        run(ctx);
+    }
+    if fault == Some(FaultKind::DropResult) {
+        // The result is lost: the claim stays RUNNING until the sweep's
+        // deadline takes the task back.
+        return Step::Next;
+    }
+    // AcqRel: pairs with the supervisor's requeue exchange on the same
+    // word — exactly one of "complete" and "take back" happens.
+    let done = claim(call_id, worker, DONE);
+    if s.claims[tid]
+        .compare_exchange(mine, done, Ordering::AcqRel, Ordering::Relaxed)
+        .is_err()
+    {
+        s.stale_results.fetch_add(1, Ordering::Relaxed);
+        return Step::Next;
+    }
+    s.timings_ns[tid].store(elapsed_ns, Ordering::Relaxed);
+    for (value, slot) in ctx.out_buf.iter().zip(&task.writes) {
+        match slot {
+            OutSlot::Deriv(i) => s.dydt[*i].store(value.to_bits(), Ordering::Release),
+            OutSlot::Shared(i) => s.shared_vals[*i].store(value.to_bits(), Ordering::Release),
+        }
+    }
+    if s.strategy == Strategy::WorkStealing {
+        // Dependency-counter scheduling: the AcqRel RMW chain on each
+        // counter orders every producer's stores before the final
+        // decrement.
+        let mut pushed = 0u64;
+        for &succ in &s.succ[tid] {
+            if s.preds[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
+                s.push(worker, succ);
+                pushed += 1;
+            }
+        }
+        if pushed > 0 {
+            s.wake();
+            ctx.ready_pushed.add(pushed);
+        }
+    }
+    let left = s.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
+    if left == s.fence.load(Ordering::Relaxed) {
+        // The phase is complete: wake the supervisor (and, at 0, any
+        // parked helpers, so they fall out of their idle loops promptly).
+        s.wake();
+    }
+    if left == 0 {
+        Step::CallDone
+    } else {
+        Step::Next
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use om_codegen::cse::CseMode;
+    use om_codegen::task::{compile_tasks, equation_tasks};
+    use om_codegen::{CodeGenerator, GenOptions};
+    use om_expr::CostModel;
+    use om_ir::causalize;
+
+    fn graph(src: &str, inline: bool) -> (om_ir::OdeIr, TaskGraph) {
+        let ir = causalize(&om_lang::compile(src).unwrap()).unwrap();
+        let g = compile_tasks(
+            &equation_tasks(&ir, inline),
+            &ir,
+            CseMode::PerTask,
+            &CostModel::default(),
+        );
+        (ir, g)
+    }
+
+    const MODEL: &str = "model M;
+        Real x(start=0.4); Real v(start=-0.3); Real f;
+        equation
+          der(x) = v;
+          der(v) = f;
+          f = -sin(x)*4.0 - 0.2*v + cos(time);
+        end M;";
+
+    fn pool(g: TaskGraph, n_workers: usize, assignment: Vec<usize>) -> ExecutorPool {
+        ExecutorPool::build(g, n_workers, assignment, Strategy::Barrier).unwrap()
+    }
+
+    fn faulty(
+        g: TaskGraph,
+        n_workers: usize,
+        plan: FaultPlan,
+        config: FaultConfig,
+        strategy: Strategy,
+    ) -> ExecutorPool {
+        ExecutorPool::with_faults(g, n_workers, vec![0, 1], plan, config, strategy).unwrap()
+    }
+
+    /// A fault on helper 1's first task. Under work stealing the
+    /// supervisor would usually run both of MODEL's tasks before the
+    /// helper wakes, so it is held back on its own first task.
+    fn on_helper(kind: FaultKind) -> FaultPlan {
+        FaultPlan::none()
+            .inject(0, 1, FaultKind::Straggle(Duration::from_millis(20)))
+            .inject(1, 1, kind)
+    }
+
+    /// Evaluate until every planned fault has fired (which worker runs
+    /// which task is up to the scheduler under work stealing), checking
+    /// each result against `expect` bit for bit.
+    fn run_until_fired(pool: &mut ExecutorPool, t: f64, y: &[f64], expect: &[f64]) {
+        let mut got = vec![0.0; y.len()];
+        for _ in 0..200 {
+            pool.try_rhs(t, y, &mut got).unwrap();
+            assert_eq!(got, expect, "recovery must not perturb values");
+            if pool.shared.faults.fired() == pool.shared.faults.len() {
+                return;
+            }
+        }
+        panic!("planned faults never fired: {:?}", pool.shared.faults);
+    }
+
+    /// Reference derivative at (t, y).
+    fn reference_rhs(ir: &om_ir::OdeIr, t: f64, y: &[f64]) -> Vec<f64> {
+        let reference = om_ir::IrEvaluator::new(ir).unwrap();
+        let mut out = vec![0.0; y.len()];
+        reference.rhs(t, y, &mut out);
+        out
+    }
+
+    fn assert_close(got: &[f64], expect: &[f64], tol: f64) {
+        for (g, e) in got.iter().zip(expect) {
+            assert!((g - e).abs() < tol, "{got:?} vs {expect:?}");
+        }
+    }
+
+    #[test]
+    fn parallel_rhs_matches_reference() {
+        let (ir, g) = graph(MODEL, true);
+        let costs: Vec<u64> = g.tasks.iter().map(|t| t.static_cost).collect();
+        let sched = om_codegen::lpt(&costs, 2);
+        let mut pool = pool(g, 2, sched.assignment);
+        let mut got = [0.0; 2];
+        pool.rhs(1.1, &[0.4, -0.3], &mut got);
+        assert_close(&got, &reference_rhs(&ir, 1.1, &[0.4, -0.3]), 1e-12);
+    }
+
+    #[test]
+    fn dependent_graph_executes_level_by_level() {
+        let (ir, g) = graph(MODEL, false);
+        assert!(!g.is_independent());
+        let sched = om_codegen::list_schedule(
+            &g.tasks.iter().map(|t| t.static_cost).collect::<Vec<_>>(),
+            &g.deps,
+            3,
+        );
+        let mut pool = pool(g, 3, sched.assignment);
+        assert!(pool.phases.len() > 1, "one phase per level");
+        let mut got = [0.0; 2];
+        pool.rhs(0.5, &[0.4, -0.3], &mut got);
+        assert_close(&got, &reference_rhs(&ir, 0.5, &[0.4, -0.3]), 1e-12);
+    }
+
+    #[test]
+    fn repeated_calls_are_stable_and_measure_timings() {
+        let (_, g) = graph(MODEL, true);
+        let n_tasks = g.tasks.len();
+        let mut pool = pool(g, 2, vec![0, 1]);
+        let mut dydt = [0.0; 2];
+        for k in 0..50 {
+            let t = k as f64 * 0.01;
+            pool.rhs(t, &[0.4, -0.3], &mut dydt);
+        }
+        assert_eq!(pool.measured().len(), n_tasks);
+        assert!(pool.measured().iter().all(|&m| m > 0.0));
+    }
+
+    #[test]
+    fn reassignment_midstream_is_seamless() {
+        let (ir, g) = graph(MODEL, true);
+        let y = [0.1, 0.9];
+        let expect = reference_rhs(&ir, 0.0, &y);
+        let mut pool = pool(g, 2, vec![0, 0]);
+        let mut got = [0.0; 2];
+        pool.rhs(0.0, &y, &mut got);
+        assert_eq!(&got[..], &expect[..]);
+        pool.rebalance(&[100, 100]);
+        assert_ne!(pool.assignment(), &[0, 0]);
+        let mut got2 = [0.0; 2];
+        pool.rhs(0.0, &y, &mut got2);
+        assert_eq!(&got2[..], &expect[..]);
+    }
+
+    #[test]
+    fn many_workers_with_few_tasks() {
+        let (ir, g) = graph(MODEL, true);
+        let mut pool = pool(g, 8, vec![3, 6]);
+        let mut got = [0.0; 2];
+        pool.rhs(2.0, &[0.4, -0.3], &mut got);
+        assert_close(&got, &reference_rhs(&ir, 2.0, &[0.4, -0.3]), 1e-12);
+    }
+
+    #[test]
+    fn generator_pipeline_with_all_extensions_runs_in_pool() {
+        let src = "model M;
+            Real x(start=0.2); Real y(start=0.3);
+            equation
+              der(x) = exp(sin(x) + cos(y)) + y*y;
+              der(y) = exp(sin(x) + cos(y)) - x;
+            end M;";
+        let ir = causalize(&om_lang::compile(src).unwrap()).unwrap();
+        let generator = CodeGenerator::new(GenOptions {
+            extract_shared_min_cost: Some(40),
+            split_threshold: Some(60),
+            ..GenOptions::default()
+        });
+        let program = generator.generate(&ir);
+        let sched = program.schedule(3);
+        let mut pool = pool(program.graph, 3, sched.assignment);
+        let mut got = [0.0; 2];
+        pool.rhs(0.0, &[0.2, 0.3], &mut got);
+        assert_close(&got, &reference_rhs(&ir, 0.0, &[0.2, 0.3]), 1e-10);
+    }
+
+    // ---- fault-injection & recovery, under both policies ----------------
+
+    #[test]
+    fn killed_worker_is_respawned_and_result_identical() {
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
+            let plan = on_helper(FaultKind::Panic);
+            let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
+            run_until_fired(&mut pool, 1.1, &[0.4, -0.3], &expect);
+            let r = pool.recovery();
+            assert!(r.respawns >= 1 && r.replayed_tasks >= 1, "{r:?}");
+            assert_eq!(pool.live_workers(), 2, "worker 1 respawned");
+            // The pool keeps working afterwards.
+            let mut got = [0.0; 2];
+            pool.try_rhs(1.1, &[0.4, -0.3], &mut got).unwrap();
+            assert_eq!(&got[..], &expect[..]);
+        }
+    }
+
+    #[test]
+    fn killed_supervisor_role_is_respawned_in_place() {
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
+            let mut pool = faulty(
+                g,
+                2,
+                FaultPlan::kill(0, 1),
+                FaultConfig::default(),
+                strategy,
+            );
+            run_until_fired(&mut pool, 1.1, &[0.4, -0.3], &expect);
+            let r = pool.recovery();
+            assert_eq!((r.respawns, r.replayed_tasks), (1, 1), "{r:?}");
+            assert_eq!(pool.live_workers(), 2);
+        }
+    }
+
+    #[test]
+    fn dropped_result_is_retried() {
+        for (strategy, worker) in [
+            (Strategy::Barrier, 1),
+            (Strategy::WorkStealing, 1),
+            (Strategy::Barrier, 0),
+        ] {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 0.7, &[0.4, -0.3]);
+            let config = FaultConfig {
+                task_timeout: Duration::from_millis(60),
+                ..FaultConfig::default()
+            };
+            let plan = match worker {
+                0 => FaultPlan::none().inject(0, 1, FaultKind::DropResult),
+                _ => on_helper(FaultKind::DropResult),
+            };
+            let mut pool = faulty(g, 2, plan, config, strategy);
+            run_until_fired(&mut pool, 0.7, &[0.4, -0.3], &expect);
+            assert!(pool.recovery().retries >= 1, "{:?}", pool.recovery());
+        }
+    }
+
+    #[test]
+    fn corrupted_output_is_repaired_deterministically() {
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 0.3, &[0.4, -0.3]);
+            let plan = FaultPlan::none().inject(0, 1, FaultKind::CorruptNaN);
+            let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
+            run_until_fired(&mut pool, 0.3, &[0.4, -0.3], &expect);
+            assert!(expect.iter().all(|v| v.is_finite()));
+            assert!(pool.recovery().nan_repairs >= 1, "{:?}", pool.recovery());
+        }
+    }
+
+    #[test]
+    fn straggler_is_detected_and_the_call_completes() {
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 0.9, &[0.4, -0.3]);
+            let config = FaultConfig {
+                task_timeout: Duration::from_millis(40),
+                ..FaultConfig::default()
+            };
+            let plan = on_helper(FaultKind::Straggle(Duration::from_millis(400)));
+            let mut pool = faulty(g, 2, plan, config, strategy);
+            run_until_fired(&mut pool, 0.9, &[0.4, -0.3], &expect);
+            let r = pool.recovery();
+            assert!(r.retries >= 1, "{r:?}");
+            if strategy == Strategy::Barrier {
+                // Nobody may steal the retried task, so the sleeping
+                // worker is written off and the task replayed.
+                assert_eq!((r.workers_lost, pool.live_workers()), (1, 1), "{r:?}");
+            }
+            // The straggler wakes into a later call: its result must be
+            // filtered, not published.
+            std::thread::sleep(Duration::from_millis(450));
+            let mut got = [0.0; 2];
+            pool.try_rhs(0.9, &[0.4, -0.3], &mut got).unwrap();
+            assert_eq!(&got[..], &expect[..]);
+            assert!(pool.recovery().stale_results >= 1, "{:?}", pool.recovery());
+        }
+    }
+
+    #[test]
+    fn exhausted_pool_without_fallback_returns_err() {
+        for strategy in Strategy::ALL {
+            let (_, g) = graph(MODEL, true);
+            let config = FaultConfig {
+                max_respawns: 0,
+                sequential_fallback: false,
+                ..FaultConfig::default()
+            };
+            let plan =
+                FaultPlan::none()
+                    .inject(0, 1, FaultKind::Panic)
+                    .inject(1, 1, FaultKind::Panic);
+            let mut pool = faulty(g, 2, plan, config, strategy);
+            let mut got = [0.0; 2];
+            let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
+            assert_eq!(err, RuntimeError::PoolExhausted { workers: 2 });
+            // And it stays exhausted.
+            let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
+            assert_eq!(err, RuntimeError::PoolExhausted { workers: 2 });
+        }
+    }
+
+    #[test]
+    fn exhausted_pool_degrades_to_sequential_evaluation() {
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 0.2, &[0.4, -0.3]);
+            let config = FaultConfig {
+                max_respawns: 0,
+                ..FaultConfig::default()
+            };
+            let plan =
+                FaultPlan::none()
+                    .inject(0, 1, FaultKind::Panic)
+                    .inject(1, 1, FaultKind::Panic);
+            let mut pool = faulty(g, 2, plan, config, strategy);
+            run_until_fired(&mut pool, 0.2, &[0.4, -0.3], &expect);
+            let r = pool.recovery();
+            assert_eq!(r.workers_lost, 2, "{r:?}");
+            assert!(r.degraded_calls >= 1, "{r:?}");
+            assert_eq!(pool.live_workers(), 0);
+            // Subsequent calls keep working in degraded mode.
+            let mut got = [0.0; 2];
+            pool.try_rhs(0.2, &[0.4, -0.3], &mut got).unwrap();
+            assert_eq!(&got[..], &expect[..]);
+        }
+    }
+
+    #[test]
+    fn dimension_mismatch_is_a_typed_error() {
+        let (_, g) = graph(MODEL, true);
+        let mut pool = pool(g, 2, vec![0, 1]);
+        let mut got = [0.0; 3];
+        let err = pool.try_rhs(0.0, &[0.4, -0.3, 0.0], &mut got).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+    }
+
+    #[test]
+    fn rebalance_only_uses_live_workers() {
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.6, &[0.4, -0.3]);
+        let config = FaultConfig {
+            max_respawns: 0,
+            ..FaultConfig::default()
+        };
+        let mut pool = faulty(g, 3, FaultPlan::kill(1, 1), config, Strategy::Barrier);
+        run_until_fired(&mut pool, 0.6, &[0.4, -0.3], &expect);
+        assert_eq!(pool.live_workers(), 2);
+        // After the loss the assignment must avoid the failed worker.
+        assert!(pool.assignment().iter().all(|&w| w != 1));
+        pool.rebalance(&[100, 100]);
+        assert!(pool.assignment().iter().all(|&w| w != 1));
+    }
+
+    #[test]
+    fn requested_strategy_runs_the_ladder_itself() {
+        // Faults × strategy is a real matrix: an active plan never swaps
+        // the policy, and the recovery counted is the requested pool's.
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let expect = reference_rhs(&ir, 0.0, &[0.4, -0.3]);
+            let plan = on_helper(FaultKind::Panic);
+            let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
+            assert_eq!(pool.strategy(), strategy);
+            run_until_fired(&mut pool, 0.0, &[0.4, -0.3], &expect);
+            assert_eq!(pool.strategy(), strategy);
+            assert_ne!(*pool.recovery(), RecoveryStats::default(), "{strategy}");
+        }
+    }
+
+    /// How many times `watch` saw a task of level L+1 claimed in a call
+    /// in which some task of level L was not yet done. Reads the higher
+    /// level first: a level-L task seen unfinished *after* a level-L+1
+    /// task was seen started really was unfinished when it started.
+    fn fence_violations(strategy: Strategy) -> (usize, usize) {
+        let ir = om_models::compile_to_ir(&om_models::hydro::source()).unwrap();
+        let g = CodeGenerator::new(GenOptions {
+            inline_algebraics: false,
+            ..GenOptions::default()
+        })
+        .generate(&ir)
+        .graph;
+        let levels = g.levels();
+        assert!(levels.len() > 2, "hydro must be multi-level");
+        let assignment = (0..g.tasks.len()).map(|i| i % 4).collect();
+        // Stragglers hold levels open long enough to be looked at.
+        let mut plan = FaultPlan::none();
+        for k in 0..24 {
+            plan.push(
+                k % 4,
+                3 + 7 * k as u64,
+                FaultKind::Straggle(Duration::from_millis(2)),
+            );
+        }
+        let mut pool =
+            ExecutorPool::with_faults(g, 4, assignment, plan, FaultConfig::default(), strategy)
+                .unwrap();
+        let shared = Arc::clone(&pool.shared);
+        let stop = AtomicBool::new(false);
+        let y0 = ir.initial_state();
+        let serial = {
+            let mut d = vec![0.0; y0.len()];
+            shared.graph.eval_serial(0.0, &y0, &mut d);
+            d
+        };
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let (mut seen, mut violations) = (0, 0);
+                while !stop.load(Ordering::Acquire) {
+                    // Sample, don't spin: sibling tests measure wall time.
+                    std::thread::sleep(Duration::from_micros(50));
+                    for pair in levels.windows(2) {
+                        for &hi in &pair[1] {
+                            let call = claim_call(shared.claims[hi].load(Ordering::Acquire));
+                            if call == 0 {
+                                continue; // never claimed yet
+                            }
+                            let open = pair[0].iter().any(|&lo| {
+                                let word = shared.claims[lo].load(Ordering::Acquire);
+                                claim_call(word) < call
+                                    || (claim_call(word) == call && claim_state(word) != DONE)
+                            });
+                            seen += 1;
+                            violations += usize::from(open);
+                        }
+                    }
+                }
+                (seen, violations)
+            });
+            let mut dydt = vec![0.0; y0.len()];
+            for _ in 0..60 {
+                pool.try_rhs(0.0, &y0, &mut dydt).unwrap();
+                assert_eq!(dydt, serial);
+            }
+            stop.store(true, Ordering::Release);
+            watcher.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn fence_policy_starts_no_level_before_the_previous_one_finished() {
+        let (seen, violations) = fence_violations(Strategy::Barrier);
+        assert!(seen > 0, "the watcher never saw a started task");
+        assert_eq!(violations, 0, "of {seen} observations");
+        // The watcher can see a breach: work stealing, which has no
+        // fence, runs ahead of the stragglers.
+        assert!(fence_violations(Strategy::WorkStealing).1 > 0);
+    }
+}

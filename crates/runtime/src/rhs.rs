@@ -7,13 +7,12 @@
 //! rebalances between calls.
 
 use crate::error::RuntimeError;
+use crate::pool::ExecutorPool;
 use crate::sched_dyn::SemiDynamicScheduler;
-use crate::strategy::ExecutorPool;
 use om_solver::{OdeSystem, RhsError};
 use std::time::Instant;
 
-/// A parallel right-hand side: executor pool (either strategy) +
-/// semi-dynamic scheduler, usable as an [`OdeSystem`].
+/// A parallel right-hand side: executor pool + semi-dynamic scheduler, usable as an [`OdeSystem`].
 pub struct ParallelRhs {
     pub pool: ExecutorPool,
     pub scheduler: SemiDynamicScheduler,
@@ -27,11 +26,11 @@ pub struct ParallelRhs {
 }
 
 impl ParallelRhs {
-    /// Wrap a pool (either executor strategy) with rescheduling every
-    /// `resched_every` calls (0 = static schedule).
-    pub fn new(pool: impl Into<ExecutorPool>, resched_every: usize) -> ParallelRhs {
+    /// Wrap a pool with rescheduling every `resched_every` calls
+    /// (0 = static schedule).
+    pub fn new(pool: ExecutorPool, resched_every: usize) -> ParallelRhs {
         ParallelRhs {
-            pool: pool.into(),
+            pool,
             scheduler: SemiDynamicScheduler::new(resched_every),
             calls: 0,
             rhs_time: std::time::Duration::ZERO,
@@ -86,7 +85,7 @@ impl OdeSystem for ParallelRhs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::WorkerPool;
+    use crate::strategy::Strategy;
     use om_codegen::CodeGenerator;
     use om_ir::causalize;
     use om_solver::{dopri5, Tolerances};
@@ -101,7 +100,8 @@ mod tests {
         let ir = causalize(&om_lang::compile(src).unwrap()).unwrap();
         let program = CodeGenerator::default().generate(&ir);
         let sched = program.schedule(2);
-        let pool = WorkerPool::new(program.graph, 2, sched.assignment);
+        let pool =
+            ExecutorPool::build(program.graph, 2, sched.assignment, Strategy::default()).unwrap();
         let mut rhs = ParallelRhs::new(pool, 8);
         let t_end = 2.0 * std::f64::consts::PI;
         let tol = Tolerances {
@@ -136,7 +136,8 @@ mod tests {
         // Parallel.
         let program = CodeGenerator::default().generate(&ir);
         let sched = program.schedule(2);
-        let pool = WorkerPool::new(program.graph, 2, sched.assignment);
+        let pool =
+            ExecutorPool::build(program.graph, 2, sched.assignment, Strategy::default()).unwrap();
         let mut rhs = ParallelRhs::new(pool, 4);
         let par_sol = dopri5(&mut rhs, 0.0, &ir.initial_state(), 3.0, &tol).unwrap();
         for i in 0..2 {
@@ -164,8 +165,15 @@ mod tests {
             sequential_fallback: false,
             ..FaultConfig::default()
         };
-        let pool =
-            WorkerPool::with_faults(program.graph, 2, sched.assignment, plan, config).unwrap();
+        let pool = ExecutorPool::with_faults(
+            program.graph,
+            2,
+            sched.assignment,
+            plan,
+            config,
+            Strategy::default(),
+        )
+        .unwrap();
         let mut rhs = ParallelRhs::new(pool, 0);
         let err = dopri5(
             &mut rhs,

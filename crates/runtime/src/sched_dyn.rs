@@ -13,49 +13,8 @@
 //! `resched_every` RHS calls; the time it spends is accounted separately
 //! so experiment E6 can report the overhead fraction.
 
-use crate::exec::WorkerPool;
-use crate::exec_ws::WorkStealPool;
-use crate::strategy::ExecutorPool;
+use crate::pool::ExecutorPool;
 use std::time::{Duration, Instant};
-
-/// Anything the semi-dynamic scheduler can rebalance: exposes EWMA
-/// per-task times and accepts a recomputed schedule. Implemented by both
-/// executors and the strategy-dispatching [`ExecutorPool`], so solver
-/// seams stay executor-agnostic.
-pub trait Reschedulable {
-    /// EWMA of measured per-task times, seconds (index = task id).
-    fn measured_times(&self) -> &[f64];
-    /// Recompute the schedule (LPT / list scheduling) from integer
-    /// nanosecond costs.
-    fn rebalance_costs(&mut self, costs: &[u64]);
-}
-
-impl Reschedulable for WorkerPool {
-    fn measured_times(&self) -> &[f64] {
-        &self.measured
-    }
-    fn rebalance_costs(&mut self, costs: &[u64]) {
-        self.rebalance(costs);
-    }
-}
-
-impl Reschedulable for WorkStealPool {
-    fn measured_times(&self) -> &[f64] {
-        &self.measured
-    }
-    fn rebalance_costs(&mut self, costs: &[u64]) {
-        self.rebalance(costs);
-    }
-}
-
-impl Reschedulable for ExecutorPool {
-    fn measured_times(&self) -> &[f64] {
-        self.measured()
-    }
-    fn rebalance_costs(&mut self, costs: &[u64]) {
-        self.rebalance(costs);
-    }
-}
 
 /// Semi-dynamic scheduler state.
 pub struct SemiDynamicScheduler {
@@ -81,7 +40,7 @@ impl SemiDynamicScheduler {
 
     /// Notify the scheduler that one RHS call completed; reschedules the
     /// pool when due. Returns `true` if a reschedule happened.
-    pub fn after_rhs_call(&mut self, pool: &mut impl Reschedulable) -> bool {
+    pub fn after_rhs_call(&mut self, pool: &mut ExecutorPool) -> bool {
         if self.resched_every == 0 {
             return false;
         }
@@ -92,15 +51,9 @@ impl SemiDynamicScheduler {
         self.calls_since = 0;
         let _span = om_obs::span("sched.lpt", "sched");
         let start = Instant::now();
-        // Measured seconds → integer nanoseconds for the scheduler. The
-        // pool runs LPT / list scheduling over its *live* workers only, so
-        // rescheduling composes with fault recovery.
-        let costs: Vec<u64> = pool
-            .measured_times()
-            .iter()
-            .map(|&s| (s * 1e9).max(1.0) as u64)
-            .collect();
-        pool.rebalance_costs(&costs);
+        // The pool runs LPT / list scheduling over its *live* workers
+        // only, so rescheduling composes with fault recovery.
+        pool.rebalance_from_measured();
         self.sched_time += start.elapsed();
         self.reschedules += 1;
         om_obs::metrics().counter("sched.reschedules").inc();
@@ -119,12 +72,13 @@ impl SemiDynamicScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Strategy;
     use om_codegen::cse::CseMode;
     use om_codegen::task::{compile_tasks, equation_tasks};
     use om_expr::CostModel;
     use om_ir::causalize;
 
-    fn pool(workers: usize) -> WorkerPool {
+    fn pool(workers: usize) -> ExecutorPool {
         let src = "model M;
             Real a(start=0.3); Real b(start=0.7); Real c(start=-0.2); Real d(start=0.9);
             equation
@@ -141,7 +95,8 @@ mod tests {
             &CostModel::default(),
         );
         let n = g.tasks.len();
-        WorkerPool::new(g, workers, (0..n).map(|i| i % workers).collect())
+        let assignment = (0..n).map(|i| i % workers).collect();
+        ExecutorPool::build(g, workers, assignment, Strategy::default()).unwrap()
     }
 
     #[test]

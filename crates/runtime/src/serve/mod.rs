@@ -362,11 +362,12 @@ impl Server {
                 .gauge("serve.registry.warm_units")
                 .set(self.registry.warm_units() as f64);
         }
+        let pool = crate::pool::lock(&self.pool);
         let mut out = String::with_capacity(256);
         let _ = write!(
             out,
             "{{\"type\":\"stats\",\"id\":{id},\"requests\":{},\"scenarios\":{},\
-             \"in_flight\":{},\"pool_threads\":{},\"errors\":{},\
+             \"in_flight\":{},\"pool_threads\":{},\"pool_build_fallback\":{},\"errors\":{},\
              \"registry\":{{\"hits\":{hits},\"misses\":{misses},\"hit_ratio\":{hit_ratio:.4},\
              \"warm_models\":{},\"warm_units\":{},\"evictions\":{}}},\
              \"shed\":{{\"rate\":{},\"inflight\":{},\"capacity\":{},\"draining\":{}}},\
@@ -374,10 +375,8 @@ impl Server {
             self.stats.requests.load(Ordering::Relaxed),
             self.stats.scenarios.load(Ordering::Relaxed),
             self.inflight.load(Ordering::Relaxed),
-            match self.pool.lock() {
-                Ok(guard) => guard.threads(),
-                Err(poisoned) => poisoned.into_inner().threads(),
-            },
+            pool.threads(),
+            pool.build_fallbacks(),
             self.stats.errors.load(Ordering::Relaxed),
             self.registry.len(),
             self.registry.warm_units(),
@@ -650,6 +649,11 @@ mod tests {
         assert_eq!(lines.len(), 1);
         let doc = json::parse(&lines[0]).unwrap();
         assert_eq!(doc.get("requests").and_then(json::Json::as_usize), Some(2));
+        assert_eq!(
+            doc.get("pool_build_fallback")
+                .and_then(json::Json::as_usize),
+            Some(0)
+        );
         let registry = doc.get("registry").unwrap();
         assert_eq!(registry.get("hits").and_then(json::Json::as_usize), Some(1));
         assert_eq!(

@@ -15,10 +15,11 @@
 use crate::ensemble::batch::run_scenario_batch;
 use crate::ensemble::scenario::{run_scenario, ScenarioOutcome, ScenarioRunConfig, Substrate};
 use crate::ensemble::{SweepFaultPlan, WorkItem};
-use crate::strategy::{ExecutorPool, Strategy};
+use crate::pool::{lock, ExecutorPool};
+use crate::strategy::Strategy;
 use om_codegen::registry::CompiledModel;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -43,6 +44,9 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
+    /// Jobs whose scenario-private executor pool could not be built and
+    /// that ran on the serial substrate instead.
+    build_fallbacks: AtomicU64,
 }
 
 /// The resident pool. Dropping it shuts the workers down (idempotent
@@ -77,6 +81,12 @@ impl ScenarioPool {
         self.handles.len()
     }
 
+    /// Jobs that fell back to the serial substrate because their
+    /// executor pool could not be built (`serve.pool_build_fallback`).
+    pub(crate) fn build_fallbacks(&self) -> u64 {
+        self.shared.build_fallbacks.load(Ordering::Relaxed)
+    }
+
     /// Enqueue one job. Wakes one idle worker.
     pub(crate) fn submit(&self, job: Job) {
         let mut queue = lock(&self.shared.queue);
@@ -106,13 +116,6 @@ impl Drop for ScenarioPool {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
@@ -130,14 +133,14 @@ fn worker_loop(shared: &Shared) {
                 };
             }
         };
-        execute(job);
+        execute(job, shared);
     }
 }
 
 /// Run one job through the exact sweep scenario envelope and route the
 /// outcomes to its request. A disconnected reply channel (client gone)
 /// silently drops the remaining outcomes of this job only.
-fn execute(job: Job) {
+fn execute(job: Job, shared: &Shared) {
     let Job {
         model,
         item,
@@ -154,16 +157,21 @@ fn execute(job: Job) {
             // A scenario-private pool per job when the request asked for
             // intra-scenario workers. Construction failure falls back to
             // the serial substrate — bitwise identical by the substrate
-            // identity invariant, so the outcome is unaffected.
+            // identity invariant, so the outcome is unaffected — and is
+            // counted, so the fallback is visible in `op:"stats"`.
             let mut pool = if workers > 1 {
                 let schedule = model.schedule(workers);
-                ExecutorPool::build(
+                let built = ExecutorPool::build(
                     model.program().graph.clone(),
                     workers,
                     schedule.assignment.clone(),
                     strategy,
-                )
-                .ok()
+                );
+                if built.is_err() {
+                    shared.build_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    om_obs::metrics().counter("serve.pool_build_fallback").inc();
+                }
+                built.ok()
             } else {
                 None
             };
@@ -245,6 +253,28 @@ mod tests {
             assert_eq!(scalar[i].1, oracle, "scalar scenario {i}");
             assert_eq!(batched[i].1, oracle, "batched scenario {i}");
         }
+    }
+
+    #[test]
+    fn unbuildable_executor_pool_falls_back_to_serial_and_is_counted() {
+        let model = Arc::new(CompiledModel::compile(OSC).unwrap());
+        let pool = ScenarioPool::new(1);
+        let spec = ScenarioSpec::new(0, vec![("x".into(), 1.5)]);
+        let (tx, rx) = mpsc::channel();
+        pool.submit(Job {
+            model: Arc::clone(&model),
+            item: WorkItem::Single(spec.clone()),
+            run: quick_run(),
+            // More workers than a claim word can name: build refuses.
+            workers: (1 << 16) + 1,
+            strategy: Strategy::WorkStealing,
+            reply: tx,
+        });
+        let (_, outcome, _) = rx.recv().unwrap();
+        let mut substrate = Substrate::Serial(&model.program().graph);
+        let oracle = run_scenario(&model, &spec, None, &quick_run(), &mut substrate);
+        assert_eq!(outcome, oracle);
+        assert_eq!(pool.build_fallbacks(), 1);
     }
 
     #[test]

@@ -1,33 +1,22 @@
-//! Execution-strategy selection: barrier supervisor/worker vs
-//! dependency-driven work stealing.
+//! The execution-policy switch (`omc simulate --executor {barrier,ws}`).
 //!
-//! [`Strategy`] is the user-facing switch (`omc simulate --executor
-//! {barrier,ws}`); [`ExecutorPool`] is the runtime dispatch that lets
-//! the solver seam ([`crate::ParallelRhs`]) and the semi-dynamic
-//! rescheduler drive either executor through one interface.
-//!
-//! The barrier executor ([`crate::WorkerPool`]) remains the oracle and
-//! the only fault-tolerant path, so [`ExecutorPool::with_faults`] routes
-//! any configuration with an active fault plan to it regardless of the
-//! requested strategy.
+//! Both values run on the one executor core, [`crate::pool`]; see its
+//! module docs for what each policy does to the deques.
 
-use crate::error::RuntimeError;
-use crate::exec::WorkerPool;
-use crate::exec_ws::WorkStealPool;
-use crate::fault::{FaultConfig, FaultPlan};
-use om_codegen::task::TaskGraph;
 use std::fmt;
 use std::str::FromStr;
 
-/// Which executor evaluates the parallel RHS.
+/// How [`crate::ExecutorPool`] schedules the task graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// Level-by-level supervisor/worker execution with a barrier between
-    /// levels (paper Figure 10). Fault-tolerant; the correctness oracle.
+    /// Level fences and static assignment (paper Figure 10): a level's
+    /// tasks become ready only when the previous level has drained, and
+    /// run on the worker they were assigned to. The Fig. 10/12
+    /// reproduction mode.
     #[default]
     Barrier,
-    /// Dependency-counter work stealing: no barrier, tasks start the
-    /// moment their predecessors finish ([`crate::exec_ws`]).
+    /// Dependency-counter work stealing: no fence, tasks start the
+    /// moment their predecessors finish, idle workers steal.
     WorkStealing,
 }
 
@@ -64,166 +53,6 @@ impl FromStr for Strategy {
     }
 }
 
-/// A pool of either strategy behind one interface.
-pub enum ExecutorPool {
-    Barrier(Box<WorkerPool>),
-    WorkStealing(Box<WorkStealPool>),
-}
-
-impl ExecutorPool {
-    /// Build a fault-free pool with the requested strategy.
-    pub fn build(
-        graph: TaskGraph,
-        n_workers: usize,
-        assignment: Vec<usize>,
-        strategy: Strategy,
-    ) -> Result<ExecutorPool, RuntimeError> {
-        match strategy {
-            Strategy::Barrier => WorkerPool::with_faults(
-                graph,
-                n_workers,
-                assignment,
-                FaultPlan::none(),
-                FaultConfig::default(),
-            )
-            .map(|p| ExecutorPool::Barrier(Box::new(p))),
-            Strategy::WorkStealing => WorkStealPool::try_new(graph, n_workers, assignment)
-                .map(|p| ExecutorPool::WorkStealing(Box::new(p))),
-        }
-    }
-
-    /// Build a pool with fault injection. The work-stealing executor has
-    /// no recovery ladder, so an *active* fault plan falls back to the
-    /// barrier executor — the documented fault-recovery path. Use
-    /// [`ExecutorPool::with_faults_reported`] when the caller needs to
-    /// know (and tell the user) that the fallback happened.
-    pub fn with_faults(
-        graph: TaskGraph,
-        n_workers: usize,
-        assignment: Vec<usize>,
-        plan: FaultPlan,
-        config: FaultConfig,
-        strategy: Strategy,
-    ) -> Result<ExecutorPool, RuntimeError> {
-        ExecutorPool::with_faults_reported(graph, n_workers, assignment, plan, config, strategy)
-            .map(|(pool, _)| pool)
-    }
-
-    /// [`ExecutorPool::with_faults`] plus an explicit fallback flag: the
-    /// second element is `true` when the requested strategy was
-    /// work-stealing but an active fault plan forced the barrier
-    /// executor. The fallback is also recorded in the metrics registry
-    /// (`runtime.strategy_fallback`) so `--metrics` output shows the
-    /// effective strategy even when stderr is discarded.
-    pub fn with_faults_reported(
-        graph: TaskGraph,
-        n_workers: usize,
-        assignment: Vec<usize>,
-        plan: FaultPlan,
-        config: FaultConfig,
-        strategy: Strategy,
-    ) -> Result<(ExecutorPool, bool), RuntimeError> {
-        if strategy == Strategy::WorkStealing && plan.is_empty() {
-            return WorkStealPool::try_new(graph, n_workers, assignment)
-                .map(|p| (ExecutorPool::WorkStealing(Box::new(p)), false));
-        }
-        let fell_back = strategy == Strategy::WorkStealing;
-        if fell_back && om_obs::is_enabled() {
-            om_obs::metrics().counter("runtime.strategy_fallback").inc();
-        }
-        WorkerPool::with_faults(graph, n_workers, assignment, plan, config)
-            .map(|p| (ExecutorPool::Barrier(Box::new(p)), fell_back))
-    }
-
-    /// The strategy this pool actually executes with (after any
-    /// fault-plan fallback).
-    pub fn strategy(&self) -> Strategy {
-        match self {
-            ExecutorPool::Barrier(_) => Strategy::Barrier,
-            ExecutorPool::WorkStealing(_) => Strategy::WorkStealing,
-        }
-    }
-
-    /// The task graph being executed.
-    pub fn graph(&self) -> &TaskGraph {
-        match self {
-            ExecutorPool::Barrier(p) => p.graph(),
-            ExecutorPool::WorkStealing(p) => p.graph(),
-        }
-    }
-
-    /// Total worker count (for work stealing this includes the
-    /// participating supervisor).
-    pub fn n_workers(&self) -> usize {
-        match self {
-            ExecutorPool::Barrier(p) => p.n_workers(),
-            ExecutorPool::WorkStealing(p) => p.n_workers(),
-        }
-    }
-
-    /// Current task → worker assignment (static schedule for the barrier
-    /// executor, initial deque seeding for work stealing).
-    pub fn assignment(&self) -> &[usize] {
-        match self {
-            ExecutorPool::Barrier(p) => p.assignment(),
-            ExecutorPool::WorkStealing(p) => p.assignment(),
-        }
-    }
-
-    /// EWMA of measured per-task times, in seconds.
-    pub fn measured(&self) -> &[f64] {
-        match self {
-            ExecutorPool::Barrier(p) => &p.measured,
-            ExecutorPool::WorkStealing(p) => &p.measured,
-        }
-    }
-
-    /// Evaluate the RHS; see the executors' `try_rhs`.
-    pub fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RuntimeError> {
-        match self {
-            ExecutorPool::Barrier(p) => p.try_rhs(t, y, dydt),
-            ExecutorPool::WorkStealing(p) => p.try_rhs(t, y, dydt),
-        }
-    }
-
-    /// Evaluate the RHS, panicking on failure.
-    pub fn rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        match self {
-            ExecutorPool::Barrier(p) => p.rhs(t, y, dydt),
-            ExecutorPool::WorkStealing(p) => p.rhs(t, y, dydt),
-        }
-    }
-
-    /// Recompute the schedule from per-task costs (semi-dynamic LPT).
-    pub fn rebalance(&mut self, costs: &[u64]) {
-        match self {
-            ExecutorPool::Barrier(p) => p.rebalance(costs),
-            ExecutorPool::WorkStealing(p) => p.rebalance(costs),
-        }
-    }
-
-    /// The barrier pool, if that is what this executor is (for
-    /// recovery-stats inspection in tests and the CLI).
-    pub fn as_barrier(&self) -> Option<&WorkerPool> {
-        match self {
-            ExecutorPool::Barrier(p) => Some(p),
-            ExecutorPool::WorkStealing(_) => None,
-        }
-    }
-}
-
-impl From<WorkerPool> for ExecutorPool {
-    fn from(p: WorkerPool) -> ExecutorPool {
-        ExecutorPool::Barrier(Box::new(p))
-    }
-}
-
-impl From<WorkStealPool> for ExecutorPool {
-    fn from(p: WorkStealPool) -> ExecutorPool {
-        ExecutorPool::WorkStealing(Box::new(p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,39 +64,5 @@ mod tests {
         }
         assert!("hybrid".parse::<Strategy>().is_err());
         assert_eq!(Strategy::default(), Strategy::Barrier);
-    }
-
-    #[test]
-    fn ws_with_active_fault_plan_falls_back_to_barrier() {
-        use crate::fault::FaultKind;
-        let src = "model Osc;
-            Real x(start=1.0); Real y;
-            equation der(x) = y; der(y) = -x; end Osc;";
-        let ir = om_ir::causalize(&om_lang::compile(src).unwrap()).unwrap();
-        let program = om_codegen::CodeGenerator::default().generate(&ir);
-        let n = program.graph.tasks.len();
-        let assignment: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let plan = FaultPlan::none().inject(0, 1, FaultKind::DropResult);
-        let pool = ExecutorPool::with_faults(
-            program.graph.clone(),
-            2,
-            assignment.clone(),
-            plan,
-            FaultConfig::default(),
-            Strategy::WorkStealing,
-        )
-        .unwrap();
-        assert_eq!(pool.strategy(), Strategy::Barrier);
-        // An empty plan honours the requested strategy.
-        let pool = ExecutorPool::with_faults(
-            program.graph,
-            2,
-            assignment,
-            FaultPlan::none(),
-            FaultConfig::default(),
-            Strategy::WorkStealing,
-        )
-        .unwrap();
-        assert_eq!(pool.strategy(), Strategy::WorkStealing);
     }
 }

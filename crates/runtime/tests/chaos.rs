@@ -2,10 +2,13 @@
 //! bitwise-identical trajectory, and a permanently failed pool must return
 //! a typed error instead of deadlocking.
 //!
-//! Every task is a pure function of `(t, y, shared)` and levels are
-//! barriers, so any replay — on a respawned worker, a survivor, or inline
-//! in the supervisor — reproduces exactly the same floating-point values.
-//! That makes "identical trajectory" an `assert_eq!`, not a tolerance.
+//! Every task is a pure function of `(t, y, shared)` and only the
+//! execution that wins a task's claim word publishes, so any replay — on
+//! a respawned worker, a survivor, or inline in the supervisor —
+//! reproduces exactly the same floating-point values. That makes
+//! "identical trajectory" an `assert_eq!`, not a tolerance. The recovery
+//! ladder is the same code under both scheduling policies, and every
+//! case here runs under both.
 
 use om_runtime::{
     ExecutorPool, FaultConfig, FaultKind, FaultPlan, ParallelRhs, RuntimeError, Strategy,
@@ -52,10 +55,7 @@ fn trajectory(plan: FaultPlan, config: FaultConfig, tend: f64) -> (Vec<f64>, Vec
     trajectory_with(plan, config, tend, Strategy::Barrier)
 }
 
-/// Same, under an explicit execution strategy (`--executor ws` re-run:
-/// an active fault plan routes back to the barrier recovery ladder, a
-/// clean run executes with work stealing — either way the trajectory
-/// must be the same bits).
+/// Same, under an explicit scheduling policy.
 fn trajectory_with(
     plan: FaultPlan,
     config: FaultConfig,
@@ -178,10 +178,10 @@ fn ws_clean_trajectory_matches_barrier_bitwise() {
 }
 
 #[test]
-fn ws_with_faults_recovers_through_barrier_fallback_identically() {
-    // The `--executor ws` re-run of the fault suite: an active plan
-    // falls back to the recovery-capable barrier executor, so the
-    // trajectory still matches the clean work-stealing run bitwise.
+fn ws_with_faults_recovers_on_the_ws_pool_identically() {
+    // The `--executor ws` re-run of the fault suite: the ladder runs on
+    // the work-stealing pool itself, and the trajectory still matches
+    // the clean work-stealing run bitwise.
     let clean_ws = trajectory_with(
         FaultPlan::none(),
         short_timeout(),
@@ -198,6 +198,122 @@ fn ws_with_faults_recovers_through_barrier_fallback_identically() {
         let faulty = trajectory_with(plan, short_timeout(), 1.0, Strategy::WorkStealing);
         assert_eq!(clean_ws.0, faulty.0);
         assert_eq!(clean_ws.1, faulty.1);
+    }
+}
+
+/// The 2-D bearing with algebraic producers kept as tasks: 14 levels,
+/// wide enough that 4 workers steal from each other all the time.
+fn multi_level_bearing() -> (om_ir::OdeIr, om_codegen::ParallelProgram) {
+    let src = om_models::bearing2d::source(&om_models::bearing2d::BearingConfig::default());
+    let ir = om_models::compile_to_ir(&src).unwrap();
+    let program = om_codegen::CodeGenerator::new(om_codegen::GenOptions {
+        inline_algebraics: false,
+        ..om_codegen::GenOptions::default()
+    })
+    .generate(&ir);
+    assert!(program.graph.levels().len() > 1);
+    (ir, program)
+}
+
+/// Every fault kind on every worker id — 0, the supervisor's own worker
+/// role, included — is acted out and recovered under both policies. The
+/// model is the multi-level, steal-heavy 2-D bearing on 4 workers, so
+/// faults land on stolen tasks, mid-level, and on the fence.
+#[test]
+fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
+    let (ir, program) = multi_level_bearing();
+    assert!(
+        program.graph.levels().len() > 1,
+        "bearing2d must be multi-level"
+    );
+    let n_workers = 4;
+    let sched = program.schedule(n_workers);
+    let y0 = ir.initial_state();
+    let mut expect = vec![0.0; y0.len()];
+    program.graph.eval_serial(0.25, &y0, &mut expect);
+    let kinds = [
+        FaultKind::Panic,
+        FaultKind::Straggle(Duration::from_millis(120)),
+        FaultKind::DropResult,
+        FaultKind::CorruptNaN,
+    ];
+    for strategy in Strategy::ALL {
+        for worker in 0..n_workers {
+            for kind in kinds {
+                let mut pool = ExecutorPool::with_faults(
+                    program.graph.clone(),
+                    n_workers,
+                    sched.assignment.clone(),
+                    FaultPlan::none().inject(worker, 2, kind),
+                    FaultConfig {
+                        task_timeout: Duration::from_millis(30),
+                        ..FaultConfig::default()
+                    },
+                    strategy,
+                )
+                .unwrap();
+                let mut dydt = vec![0.0; y0.len()];
+                let mut acted = false;
+                // Under work stealing which worker runs how many tasks
+                // is the scheduler's call: evaluate until the fault has
+                // been acted out (almost always the first call).
+                for _ in 0..200 {
+                    pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
+                    assert_eq!(dydt, expect, "{strategy} worker {worker} {kind:?}");
+                    let r = pool.recovery();
+                    acted = match kind {
+                        FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
+                        // Nobody supervises the supervisor's own sleep.
+                        FaultKind::Straggle(_) => worker == 0 || r.retries >= 1,
+                        FaultKind::DropResult => r.retries >= 1,
+                        FaultKind::CorruptNaN => r.nan_repairs >= 1,
+                    };
+                    if acted {
+                        break;
+                    }
+                }
+                assert!(
+                    acted,
+                    "{strategy} worker {worker} {kind:?}: {:?}",
+                    pool.recovery()
+                );
+            }
+        }
+    }
+}
+
+/// A seeded plan over every worker id including the supervisor, on the
+/// multi-level bearing with 4 workers: bitwise equal to the sequential
+/// oracle under both policies, call after call.
+#[test]
+fn seeded_plans_on_the_bearing_match_eval_serial_under_both_policies() {
+    let (ir, program) = multi_level_bearing();
+    let sched = program.schedule(4);
+    let y0 = ir.initial_state();
+    for strategy in Strategy::ALL {
+        for seed in [1u64, 7, 42, 1995] {
+            let plan = FaultPlan::from_seed(seed, 4, 8);
+            let mut pool = ExecutorPool::with_faults(
+                program.graph.clone(),
+                4,
+                sched.assignment.clone(),
+                plan,
+                FaultConfig {
+                    task_timeout: Duration::from_millis(30),
+                    ..FaultConfig::default()
+                },
+                strategy,
+            )
+            .unwrap();
+            let mut dydt = vec![0.0; y0.len()];
+            let mut expect = vec![0.0; y0.len()];
+            for k in 0..12 {
+                let t = 0.05 * k as f64;
+                program.graph.eval_serial(t, &y0, &mut expect);
+                pool.try_rhs(t, &y0, &mut dydt).unwrap();
+                assert_eq!(dydt, expect, "{strategy} seed {seed} call {k}");
+            }
+        }
     }
 }
 
@@ -220,9 +336,8 @@ proptest! {
         prop_assert_eq!(&clean.1, &faulty.1);
     }
 
-    /// The same property holds when the user asked for `--executor ws`:
-    /// whatever mix of strategy (clean → work stealing) and fallback
-    /// (faulty → barrier recovery) actually runs, the bits match.
+    /// The same property holds on the work-stealing policy, where the
+    /// ladder now runs in place.
     #[test]
     fn any_seeded_fault_plan_preserves_trajectory_under_ws(seed in 0u64..10_000) {
         let config = FaultConfig {

@@ -1,7 +1,7 @@
 //! Work-stealing executor correctness properties.
 //!
-//! The dependency-driven executor has no barrier, so its correctness
-//! rests on the determinism argument of `exec_ws`: every task is a pure
+//! The work-stealing policy has no barrier, so its correctness
+//! rests on the determinism argument of `om_runtime::pool`: every task is a pure
 //! function of `(t, y, shared)` and every output slot is written exactly
 //! once, so the result must be *bitwise identical* to the sequential
 //! in-order evaluation (`TaskGraph::eval_serial`) and to the barrier
@@ -12,7 +12,7 @@
 
 use om_codegen::{CodeGenerator, GenOptions};
 use om_models::{bearing2d, bearing3d, heat1d, hydro, oscillator, servo};
-use om_runtime::{ExecutorPool, ParallelRhs, Strategy, WorkStealPool, WorkerPool};
+use om_runtime::{ExecutorPool, ParallelRhs, Strategy};
 use om_solver::{dopri5, Tolerances};
 use proptest::prelude::*;
 
@@ -44,6 +44,11 @@ fn graph_for(src: &str, inline: bool) -> (om_ir::OdeIr, om_codegen::TaskGraph) {
     (ir, program.graph)
 }
 
+fn ws_pool(graph: &om_codegen::TaskGraph, workers: usize) -> ExecutorPool {
+    let assignment = (0..graph.tasks.len()).map(|i| i % workers).collect();
+    ExecutorPool::build(graph.clone(), workers, assignment, Strategy::WorkStealing).unwrap()
+}
+
 /// Deterministic pseudo-random state perturbation (no external RNG).
 fn perturb(y0: &[f64], seed: u64) -> Vec<f64> {
     let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -70,8 +75,10 @@ fn ws_rhs_is_bitwise_identical_to_serial_and_barrier() {
             let y0 = ir.initial_state();
             for workers in [1usize, 2, 3, 4] {
                 let assignment: Vec<usize> = (0..n).map(|i| i % workers).collect();
-                let mut ws = WorkStealPool::new(graph.clone(), workers, assignment.clone());
-                let mut barrier = WorkerPool::new(graph.clone(), workers, assignment);
+                let mut ws = ws_pool(&graph, workers);
+                let mut barrier =
+                    ExecutorPool::build(graph.clone(), workers, assignment, Strategy::Barrier)
+                        .unwrap();
                 for seed in 0..3u64 {
                     let y = perturb(&y0, seed);
                     let t = 0.1 * seed as f64;
@@ -102,9 +109,8 @@ fn ws_rhs_matches_ir_evaluator_oracle() {
     for (name, src) in builtin_sources() {
         let (ir, graph) = graph_for(&src, true);
         let reference = om_ir::IrEvaluator::new(&ir).unwrap();
-        let n = graph.tasks.len();
         let y0 = ir.initial_state();
-        let mut ws = WorkStealPool::new(graph.clone(), 4, (0..n).map(|i| i % 4).collect());
+        let mut ws = ws_pool(&graph, 4);
         for seed in 0..3u64 {
             let y = perturb(&y0, seed);
             let t = 0.05 * seed as f64;
@@ -163,9 +169,8 @@ fn ws_trajectories_are_bitwise_identical_to_barrier() {
 fn ws_rescheduling_preserves_results() {
     let src = hydro::source();
     let (ir, graph) = graph_for(&src, false);
-    let n = graph.tasks.len();
     let y0 = ir.initial_state();
-    let mut ws = WorkStealPool::new(graph.clone(), 3, (0..n).map(|i| i % 3).collect());
+    let mut ws = ws_pool(&graph, 3);
     let mut sched = om_runtime::SemiDynamicScheduler::new(1);
     let mut reference = vec![0.0; graph.dim];
     graph.eval_serial(0.0, &y0, &mut reference);
@@ -190,9 +195,8 @@ proptest! {
         t in 0.0f64..10.0,
     ) {
         let (ir, graph) = graph_for(&hydro::source(), false);
-        let n = graph.tasks.len();
         let y = perturb(&ir.initial_state(), seed);
-        let mut ws = WorkStealPool::new(graph.clone(), workers, (0..n).map(|i| i % workers).collect());
+        let mut ws = ws_pool(&graph, workers);
         let mut d_serial = vec![0.0; graph.dim];
         let mut d_ws = vec![0.0; graph.dim];
         graph.eval_serial(t, &y, &mut d_serial);
@@ -205,9 +209,8 @@ proptest! {
     #[test]
     fn prop_ws_repeated_calls_are_stable(seed in 0u64..1_000_000) {
         let (ir, graph) = graph_for(&bearing2d::source(&bearing2d::BearingConfig::default()), true);
-        let n = graph.tasks.len();
         let y = perturb(&ir.initial_state(), seed);
-        let mut ws = WorkStealPool::new(graph.clone(), 4, (0..n).map(|i| i % 4).collect());
+        let mut ws = ws_pool(&graph, 4);
         let mut first = vec![0.0; graph.dim];
         ws.rhs(0.3, &y, &mut first);
         for _ in 0..5 {

@@ -9,7 +9,7 @@
 use objectmath::analysis::{build_dependency_graph, partition_by_scc};
 use objectmath::codegen::{CodeGenerator, GenOptions};
 use objectmath::models::bearing2d::{self, BearingConfig};
-use objectmath::runtime::{ParallelRhs, WorkerPool};
+use objectmath::runtime::{ExecutorPool, ParallelRhs, Strategy};
 use objectmath::solver::{dopri5, FnSystem, OdeSystem, Tolerances};
 use std::time::Instant;
 
@@ -77,7 +77,13 @@ fn main() {
     );
 
     // Parallel run through the worker pool.
-    let pool = WorkerPool::new(program.graph, workers, schedule.assignment);
+    let pool = ExecutorPool::build(
+        program.graph,
+        workers,
+        schedule.assignment,
+        Strategy::default(),
+    )
+    .expect("valid pool");
     let mut rhs = ParallelRhs::new(pool, 32);
     let start = Instant::now();
     let par_sol = dopri5(&mut rhs, 0.0, &y0, t_end, &tol).expect("parallel solve");

@@ -8,7 +8,7 @@
 
 use objectmath::codegen::{CodeGenerator, GenOptions};
 use objectmath::models::heat1d::{self, HeatConfig};
-use objectmath::runtime::{ParallelRhs, WorkerPool};
+use objectmath::runtime::{ExecutorPool, ParallelRhs, Strategy};
 use objectmath::solver::{dopri5, Tolerances};
 
 fn main() {
@@ -40,7 +40,13 @@ fn main() {
         schedule.imbalance()
     );
 
-    let pool = WorkerPool::new(program.graph, workers, schedule.assignment);
+    let pool = ExecutorPool::build(
+        program.graph,
+        workers,
+        schedule.assignment,
+        Strategy::default(),
+    )
+    .expect("valid pool");
     let mut rhs = ParallelRhs::new(pool, 32);
     let t_end = 0.05;
     let tol = Tolerances {

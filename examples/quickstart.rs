@@ -8,7 +8,7 @@
 use objectmath::analysis::{build_dependency_graph, partition_by_scc};
 use objectmath::codegen::CodeGenerator;
 use objectmath::ir::causalize;
-use objectmath::runtime::{ParallelRhs, WorkerPool};
+use objectmath::runtime::{ExecutorPool, ParallelRhs, Strategy};
 use objectmath::solver::{dopri5, Tolerances};
 
 fn main() {
@@ -64,7 +64,13 @@ fn main() {
     );
 
     // 5. Run: the ODE solver (supervisor) drives the parallel RHS.
-    let pool = WorkerPool::new(program.graph, workers, schedule.assignment);
+    let pool = ExecutorPool::build(
+        program.graph,
+        workers,
+        schedule.assignment,
+        Strategy::default(),
+    )
+    .expect("valid pool");
     let mut rhs = ParallelRhs::new(pool, 16);
     let sol = dopri5(
         &mut rhs,

@@ -137,13 +137,14 @@ fn usage() -> String {
          --tend T                  end time (default 1.0)\n\
          --solver NAME             dopri5|rk4|abm|bdf|lsoda (default dopri5)\n\
          --workers N               parallel RHS workers (default 1 = serial)\n\
-         --executor barrier|ws     parallel execution strategy (default barrier;\n\
+         --executor barrier|ws     scheduling policy of the worker pool (default\n\
+                                   barrier = level fences, static assignment;\n\
                                    ws = dependency-driven work stealing)\n\
          --set state=value         override a start value (repeatable)\n\
          --rtol R --atol A         tolerances (default 1e-6 / 1e-9)\n\
          --h H                     fixed step for rk4 (default (tend-t0)/1000)\n\
          --fault-seed SEED         seeded worker-level fault plan (chaos runs;\n\
-                                   forces the barrier executor's recovery path)\n\
+                                   recovered in place under either --executor)\n\
        sweep                       run N parameter scenarios over one compiled model\n\
          --params FILE             scenario vectors: .json (array of objects) or\n\
                                    .csv (header = state names)\n\
@@ -1041,7 +1042,7 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         report.throughput_per_sec(),
         report.latency_percentile_ns(0.50) as f64 / 1e6,
         report.latency_percentile_ns(0.99) as f64 / 1e6,
-        report.effective_strategy,
+        cfg.strategy,
         report.effective_batch,
         registry.hits(),
         registry.misses(),
@@ -1373,24 +1374,17 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             Some(seed) => FaultPlan::from_seed(seed, opts.workers, opts.workers),
             None => FaultPlan::none(),
         };
-        let (pool, fell_back) = ExecutorPool::with_faults_reported(
+        let strategy = opts.executor;
+        let pool = ExecutorPool::with_faults(
             program.graph,
             opts.workers,
             sched.assignment,
             plan,
             FaultConfig::default(),
-            opts.executor,
+            strategy,
         )
         .map_err(CliError::Runtime)?;
-        let strategy = pool.strategy();
-        if fell_back {
-            eprintln!(
-                "warning: --executor ws has no fault-recovery ladder; an active fault \
-                 plan falls back to the barrier executor (effective strategy: {strategy})"
-            );
-        }
-        // Record the *effective* strategy where `--metrics` can see it,
-        // so scripts need not parse stderr to learn about the fallback.
+        // Record the strategy where `--metrics` can see it.
         if om_obs::is_enabled() {
             om_obs::metrics()
                 .counter(&format!("runtime.strategy.{strategy}"))

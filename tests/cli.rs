@@ -324,3 +324,26 @@ fn metrics_without_workers_reports_solver_counters() {
     assert!(stderr.contains("solver.rhs_calls"), "{stderr}");
     assert!(stderr.contains("solver.steps_accepted"), "{stderr}");
 }
+
+#[test]
+fn ws_executor_with_fault_seed_runs_ws_and_prints_the_same_states() {
+    // The seeded plan is recovered on the work-stealing pool itself: no
+    // fallback warning, the strategy asked for is the strategy reported,
+    // and the trajectory is the fault-free one digit for digit.
+    let run = |extra: &[&str]| {
+        let out = omc()
+            .args(["bearing2d", "simulate", "--tend", "0.02", "--workers", "3"])
+            .args(["--executor", "ws"])
+            .args(extra)
+            .output()
+            .expect("run omc");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        assert!(!stderr.contains("warning"), "{stderr}");
+        assert!(stderr.contains("[parallel RHS (ws): "), "{stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let clean = run(&[]);
+    assert!(clean.contains(" = "), "{clean}");
+    assert_eq!(run(&["--fault-seed", "7"]), clean);
+}

@@ -14,9 +14,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
 
-use objectmath::codegen::CodeGenerator;
+use objectmath::codegen::{CodeGenerator, GenOptions};
 use objectmath::ir::causalize;
-use objectmath::runtime::WorkerPool;
+use objectmath::runtime::{ExecutorPool, Strategy};
 
 const GOLDEN_PATH: &str = "tests/golden/trace_2worker.txt";
 
@@ -43,10 +43,20 @@ fn two_worker_pipeline_trace_matches_golden() {
     // worker busy-ns counters are resolved at construction/spawn time).
     om_obs::init(&om_obs::ObsConfig::enabled());
 
-    let program = CodeGenerator::default().generate(&ir);
+    // Unmerged: four equation tasks, two per worker, so the helper
+    // thread has a batch to show.
+    let program = CodeGenerator::new(GenOptions {
+        merge_threshold: 0,
+        ..GenOptions::default()
+    })
+    .generate(&ir);
     let sched = program.schedule(2);
+    assert!(sched.assignment.contains(&1), "{:?}", sched.assignment);
     let pool_result = {
-        let mut pool = WorkerPool::new(program.graph, 2, sched.assignment);
+        // The fence policy: static assignment, so which thread runs what
+        // (and hence the snapshot) is deterministic.
+        let mut pool =
+            ExecutorPool::build(program.graph, 2, sched.assignment, Strategy::Barrier).unwrap();
         let y0 = ir.initial_state();
         let mut dydt = vec![0.0; y0.len()];
         for k in 0..3 {

@@ -4,7 +4,7 @@
 
 use objectmath::codegen::{CodeGenerator, CseMode, GenOptions};
 use objectmath::ir::causalize;
-use objectmath::runtime::{ParallelRhs, WorkerPool};
+use objectmath::runtime::{ExecutorPool, ParallelRhs, Strategy};
 use objectmath::solver::{dopri5, rk4, Tolerances};
 
 fn pipeline(source: &str, options: GenOptions, workers: usize) -> ParallelRhs {
@@ -14,7 +14,13 @@ fn pipeline(source: &str, options: GenOptions, workers: usize) -> ParallelRhs {
     let program = CodeGenerator::new(options).generate(&ir);
     let schedule = program.schedule(workers);
     ParallelRhs::new(
-        WorkerPool::new(program.graph, workers, schedule.assignment),
+        ExecutorPool::build(
+            program.graph,
+            workers,
+            schedule.assignment,
+            Strategy::default(),
+        )
+        .unwrap(),
         16,
     )
 }
@@ -137,7 +143,10 @@ fn runtime_settable_start_values_change_the_trajectory() {
     assert!(ir.set_start("x", 5.0));
     let program = CodeGenerator::default().generate(&ir);
     let schedule = program.schedule(1);
-    let mut rhs = ParallelRhs::new(WorkerPool::new(program.graph, 1, schedule.assignment), 0);
+    let mut rhs = ParallelRhs::new(
+        ExecutorPool::build(program.graph, 1, schedule.assignment, Strategy::default()).unwrap(),
+        0,
+    );
     let sol = rk4(&mut rhs, 0.0, &ir.initial_state(), 1.0, 1e-3).unwrap();
     assert!((sol.y_end()[0] - 5.0 * (-1.0f64).exp()).abs() < 1e-8);
 }
@@ -162,7 +171,11 @@ fn all_paper_models_run_through_the_parallel_pipeline() {
         let reference = objectmath::ir::IrEvaluator::new(&ir).unwrap();
         let program = CodeGenerator::default().generate(&ir);
         let schedule = program.schedule(3);
-        let mut rhs = ParallelRhs::new(WorkerPool::new(program.graph, 3, schedule.assignment), 8);
+        let mut rhs = ParallelRhs::new(
+            ExecutorPool::build(program.graph, 3, schedule.assignment, Strategy::default())
+                .unwrap(),
+            8,
+        );
         let y0 = ir.initial_state();
         let mut expect = vec![0.0; ir.dim()];
         let mut got = vec![0.0; ir.dim()];
