@@ -39,14 +39,13 @@ fn main() {
 
     // Serial baseline: the same tasks evaluated inline by one thread.
     let serial_us = {
-        let evaluator = om_ir::IrEvaluator::new(&ir).expect("verified IR");
         let mut dydt = vec![0.0; y0.len()];
         for _ in 0..200 {
-            evaluator.rhs(0.0, &y0, &mut dydt);
+            graph.eval_serial(0.0, &y0, &mut dydt);
         }
         let start = Instant::now();
         for k in 0..calls {
-            evaluator.rhs(k as f64 * 1e-6, &y0, &mut dydt);
+            graph.eval_serial(k as f64 * 1e-6, &y0, &mut dydt);
         }
         start.elapsed().as_secs_f64() * 1e6 / calls as f64
     };

@@ -27,7 +27,7 @@
 //! manifest; `--resume` re-queues exactly those while carrying every
 //! terminal outcome forward bit-for-bit.
 //!
-//! With `batch > 1` (and `workers == 1`), compatible scenarios are
+//! With `batch > 1` (which requires `workers == 1`), compatible scenarios are
 //! packed K at a time into one structure-of-arrays integration (see
 //! [`mod@batch`]): the bytecode VM and the RK4 stepper advance all K
 //! lanes per instruction/step, which amortizes dispatch and turns each
@@ -71,10 +71,11 @@ pub struct SweepConfig {
     pub workers: usize,
     /// Executor strategy when `workers > 1`.
     pub strategy: Strategy,
-    /// Scenarios evaluated per batched integration (lane width). Only
-    /// effective with `workers == 1`: intra-scenario pools and
-    /// inter-scenario batching are competing uses of the same cores, so
-    /// `workers > 1` falls back to scalar scenarios (batch 1).
+    /// Scenarios evaluated per batched integration (lane width). A
+    /// width above 1 requires `workers == 1`: intra-scenario pools and
+    /// inter-scenario batching are competing uses of the same cores and
+    /// pooled RHS evaluation is not lane-sliced, so the combination is a
+    /// [`SweepError::Config`].
     pub batch: usize,
     pub faults: SweepFaultPlan,
     pub checkpoint: Option<PathBuf>,
@@ -267,8 +268,8 @@ pub struct SweepReport {
     pub degraded: bool,
     /// Scenario-worker concurrency at the end of the sweep.
     pub final_concurrency: usize,
-    /// The batch lane width scenarios actually ran with (1 = scalar;
-    /// `workers > 1` forces 1 regardless of the requested width).
+    /// The batch lane width scenarios ran with (1 = scalar): always the
+    /// configured [`SweepConfig::batch`].
     pub effective_batch: usize,
 }
 
@@ -398,6 +399,12 @@ pub fn run_sweep(
     if cfg.batch == 0 {
         return Err(SweepError::Config("batch width must be at least 1".into()));
     }
+    if cfg.batch > 1 && cfg.workers > 1 {
+        return Err(SweepError::Config(format!(
+            "batch width {} requires workers = 1, got {}",
+            cfg.batch, cfg.workers
+        )));
+    }
     if cfg.min_concurrency == 0 || cfg.min_concurrency > cfg.concurrency {
         return Err(SweepError::Config(format!(
             "min_concurrency {} outside 1..={}",
@@ -460,11 +467,7 @@ pub fn run_sweep(
     let n_pending = pending.len();
     let n_threads = cfg.concurrency.min(n_pending.max(1));
 
-    // Batching composes with scenario-worker concurrency but not with
-    // intra-scenario pools: both eat the same cores, and pooled RHS
-    // evaluation is not lane-sliced. `workers > 1` falls back to scalar.
-    let batch_width = if cfg.workers > 1 { 1 } else { cfg.batch };
-    let pending = pack_work_items(pending, batch_width, &cfg.faults);
+    let pending = pack_work_items(pending, cfg.batch, &cfg.faults);
 
     // Scenario-private executor pools are built up front so a pool
     // construction failure is a sweep error, not a scenario outcome.
@@ -664,7 +667,7 @@ pub fn run_sweep(
             latencies_ns,
             degraded,
             final_concurrency: target.load(Ordering::Relaxed),
-            effective_batch: batch_width,
+            effective_batch: cfg.batch,
         },
     })
 }
@@ -913,15 +916,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_falls_back_to_scalar_under_pooled_workers() {
+    fn batch_under_pooled_workers_is_a_config_error() {
         let model = model();
         let mut cfg = quick_cfg();
         cfg.batch = 8;
         cfg.workers = 2;
         cfg.concurrency = 2;
-        let result = run_sweep(&model, &specs(6), &cfg).unwrap();
-        assert_eq!(result.report.effective_batch, 1);
-        assert_eq!(result.manifest.completed(), 6);
+        let err = run_sweep(&model, &specs(6), &cfg).unwrap_err();
+        assert!(matches!(err, SweepError::Config(_)), "{err}");
     }
 
     #[test]

@@ -301,28 +301,32 @@ fn stage_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spin_for(d: Duration) {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
-        }
-    }
+    use std::sync::{Arc, Condvar, Mutex};
 
     /// A three-stage cascade of relaxations: s0 → s1 → s2.
-    fn cascade(spin: Duration) -> (Vec<PipelineStage>, Vec<PipelineCoupling>) {
-        let mk = |name: &str, has_input: bool| PipelineStage {
-            name: name.into(),
-            dim: 1,
-            n_inputs: usize::from(has_input),
-            rhs: Box::new(move |_t, y: &[f64], u: &[f64], d: &mut [f64]| {
-                spin_for(spin);
-                let drive = if u.is_empty() { 1.0 } else { u[0] };
-                d[0] = drive - y[0];
-            }),
-            y0: vec![0.0],
+    fn cascade() -> (Vec<PipelineStage>, Vec<PipelineCoupling>) {
+        cascade_with(|_stage, _t| {})
+    }
+
+    /// The cascade with `on_rhs(stage, t)` run at the top of every RHS call.
+    fn cascade_with(
+        on_rhs: impl Fn(usize, f64) + Clone + Send + 'static,
+    ) -> (Vec<PipelineStage>, Vec<PipelineCoupling>) {
+        let mk = |idx: usize| {
+            let on_rhs = on_rhs.clone();
+            PipelineStage {
+                name: format!("s{idx}"),
+                dim: 1,
+                n_inputs: usize::from(idx > 0),
+                rhs: Box::new(move |t, y: &[f64], u: &[f64], d: &mut [f64]| {
+                    on_rhs(idx, t);
+                    let drive = if u.is_empty() { 1.0 } else { u[0] };
+                    d[0] = drive - y[0];
+                }),
+                y0: vec![0.0],
+            }
         };
-        let stages = vec![mk("s0", false), mk("s1", true), mk("s2", true)];
+        let stages = vec![mk(0), mk(1), mk(2)];
         let couplings = vec![
             PipelineCoupling {
                 dst_stage: 1,
@@ -342,7 +346,7 @@ mod tests {
 
     #[test]
     fn pipeline_converges_to_the_cascade_fixed_point() {
-        let (stages, couplings) = cascade(Duration::ZERO);
+        let (stages, couplings) = cascade();
         let r = run_pipeline(stages, &couplings, 0.0, 30.0, 60, Tolerances::default()).unwrap();
         // Every stage relaxes to 1 through the cascade.
         for (k, f) in r.finals.iter().enumerate() {
@@ -353,7 +357,7 @@ mod tests {
     #[test]
     fn refinement_reduces_transport_delay_error() {
         let run = |steps: usize| {
-            let (stages, couplings) = cascade(Duration::ZERO);
+            let (stages, couplings) = cascade();
             run_pipeline(stages, &couplings, 0.0, 4.0, steps, Tolerances::default())
                 .unwrap()
                 .finals[2][0]
@@ -370,41 +374,50 @@ mod tests {
 
     #[test]
     fn stages_overlap_in_time() {
-        // Each RHS call burns 40 µs; stages should overlap so that the
-        // wall clock is well below the summed busy time.
-        let (stages, couplings) = cascade(Duration::from_micros(40));
-        let tol = Tolerances {
-            rtol: 1e-4,
-            atol: 1e-6,
-            h0: 0.05,
-            ..Tolerances::default()
+        // Stages are not serialised per macro step: stage 0 is inside
+        // macro step 1 while stage 2 is still inside macro step 0. The
+        // interleaving is forced, not hoped for — stage 2's first RHS
+        // call waits until the shared event log shows stage 0 past the
+        // first communication point — so the outcome does not depend on
+        // core count or host load; a pipeline that held stage 0 back
+        // until stage 2 finished the step would time the wait out.
+        let (tend, macro_steps) = (10.0, 20);
+        let dt = tend / macro_steps as f64;
+        let log = Arc::new((Mutex::new(Vec::<(usize, f64)>::new()), Condvar::new()));
+        let record = {
+            let log = Arc::clone(&log);
+            move |stage: usize, t: f64| {
+                let (events, changed) = &*log;
+                let mut events = events.lock().unwrap();
+                if stage == 2 && events.iter().all(|&(s, _)| s != 2) {
+                    events = changed
+                        .wait_timeout_while(events, Duration::from_secs(10), |seen| {
+                            !seen.iter().any(|&(s, t)| s == 0 && t > dt)
+                        })
+                        .unwrap()
+                        .0;
+                }
+                events.push((stage, t));
+                changed.notify_all();
+            }
         };
-        let r = run_pipeline(stages, &couplings, 0.0, 10.0, 20, tol).unwrap();
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        if cores < 2 {
-            // Single-CPU host: threads cannot physically overlap; the
-            // pipeline must still be correct and not slower than ~the
-            // summed busy time plus scheduling noise.
-            eprintln!(
-                "single CPU: skipping overlap assertion (wall {:?}, busy {:?})",
-                r.wall, r.busy_total
-            );
-            assert!(r.wall < r.busy_total.mul_f64(1.5));
-        } else {
-            assert!(
-                r.wall < r.busy_total.mul_f64(0.75),
-                "no overlap: wall {:?} vs busy {:?}",
-                r.wall,
-                r.busy_total
-            );
-        }
+        let (stages, couplings) = cascade_with(record);
+        let tol = Tolerances::default();
+        run_pipeline(stages, &couplings, 0.0, tend, macro_steps, tol).unwrap();
+
+        let events = log.0.lock().unwrap();
+        let s0_in_step_1 = events.iter().position(|&(s, t)| s == 0 && t > dt);
+        let s2_in_step_0 = events.iter().rposition(|&(s, t)| s == 2 && t < dt);
+        assert!(
+            s0_in_step_1.is_some() && s0_in_step_1 < s2_in_step_0,
+            "stage 0 entered macro step 1 at event {s0_in_step_1:?}, \
+             stage 2 was last inside macro step 0 at event {s2_in_step_0:?}"
+        );
     }
 
     #[test]
     fn upstream_coupling_is_rejected_with_typed_error() {
-        let (stages, mut couplings) = cascade(Duration::ZERO);
+        let (stages, mut couplings) = cascade();
         couplings[0].src_stage = 2;
         couplings[0].dst_stage = 0;
         let err = run_pipeline(stages, &couplings, 0.0, 1.0, 2, Tolerances::default()).unwrap_err();
@@ -418,7 +431,7 @@ mod tests {
 
     #[test]
     fn panicking_stage_is_reported_not_deadlocked() {
-        let (mut stages, couplings) = cascade(Duration::ZERO);
+        let (mut stages, couplings) = cascade();
         stages[1].rhs = Box::new(|_t, _y, _u, _d| panic!("stage blew up"));
         let err = run_pipeline(stages, &couplings, 0.0, 1.0, 4, Tolerances::default()).unwrap_err();
         match err {
@@ -429,7 +442,7 @@ mod tests {
 
     #[test]
     fn failing_stage_solver_error_propagates() {
-        let (mut stages, couplings) = cascade(Duration::ZERO);
+        let (mut stages, couplings) = cascade();
         // NaN derivatives force the adaptive solver to shrink h to death.
         stages[2].rhs = Box::new(|_t, _y, _u, d: &mut [f64]| d[0] = f64::NAN);
         let err = run_pipeline(stages, &couplings, 0.0, 1.0, 4, Tolerances::default()).unwrap_err();

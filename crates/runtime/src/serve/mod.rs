@@ -281,18 +281,15 @@ impl Server {
         ));
 
         // Enqueue on the shared pool: the same packing as the sweep
-        // driver (batching composes with pool concurrency but not with
-        // intra-scenario workers).
+        // driver.
         let begun = Instant::now();
-        let batch_width = if req.workers > 1 { 1 } else { req.batch };
         let (tx, rx) = mpsc::channel::<ScenarioReply>();
         {
             let pool = match self.pool.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            for item in pack_work_items(req.scenarios.into(), batch_width, &SweepFaultPlan::none())
-            {
+            for item in pack_work_items(req.scenarios.into(), req.batch, &SweepFaultPlan::none()) {
                 pool.submit(Job {
                     model: Arc::clone(&model),
                     item,

@@ -65,7 +65,7 @@ pub struct RunRequest {
     /// ODE workers per scenario (1 = in-thread serial evaluation).
     pub workers: usize,
     pub strategy: Strategy,
-    /// SoA lane width (effective only with `workers == 1`, like sweep).
+    /// SoA lane width (above 1 only with `workers == 1`, like sweep).
     pub batch: usize,
 }
 
@@ -185,6 +185,11 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
         Some(b) => b,
         None => 1,
     };
+    if batch > 1 && workers > 1 {
+        return Err(format!(
+            "'batch' {batch} requires 'workers' 1, got {workers}"
+        ));
+    }
 
     Ok(RunRequest {
         id,
@@ -262,19 +267,19 @@ mod tests {
 
     const OSC: &str = "model Osc; Real x(start=1.0); equation der(x) = -x; end Osc;";
 
-    fn run_line() -> String {
+    fn run_line(workers: usize, batch: usize) -> String {
         format!(
             "{{\"id\":\"r1\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
              \"scenarios\":[{{\"x\":1.0}},{{\"x\":1.5}}],\"tend\":0.2,\"h\":0.01,\
-             \"deadline_ms\":500,\"max_rhs\":1000,\"retries\":3,\"workers\":2,\
-             \"executor\":\"ws\",\"batch\":4}}",
+             \"deadline_ms\":500,\"max_rhs\":1000,\"retries\":3,\"workers\":{workers},\
+             \"executor\":\"ws\",\"batch\":{batch}}}",
             json::escape(OSC)
         )
     }
 
     #[test]
     fn run_request_round_trips_every_field() {
-        let Request::Run(req) = parse_request(&run_line()).unwrap() else {
+        let Request::Run(req) = parse_request(&run_line(2, 1)).unwrap() else {
             panic!("expected run request");
         };
         assert_eq!(req.id, "\"r1\"");
@@ -289,7 +294,12 @@ mod tests {
         assert_eq!(req.run.max_retries, 3);
         assert_eq!(req.workers, 2);
         assert_eq!(req.strategy, Strategy::WorkStealing);
-        assert_eq!(req.batch, 4);
+        assert_eq!(req.batch, 1);
+        // A lane width above 1 only parses beside `workers` 1.
+        let Request::Run(req) = parse_request(&run_line(1, 4)).unwrap() else {
+            panic!("expected run request");
+        };
+        assert_eq!((req.workers, req.batch), (1, 4));
     }
 
     #[test]
@@ -338,6 +348,10 @@ mod tests {
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":0}"#,
                 "batch",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":4,"workers":2}"#,
+                "requires 'workers' 1",
             ),
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"h":-0.1}"#,

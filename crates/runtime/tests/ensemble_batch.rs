@@ -15,7 +15,8 @@
 
 use om_codegen::registry::CompiledModel;
 use om_runtime::{
-    run_sweep, ScenarioRunConfig, ScenarioSpec, Strategy, SweepConfig, SweepFaultPlan, SweepResult,
+    run_sweep, ScenarioRunConfig, ScenarioSpec, Strategy, SweepConfig, SweepError, SweepFaultPlan,
+    SweepResult,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -136,10 +137,11 @@ proptest! {
             batch_width
         );
 
-        // The same scenarios through each pooled substrate (batching
-        // falls back to scalar there — asserted) must agree too.
+        // The same scenarios through each pooled substrate must agree
+        // too — scalar there: a lane width above 1 beside a pool is a
+        // config error, not a quiet scalar run.
         for strategy in [Strategy::Barrier, Strategy::WorkStealing] {
-            let cfg = SweepConfig {
+            let mut cfg = SweepConfig {
                 run: run_cfg(),
                 concurrency: 2,
                 workers: 2,
@@ -147,13 +149,16 @@ proptest! {
                 batch: batch_width,
                 ..SweepConfig::default()
             };
+            if batch_width > 1 {
+                let refused = run_sweep(&model, &scenarios, &cfg);
+                prop_assert!(matches!(refused, Err(SweepError::Config(_))));
+                cfg.batch = 1;
+            }
             let pooled = run_sweep(&model, &scenarios, &cfg).unwrap();
-            prop_assert_eq!(pooled.report.effective_batch, 1);
             prop_assert_eq!(
                 &pooled.manifest.render_json(),
                 &oracle_json,
-                "batch {} requested under {} substrate",
-                batch_width,
+                "{} substrate",
                 strategy
             );
         }

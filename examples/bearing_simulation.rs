@@ -63,10 +63,10 @@ fn main() {
     let t_end = 2e-3;
     let y0 = sys.initial_state();
 
-    // Serial baseline.
-    let reference = objectmath::ir::IrEvaluator::new(&sys).expect("verified IR");
+    // Serial baseline: the same generated code, evaluated in this thread.
+    let serial_graph = program.graph.clone();
     let mut serial = FnSystem::new(sys.dim(), move |t, y: &[f64], d: &mut [f64]| {
-        reference.rhs(t, y, d);
+        serial_graph.eval_serial(t, y, d);
     });
     let start = Instant::now();
     let serial_sol = dopri5(&mut serial, 0.0, &y0, t_end, &tol).expect("serial solve");

@@ -22,7 +22,8 @@ use objectmath::runtime::{
     ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig, SweepError, SweepFaultPlan,
 };
 use objectmath::solver::{
-    abm4, bdf, dopri5, lsoda, rk4, BdfOptions, LsodaOptions, OdeSystem, SolveError, Tolerances,
+    abm4, bdf, dopri5, lsoda, rk4, BdfOptions, FnSystem, LsodaOptions, OdeSystem, SolveError,
+    Tolerances,
 };
 use std::fmt;
 use std::process::ExitCode;
@@ -111,7 +112,9 @@ fn usage() -> String {
                                    interior cells, bearing roller count\n\
        --array-aware               keep instance arrays symbolic (array\n\
                                    classes + loop tasks); default fully\n\
-                                   scalarizes, the bitwise oracle\n\
+                                   scalarizes, the bitwise oracle (a usage\n\
+                                   error for sweep/request: the registry\n\
+                                   compiles scalarized)\n\
      \n\
      commands:\n\
        analyze                     dependency graph, SCCs, pipeline levels\n\
@@ -136,7 +139,9 @@ fn usage() -> String {
        simulate                    integrate and print the final state\n\
          --tend T                  end time (default 1.0)\n\
          --solver NAME             dopri5|rk4|abm|bdf|lsoda (default dopri5)\n\
-         --workers N               parallel RHS workers (default 1 = serial)\n\
+         --workers N               RHS workers (default 1: the generated code\n\
+                                   evaluated in-thread, no pool; N > 1 runs the\n\
+                                   same code on a pool; output is identical)\n\
          --executor barrier|ws     scheduling policy of the worker pool (default\n\
                                    barrier = level fences, static assignment;\n\
                                    ws = dependency-driven work stealing)\n\
@@ -144,7 +149,8 @@ fn usage() -> String {
          --rtol R --atol A         tolerances (default 1e-6 / 1e-9)\n\
          --h H                     fixed step for rk4 (default (tend-t0)/1000)\n\
          --fault-seed SEED         seeded worker-level fault plan (chaos runs;\n\
-                                   recovered in place under either --executor)\n\
+                                   recovered in place under either --executor;\n\
+                                   requires --workers > 1)\n\
        sweep                       run N parameter scenarios over one compiled model\n\
          --params FILE             scenario vectors: .json (array of objects) or\n\
                                    .csv (header = state names)\n\
@@ -156,7 +162,7 @@ fn usage() -> String {
          --executor barrier|ws     executor when --workers > 1\n\
          --batch K                 evaluate K scenarios per batched integration\n\
                                    (SoA lanes, bitwise-identical to --batch 1;\n\
-                                   requires --workers 1, else falls back to 1)\n\
+                                   requires --workers 1)\n\
          --deadline-ms MS          per-scenario wall-clock deadline\n\
          --max-rhs N               per-scenario RHS call budget\n\
          --retries N               retries for transient faults (default 2)\n\
@@ -331,13 +337,19 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return result.and(export);
     }
 
-    let flat = if opts.array_aware {
-        objectmath::lang::compile_arrays(&source)
-    } else {
-        objectmath::lang::compile(&source)
-    }
-    .map_err(|e| CliError::Compile(e.to_string()))?;
-    let mut ir = causalize(&flat).map_err(|e| CliError::Compile(e.to_string()))?;
+    // The source text and the flat model are dead once the IR exists:
+    // free them before the command allocates (they count towards the
+    // peak RSS of a `simulate`).
+    let mut ir = {
+        let flat = if opts.array_aware {
+            objectmath::lang::compile_arrays(&source)
+        } else {
+            objectmath::lang::compile(&source)
+        }
+        .map_err(|e| CliError::Compile(e.to_string()))?;
+        drop(source);
+        causalize(&flat).map_err(|e| CliError::Compile(e.to_string()))?
+    };
     objectmath::ir::verify_compilable(&ir).map_err(|e| CliError::Compile(e.to_string()))?;
 
     let result = match command {
@@ -615,6 +627,11 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
                 )))
             }
         }
+    }
+    // The fixed step of rk4 and of every ensemble scenario defaults to a
+    // thousandth of the span.
+    if f.h <= 0.0 {
+        f.h = f.tend / 1000.0;
     }
     Ok(f)
 }
@@ -929,14 +946,9 @@ fn params_scenarios(path: &str) -> Result<Vec<Vec<(String, f64)>>, CliError> {
     }
 }
 
-/// The resilient ensemble driver: compile once through the registry, run
-/// every scenario to a terminal typed state, account for all of them.
-fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
-    let registry = ModelRegistry::new();
-    let model = registry
-        .get_or_compile(source)
-        .map_err(|e| CliError::Compile(e.to_string()))?;
-
+/// The scenario vectors of `sweep` / `request`: `--params` rows, then the
+/// `--grid` product. `command` names the caller in the empty-set error.
+fn scenario_vectors(command: &str, opts: &Flags) -> Result<Vec<Vec<(String, f64)>>, CliError> {
     let mut vectors = Vec::new();
     if let Some(path) = &opts.params {
         vectors.extend(params_scenarios(path)?);
@@ -945,10 +957,42 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         vectors.extend(grid_scenarios(&opts.grid)?);
     }
     if vectors.is_empty() {
-        return Err(CliError::Usage(
-            "sweep needs scenarios: --params FILE and/or --grid state=a:b:n".into(),
-        ));
+        return Err(CliError::Usage(format!(
+            "{command} needs scenarios: --params FILE and/or --grid state=a:b:n"
+        )));
     }
+    Ok(vectors)
+}
+
+/// Flag combinations `sweep` / `request` cannot honour are usage errors,
+/// never a quiet scalar or scalarized run.
+fn check_ensemble_flags(command: &str, opts: &Flags) -> Result<(), CliError> {
+    if opts.batch > 1 && opts.workers > 1 {
+        return Err(CliError::Usage(format!(
+            "{command}: --batch {} needs --workers 1, got --workers {} (batched lanes and \
+             per-scenario pools compete for the same cores)",
+            opts.batch, opts.workers
+        )));
+    }
+    if opts.array_aware {
+        return Err(CliError::Usage(format!(
+            "{command}: --array-aware is not supported here (ensemble models compile \
+             scalarized through the model registry)"
+        )));
+    }
+    Ok(())
+}
+
+/// The resilient ensemble driver: compile once through the registry, run
+/// every scenario to a terminal typed state, account for all of them.
+fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
+    check_ensemble_flags("sweep", opts)?;
+    let registry = ModelRegistry::new();
+    let model = registry
+        .get_or_compile(source)
+        .map_err(|e| CliError::Compile(e.to_string()))?;
+
+    let vectors = scenario_vectors("sweep", opts)?;
     // Fail fast on unknown state names (before spinning anything up).
     for vector in &vectors {
         for (name, _) in vector {
@@ -980,16 +1024,11 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         }
         None => SweepFaultPlan::none(),
     };
-    let h = if opts.h > 0.0 {
-        opts.h
-    } else {
-        opts.tend / 1000.0
-    };
     let cfg = SweepConfig {
         run: ScenarioRunConfig {
             t0: 0.0,
             tend: opts.tend,
-            h,
+            h: opts.h,
             deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
             max_rhs_calls: opts.max_rhs,
             max_retries: opts.retries,
@@ -1006,13 +1045,6 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         ..SweepConfig::default()
     };
 
-    if opts.batch > 1 && opts.workers > 1 {
-        eprintln!(
-            "[sweep: --batch {} ignored with --workers {} — batching and \
-             per-scenario pools compete for the same cores; running scalar]",
-            opts.batch, opts.workers
-        );
-    }
     let result = run_sweep(&model, &scenarios, &cfg).map_err(CliError::Sweep)?;
     let manifest = &result.manifest;
     let report = &result.report;
@@ -1143,19 +1175,7 @@ mod sigterm {
 /// Render the `op:"run"` request line `omc MODEL request` sends, from
 /// the same `--grid`/`--params` vectors and envelope flags sweep uses.
 fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, CliError> {
-    let mut vectors = Vec::new();
-    if let Some(path) = &opts.params {
-        vectors.extend(params_scenarios(path)?);
-    }
-    if !opts.grid.is_empty() {
-        vectors.extend(grid_scenarios(&opts.grid)?);
-    }
-    if vectors.is_empty() {
-        return Err(CliError::Usage(
-            "request needs scenarios: --params FILE and/or --grid state=a:b:n".into(),
-        ));
-    }
-    let scenarios: Vec<String> = vectors
+    let scenarios: Vec<String> = scenario_vectors("request", opts)?
         .iter()
         .map(|overrides| {
             let fields: Vec<String> = overrides
@@ -1165,11 +1185,6 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
             format!("{{{}}}", fields.join(","))
         })
         .collect();
-    let h = if opts.h > 0.0 {
-        opts.h
-    } else {
-        opts.tend / 1000.0
-    };
     Ok(format!(
         "{{\"id\":\"{id}\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
          \"scenarios\":[{}],\"tend\":{},\"h\":{},\"deadline_ms\":{},\"max_rhs\":{},\
@@ -1177,7 +1192,7 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
         json::escape(source),
         scenarios.join(","),
         fmt_f64(opts.tend),
-        fmt_f64(h),
+        fmt_f64(opts.h),
         opts.deadline_ms,
         opts.max_rhs,
         opts.retries,
@@ -1206,6 +1221,9 @@ fn fmt_f64(v: f64) -> String {
 fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
     use std::io::{BufRead, BufReader, Write};
 
+    if source.is_some() {
+        check_ensemble_flags("request", opts)?;
+    }
     let socket = opts
         .socket
         .as_deref()
@@ -1317,6 +1335,13 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             return Err(CliError::Usage(format!("--set: no state named `{name}`")));
         }
     }
+    if opts.fault_seed.is_some() && opts.workers <= 1 {
+        return Err(CliError::Usage(
+            "simulate: --fault-seed plans worker-level faults and needs --workers N > 1 \
+             (the in-thread run has no workers to fault)"
+                .into(),
+        ));
+    }
     let tol = Tolerances {
         rtol: opts.rtol,
         atol: opts.atol,
@@ -1324,13 +1349,11 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     };
     let y0 = ir.initial_state();
     let tend = opts.tend;
-    let h = if opts.h > 0.0 { opts.h } else { tend / 1000.0 };
 
-    // Serial (tree-walking) or parallel (bytecode worker pool) RHS.
     let solve = |sys: &mut dyn OdeSystem| -> Result<objectmath::solver::Solution, CliError> {
         match opts.solver.as_str() {
             "dopri5" => dopri5(sys, 0.0, &y0, tend, &tol).map_err(CliError::Solve),
-            "rk4" => rk4(sys, 0.0, &y0, tend, h).map_err(CliError::Solve),
+            "rk4" => rk4(sys, 0.0, &y0, tend, opts.h).map_err(CliError::Solve),
             "abm" => abm4(sys, 0.0, &y0, tend, &tol).map_err(CliError::Solve),
             "bdf" => bdf(
                 sys,
@@ -1359,16 +1382,21 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         }
     };
 
+    // One RHS at every worker count: the generated task graph. Up to one
+    // worker evaluates it in this thread (`eval_serial`, the oracle every
+    // pooled substrate is pinned to bitwise); more hand the same graph to
+    // the executor pool.
+    let program = CodeGenerator::default().generate(ir);
     let sol = if opts.workers <= 1 {
-        let evaluator =
-            objectmath::ir::IrEvaluator::new(ir).map_err(|e| CliError::Compile(e.to_string()))?;
-        let mut sys =
-            objectmath::solver::FnSystem::new(ir.dim(), move |t, y: &[f64], d: &mut [f64]| {
-                evaluator.rhs(t, y, d);
-            });
+        // Only the graph is kept across the solve; the symbolic tasks
+        // exist for the textual emitters.
+        let graph = program.graph;
+        drop(program.tasks);
+        let mut sys = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
+            graph.eval_serial(t, y, d);
+        });
         solve(&mut sys)?
     } else {
-        let program = CodeGenerator::default().generate(ir);
         let sched = program.schedule(opts.workers);
         let plan = match opts.fault_seed {
             Some(seed) => FaultPlan::from_seed(seed, opts.workers, opts.workers),

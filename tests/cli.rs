@@ -347,3 +347,85 @@ fn ws_executor_with_fault_seed_runs_ws_and_prints_the_same_states() {
     assert!(clean.contains(" = "), "{clean}");
     assert_eq!(run(&["--fault-seed", "7"]), clean);
 }
+
+/// The contract of `simulate`: one RHS — the generated task graph — at
+/// every `--workers`, so stdout is byte-identical whether it is evaluated
+/// in-thread or on either pool policy, stiff solvers included.
+#[test]
+fn simulate_stdout_is_identical_at_every_worker_count() {
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut om_files: Vec<String> = std::fs::read_dir(&examples)
+        .expect("examples directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "om"))
+        .map(|path| path.to_string_lossy().into_owned())
+        .collect();
+    om_files.sort();
+    assert!(!om_files.is_empty(), "no .om models under {examples:?}");
+
+    let mut models: Vec<Vec<&str>> = vec![
+        vec!["bearing2d"],
+        vec!["bearing3d"],
+        vec!["heat1d"],
+        vec!["heat1d", "--array-aware"],
+    ];
+    models.extend(om_files.iter().map(|path| vec![path.as_str()]));
+
+    for (solver, tend) in [("dopri5", "0.02"), ("bdf", "0.0005")] {
+        for model in &models {
+            let run = |substrate: &[&str]| {
+                let out = omc()
+                    .arg(model[0])
+                    .args(["simulate", "--solver", solver, "--tend", tend])
+                    .args(&model[1..])
+                    .args(substrate)
+                    .output()
+                    .expect("run omc");
+                assert!(
+                    out.status.success(),
+                    "{model:?} --solver {solver} {substrate:?}: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                String::from_utf8_lossy(&out.stdout).into_owned()
+            };
+            let in_thread = run(&["--workers", "1"]);
+            assert!(in_thread.contains(" = "), "{in_thread}");
+            for pooled in [
+                &["--workers", "2"][..],
+                &["--workers", "3", "--executor", "ws"],
+            ] {
+                assert_eq!(
+                    run(pooled),
+                    in_thread,
+                    "{model:?} --solver {solver} {pooled:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Flag combinations a command cannot honour are refused (exit 2, the
+/// message names the flag) instead of being parsed and then ignored.
+#[test]
+fn ignored_flag_combinations_are_usage_errors() {
+    let path = write_model("ignored_flags", OSC);
+    let scenarios = ["--grid", "x=0:1:2", "--socket", "/nonexistent.sock"];
+    for (command, flags, named) in [
+        ("simulate", &["--fault-seed", "7"][..], "--fault-seed"),
+        ("sweep", &["--batch", "4", "--workers", "2"], "--batch"),
+        ("request", &["--batch", "4", "--workers", "2"], "--batch"),
+        ("sweep", &["--array-aware"], "--array-aware"),
+        ("request", &["--array-aware"], "--array-aware"),
+    ] {
+        let out = omc()
+            .arg(&path)
+            .arg(command)
+            .args(scenarios)
+            .args(flags)
+            .output()
+            .expect("run omc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{command} {flags:?}: {stderr}");
+    }
+}
