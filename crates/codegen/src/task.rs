@@ -170,47 +170,14 @@ impl CompiledTask {
         ))
     }
 
-    /// Execute the task into `out` (length `n_out()`), reusing a
-    /// caller-provided register file and a program scratch buffer. Plain
-    /// tasks run their program once; loop tasks clone the program into
-    /// `prog_scratch`, then repoint the patched `State` loads and run it
-    /// once per iteration. Each iteration performs exactly the operation
-    /// sequence the fully scalarized oracle would, so results are bitwise
-    /// identical to per-element tasks.
-    pub fn run_with_regs(
-        &self,
-        t: f64,
-        y: &[f64],
-        shared: &[f64],
-        out: &mut [f64],
-        regs: &mut [f64],
-        prog_scratch: &mut Program,
-    ) {
-        match &self.loop_info {
-            None => crate::vm::execute_with_regs(&self.program, t, y, shared, out, regs),
-            Some(li) => {
-                prog_scratch.clone_from(&self.program);
-                let n = self.program.outputs.len();
-                for k in 0..li.count as usize {
-                    for (instr, slots) in &li.patches {
-                        prog_scratch.patch_state(*instr as usize, slots[k]);
-                    }
-                    crate::vm::execute_with_regs(
-                        prog_scratch,
-                        t,
-                        y,
-                        shared,
-                        &mut out[k * n..(k + 1) * n],
-                        regs,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Batched (structure-of-arrays) counterpart of
-    /// [`CompiledTask::run_with_regs`]: `out` holds `n_out() × lanes`
-    /// values, lane index innermost.
+    /// Execute the task over `lanes` ensemble members into `out`
+    /// (`n_out() × lanes` values, lane index innermost — at one lane the
+    /// plain scalar layout), reusing a caller-provided register file and
+    /// program scratch buffer. Plain tasks run their program once; loop
+    /// tasks clone the program into `prog_scratch`, then repoint the
+    /// patched `State` loads and run it once per iteration — exactly the
+    /// operation sequence of the fully scalarized oracle, so results are
+    /// bitwise identical to per-element tasks.
     #[allow(clippy::too_many_arguments)]
     pub fn run_batch_with_regs(
         &self,
@@ -329,37 +296,39 @@ impl TaskGraph {
         self.deps.iter().map(|d| d.len() as u32).collect()
     }
 
-    /// Evaluate the whole task graph sequentially (reference semantics,
-    /// also the serial baseline of the benchmarks).
+    /// Evaluate the whole task graph for one ensemble member (reference
+    /// semantics, also the serial baseline of the benchmarks). Builds a
+    /// one-lane scratch per call; hot callers hold one across calls and
+    /// use [`TaskGraph::eval_batch`].
     pub fn eval_serial(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        let mut shared = vec![0.0f64; self.n_shared];
-        let mut out_buf: Vec<f64> = Vec::new();
-        let mut regs: Vec<f64> = Vec::new();
-        let mut prog_scratch = Program::default();
-        // Tasks are emitted in dependency order by construction; verify in
-        // debug builds.
-        for task in &self.tasks {
-            out_buf.resize(task.n_out(), 0.0);
-            regs.resize(task.program.n_regs as usize, 0.0);
-            task.run_with_regs(t, y, &shared, &mut out_buf, &mut regs, &mut prog_scratch);
-            for (val, slot) in out_buf.iter().zip(&task.writes) {
-                match slot {
-                    OutSlot::Deriv(i) => dydt[*i] = *val,
-                    OutSlot::Shared(i) => shared[*i] = *val,
-                }
-            }
-        }
+        self.eval_batch(t, y, dydt, &mut BatchScratch::new(self, 1));
     }
 
     /// Evaluate the whole task graph over `scratch.lanes()` ensemble
     /// members at once. `ys` and `dydt` are structure-of-arrays with the
-    /// lane index innermost (`ys[state * lanes + lane]`). Tasks run in
-    /// the same emission order as [`TaskGraph::eval_serial`] and each
-    /// lane performs exactly the serial operation sequence, so every
-    /// lane's derivatives are bitwise identical to a serial evaluation
-    /// of that lane alone.
+    /// lane index innermost (`ys[state * lanes + lane]`; with one lane
+    /// that is the plain state vector). Tasks run in emission order —
+    /// dependency order by construction — and each lane performs exactly
+    /// the one-lane operation sequence, so every lane's derivatives are
+    /// bitwise identical to an evaluation of that lane alone.
     pub fn eval_batch(&self, t: f64, ys: &[f64], dydt: &mut [f64], scratch: &mut BatchScratch) {
-        let lanes = scratch.lanes;
+        // One lane gets its own instantiation with the count a literal,
+        // so the per-slot scatter folds to scalar stores (as in the VM).
+        match scratch.lanes {
+            1 => self.eval_lanes(t, ys, dydt, scratch, 1),
+            lanes => self.eval_lanes(t, ys, dydt, scratch, lanes),
+        }
+    }
+
+    #[inline(always)]
+    fn eval_lanes(
+        &self,
+        t: f64,
+        ys: &[f64],
+        dydt: &mut [f64],
+        scratch: &mut BatchScratch,
+        lanes: usize,
+    ) {
         assert_eq!(ys.len(), self.dim * lanes, "state batch length mismatch");
         assert_eq!(
             dydt.len(),

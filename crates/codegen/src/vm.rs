@@ -2,19 +2,26 @@
 //!
 //! Straight-line execution over a register file; no jumps, no allocation
 //! in the hot loop when the caller supplies a scratch register file via
-//! [`execute_with_regs`].
+//! [`execute_batch_with_regs`].
 //!
-//! Two execution modes share the instruction set:
+//! There is one instruction body (`run_lanes`), written over a
+//! structure-of-arrays register file of K ensemble members (lanes).
+//! [`execute_batch_with_regs`] instantiates it twice and picks one per
+//! call from the lane count it is passed:
 //!
-//! * **Scalar** ([`execute`]) — one register file, one ensemble member.
-//! * **Batched** ([`execute_batch`]) — a structure-of-arrays register
-//!   file over K ensemble members (lanes), processed in chunks of
-//!   [`LANE_CHUNK`]. Each op becomes a tight loop over lanes, so the
-//!   per-instruction dispatch cost is amortized K-fold and the inner
-//!   loops auto-vectorize. Every lane performs exactly the scalar
-//!   instruction sequence — the same f64 operations in the same order,
-//!   with no cross-lane arithmetic — so batched results are bitwise
-//!   identical to K scalar executions.
+//! * **K lanes**, in chunks of [`LANE_CHUNK`] — each op is a tight loop
+//!   over the chunk's lanes, so the per-instruction dispatch cost is
+//!   amortized K-fold and the inner loops auto-vectorize.
+//! * **One lane**, entered with the literal 1 — an SoA buffer with one
+//!   lane *is* the scalar layout (`y[state * 1 + 0]`), so once inlined
+//!   every lane loop has trip count one, stride and chunk offset are
+//!   constants, and what is left is a plain scalar interpreter: what
+//!   [`execute`], the in-thread serial RHS and every pool worker run.
+//!
+//! Folding changes how an element is addressed, never what is computed:
+//! at every lane count each lane performs the same f64 operations in the
+//! same order with no cross-lane arithmetic, so a K-lane result is
+//! bitwise identical to K one-lane executions.
 
 use crate::bytecode::{Instr, Program};
 
@@ -24,81 +31,11 @@ use crate::bytecode::{Instr, Program};
 /// contiguous (stride 1 along lanes) for the auto-vectorizer.
 pub const LANE_CHUNK: usize = 8;
 
-/// Execute `p` with time `t`, state vector `y`, shared-values array
-/// `shared`; writes one value per program output into `out`.
+/// Execute `p` for one ensemble member with time `t`, state vector `y`,
+/// shared-values array `shared`; writes one value per program output
+/// into `out`. The one-lane case of [`execute_batch`].
 pub fn execute(p: &Program, t: f64, y: &[f64], shared: &[f64], out: &mut [f64]) {
-    let mut regs = vec![0.0f64; p.n_regs as usize];
-    execute_with_regs(p, t, y, shared, out, &mut regs);
-}
-
-/// Like [`execute`] but reusing a caller-provided register file
-/// (`regs.len() >= p.n_regs`).
-pub fn execute_with_regs(
-    p: &Program,
-    t: f64,
-    y: &[f64],
-    shared: &[f64],
-    out: &mut [f64],
-    regs: &mut [f64],
-) {
-    assert!(regs.len() >= p.n_regs as usize, "register file too small");
-    assert_eq!(out.len(), p.outputs.len(), "output buffer length mismatch");
-    for instr in &p.instrs {
-        match *instr {
-            Instr::Const { dst, idx } => regs[dst as usize] = p.consts[idx as usize],
-            Instr::State { dst, idx } => regs[dst as usize] = y[idx as usize],
-            Instr::Shared { dst, idx } => regs[dst as usize] = shared[idx as usize],
-            Instr::Time { dst } => regs[dst as usize] = t,
-            Instr::Add { dst, a, b } => regs[dst as usize] = regs[a as usize] + regs[b as usize],
-            Instr::Mul { dst, a, b } => regs[dst as usize] = regs[a as usize] * regs[b as usize],
-            Instr::PowI { dst, a, n } => {
-                regs[dst as usize] = powi(regs[a as usize], n);
-            }
-            Instr::Powf { dst, a, b } => {
-                regs[dst as usize] = regs[a as usize].powf(regs[b as usize])
-            }
-            Instr::Call1 { f, dst, a } => {
-                regs[dst as usize] = f.apply(&[regs[a as usize]]);
-            }
-            Instr::Call2 { f, dst, a, b } => {
-                regs[dst as usize] = f.apply(&[regs[a as usize], regs[b as usize]]);
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                regs[dst as usize] = if op.apply(regs[a as usize], regs[b as usize]) {
-                    1.0
-                } else {
-                    0.0
-                };
-            }
-            Instr::BoolAnd { dst, a, b } => {
-                regs[dst as usize] = if regs[a as usize] != 0.0 && regs[b as usize] != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                };
-            }
-            Instr::BoolOr { dst, a, b } => {
-                regs[dst as usize] = if regs[a as usize] != 0.0 || regs[b as usize] != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                };
-            }
-            Instr::BoolNot { dst, a } => {
-                regs[dst as usize] = if regs[a as usize] == 0.0 { 1.0 } else { 0.0 };
-            }
-            Instr::Select { dst, c, a, b } => {
-                regs[dst as usize] = if regs[c as usize] != 0.0 {
-                    regs[a as usize]
-                } else {
-                    regs[b as usize]
-                };
-            }
-        }
-    }
-    for (o, &reg) in out.iter_mut().zip(&p.outputs) {
-        *o = regs[reg as usize];
-    }
+    execute_batch(p, t, y, shared, out, 1);
 }
 
 /// Execute `p` over `lanes` ensemble members at once. All batch buffers
@@ -141,19 +78,27 @@ pub fn execute_batch_with_regs(
         p.outputs.len() * lanes,
         "output buffer length mismatch"
     );
-    let mut c0 = 0;
-    while c0 < lanes {
-        let cw = (lanes - c0).min(LANE_CHUNK);
-        execute_chunk(p, t, y, shared, out, regs, lanes, c0, cw, stride);
-        c0 += cw;
+    if lanes == 1 {
+        // Literal arguments: after inlining, every lane loop has trip
+        // count one and the SoA indices reduce to scalar ones.
+        run_lanes(p, t, y, shared, out, regs, 1, 0, 1, 1);
+    } else {
+        let mut c0 = 0;
+        while c0 < lanes {
+            let cw = (lanes - c0).min(LANE_CHUNK);
+            run_lanes(p, t, y, shared, out, regs, lanes, c0, cw, stride);
+            c0 += cw;
+        }
     }
 }
 
-/// One lane chunk: every instruction loops over `cw ≤ LANE_CHUNK` lanes
-/// starting at batch lane `c0`. Per lane this is exactly the scalar
-/// interpreter's operation sequence (bitwise identity depends on it).
+/// The instruction body: every instruction loops over `cw ≤ LANE_CHUNK`
+/// lanes starting at batch lane `c0`. Inlined into each call site so the
+/// one-lane entry folds to scalar code; the per-lane operation sequence
+/// is the same at every lane count (bitwise identity depends on it).
 #[allow(clippy::too_many_arguments)]
-fn execute_chunk(
+#[inline(always)]
+fn run_lanes(
     p: &Program,
     t: f64,
     y: &[f64],
@@ -311,7 +256,7 @@ mod tests {
         let p = compile_roots(&dag, &[root], &vars, CseMode::PerTask);
         let mut regs = vec![0.0; p.n_regs as usize + 8];
         let mut out = vec![0.0];
-        execute_with_regs(&p, 0.0, &[7.0], &[], &mut out, &mut regs);
+        execute_batch_with_regs(&p, 0.0, &[7.0], &[], &mut out, &mut regs, 1);
         assert_eq!(out[0], 21.0);
     }
 
@@ -414,6 +359,6 @@ mod tests {
         let p = compile_roots(&dag, &[root], &vars, CseMode::PerTask);
         let mut regs = vec![0.0; 0];
         let mut out = vec![0.0];
-        execute_with_regs(&p, 0.0, &[7.0], &[], &mut out, &mut regs);
+        execute_batch_with_regs(&p, 0.0, &[7.0], &[], &mut out, &mut regs, 1);
     }
 }

@@ -9,6 +9,10 @@ use std::collections::HashMap;
 
 const VARS: [&str; 3] = ["x", "y", "z"];
 
+/// Lane counts for the VM property: the one-lane instantiation, sub-chunk
+/// widths, exactly one chunk, and a ragged multi-chunk tail.
+const LANE_WIDTHS: [usize; 5] = [1, 2, 3, 8, 17];
+
 fn leaf() -> impl Strategy<Value = Expr> {
     prop_oneof![
         (-6i32..=6).prop_map(|n| Expr::Const(f64::from(n) / 2.0)),
@@ -39,9 +43,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
     /// The compiled bytecode computes exactly what the tree interpreter
-    /// computes, in every CSE mode.
+    /// computes, in every CSE mode and at every lane count: the one-lane
+    /// and the chunked instantiation of the VM share their source, so
+    /// each is checked against this independent reference, not only
+    /// against the other.
     #[test]
-    fn vm_matches_tree_eval(exprs in prop::collection::vec(arb_expr(), 1..4)) {
+    fn vm_matches_tree_eval(
+        exprs in prop::collection::vec(arb_expr(), 1..4),
+        width_pick in 0usize..LANE_WIDTHS.len(),
+    ) {
+        let lanes = LANE_WIDTHS[width_pick];
         let simplified: Vec<Expr> = exprs.iter().map(simplify).collect();
         let mut dag = Dag::new();
         let roots: Vec<_> = simplified
@@ -71,20 +82,24 @@ proptest! {
                     .zip(y)
                     .map(|(n, v)| (Symbol::intern(n), *v))
                     .collect();
-                let mut out = vec![0.0; roots.len()];
-                om_codegen::execute(&program, 0.0, y, &[], &mut out);
+                // SoA pack: every lane carries a copy of the same point.
+                let ys: Vec<f64> = y.iter().flat_map(|v| vec![*v; lanes]).collect();
+                let mut out = vec![0.0; roots.len() * lanes];
+                om_codegen::execute_batch(&program, 0.0, &ys, &[], &mut out, lanes);
                 for (i, e) in simplified.iter().enumerate() {
                     let expect = om_expr::eval(e, &env).unwrap();
-                    let close = if expect.is_nan() {
-                        out[i].is_nan()
-                    } else {
-                        (out[i] - expect).abs() <= 1e-9 * (1.0 + expect.abs())
-                    };
-                    prop_assert!(
-                        close,
-                        "mode {mode:?} root {i}: vm={} tree={expect} expr={e:?}",
-                        out[i]
-                    );
+                    for (l, got) in out[i * lanes..(i + 1) * lanes].iter().enumerate() {
+                        let close = if expect.is_nan() {
+                            got.is_nan()
+                        } else {
+                            (got - expect).abs() <= 1e-9 * (1.0 + expect.abs())
+                        };
+                        prop_assert!(
+                            close,
+                            "mode {mode:?} lanes {lanes} lane {l} root {i}: \
+                             vm={got} tree={expect} expr={e:?}"
+                        );
+                    }
                 }
             }
         }

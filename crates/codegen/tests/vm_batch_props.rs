@@ -2,6 +2,10 @@
 //! programs, random lane counts, and random scenario packs, every lane
 //! of `execute_batch` must be *bitwise* identical (compared as hex f64
 //! bit patterns) to a sequential K=1 run of the scalar `execute` oracle.
+//! Both are instantiations of one instruction body — the chunked lane
+//! loop and its one-lane fold, different machine code from the same
+//! source — so this pins the two to each other; `properties.rs` checks
+//! each against the tree evaluator.
 //!
 //! Bitwise — not approximately — because the batched interpreter claims
 //! to perform the same scalar f64 operations in the same order per lane;

@@ -184,7 +184,7 @@ pub(crate) fn run_scenario_batch(
     for (pos, (_, slot)) in outcomes.iter_mut().enumerate() {
         if slot.is_none() {
             let spec = &specs[pos];
-            let mut substrate = Substrate::Serial(&model.program().graph);
+            let mut substrate = Substrate::serial(&model.program().graph);
             *slot = Some(run_scenario(
                 model,
                 spec,
@@ -242,7 +242,7 @@ mod tests {
         plan: &SweepFaultPlan,
         cfg: &ScenarioRunConfig,
     ) -> ScenarioOutcome {
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         run_scenario(model, spec, plan.get(spec.index), cfg, &mut substrate)
     }
 

@@ -537,7 +537,7 @@ pub fn run_sweep(
                         WorkItem::Single(spec) => {
                             let mut substrate = match pool.as_mut() {
                                 Some(p) => Substrate::Pool(p),
-                                None => Substrate::Serial(&model.program().graph),
+                                None => Substrate::serial(&model.program().graph),
                             };
                             let begun = Instant::now();
                             let outcome = run_scenario(

@@ -5,7 +5,7 @@
 //! A *scenario* is the shared compiled model plus a parameter vector
 //! (initial-state overrides). Running one never mutates shared state:
 //! the overrides are applied to a private copy of the initial state and
-//! the integration happens either serially ([`om_codegen::task::TaskGraph::eval_serial`])
+//! the integration happens either in-thread (one-lane [`om_codegen::task::TaskGraph::eval_batch`])
 //! or on a scenario-private [`ExecutorPool`] — both execute the same
 //! bytecode with disjoint writes, so results are bitwise identical
 //! across substrates. That identity is what lets the chaos tests compare
@@ -13,7 +13,7 @@
 
 use crate::pool::ExecutorPool;
 use om_codegen::registry::CompiledModel;
-use om_codegen::task::TaskGraph;
+use om_codegen::task::{BatchScratch, TaskGraph};
 use om_solver::{rk4_budgeted, Budget, OdeSystem, RhsError, SolveError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -259,10 +259,18 @@ pub(crate) struct InjectedScenarioPanic;
 
 /// The integration substrate a scenario runs on.
 pub enum Substrate<'a> {
-    /// In-thread serial bytecode evaluation (the oracle path).
-    Serial(&'a TaskGraph),
+    /// In-thread one-lane bytecode evaluation (the oracle path), with the
+    /// scratch it evaluates through held across the scenario's RHS calls.
+    Serial(&'a TaskGraph, BatchScratch),
     /// A scenario-private executor pool (either strategy).
     Pool(&'a mut ExecutorPool),
+}
+
+impl<'a> Substrate<'a> {
+    /// The serial substrate for `graph`.
+    pub fn serial(graph: &'a TaskGraph) -> Substrate<'a> {
+        Substrate::Serial(graph, BatchScratch::new(graph, 1))
+    }
 }
 
 /// The shared compiled RHS wrapped with per-scenario fault injection.
@@ -297,8 +305,8 @@ impl ScenarioSystem<'_, '_> {
             }
         }
         match self.substrate {
-            Substrate::Serial(graph) => {
-                graph.eval_serial(t, y, dydt);
+            Substrate::Serial(graph, scratch) => {
+                graph.eval_batch(t, y, dydt, scratch);
                 Ok(())
             }
             Substrate::Pool(pool) => pool
@@ -434,7 +442,7 @@ mod tests {
     fn clean_scenario_completes_with_override_applied() {
         let model = model();
         let spec = ScenarioSpec::new(0, vec![("x".into(), 2.0)]);
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, None, &quick_cfg(), &mut substrate);
         let ScenarioOutcome::Completed {
             retries, y_bits, ..
@@ -452,7 +460,7 @@ mod tests {
     fn unknown_override_is_quarantined_not_retried() {
         let model = model();
         let spec = ScenarioSpec::new(3, vec![("bogus".into(), 1.0)]);
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, None, &quick_cfg(), &mut substrate);
         let ScenarioOutcome::Quarantined { attempts, error } = out else {
             panic!("expected quarantine, got {out:?}");
@@ -470,7 +478,7 @@ mod tests {
             after_calls: 3,
             fail_attempts: 2,
         };
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg(), &mut substrate);
         let ScenarioOutcome::Completed { retries, .. } = out else {
             panic!("expected completion after retries, got {out:?}");
@@ -487,7 +495,7 @@ mod tests {
             after_calls: 1,
             fail_attempts: u32::MAX,
         };
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg(), &mut substrate);
         let ScenarioOutcome::Quarantined { attempts, error } = out else {
             panic!("expected quarantine, got {out:?}");
@@ -505,7 +513,7 @@ mod tests {
             after_calls: 2,
             fail_attempts: u32::MAX,
         };
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg(), &mut substrate);
         let ScenarioOutcome::Quarantined { attempts, error } = out else {
             panic!("expected quarantine, got {out:?}");
@@ -527,7 +535,7 @@ mod tests {
             deadline: Some(Duration::from_millis(10)),
             ..quick_cfg()
         };
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, Some(&fault), &cfg, &mut substrate);
         let ScenarioOutcome::DeadlineExceeded { attempts } = out else {
             panic!("expected deadline, got {out:?}");
@@ -543,7 +551,7 @@ mod tests {
             max_rhs_calls: 10,
             ..quick_cfg()
         };
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let out = run_scenario(&model, &spec, None, &cfg, &mut substrate);
         assert!(
             matches!(out, ScenarioOutcome::Quarantined { .. }),
@@ -556,7 +564,7 @@ mod tests {
         let model = model();
         let spec = ScenarioSpec::new(0, vec![("x".into(), 1.5)]);
         let cfg = quick_cfg();
-        let mut serial = Substrate::Serial(&model.program().graph);
+        let mut serial = Substrate::serial(&model.program().graph);
         let a = run_scenario(&model, &spec, None, &cfg, &mut serial);
         let sched = model.schedule(2);
         let mut pool = ExecutorPool::build(

@@ -1103,12 +1103,13 @@ fn execute_task(
     }
     ctx.out_buf.resize(task.n_out(), 0.0);
     let run = |ctx: &mut WorkerCtx| {
-        task.run_with_regs(
+        task.run_batch_with_regs(
             t,
             y,
             &ctx.shared_local,
             &mut ctx.out_buf,
             &mut ctx.regs,
+            1,
             &mut ctx.prog_scratch,
         );
     };

@@ -177,7 +177,7 @@ fn execute(job: Job, shared: &Shared) {
             };
             let mut substrate = match pool.as_mut() {
                 Some(p) => Substrate::Pool(p),
-                None => Substrate::Serial(&model.program().graph),
+                None => Substrate::serial(&model.program().graph),
             };
             let begun = Instant::now();
             let outcome = run_scenario(&model, &spec, None, &run, &mut substrate);
@@ -248,7 +248,7 @@ mod tests {
         let scalar = submit_all(&pool, &model, specs.clone(), 1);
         let batched = submit_all(&pool, &model, specs.clone(), 4);
         for (i, spec) in specs.iter().enumerate() {
-            let mut substrate = Substrate::Serial(&model.program().graph);
+            let mut substrate = Substrate::serial(&model.program().graph);
             let oracle = run_scenario(&model, spec, None, &quick_run(), &mut substrate);
             assert_eq!(scalar[i].1, oracle, "scalar scenario {i}");
             assert_eq!(batched[i].1, oracle, "batched scenario {i}");
@@ -271,7 +271,7 @@ mod tests {
             reply: tx,
         });
         let (_, outcome, _) = rx.recv().unwrap();
-        let mut substrate = Substrate::Serial(&model.program().graph);
+        let mut substrate = Substrate::serial(&model.program().graph);
         let oracle = run_scenario(&model, &spec, None, &quick_run(), &mut substrate);
         assert_eq!(outcome, oracle);
         assert_eq!(pool.build_fallbacks(), 1);

@@ -17,7 +17,8 @@
 //! warm fast path: no source bytes shipped, no hash computed). Every
 //! scenario object maps state names to initial-value overrides, exactly
 //! like one row of `omc sweep --params`. All solver/envelope fields are
-//! optional and default to the sweep defaults.
+//! optional and default to the sweep defaults; `workers` is at most
+//! [`MAX_REQUEST_WORKERS`].
 //!
 //! ## Responses
 //!
@@ -96,6 +97,11 @@ fn render_id(doc: &Json) -> String {
     }
 }
 
+/// Most ODE workers a request may ask for: each `workers > 1` scenario
+/// builds a private executor pool of that many threads, so the count is
+/// bounded where the untrusted bytes enter.
+pub const MAX_REQUEST_WORKERS: usize = 64;
+
 /// Decode one request line. The error string is already client-facing
 /// (it goes into an `error` response verbatim).
 pub fn parse_request(line: &str) -> Result<Request, String> {
@@ -173,6 +179,11 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
 
     let workers = match doc.get("workers").and_then(Json::as_usize) {
         Some(0) => return Err("'workers' must be at least 1".into()),
+        Some(w) if w > MAX_REQUEST_WORKERS => {
+            return Err(format!(
+                "'workers' {w} exceeds the per-request maximum {MAX_REQUEST_WORKERS}"
+            ));
+        }
         Some(w) => w,
         None => 1,
     };
@@ -344,6 +355,10 @@ mod tests {
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":0}"#,
                 "workers",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":65}"#,
+                "'workers' 65 exceeds",
             ),
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":0}"#,

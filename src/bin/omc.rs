@@ -14,7 +14,7 @@
 //! ```
 
 use objectmath::analysis::{build_dependency_graph, partition_by_scc, to_dot};
-use objectmath::codegen::{emit_cpp, emit_fortran, CodeGenerator, ModelRegistry};
+use objectmath::codegen::{emit_cpp, emit_fortran, BatchScratch, CodeGenerator, ModelRegistry};
 use objectmath::ir::{causalize, OdeIr};
 use objectmath::runtime::ensemble::json;
 use objectmath::runtime::{
@@ -1330,6 +1330,8 @@ fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
 }
 
 fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
+    use std::fmt::Write as _;
+    use std::io::Write as _;
     for (name, value) in &opts.sets {
         if !ir.set_start(name, *value) {
             return Err(CliError::Usage(format!("--set: no state named `{name}`")));
@@ -1383,17 +1385,18 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     };
 
     // One RHS at every worker count: the generated task graph. Up to one
-    // worker evaluates it in this thread (`eval_serial`, the oracle every
-    // pooled substrate is pinned to bitwise); more hand the same graph to
-    // the executor pool.
+    // worker evaluates it in this thread (the one-lane `eval_batch` that
+    // `eval_serial` wraps, the oracle every pooled substrate is pinned to
+    // bitwise); more hand the same graph to the executor pool.
     let program = CodeGenerator::default().generate(ir);
     let sol = if opts.workers <= 1 {
         // Only the graph is kept across the solve; the symbolic tasks
         // exist for the textual emitters.
         let graph = program.graph;
         drop(program.tasks);
+        let mut scratch = BatchScratch::new(&graph, 1);
         let mut sys = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
-            graph.eval_serial(t, y, d);
+            graph.eval_batch(t, y, d, &mut scratch);
         });
         solve(&mut sys)?
     } else {
@@ -1439,8 +1442,10 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         sol
     };
 
-    println!(
-        "t = {:.6}: {} steps, {} RHS calls{}",
+    // One buffer, one write (a large model has thousands of states); a
+    // closed stdout is an I/O error, not a panic.
+    let mut report = format!(
+        "t = {:.6}: {} steps, {} RHS calls{}\n",
         sol.t_end(),
         sol.stats.steps,
         sol.stats.rhs_calls,
@@ -1450,10 +1455,14 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             String::new()
         }
     );
-    for (i, state) in ir.states.iter().enumerate() {
-        println!("  {:<24} = {:+.9e}", state.sym.name(), sol.y_end()[i]);
+    for (state, y) in ir.states.iter().zip(sol.y_end()) {
+        let _ = writeln!(report, "  {:<24} = {:+.9e}", state.sym.name(), y);
     }
-    Ok(())
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(report.as_bytes())
+        .and_then(|()| stdout.flush())
+        .map_err(|e| CliError::Io(format!("writing results to stdout: {e}")))
 }
 
 #[cfg(test)]

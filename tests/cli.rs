@@ -404,8 +404,30 @@ fn simulate_stdout_is_identical_at_every_worker_count() {
     }
 }
 
-/// Flag combinations a command cannot honour are refused (exit 2, the
-/// message names the flag) instead of being parsed and then ignored.
+/// A reader that went away (`omc … simulate | head -1`) is an I/O error
+/// (exit 1, one line on stderr), not a panic: stdout here is a socket
+/// whose peer is already closed, so the result write fails with EPIPE.
+#[test]
+fn simulate_into_a_closed_stdout_is_an_io_error() {
+    let path = write_model("closed_stdout", OSC);
+    let (reader, writer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+    drop(reader);
+    let out = omc()
+        .arg(&path)
+        .args(["simulate", "--tend", "0.1"])
+        .stdout(std::os::fd::OwnedFd::from(writer))
+        .output()
+        .expect("run omc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("omc: writing results to stdout"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
 #[test]
 fn ignored_flag_combinations_are_usage_errors() {
     let path = write_model("ignored_flags", OSC);
