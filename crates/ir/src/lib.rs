@@ -18,9 +18,10 @@
 //! * [`evalr`] — a tree-walking reference evaluator (`ẏ = f(y, t)`);
 //!   everything downstream (bytecode VM, emitted Fortran) must agree
 //!   with it,
-//! * [`jacobian`] — symbolic ∂f/∂y generation for the implicit solver
-//!   (the paper's §3.2.1 "extra function dedicated to computing the
-//!   Jacobian").
+//! * [`jacobian`] — the structural pattern of ∂f/∂y (the one source the
+//!   implicit solver's column colouring and LU bandwidths start from) and
+//!   symbolic ∂f/∂y generation along it (the paper's §3.2.1 "extra
+//!   function dedicated to computing the Jacobian").
 
 // Malformed models must surface as typed diagnostics, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

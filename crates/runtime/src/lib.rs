@@ -56,7 +56,7 @@ pub use fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
 pub use machine::MachineSpec;
 pub use pipeline::{run_pipeline, PipelineCoupling, PipelineResult, PipelineStage};
 pub use pool::ExecutorPool;
-pub use rhs::ParallelRhs;
+pub use rhs::{model_sparsity, ModelSystem, ParallelRhs};
 pub use sched_dyn::SemiDynamicScheduler;
 pub use serve::{ServeConfig, Server};
 pub use sim::{simulate_rhs_time, simulate_rhs_time_with, SimBreakdown};

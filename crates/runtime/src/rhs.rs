@@ -9,7 +9,9 @@
 use crate::error::RuntimeError;
 use crate::pool::ExecutorPool;
 use crate::sched_dyn::SemiDynamicScheduler;
-use om_solver::{OdeSystem, RhsError};
+use om_ir::OdeIr;
+use om_solver::{OdeSystem, RhsError, Sparsity};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A parallel right-hand side: executor pool + semi-dynamic scheduler, usable as an [`OdeSystem`].
@@ -79,6 +81,63 @@ impl OdeSystem for ParallelRhs {
             self.last_error = Some(e);
             rhs_err
         })
+    }
+}
+
+/// The solver-side form of a model's structural Jacobian pattern
+/// ([`om_ir::jacobian::jacobian_pattern`]): coloured and band-measured.
+pub fn model_sparsity(ir: &OdeIr) -> Sparsity {
+    Sparsity::from_rows(om_ir::jacobian::jacobian_pattern(ir).rows)
+}
+
+/// A generated RHS together with the model it was generated from, so it
+/// can answer [`OdeSystem::sparsity`]. Whatever evaluates the task graph —
+/// this thread or a [`ParallelRhs`] pool — goes inside; the pattern comes
+/// from the model, not the placement, so every placement drives an
+/// implicit solver through the same RHS-call sequence.
+///
+/// The pattern is derived on the first `sparsity()` call and kept: an
+/// explicit solver never asks and never pays for it, and `lsoda`'s
+/// per-window `bdf` calls share one colouring.
+pub struct ModelSystem<'a, S> {
+    pub inner: S,
+    ir: &'a OdeIr,
+    sparsity: Option<Arc<Sparsity>>,
+}
+
+impl<'a, S: OdeSystem> ModelSystem<'a, S> {
+    pub fn new(inner: S, ir: &'a OdeIr) -> Self {
+        ModelSystem {
+            inner,
+            ir,
+            sparsity: None,
+        }
+    }
+}
+
+impl<S: OdeSystem> OdeSystem for ModelSystem<'_, S> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
+        self.inner.rhs(t, y, dydt)
+    }
+
+    fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RhsError> {
+        self.inner.try_rhs(t, y, dydt)
+    }
+
+    fn jacobian(&mut self, t: f64, y: &[f64], jac: &mut [f64]) -> bool {
+        self.inner.jacobian(t, y, jac)
+    }
+
+    fn sparsity(&mut self) -> Option<Arc<Sparsity>> {
+        let ir = self.ir;
+        Some(Arc::clone(
+            self.sparsity
+                .get_or_insert_with(|| Arc::new(model_sparsity(ir))),
+        ))
     }
 }
 

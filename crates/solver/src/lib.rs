@@ -6,13 +6,17 @@
 //! which are usually used to solve stiff ODEs." LSODA couples an Adams
 //! predictor-corrector (non-stiff) with BDF (stiff) and switches
 //! automatically; this crate implements both families, the switching
-//! driver, explicit Runge-Kutta methods, the dense linear algebra the
-//! implicit methods need, and a partitioned co-simulation driver for the
-//! equation-system-level parallelism experiments:
+//! driver, explicit Runge-Kutta methods, the band-limited linear algebra
+//! the implicit methods need, and a partitioned co-simulation driver for
+//! the equation-system-level parallelism experiments:
 //!
 //! * [`ode`] — the [`ode::OdeSystem`] trait (`ẏ = f(y, t)`, optional
-//!   user-supplied Jacobian) and solution/statistics types,
-//! * [`linalg`] — dense matrices, LU decomposition with partial pivoting,
+//!   user-supplied Jacobian and structural pattern) and
+//!   solution/statistics types,
+//! * [`sparsity`] — structural Jacobian patterns: column colouring and
+//!   bandwidths derived once, shared by the differencing and the LU,
+//! * [`linalg`] — matrices and one LU with partial pivoting, limited to
+//!   the matrix's bandwidth (dense is the full-bandwidth case),
 //! * [`rk`] — fixed-step RK4 and adaptive Dormand–Prince 5(4),
 //! * [`mod@batch`] — lockstep batched RK4 advancing K ensemble members
 //!   per RHS call (structure-of-arrays, bitwise-identical per lane),
@@ -35,10 +39,11 @@ pub mod lsoda;
 pub mod ode;
 pub mod partitioned;
 pub mod rk;
+pub mod sparsity;
 
 pub use adams::abm4;
 pub use batch::{rk4_batch, BatchSolution, BatchedOdeSystem};
-pub use bdf::{bdf, BdfOptions};
+pub use bdf::{bdf, fd_jacobian, BdfOptions};
 pub use linalg::{LuFactors, Matrix};
 pub use lsoda::{lsoda, LsodaOptions, Phase};
 pub use ode::{
@@ -46,3 +51,4 @@ pub use ode::{
 };
 pub use partitioned::{CoSimulation, Coupling, SubsystemSpec};
 pub use rk::{dopri5, rk4, rk4_budgeted};
+pub use sparsity::Sparsity;

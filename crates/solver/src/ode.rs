@@ -1,6 +1,8 @@
 //! The ODE system interface and solution types.
 
+use crate::sparsity::Sparsity;
 use std::fmt;
+use std::sync::Arc;
 
 /// An initial value problem `ẏ(t) = f(y(t), t)` (paper §2.4).
 ///
@@ -31,6 +33,17 @@ pub trait OdeSystem {
     /// finite differences ("usually very expensive", §3.2.1).
     fn jacobian(&mut self, _t: f64, _y: &[f64], _jac: &mut [f64]) -> bool {
         false
+    }
+
+    /// Optionally report which `∂f_i/∂y_j` can be non-zero. Implicit
+    /// solvers ask once per solve and let the pattern drive both the
+    /// finite-difference Jacobian (one RHS call per colour group) and the
+    /// band limits of the LU. Default `None`: the dense, n-colour case of
+    /// the same code. A pattern must cover every state `f_i` reads;
+    /// explicit solvers never call this, so an implementor may derive it
+    /// lazily and should cache the `Arc`.
+    fn sparsity(&mut self) -> Option<Arc<Sparsity>> {
+        None
     }
 }
 
@@ -358,13 +371,20 @@ pub(crate) fn eval_rhs(
     stats: &mut SolveStats,
 ) -> Result<(), SolveError> {
     stats.rhs_calls += 1;
-    if om_obs::is_enabled() {
-        om_obs::metrics().counter("solver.rhs_calls").inc();
-    }
+    obs_count("solver.rhs_calls");
     sys.try_rhs(t, y, dydt).map_err(|e| SolveError::RhsFailure {
         t,
         reason: e.reason,
     })
+}
+
+/// Bump a named work counter in the global metrics registry (no-op
+/// unless observability is enabled).
+#[inline]
+pub(crate) fn obs_count(name: &'static str) {
+    if om_obs::is_enabled() {
+        om_obs::metrics().counter(name).inc();
+    }
 }
 
 /// Step-size histogram bounds shared by every adaptive stepper: 1e-12 s

@@ -18,8 +18,9 @@ use objectmath::codegen::{emit_cpp, emit_fortran, BatchScratch, CodeGenerator, M
 use objectmath::ir::{causalize, OdeIr};
 use objectmath::runtime::ensemble::json;
 use objectmath::runtime::{
-    run_sweep, ExecutorPool, FaultConfig, FaultPlan, ParallelRhs, RuntimeError, ScenarioRunConfig,
-    ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig, SweepError, SweepFaultPlan,
+    model_sparsity, run_sweep, ExecutorPool, FaultConfig, FaultPlan, ModelSystem, ParallelRhs,
+    RuntimeError, ScenarioRunConfig, ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig,
+    SweepError, SweepFaultPlan,
 };
 use objectmath::solver::{
     abm4, bdf, dopri5, lsoda, rk4, BdfOptions, FnSystem, LsodaOptions, OdeSystem, SolveError,
@@ -156,7 +157,9 @@ fn usage() -> String {
                                    .csv (header = state names)\n\
          --grid state=a:b:n        linspace scenarios (repeatable; flags combine\n\
                                    as a cartesian product)\n\
-         --tend T --h H            fixed-step RK4 span per scenario (bit-reproducible)\n\
+         --tend T --h H            fixed-step RK4 span per scenario (bit-reproducible;\n\
+                                   the only integrator here: --solver is a\n\
+                                   usage error for sweep/request)\n\
          --concurrency N           scenario workers (default 4)\n\
          --workers N               ODE workers per scenario (default 1 = serial)\n\
          --executor barrier|ws     executor when --workers > 1\n\
@@ -401,6 +404,8 @@ struct Flags {
     deny: Option<String>,
     lang: String,
     solver: String,
+    /// `--solver` was given (a usage error where no solver is selectable).
+    solver_set: bool,
     executor: Strategy,
     workers: usize,
     tend: f64,
@@ -482,7 +487,10 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
             "--metrics" => f.metrics = true,
             "--trace" => f.trace = Some(value("--trace")?),
             "--lang" => f.lang = value("--lang")?,
-            "--solver" => f.solver = value("--solver")?,
+            "--solver" => {
+                f.solver = value("--solver")?;
+                f.solver_set = true;
+            }
             "--executor" => {
                 f.executor = value("--executor")?
                     .parse()
@@ -732,6 +740,16 @@ fn analyze(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
         dep.graph.edge_count()
     );
     println!("SCC sizes (largest first): {:?}", part.scc_sizes());
+    // What an implicit solver (`--solver bdf|lsoda`) will work with.
+    let sparsity = model_sparsity(ir);
+    let (kl, ku) = sparsity.bandwidth();
+    let colours = sparsity.groups().len();
+    println!(
+        "Jacobian: nnz {} of {}, bandwidth ({kl}, {ku}), {colours} colour{}",
+        sparsity.nnz(),
+        ir.dim() * ir.dim(),
+        if colours == 1 { "" } else { "s" }
+    );
     for (lvl, subs) in part.levels.iter().enumerate() {
         let summary: Vec<String> = subs
             .iter()
@@ -967,6 +985,12 @@ fn scenario_vectors(command: &str, opts: &Flags) -> Result<Vec<Vec<(String, f64)
 /// Flag combinations `sweep` / `request` cannot honour are usage errors,
 /// never a quiet scalar or scalarized run.
 fn check_ensemble_flags(command: &str, opts: &Flags) -> Result<(), CliError> {
+    if opts.solver_set {
+        return Err(CliError::Usage(format!(
+            "{command}: --solver is not supported here (every scenario integrates with \
+             fixed-step RK4; set the step with --h)"
+        )));
+    }
     if opts.batch > 1 && opts.workers > 1 {
         return Err(CliError::Usage(format!(
             "{command}: --batch {} needs --workers 1, got --workers {} (batched lanes and \
@@ -1387,7 +1411,11 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     // One RHS at every worker count: the generated task graph. Up to one
     // worker evaluates it in this thread (the one-lane `eval_batch` that
     // `eval_serial` wraps, the oracle every pooled substrate is pinned to
-    // bitwise); more hand the same graph to the executor pool.
+    // bitwise); more hand the same graph to the executor pool. Either
+    // placement is wrapped with the model, so an implicit solver gets the
+    // same structural Jacobian pattern — and makes the same RHS calls —
+    // wherever the graph runs.
+    let ir = &*ir;
     let program = CodeGenerator::default().generate(ir);
     let sol = if opts.workers <= 1 {
         // Only the graph is kept across the solve; the symbolic tasks
@@ -1395,10 +1423,10 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         let graph = program.graph;
         drop(program.tasks);
         let mut scratch = BatchScratch::new(&graph, 1);
-        let mut sys = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
+        let rhs = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
             graph.eval_batch(t, y, d, &mut scratch);
         });
-        solve(&mut sys)?
+        solve(&mut ModelSystem::new(rhs, ir))?
     } else {
         let sched = program.schedule(opts.workers);
         let plan = match opts.fault_seed {
@@ -1421,18 +1449,19 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
                 .counter(&format!("runtime.strategy.{strategy}"))
                 .inc();
         }
-        let mut rhs = ParallelRhs::new(pool, 16);
-        let sol = match solve(&mut rhs) {
+        let mut sys = ModelSystem::new(ParallelRhs::new(pool, 16), ir);
+        let sol = match solve(&mut sys) {
             Ok(sol) => sol,
             Err(e) => {
                 // A solver failure caused by the pool dying is more usefully
                 // reported as the underlying runtime fault.
-                if let Some(runtime_error) = rhs.last_error.take() {
+                if let Some(runtime_error) = sys.inner.last_error.take() {
                     return Err(CliError::Runtime(runtime_error));
                 }
                 return Err(e);
             }
         };
+        let rhs = sys.inner;
         eprintln!(
             "[parallel RHS ({strategy}): {} calls, {:.0} calls/s, scheduler overhead {:.3}%]",
             rhs.calls,

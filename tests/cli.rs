@@ -31,6 +31,12 @@ fn analyze_reports_sccs() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("2 states"), "{text}");
     assert!(text.contains("SCC sizes"), "{text}");
+    // x' = y, y' = -x: the two off-diagonal entries; the columns share
+    // no row, so one perturbation differences both.
+    assert!(
+        text.contains("Jacobian: nnz 2 of 4, bandwidth (1, 1), 1 colour\n"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -371,7 +377,7 @@ fn simulate_stdout_is_identical_at_every_worker_count() {
     ];
     models.extend(om_files.iter().map(|path| vec![path.as_str()]));
 
-    for (solver, tend) in [("dopri5", "0.02"), ("bdf", "0.0005")] {
+    for (solver, tend) in [("dopri5", "0.02"), ("bdf", "0.0005"), ("lsoda", "0.005")] {
         for model in &models {
             let run = |substrate: &[&str]| {
                 let out = omc()
@@ -438,6 +444,11 @@ fn ignored_flag_combinations_are_usage_errors() {
         ("request", &["--batch", "4", "--workers", "2"], "--batch"),
         ("sweep", &["--array-aware"], "--array-aware"),
         ("request", &["--array-aware"], "--array-aware"),
+        // Scenarios integrate with fixed-step RK4 only: any --solver,
+        // known or not, would be parsed and ignored.
+        ("sweep", &["--solver", "nonsense"], "--solver"),
+        ("sweep", &["--solver", "bdf"], "--solver"),
+        ("request", &["--solver", "dopri5"], "--solver"),
     ] {
         let out = omc()
             .arg(&path)
