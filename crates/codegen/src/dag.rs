@@ -262,17 +262,18 @@ impl Dag {
         order
     }
 
-    /// All free variables reachable from `roots`.
+    /// All free variables reachable from `roots`, sorted by name
+    /// (hash-consing gives a symbol exactly one node, so none repeats).
     pub fn free_vars(&self, roots: &[NodeId]) -> Vec<Symbol> {
-        let mut out = Vec::new();
-        for id in self.topo_from(roots) {
-            if let DagNode::Var(s) = self.node(id) {
-                if !out.contains(s) {
-                    out.push(*s);
-                }
-            }
-        }
-        out.sort_by_key(|s| s.name());
+        let mut out: Vec<Symbol> = self
+            .topo_from(roots)
+            .into_iter()
+            .filter_map(|id| match self.node(id) {
+                DagNode::Var(s) => Some(*s),
+                _ => None,
+            })
+            .collect();
+        out.sort_by_cached_key(|s| s.name());
         out
     }
 }

@@ -5,7 +5,7 @@
 //! `void rhs(int worker_id, const double* yin, double* yout)` function
 //! with a `switch` over workers.
 
-use crate::emit_fortran::{mangle, render_task, target_name, Lang, SourceStats};
+use crate::emit_fortran::{mangle, render_task, serial_task, target_name, Lang, SourceStats};
 use crate::task::{OutTarget, SymbolicTask};
 use om_expr::CostModel;
 use om_ir::OdeIr;
@@ -34,6 +34,7 @@ pub fn emit_parallel(
     model: &CostModel,
 ) -> SourceStats {
     assert_eq!(tasks.len(), assignment.len());
+    let _span = om_obs::span("codegen.emit", "compile");
     let state_index = ir.state_index();
     let mut out = String::new();
     let _ = writeln!(out, "#include <cmath>");
@@ -82,17 +83,8 @@ pub fn emit_parallel(
 
 /// Emit the serial RHS as C++ with global CSE.
 pub fn emit_serial(ir: &OdeIr, model: &CostModel) -> SourceStats {
-    let all = SymbolicTask {
-        label: "serial".to_owned(),
-        outputs: ir
-            .inlined_rhs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (OutTarget::Deriv(i), e))
-            .collect(),
-        array_loop: None,
-    };
-    let rendered = render_task(&all, model, Lang::Cpp, "t");
+    let _span = om_obs::span("codegen.emit", "compile");
+    let rendered = render_task(&serial_task(ir), model, Lang::Cpp, "t");
     let state_index = ir.state_index();
     let mut out = String::new();
     let _ = writeln!(out, "#include <cmath>");

@@ -269,16 +269,7 @@ pub(crate) fn render_task(
     lang: Lang,
     temp_prefix: &str,
 ) -> RenderedTask {
-    let mut dag = Dag::new();
-    let roots: Vec<NodeId> = task
-        .outputs
-        .iter()
-        .map(|(_, e)| {
-            let r = dag.import(e);
-            dag.mark_root(r);
-            r
-        })
-        .collect();
+    let (dag, roots) = task.dag();
     let cse: CseProgram = cse::eliminate(&dag, &roots, model);
     let temp_names: HashMap<NodeId, String> = cse
         .temps
@@ -343,6 +334,7 @@ pub fn emit_parallel(
     model: &CostModel,
 ) -> SourceStats {
     assert_eq!(tasks.len(), assignment.len());
+    let _span = om_obs::span("codegen.emit", "compile");
     let dim = ir.dim();
     let state_index = ir.state_index();
     let mut out = String::new();
@@ -413,19 +405,9 @@ pub fn emit_parallel(
 /// right-hand side together ("allowing the CSE-eliminator to optimize all
 /// equation right-hand sides together", §3.3).
 pub fn emit_serial(ir: &OdeIr, model: &CostModel) -> SourceStats {
+    let _span = om_obs::span("codegen.emit", "compile");
     let dim = ir.dim();
-    // One synthetic task holding all inlined right-hand sides: global CSE.
-    let all = SymbolicTask {
-        label: "serial".to_owned(),
-        outputs: ir
-            .inlined_rhs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (OutTarget::Deriv(i), e))
-            .collect(),
-        array_loop: None,
-    };
-    let rendered = render_task(&all, model, Lang::F90, "t");
+    let rendered = render_task(&serial_task(ir), model, Lang::F90, "t");
     let state_index = ir.state_index();
 
     let mut out = String::new();
@@ -461,6 +443,22 @@ pub fn emit_serial(ir: &OdeIr, model: &CostModel) -> SourceStats {
     }
     let _ = writeln!(out, "end subroutine");
     finish_stats(out, rendered.cse_count)
+}
+
+/// One synthetic task holding all inlined right-hand sides: CSE over it
+/// is global CSE.
+pub(crate) fn serial_task(ir: &OdeIr) -> SymbolicTask {
+    let outputs = ir
+        .inlined_rhs()
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| (OutTarget::Deriv(i), e))
+        .collect();
+    SymbolicTask {
+        label: "serial".to_owned(),
+        outputs,
+        array_loop: None,
+    }
 }
 
 pub(crate) fn target_name(target: &OutTarget, ir: &OdeIr) -> String {

@@ -68,6 +68,7 @@ impl ParallelProgram {
     /// Build the static schedule for `m` workers: plain LPT when tasks
     /// are independent, LPT-priority list scheduling otherwise.
     pub fn schedule(&self, m: usize) -> Schedule {
+        let _span = om_obs::span("codegen.schedule", "compile");
         let costs = self.costs();
         if self.graph.is_independent() {
             lpt(&costs, m)
@@ -105,7 +106,11 @@ impl CodeGenerator {
     /// Run the partitioning pipeline on `ir` and compile the task graph.
     pub fn generate(&self, ir: &OdeIr) -> ParallelProgram {
         let o = &self.options;
-        let mut tasks = equation_tasks(ir, o.inline_algebraics);
+        let _span = om_obs::span("codegen.generate", "compile");
+        let mut tasks = {
+            let _span = om_obs::span("codegen.inline_simplify", "compile");
+            equation_tasks(ir, o.inline_algebraics)
+        };
         if let Some(min_cost) = o.extract_shared_min_cost {
             tasks = extract_shared_cse(tasks, min_cost, &o.cost_model);
         }
@@ -113,9 +118,13 @@ impl CodeGenerator {
             tasks = split_large(tasks, threshold, &o.cost_model);
         }
         if o.merge_threshold > 0 {
+            let _span = om_obs::span("codegen.merge", "compile");
             tasks = merge_small(tasks, o.merge_threshold, &o.cost_model);
         }
-        let graph = compile_tasks(&tasks, ir, o.cse, &o.cost_model);
+        let graph = {
+            let _span = om_obs::span("codegen.compile_tasks", "compile");
+            compile_tasks(&tasks, ir, o.cse, &o.cost_model)
+        };
         ParallelProgram { tasks, graph }
     }
 

@@ -29,10 +29,10 @@
 
 use crate::bytecode::{compile_roots, Program, VarRef};
 use crate::cse::{self, CseMode};
-use crate::dag::Dag;
+use crate::dag::{Dag, NodeId};
 use om_expr::expr::Expr;
-use om_expr::{simplify, substitute_map, CostModel, Symbol};
-use om_ir::OdeIr;
+use om_expr::{simplify, CostModel, Symbol};
+use om_ir::{Inliner, OdeIr};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Where a task output lands.
@@ -84,10 +84,20 @@ pub enum OutTarget {
 }
 
 impl SymbolicTask {
-    /// Static cost of the task body (with intra-task sharing).
-    pub fn cost(&self, model: &CostModel) -> u64 {
+    /// A plain task computing one value.
+    fn single(label: String, target: OutTarget, body: Expr) -> SymbolicTask {
+        SymbolicTask {
+            label,
+            outputs: vec![(target, body)],
+            array_loop: None,
+        }
+    }
+
+    /// The outputs imported into one hash-consed DAG; the returned roots
+    /// are parallel to `outputs`, each marked as a root.
+    pub(crate) fn dag(&self) -> (Dag, Vec<NodeId>) {
         let mut dag = Dag::new();
-        let roots: Vec<_> = self
+        let roots = self
             .outputs
             .iter()
             .map(|(_, e)| {
@@ -96,6 +106,12 @@ impl SymbolicTask {
                 r
             })
             .collect();
+        (dag, roots)
+    }
+
+    /// Static cost of the task body (with intra-task sharing).
+    pub fn cost(&self, model: &CostModel) -> u64 {
+        let (dag, roots) = self.dag();
         dag.shared_cost(&roots, model)
     }
 }
@@ -399,6 +415,10 @@ impl BatchScratch {
     }
 }
 
+/// Target number of loop tasks an array class is chunked into, so the
+/// scheduler has parallelism to distribute across workers.
+const LOOP_TASK_CHUNKS: usize = 8;
+
 /// Create one task per derivative equation.
 ///
 /// `inline = true` reproduces the paper's configuration: algebraic
@@ -406,103 +426,49 @@ impl BatchScratch {
 /// … are independent of each other and can therefore be evaluated in
 /// parallel" (§2.3). `inline = false` keeps algebraic assignments as
 /// separate producer tasks (dependencies appear).
+///
+/// Array classes become one chunked set of array-loop tasks per class
+/// whose representative survives the fixed-point guards; a class that
+/// fails a guard expands element-by-element, bitwise equal to the oracle.
 pub fn equation_tasks(ir: &OdeIr, inline: bool) -> Vec<SymbolicTask> {
-    if ir.has_classes() {
-        return equation_tasks_classes(ir, inline);
-    }
-    if inline {
-        ir.inlined_rhs()
-            .into_iter()
-            .enumerate()
-            .map(|(i, rhs)| SymbolicTask {
-                label: format!("d{}", ir.states[i].sym.name()),
-                outputs: vec![(OutTarget::Deriv(i), rhs)],
-                array_loop: None,
-            })
-            .collect()
-    } else {
-        let mut tasks: Vec<SymbolicTask> = ir
-            .algebraics
-            .iter()
-            .map(|a| SymbolicTask {
-                label: a.var.name().to_owned(),
-                outputs: vec![(OutTarget::Shared(a.var), a.rhs.clone())],
-                array_loop: None,
-            })
-            .collect();
-        tasks.extend(ir.derivs.iter().enumerate().map(|(i, d)| SymbolicTask {
-            label: format!("d{}", d.state.name()),
-            outputs: vec![(OutTarget::Deriv(i), d.rhs.clone())],
-            array_loop: None,
-        }));
-        tasks
-    }
-}
-
-/// Target number of loop tasks an array class is chunked into, so the
-/// scheduler has parallelism to distribute across workers.
-const LOOP_TASK_CHUNKS: usize = 8;
-
-/// Class-aware task creation: one chunked set of array-loop tasks per
-/// class whose representative survives the fixed-point guards, and plain
-/// scalar tasks for everything else (boundary equations, algebraics, and
-/// classes that fail a guard — those expand element-by-element, bitwise
-/// equal to the oracle).
-fn equation_tasks_classes(ir: &OdeIr, inline: bool) -> Vec<SymbolicTask> {
     let index = ir.state_index();
-    // Grounded algebraic definitions (same construction as
-    // `OdeIr::inlined_rhs`), used both for inlining scalar equations and
-    // for inlining class representatives.
-    let defs: HashMap<Symbol, Expr> = if inline {
-        let mut defs: HashMap<Symbol, Expr> = HashMap::new();
-        for alg in &ir.algebraics {
-            let grounded = substitute_map(&alg.rhs, &defs);
-            defs.insert(alg.var, grounded);
-        }
-        defs
-    } else {
-        HashMap::new()
-    };
-    let inline_one = |rhs: &Expr| -> Expr {
-        if inline {
-            simplify(&substitute_map(rhs, &defs))
-        } else {
-            rhs.clone()
-        }
+    // Inlines scalar equations and class representatives alike.
+    let inliner = inline.then(|| ir.inliner());
+    let deriv_task = |state: Symbol, rhs: &Expr| {
+        let body = match &inliner {
+            Some(inliner) => simplify(&inliner.expand(rhs)),
+            None => rhs.clone(),
+        };
+        SymbolicTask::single(
+            format!("d{}", state.name()),
+            OutTarget::Deriv(index[&state]),
+            body,
+        )
     };
 
     let mut tasks: Vec<SymbolicTask> = Vec::new();
     if !inline {
-        tasks.extend(ir.algebraics.iter().map(|a| SymbolicTask {
-            label: a.var.name().to_owned(),
-            outputs: vec![(OutTarget::Shared(a.var), a.rhs.clone())],
-            array_loop: None,
+        tasks.extend(ir.algebraics.iter().map(|a| {
+            SymbolicTask::single(
+                a.var.name().to_owned(),
+                OutTarget::Shared(a.var),
+                a.rhs.clone(),
+            )
         }));
     }
-    for d in &ir.derivs {
-        tasks.push(SymbolicTask {
-            label: format!("d{}", d.state.name()),
-            outputs: vec![(OutTarget::Deriv(index[&d.state]), inline_one(&d.rhs))],
-            array_loop: None,
-        });
-    }
+    tasks.extend(ir.derivs.iter().map(|d| deriv_task(d.state, &d.rhs)));
     for class in &ir.classes {
-        match class_loop_tasks(class, &index, inline, &defs) {
+        match class_loop_tasks(class, &index, inliner.as_ref()) {
             Some(mut loop_tasks) => tasks.append(&mut loop_tasks),
-            None => {
-                // Element-wise expansion, identical to what the oracle
-                // pipeline builds for these states.
-                for (k, &state) in class.states.iter().enumerate() {
-                    tasks.push(SymbolicTask {
-                        label: format!("d{}", state.name()),
-                        outputs: vec![(
-                            OutTarget::Deriv(index[&state]),
-                            inline_one(&class.rhs_at(k)),
-                        )],
-                        array_loop: None,
-                    });
-                }
-            }
+            // Element-wise expansion, identical to what the oracle
+            // pipeline builds for these states.
+            None => tasks.extend(
+                class
+                    .states
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &state)| deriv_task(state, &class.rhs_at(k))),
+            ),
         }
     }
     tasks
@@ -525,8 +491,7 @@ fn equation_tasks_classes(ir: &OdeIr, inline: bool) -> Vec<SymbolicTask> {
 fn class_loop_tasks(
     class: &om_lang::EqClass,
     index: &om_expr::SymbolMap<usize>,
-    inline: bool,
-    defs: &HashMap<Symbol, Expr>,
+    inliner: Option<&Inliner<'_>>,
 ) -> Option<Vec<SymbolicTask>> {
     // Guard 1: rows are state-to-state renamings.
     for (rep, elems) in &class.rows {
@@ -534,19 +499,20 @@ fn class_loop_tasks(
             return None;
         }
     }
-    let rep = if inline {
-        // Guard 2: substituted definitions are iteration-invariant.
-        let row_syms: HashSet<Symbol> = class.rows.iter().map(|(r, _)| *r).collect();
-        for v in class.rhs.free_vars() {
-            if let Some(body) = defs.get(&v) {
-                if body.free_vars().iter().any(|s| row_syms.contains(s)) {
-                    return None;
+    let rep = match inliner {
+        Some(inliner) => {
+            // Guard 2: substituted definitions are iteration-invariant.
+            let row_syms: HashSet<Symbol> = class.rows.iter().map(|(r, _)| *r).collect();
+            for v in class.rhs.free_vars() {
+                if let Some(body) = inliner.definition(v) {
+                    if body.free_vars().iter().any(|s| row_syms.contains(s)) {
+                        return None;
+                    }
                 }
             }
+            simplify(&inliner.expand(&class.rhs))
         }
-        simplify(&substitute_map(&class.rhs, defs))
-    } else {
-        class.rhs.clone()
+        None => class.rhs.clone(),
     };
     // Rows still present in the body (the derivative target, for one,
     // often only appears on the left-hand side; cancelled terms can drop
@@ -605,46 +571,34 @@ pub fn split_large(
             out.push(task);
             continue;
         }
-        let (target, expr) = task.outputs.into_iter().next().expect("one output");
         // A splittable body is a top-level sum, possibly wrapped in a
         // product with exactly one sum factor (canonical form of e.g.
         // `-(Σ …)/M`): the sum is split and the wrapper factors stay in
         // the combine task.
-        let (wrapper, terms): (Vec<Expr>, &Vec<Expr>) = match &expr {
+        let (wrapper, terms): (Vec<Expr>, &Vec<Expr>) = match &task.outputs[0].1 {
             Expr::Add(terms) => (Vec::new(), terms),
             Expr::Mul(factors) => {
-                let sums: Vec<usize> = factors
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| matches!(f, Expr::Add(_)))
-                    .map(|(i, _)| i)
-                    .collect();
-                if sums.len() == 1 {
-                    let rest: Vec<Expr> = factors
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != sums[0])
-                        .map(|(_, f)| f.clone())
-                        .collect();
-                    let Expr::Add(terms) = &factors[sums[0]] else {
-                        unreachable!("filtered on Add")
-                    };
-                    (rest, terms)
-                } else {
-                    out.push(SymbolicTask {
-                        label: task.label,
-                        outputs: vec![(target, expr.clone())],
-                        array_loop: None,
-                    });
-                    continue;
+                let mut sums = factors.iter().filter_map(|f| match f {
+                    Expr::Add(terms) => Some(terms),
+                    _ => None,
+                });
+                match (sums.next(), sums.next()) {
+                    (Some(terms), None) => (
+                        factors
+                            .iter()
+                            .filter(|f| !matches!(f, Expr::Add(_)))
+                            .cloned()
+                            .collect(),
+                        terms,
+                    ),
+                    _ => {
+                        out.push(task);
+                        continue;
+                    }
                 }
             }
             _ => {
-                out.push(SymbolicTask {
-                    label: task.label,
-                    outputs: vec![(target, expr)],
-                    array_loop: None,
-                });
+                out.push(task);
                 continue;
             }
         };
@@ -665,22 +619,18 @@ pub fn split_large(
             chunk_cost += c;
         }
         if chunks.len() < 2 {
-            out.push(SymbolicTask {
-                label: task.label,
-                outputs: vec![(target, expr.clone())],
-                array_loop: None,
-            });
+            out.push(task);
             continue;
         }
         let mut combine_terms = Vec::with_capacity(chunks.len());
         for (k, chunk) in chunks.into_iter().enumerate() {
             let part_sym = Symbol::intern(&format!("om$part${split_counter}${k}"));
             let body = simplify(&Expr::Add(chunk));
-            out.push(SymbolicTask {
-                label: format!("{}#part{k}", task.label),
-                outputs: vec![(OutTarget::Shared(part_sym), body)],
-                array_loop: None,
-            });
+            out.push(SymbolicTask::single(
+                format!("{}#part{k}", task.label),
+                OutTarget::Shared(part_sym),
+                body,
+            ));
             combine_terms.push(Expr::Var(part_sym));
         }
         let mut combined = Expr::Add(combine_terms);
@@ -689,11 +639,11 @@ pub fn split_large(
             factors.push(combined);
             combined = Expr::Mul(factors);
         }
-        out.push(SymbolicTask {
-            label: format!("{}#combine", task.label),
-            outputs: vec![(target, combined)],
-            array_loop: None,
-        });
+        out.push(SymbolicTask::single(
+            format!("{}#combine", task.label),
+            task.outputs[0].0.clone(),
+            combined,
+        ));
         split_counter += 1;
     }
     out
@@ -709,12 +659,27 @@ pub fn merge_small(
     let mut out: Vec<SymbolicTask> = Vec::new();
     let mut bucket: Vec<SymbolicTask> = Vec::new();
     let mut bucket_cost = 0u64;
+    // Intermediates the earlier passes introduced (`om$part$…`,
+    // `om$cse$…`): a task reading one depends on its producer and stays
+    // out of the groups. None exist unless one of those passes ran.
+    let generated: HashSet<Symbol> = tasks
+        .iter()
+        .flat_map(|t| &t.outputs)
+        .filter_map(|(target, _)| match target {
+            OutTarget::Shared(s) if s.name().starts_with("om$") => Some(*s),
+            _ => None,
+        })
+        .collect();
     let is_mergeable = |t: &SymbolicTask| {
         t.array_loop.is_none()
-            && t.outputs.iter().all(|(target, e)| {
-                matches!(target, OutTarget::Deriv(_))
-                    && !e.free_vars().iter().any(|s| s.name().starts_with("om$"))
-            })
+            && t.outputs
+                .iter()
+                .all(|(target, _)| matches!(target, OutTarget::Deriv(_)))
+            && (generated.is_empty()
+                || !t
+                    .outputs
+                    .iter()
+                    .any(|(_, e)| e.free_vars().iter().any(|s| generated.contains(s))))
     };
     let flush = |bucket: &mut Vec<SymbolicTask>, out: &mut Vec<SymbolicTask>| {
         if bucket.is_empty() {
@@ -838,11 +803,11 @@ pub fn extract_shared_cse(
                     *e = replace_subexpr(e, &candidate, &replacement);
                 }
             }
-            producers.push(SymbolicTask {
-                label: format!("cse${}", sym.name()),
-                outputs: vec![(OutTarget::Shared(sym), candidate)],
-                array_loop: None,
-            });
+            producers.push(SymbolicTask::single(
+                format!("cse${}", sym.name()),
+                OutTarget::Shared(sym),
+                candidate,
+            ));
         }
     }
     // Producers must be evaluated before consumers; order producers so
@@ -949,16 +914,7 @@ pub fn compile_tasks(
 
     let mut compiled: Vec<CompiledTask> = Vec::with_capacity(tasks.len());
     for (id, task) in tasks.iter().enumerate() {
-        let mut dag = Dag::new();
-        let roots: Vec<_> = task
-            .outputs
-            .iter()
-            .map(|(_, e)| {
-                let r = dag.import(e);
-                dag.mark_root(r);
-                r
-            })
-            .collect();
+        let (dag, roots) = task.dag();
         let cse_program = cse::eliminate(&dag, &roots, model);
         let program = compile_roots(&dag, &roots, &vars, mode);
         let body_cost = match mode {

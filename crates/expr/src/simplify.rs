@@ -22,10 +22,22 @@
 //! reordered but additions/multiplications of runtime values keep their
 //! grouping semantics because `Add`/`Mul` are n-ary and evaluated in
 //! canonical order both before and after).
+//!
+//! **Cost and association.** An n-ary node is canonicalised in one pass
+//! over its *flattened* operand list — nested same-head operands are
+//! descended in place, each leaf is simplified once — so a nesting chain
+//! of depth n costs n leaf simplifications plus one O(n log n) sort, not
+//! one re-canonicalisation per level. Numeric weights (like-term
+//! coefficients, like-base exponents, the additive constant, the
+//! multiplicative coefficient) combine left to right in that flattened
+//! order; emitted code is pinned to this association (DESIGN.md, "The
+//! scalarized compile path").
 
 use crate::expr::{Expr, Func};
 use crate::visit::compare;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Simplify an expression into canonical form. Idempotent.
 pub fn simplify(e: &Expr) -> Expr {
@@ -70,44 +82,91 @@ pub fn simplify(e: &Expr) -> Expr {
     }
 }
 
-/// Flatten nested `Add`s, simplifying each operand on the way in.
-fn flatten_add(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Add(xs) = e {
-        for x in xs {
-            let s = simplify(x);
-            if let Expr::Add(_) = s {
-                flatten_add(&s, out);
-            } else {
-                out.push(s);
+/// Flatten an n-ary operand list into `out`, simplifying each leaf operand
+/// exactly once. A raw nested operand with the same head (`Add` inside
+/// `Add`, `Mul` inside `Mul`) is descended in place rather than simplified
+/// as a unit, and a leaf that *simplifies* to the same head is already
+/// canonical, so its operands are spliced without a second pass. A
+/// left-nested chain of depth n therefore costs n leaf simplifications,
+/// not one re-canonicalisation per nesting level.
+fn flatten_nary(xs: &[Expr], sum: bool, out: &mut Vec<Expr>) {
+    for x in xs {
+        match (x, sum) {
+            (Expr::Add(inner), true) | (Expr::Mul(inner), false) => flatten_nary(inner, sum, out),
+            _ => match (simplify(x), sum) {
+                (Expr::Add(spliced), true) | (Expr::Mul(spliced), false) => out.extend(spliced),
+                (leaf, _) => out.push(leaf),
+            },
+        }
+    }
+}
+
+/// Sums the weights of structurally equal keys — coefficients of like
+/// terms, exponents of like bases — keeping keys in first-occurrence
+/// order and adding weights in encounter order (so constant folding
+/// associates exactly as a left-to-right scan would). Short lists are
+/// scanned; past [`LikeTerms::SCAN_LIMIT`] keys a structural-hash index
+/// takes over, so collecting n operands is O(n), not O(n²) comparisons.
+#[derive(Default)]
+struct LikeTerms {
+    items: Vec<(Expr, f64)>,
+    /// Structural hash → slots of `items` with that hash; empty until the
+    /// scan limit is crossed.
+    index: HashMap<u64, Vec<usize>>,
+}
+
+impl LikeTerms {
+    const SCAN_LIMIT: usize = 8;
+
+    fn hash_of(key: &Expr) -> u64 {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    fn add(&mut self, key: Expr, weight: f64) {
+        if self.items.len() < Self::SCAN_LIMIT {
+            match self.items.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, w)) => *w += weight,
+                None => self.items.push((key, weight)),
+            }
+            return;
+        }
+        if self.index.is_empty() {
+            for (slot, (k, _)) in self.items.iter().enumerate() {
+                self.index.entry(Self::hash_of(k)).or_default().push(slot);
             }
         }
-    } else {
-        out.push(simplify(e));
+        let slots = self.index.entry(Self::hash_of(&key)).or_default();
+        match slots.iter().find(|&&slot| self.items[slot].0 == key) {
+            Some(&slot) => self.items[slot].1 += weight,
+            None => {
+                slots.push(self.items.len());
+                self.items.push((key, weight));
+            }
+        }
     }
 }
 
 fn simplify_add(e: &Expr) -> Expr {
     let mut terms = Vec::new();
-    flatten_add(e, &mut terms);
+    flatten_nary(std::slice::from_ref(e), true, &mut terms);
 
     // Collect like terms: map each term to (coefficient, core) and sum the
     // coefficients of structurally equal cores.
     let mut constant = 0.0;
-    let mut collected: Vec<(f64, Expr)> = Vec::new();
+    let mut collected = LikeTerms::default();
     for t in terms {
         if let Some(c) = t.as_const() {
             constant += c;
             continue;
         }
         let (coeff, core) = split_coefficient(t);
-        match collected.iter_mut().find(|(_, c)| *c == core) {
-            Some((existing, _)) => *existing += coeff,
-            None => collected.push((coeff, core)),
-        }
+        collected.add(core, coeff);
     }
 
-    let mut result: Vec<Expr> = Vec::with_capacity(collected.len() + 1);
-    for (coeff, core) in collected {
+    let mut result: Vec<Expr> = Vec::with_capacity(collected.items.len() + 1);
+    for (core, coeff) in collected.items {
         if coeff == 0.0 {
             continue;
         }
@@ -164,29 +223,14 @@ fn attach_coefficient(coeff: f64, core: Expr) -> Expr {
     }
 }
 
-fn flatten_mul(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Mul(xs) = e {
-        for x in xs {
-            let s = simplify(x);
-            if let Expr::Mul(_) = s {
-                flatten_mul(&s, out);
-            } else {
-                out.push(s);
-            }
-        }
-    } else {
-        out.push(simplify(e));
-    }
-}
-
 fn simplify_mul(e: &Expr) -> Expr {
     let mut factors = Vec::new();
-    flatten_mul(e, &mut factors);
+    flatten_nary(std::slice::from_ref(e), false, &mut factors);
 
     // Merge equal bases: represent each factor as (base, constant exponent)
     // where possible and sum exponents of structurally equal bases.
     let mut coeff = 1.0;
-    let mut bases: Vec<(Expr, f64)> = Vec::new();
+    let mut bases = LikeTerms::default();
     let mut opaque: Vec<Expr> = Vec::new(); // factors with non-constant exponents
     for f in factors {
         if let Some(c) = f.as_const() {
@@ -203,10 +247,7 @@ fn simplify_mul(e: &Expr) -> Expr {
             },
             other => (other, 1.0),
         };
-        match bases.iter_mut().find(|(b, _)| *b == base) {
-            Some((_, existing)) => *existing += exp,
-            None => bases.push((base, exp)),
-        }
+        bases.add(base, exp);
     }
 
     if coeff == 0.0 {
@@ -216,8 +257,8 @@ fn simplify_mul(e: &Expr) -> Expr {
         return Expr::Const(0.0);
     }
 
-    let mut result: Vec<Expr> = Vec::with_capacity(bases.len() + opaque.len() + 1);
-    for (base, exp) in bases {
+    let mut result: Vec<Expr> = Vec::with_capacity(bases.items.len() + opaque.len() + 1);
+    for (base, exp) in bases.items {
         if exp == 0.0 {
             continue; // x^0 = 1
         }
@@ -445,5 +486,55 @@ mod tests {
         // x·y - x·y + 7 = 7
         let e = var("x") * var("y") - var("x") * var("y") + num(7.0);
         assert_eq!(s(e), num(7.0));
+    }
+
+    /// The quadratic like-term collection `LikeTerms` replaced: a linear
+    /// `find` per operand. Kept as the reference the index must match.
+    fn collect_quadratic(pairs: &[(Expr, f64)]) -> Vec<(Expr, f64)> {
+        let mut collected: Vec<(Expr, f64)> = Vec::new();
+        for (key, weight) in pairs {
+            match collected.iter_mut().find(|(k, _)| k == key) {
+                Some((_, existing)) => *existing += weight,
+                None => collected.push((key.clone(), *weight)),
+            }
+        }
+        collected
+    }
+
+    /// Near-identical cores, the shape inlined rollers have: equal down to
+    /// one leaf.
+    fn core(i: usize) -> Expr {
+        let v = var(&format!("k{i}"));
+        match i % 3 {
+            0 => v,
+            1 => Expr::call1(Func::Sin, v),
+            _ => Expr::Mul(vec![Expr::call1(Func::Cos, v.clone()), v.powi(2)]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Past the scan limit the hash index takes over; on more than a
+        /// thousand distinct cores it must keep the reference's order and
+        /// add weights in the reference's association, bit for bit.
+        #[test]
+        fn like_terms_agree_with_the_quadratic_reference(
+            distinct in 1001usize..1300,
+            repeats in proptest::collection::vec((0usize..1300, -40i32..40), 1300..1301),
+        ) {
+            let mut pairs = Vec::new();
+            for (i, &(j, w)) in repeats.iter().take(distinct).enumerate() {
+                pairs.push((core(i), 0.1 * (i % 7) as f64 - 0.3));
+                pairs.push((core(j % distinct), 0.1 * f64::from(w)));
+            }
+            let mut indexed = LikeTerms::default();
+            for (key, weight) in &pairs {
+                indexed.add(key.clone(), *weight);
+            }
+            let reference = collect_quadratic(&pairs);
+            proptest::prop_assert_eq!(indexed.items.len(), distinct);
+            proptest::prop_assert_eq!(indexed.items, reference);
+        }
     }
 }

@@ -71,6 +71,76 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * scale
 }
 
+/// How an operand list is spelled as nested binary `Add`s / `Mul`s.
+#[derive(Clone, Copy, Debug)]
+enum Nesting {
+    Left,
+    Right,
+    Balanced,
+    Flat,
+}
+
+/// Spell `operands` under `head` (`Expr::Add` or `Expr::Mul`) as a chain
+/// or tree of binary nodes — the shapes substitution and the parser
+/// produce — or as the one flat n-ary node they all mean.
+fn nest(operands: &[Expr], nesting: Nesting, head: fn(Vec<Expr>) -> Expr) -> Expr {
+    let (first, rest) = operands.split_first().expect("nonempty operand list");
+    if rest.is_empty() {
+        return first.clone();
+    }
+    match nesting {
+        Nesting::Left => rest
+            .iter()
+            .fold(first.clone(), |acc, x| head(vec![acc, x.clone()])),
+        Nesting::Right => {
+            let (last, init) = operands.split_last().expect("nonempty");
+            init.iter()
+                .rfold(last.clone(), |acc, x| head(vec![x.clone(), acc]))
+        }
+        Nesting::Balanced => {
+            let (lo, hi) = operands.split_at(operands.len() / 2);
+            head(vec![nest(lo, nesting, head), nest(hi, nesting, head)])
+        }
+        Nesting::Flat => head(operands.to_vec()),
+    }
+}
+
+fn arb_nesting() -> impl Strategy<Value = Nesting> {
+    prop::sample::select(vec![Nesting::Left, Nesting::Right, Nesting::Balanced])
+}
+
+fn arb_head() -> impl Strategy<Value = fn(Vec<Expr>) -> Expr> {
+    prop::sample::select(vec![
+        Expr::Add as fn(Vec<Expr>) -> Expr,
+        Expr::Mul as fn(Vec<Expr>) -> Expr,
+    ])
+}
+
+/// A small pool of non-constant cores, so long operand lists repeat them
+/// and like-term / like-base collection has work to do.
+fn arb_core() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        (0usize..VARS.len()).prop_map(|i| Expr::Var(Symbol::intern(VARS[i]))),
+        (0usize..VARS.len())
+            .prop_map(|i| Expr::call1(Func::Sin, Expr::Var(Symbol::intern(VARS[i])))),
+        (0usize..VARS.len(), 0usize..VARS.len()).prop_map(|(i, j)| Expr::Add(vec![
+            Expr::Var(Symbol::intern(VARS[i])),
+            Expr::call1(Func::Cos, Expr::Var(Symbol::intern(VARS[j]))),
+        ])),
+    ]
+}
+
+/// An operand whose numeric weight is exactly representable and stays so
+/// under any association: a dyadic coefficient on a core (for sums) —
+/// which is also a power-of-two factor and a core (for products).
+fn arb_exact_operand() -> impl Strategy<Value = Expr> {
+    (
+        prop::sample::select(vec![-2.0, -0.5, 0.25, 0.5, 1.0, 2.0, 4.0]),
+        arb_core(),
+    )
+        .prop_map(|(c, core)| Expr::Mul(vec![Expr::Const(c), core]))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -170,5 +240,47 @@ proptest! {
         let env: HashMap<Symbol, f64> = HashMap::new();
         let got = eval(&sol, &env).unwrap();
         prop_assert!(close(got, -b / a));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Deep chains are the shape inlining partial sums produces: one
+    /// binary node per level, 64+ levels.
+    #[test]
+    fn deeply_nested_sums_and_products_simplify_once(
+        operands in prop::collection::vec(arb_expr(), 65..80),
+        nesting in arb_nesting(),
+        head in arb_head(),
+    ) {
+        let e = nest(&operands, nesting, head);
+        let s = simplify(&e);
+        prop_assert_eq!(simplify(&s), s.clone(), "not idempotent under {:?}", nesting);
+        for env in sample_envs() {
+            let (before, after) = (eval(&e, &env).unwrap(), eval(&s, &env).unwrap());
+            prop_assert!(
+                close(before, after),
+                "simplify changed value under {nesting:?}: {before} vs {after}"
+            );
+        }
+    }
+
+    /// Nesting is spelling: with weights that add and multiply exactly,
+    /// every association of one operand list is one canonical expression.
+    #[test]
+    fn every_nesting_of_one_operand_list_is_one_canonical_form(
+        operands in prop::collection::vec(arb_exact_operand(), 2..80),
+        head in arb_head(),
+    ) {
+        let flat = simplify(&nest(&operands, Nesting::Flat, head));
+        for nesting in [Nesting::Left, Nesting::Right, Nesting::Balanced] {
+            prop_assert_eq!(
+                simplify(&nest(&operands, nesting, head)),
+                flat.clone(),
+                "{:?} spelling canonicalises differently",
+                nesting
+            );
+        }
     }
 }

@@ -146,6 +146,70 @@ fn der_states(eq: &FlatEquation) -> Vec<Symbol> {
     found
 }
 
+/// State of the equation ↔ unknown matching (Kuhn's algorithm), with the
+/// bipartite graph discovered on demand.
+struct Matching<'a> {
+    eqs: &'a [&'a FlatEquation],
+    unknowns: &'a [Symbol],
+    var_index: SymbolMap<usize>,
+    /// Unknowns occurring in each equation, in free-variable order; built
+    /// when a search first reaches the equation.
+    candidates: Vec<Option<Vec<usize>>>,
+    /// Per equation, every unknown a search has tried it against: the
+    /// equation solved for the unknown, or `None` when it cannot be
+    /// isolated (then the pair is no edge).
+    solved: Vec<Vec<(usize, Option<Expr>)>>,
+    /// Unknown → the equation currently matched to it.
+    match_of_var: Vec<Option<usize>>,
+    /// `visited[j] == stamp` ⇔ unknown `j` was reached by search `stamp`.
+    visited: Vec<usize>,
+}
+
+impl Matching<'_> {
+    /// Whether equation `eq` can be solved for unknown `j`.
+    fn solvable(&mut self, eq: usize, j: usize) -> bool {
+        if let Some((_, solution)) = self.solved[eq].iter().find(|(tried, _)| *tried == j) {
+            return solution.is_some();
+        }
+        let equation = self.eqs[eq];
+        let solution = solve_linear(&equation.lhs, &equation.rhs, self.unknowns[j]);
+        let solvable = solution.is_some();
+        self.solved[eq].push((j, solution));
+        solvable
+    }
+
+    /// Search an augmenting path from equation `eq`; `stamp` names the
+    /// search (one per top-level equation). A search enters an equation
+    /// at most once, so its candidate row can be held out while it runs.
+    fn try_augment(&mut self, eq: usize, stamp: usize) -> bool {
+        let row = self.candidates[eq].take().unwrap_or_else(|| {
+            let mut vars = self.eqs[eq].lhs.free_vars();
+            self.eqs[eq].rhs.collect_free_vars(&mut vars);
+            vars.iter()
+                .filter_map(|v| self.var_index.get(v).copied())
+                .collect()
+        });
+        let mut augmented = false;
+        for &j in &row {
+            if self.visited[j] == stamp || !self.solvable(eq, j) {
+                continue;
+            }
+            self.visited[j] = stamp;
+            let free = match self.match_of_var[j] {
+                None => true,
+                Some(other) => self.try_augment(other, stamp),
+            };
+            if free {
+                self.match_of_var[j] = Some(eq);
+                augmented = true;
+                break;
+            }
+        }
+        self.candidates[eq] = Some(row);
+        augmented
+    }
+}
+
 /// How a state's derivative is defined: by its own scalar equation, or as
 /// one member of a symbolic array-equation class.
 enum DerivDef {
@@ -284,68 +348,44 @@ pub fn causalize(model: &FlatModel) -> Result<OdeIr, CausalizeError> {
         });
     }
 
-    // Phase 3: bipartite matching equations ↔ unknowns. An edge exists
-    // when the unknown occurs in the equation and can be isolated
-    // symbolically; the solved expression is cached.
+    // Phase 3: bipartite matching equations ↔ unknowns (Kuhn's augmenting
+    // paths, equations in source order). An edge exists when the unknown
+    // occurs in the equation and can be isolated symbolically; it is
+    // solved when a search first walks it, not before.
     let n = algebraic_eqs.len();
-    let var_index: SymbolMap<usize> = alg_vars.iter().enumerate().map(|(i, v)| (*v, i)).collect();
-    let mut edges: Vec<Vec<(usize, Expr)>> = Vec::with_capacity(n);
-    for eq in &algebraic_eqs {
-        let mut row = Vec::new();
-        let mut vars = eq.lhs.free_vars();
-        eq.rhs.collect_free_vars(&mut vars);
-        for v in vars {
-            if let Some(&j) = var_index.get(&v) {
-                if let Some(solved) = solve_linear(&eq.lhs, &eq.rhs, v) {
-                    row.push((j, solved));
-                }
-            }
-        }
-        edges.push(row);
-    }
-
-    // Augmenting-path maximum matching (Kuhn's algorithm).
-    let mut match_of_var: Vec<Option<usize>> = vec![None; n]; // var -> eq
-    fn try_augment(
-        eq: usize,
-        edges: &[Vec<(usize, Expr)>],
-        visited: &mut [bool],
-        match_of_var: &mut [Option<usize>],
-    ) -> bool {
-        for (j, _) in &edges[eq] {
-            if visited[*j] {
+    let mut matching = Matching {
+        eqs: &algebraic_eqs,
+        unknowns: &alg_vars,
+        var_index: alg_vars.iter().enumerate().map(|(i, v)| (*v, i)).collect(),
+        candidates: vec![None; n],
+        solved: vec![Vec::new(); n],
+        match_of_var: vec![None; n],
+        visited: vec![usize::MAX; n],
+    };
+    for (eq, equation) in algebraic_eqs.iter().enumerate() {
+        // An explicit assignment `v = expr` whose unknown is still free is
+        // its own augmenting path: no search, one solve.
+        if let Some(&j) = equation
+            .lhs
+            .as_var()
+            .and_then(|v| matching.var_index.get(&v))
+        {
+            if matching.match_of_var[j].is_none() && matching.solvable(eq, j) {
+                matching.match_of_var[j] = Some(eq);
                 continue;
             }
-            visited[*j] = true;
-            match match_of_var[*j] {
-                None => {
-                    match_of_var[*j] = Some(eq);
-                    return true;
-                }
-                Some(other) => {
-                    if try_augment(other, edges, visited, match_of_var) {
-                        match_of_var[*j] = Some(eq);
-                        return true;
-                    }
-                }
-            }
         }
-        false
-    }
-    #[allow(clippy::needless_range_loop)] // `eq` is the matching ID, not just an index
-    for eq in 0..n {
-        let mut visited = vec![false; n];
-        if !try_augment(eq, &edges, &mut visited, &mut match_of_var) {
+        if !matching.try_augment(eq, eq) {
             return Err(CausalizeError::StructurallySingular {
-                origin: algebraic_eqs[eq].origin.clone(),
-                pos: algebraic_eqs[eq].pos,
+                origin: equation.origin.clone(),
+                pos: equation.pos,
             });
         }
     }
 
     // Build assignments from the matching.
     let mut assignments: Vec<AlgebraicEq> = Vec::with_capacity(n);
-    for (j, eq_opt) in match_of_var.iter().enumerate() {
+    for (j, eq_opt) in matching.match_of_var.iter().enumerate() {
         let Some(eq) = *eq_opt else {
             return Err(CausalizeError::Internal {
                 detail: format!(
@@ -354,10 +394,10 @@ pub fn causalize(model: &FlatModel) -> Result<OdeIr, CausalizeError> {
                 ),
             });
         };
-        let Some(solved) = edges[eq]
-            .iter()
-            .find(|(jj, _)| *jj == j)
-            .map(|(_, s)| s.clone())
+        let Some(solved) = matching.solved[eq]
+            .iter_mut()
+            .find(|(tried, _)| *tried == j)
+            .and_then(|(_, solution)| solution.take())
         else {
             return Err(CausalizeError::Internal {
                 detail: format!(
@@ -410,7 +450,11 @@ pub fn causalize(model: &FlatModel) -> Result<OdeIr, CausalizeError> {
             .collect();
         return Err(CausalizeError::AlgebraicLoop { variables: looped });
     }
-    let ordered: Vec<AlgebraicEq> = order.into_iter().map(|i| assignments[i].clone()).collect();
+    let mut assignments: Vec<Option<AlgebraicEq>> = assignments.into_iter().map(Some).collect();
+    let ordered: Vec<AlgebraicEq> = order
+        .into_iter()
+        .filter_map(|i| assignments[i].take())
+        .collect();
 
     Ok(OdeIr {
         name: model.name.clone(),

@@ -34,5 +34,5 @@ pub mod verify;
 
 pub use causalize::{causalize, CausalizeError};
 pub use evalr::IrEvaluator;
-pub use system::{AlgebraicEq, DerivEq, OdeIr, StateVar};
+pub use system::{AlgebraicEq, DerivEq, Inliner, OdeIr, StateVar};
 pub use verify::{verify_all, verify_compilable, VerifyError, Violation};

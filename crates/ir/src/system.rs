@@ -63,6 +63,44 @@ pub struct OdeIr {
     pub classes: Vec<EqClass>,
 }
 
+/// Replaces algebraic variables by their defining right-hand sides,
+/// transitively, where an expression reads them. Nothing is grounded ahead
+/// of a read, so the work done is the size of the expressions produced —
+/// an algebraic no derivative reaches costs nothing, and a chain of
+/// partial sums is walked once by its reader instead of once per prefix.
+pub struct Inliner<'a> {
+    /// Position in [`OdeIr::algebraics`] and right-hand side per variable.
+    defs: SymbolMap<(usize, &'a Expr)>,
+}
+
+impl Inliner<'_> {
+    /// `e` with every algebraic variable expanded down to states and time
+    /// (unsimplified: exactly the tree textual substitution in
+    /// topological order yields).
+    pub fn expand(&self, e: &Expr) -> Expr {
+        self.expand_below(e, usize::MAX)
+    }
+
+    /// The fully expanded definition of `v`, if `v` is an algebraic.
+    pub fn definition(&self, v: Symbol) -> Option<Expr> {
+        let &(at, def) = self.defs.get(&v)?;
+        Some(self.expand_below(def, at))
+    }
+
+    /// Expand reads of algebraics defined before position `limit`. A
+    /// definition only ever expands *earlier* ones — the order
+    /// causalization establishes — so this terminates on any input.
+    fn expand_below(&self, e: &Expr, limit: usize) -> Expr {
+        match e {
+            Expr::Var(s) => match self.defs.get(s) {
+                Some(&(at, def)) if at < limit => self.expand_below(def, at),
+                _ => e.clone(),
+            },
+            _ => e.map_children(|c| self.expand_below(c, limit)),
+        }
+    }
+}
+
 impl OdeIr {
     /// Number of state variables (the ODE dimension).
     pub fn dim(&self) -> usize {
@@ -131,9 +169,8 @@ impl OdeIr {
         }
     }
 
-    /// Derivative right-hand sides with every algebraic variable inlined
-    /// (substituted in reverse topological order), so each RHS depends
-    /// only on states and time.
+    /// Derivative right-hand sides with every algebraic variable inlined,
+    /// so each RHS depends only on states and time.
     ///
     /// This is the *equation-level parallel form*: after inlining, the
     /// right-hand sides share no computed quantities and "can be computed
@@ -146,17 +183,25 @@ impl OdeIr {
             // is parallel to `states` regardless of array-awareness.
             return self.expand_classes().inlined_rhs();
         }
-        let mut defs: HashMap<Symbol, Expr> = HashMap::new();
-        // Algebraics are topologically ordered, so substituting earlier
-        // definitions into later ones fully grounds every definition.
-        for alg in &self.algebraics {
-            let grounded = om_expr::substitute_map(&alg.rhs, &defs);
-            defs.insert(alg.var, grounded);
-        }
+        let inliner = self.inliner();
         self.derivs
             .iter()
-            .map(|d| om_expr::simplify(&om_expr::substitute_map(&d.rhs, &defs)))
+            .map(|d| om_expr::simplify(&inliner.expand(&d.rhs)))
             .collect()
+    }
+
+    /// The demand-driven substituter behind [`OdeIr::inlined_rhs`], for
+    /// callers that inline expressions of their own (class
+    /// representatives).
+    pub fn inliner(&self) -> Inliner<'_> {
+        Inliner {
+            defs: self
+                .algebraics
+                .iter()
+                .enumerate()
+                .map(|(at, a)| (a.var, (at, &a.rhs)))
+                .collect(),
+        }
     }
 
     /// Set a state's start value by name (runtime-settable start values,
@@ -260,5 +305,57 @@ mod tests {
         assert!(ir.set_start("x", 5.0));
         assert!(!ir.set_start("nope", 1.0));
         assert_eq!(ir.initial_state()[0], 5.0);
+    }
+
+    /// The eager grounding `Inliner` replaced: every algebraic gets a
+    /// fully substituted definition, in order, before any derivative
+    /// asks. Kept as the reference the demand-driven form must equal.
+    fn inlined_rhs_eager(ir: &OdeIr) -> Vec<Expr> {
+        let mut defs: HashMap<Symbol, Expr> = HashMap::new();
+        for alg in &ir.algebraics {
+            let grounded = om_expr::substitute_map(&alg.rhs, &defs);
+            defs.insert(alg.var, grounded);
+        }
+        ir.derivs
+            .iter()
+            .map(|d| om_expr::simplify(&om_expr::substitute_map(&d.rhs, &defs)))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random algebraic DAGs — chains (each reads its predecessor),
+        /// diamonds (two earlier ones, possibly the same), leaves and
+        /// algebraics nothing reads.
+        #[test]
+        fn demand_driven_inlining_equals_eager_grounding(
+            shape in proptest::collection::vec((0usize..4, 0usize..64, 0usize..64, -3i32..4), 1..24),
+            reads in proptest::collection::vec((0usize..64, 0usize..64), 2..3),
+        ) {
+            let mut ir = toy();
+            ir.algebraics.clear();
+            let alg = |i: usize| var(&format!("a{i}"));
+            for (i, &(kind, p, q, c)) in shape.iter().enumerate() {
+                let coeff = num(f64::from(c) * 0.5);
+                let rhs = match (kind, i) {
+                    (0, _) | (_, 0) => coeff * var("x") + var("v"),
+                    (1, _) => alg(i - 1) + coeff * var("v"),
+                    (2, _) => alg(p % i) * alg(q % i) + coeff,
+                    _ => om_expr::Expr::call1(om_expr::expr::Func::Sin, alg(p % i)) - alg(q % i),
+                };
+                ir.algebraics.push(AlgebraicEq {
+                    var: Symbol::intern(&format!("a{i}")),
+                    rhs: om_expr::simplify(&rhs),
+                    origin: String::new(),
+                    pos: SourcePos::default(),
+                });
+            }
+            let n = shape.len();
+            for (d, &(p, q)) in ir.derivs.iter_mut().zip(&reads) {
+                d.rhs = om_expr::simplify(&(alg(p % n) - var("x") * alg(q % n)));
+            }
+            proptest::prop_assert_eq!(ir.inlined_rhs(), inlined_rhs_eager(&ir));
+        }
     }
 }

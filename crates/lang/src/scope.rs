@@ -28,6 +28,10 @@ use std::collections::{HashMap, HashSet};
 /// The resolved class table built by [`check`], reused by flattening.
 pub struct ClassTable<'a> {
     classes: HashMap<&'a str, &'a ClassDef>,
+    /// Per class (and the model): effective members by name, the first
+    /// declaration winning — what a scan of [`ClassTable::effective_members`]
+    /// finds, without the scan per reference.
+    members: HashMap<&'a str, HashMap<&'a str, &'a Member>>,
 }
 
 impl<'a> ClassTable<'a> {
@@ -48,9 +52,19 @@ impl<'a> ClassTable<'a> {
                 ));
             }
         }
-        let table = ClassTable { classes };
+        let mut table = ClassTable {
+            classes,
+            members: HashMap::new(),
+        };
         for c in &unit.classes {
             table.check_inheritance_chain(c)?;
+        }
+        for c in unit.classes.iter().chain(std::iter::once(&unit.model)) {
+            let mut by_name: HashMap<&str, &Member> = HashMap::new();
+            for (m, _) in table.effective_members(c) {
+                by_name.entry(m.name()).or_insert(m);
+            }
+            table.members.insert(c.name.as_str(), by_name);
         }
         table.check_part_acyclicity(unit)?;
         Ok(table)
@@ -59,6 +73,12 @@ impl<'a> ClassTable<'a> {
     /// Look up a class by name.
     pub fn get(&self, name: &str) -> Option<&'a ClassDef> {
         self.classes.get(name).copied()
+    }
+
+    /// The effective member of `class` called `name`, inherited ones
+    /// included.
+    pub fn member(&self, class: &ClassDef, name: &str) -> Option<&'a Member> {
+        self.members.get(class.name.as_str())?.get(name).copied()
     }
 
     fn check_inheritance_chain(&self, class: &ClassDef) -> Result<(), LangError> {
@@ -118,75 +138,45 @@ impl<'a> ClassTable<'a> {
         visit(self, &unit.model, &mut Vec::new(), &mut done)
     }
 
+    /// `class` and its bases, root base first. Unknown bases are reported
+    /// by `check_inheritance_chain`; here the chain just stops.
+    fn base_first(&self, class: &'a ClassDef) -> Vec<&'a ClassDef> {
+        let mut chain = vec![class];
+        let mut current = class;
+        while let Some(base) = current.extends.as_ref().and_then(|e| self.get(&e.base)) {
+            chain.push(base);
+            current = base;
+        }
+        chain.reverse();
+        chain
+    }
+
     /// All members of `class` including inherited ones, base-class members
     /// first. The second tuple element is the defining class name (for
     /// diagnostics).
     pub fn effective_members(&self, class: &'a ClassDef) -> Vec<(&'a Member, &'a str)> {
-        let mut chain: Vec<&ClassDef> = Vec::new();
-        let mut current = class;
-        loop {
-            chain.push(current);
-            match &current.extends {
-                // Unknown bases are reported by check_inheritance_chain;
-                // here we just stop.
-                Some(ext) => match self.get(&ext.base) {
-                    Some(base) => current = base,
-                    None => break,
-                },
-                None => break,
-            }
-        }
-        let mut out = Vec::new();
-        for c in chain.iter().rev() {
-            for m in &c.members {
-                out.push((m, c.name.as_str()));
-            }
-        }
-        out
+        self.base_first(class)
+            .into_iter()
+            .flat_map(|c| c.members.iter().map(|m| (m, c.name.as_str())))
+            .collect()
     }
 
     /// All equations of `class` including inherited ones, base-class
     /// equations first.
     pub fn effective_equations(&self, class: &'a ClassDef) -> Vec<&'a Equation> {
-        let mut chain: Vec<&ClassDef> = Vec::new();
-        let mut current = class;
-        loop {
-            chain.push(current);
-            match &current.extends {
-                Some(ext) => match self.get(&ext.base) {
-                    Some(base) => current = base,
-                    None => break,
-                },
-                None => break,
-            }
-        }
-        let mut out = Vec::new();
-        for c in chain.iter().rev() {
-            out.extend(c.equations.iter());
-        }
-        out
+        self.base_first(class)
+            .into_iter()
+            .flat_map(|c| &c.equations)
+            .collect()
     }
 
     /// All `initial equation`s of `class` including inherited ones,
     /// base-class equations first.
     pub fn effective_initial_equations(&self, class: &'a ClassDef) -> Vec<&'a Equation> {
-        let mut chain: Vec<&ClassDef> = Vec::new();
-        let mut current = class;
-        loop {
-            chain.push(current);
-            match &current.extends {
-                Some(ext) => match self.get(&ext.base) {
-                    Some(base) => current = base,
-                    None => break,
-                },
-                None => break,
-            }
-        }
-        let mut out = Vec::new();
-        for c in chain.iter().rev() {
-            out.extend(c.initial_equations.iter());
-        }
-        out
+        self.base_first(class)
+            .into_iter()
+            .flat_map(|c| &c.initial_equations)
+            .collect()
     }
 
     /// The chain of parameter-override bindings from `class` up through its
@@ -405,8 +395,7 @@ impl RefEnv<'_, '_> {
         // Walk the path through the class structure.
         let mut current_class = self.class;
         for (i, seg) in path.segs.iter().enumerate() {
-            let members = self.table.effective_members(current_class);
-            let Some((member, _)) = members.iter().find(|(m, _)| m.name() == seg.name) else {
+            let Some(member) = self.table.member(current_class, &seg.name) else {
                 return Err(LangError::scope(
                     Some(path.pos),
                     format!(

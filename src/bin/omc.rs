@@ -344,16 +344,20 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // free them before the command allocates (they count towards the
     // peak RSS of a `simulate`).
     let mut ir = {
-        let flat = if opts.array_aware {
-            objectmath::lang::compile_arrays(&source)
-        } else {
-            objectmath::lang::compile(&source)
-        }
-        .map_err(|e| CliError::Compile(e.to_string()))?;
+        use objectmath::lang::{flatten, flatten_arrays, parse_unit, scope};
+        let unit = phase("lang.parse", || parse_unit(&source)).map_err(compile_error)?;
         drop(source);
-        causalize(&flat).map_err(|e| CliError::Compile(e.to_string()))?
+        phase("lang.scope", || scope::check(&unit)).map_err(compile_error)?;
+        let flatten = if opts.array_aware {
+            flatten_arrays
+        } else {
+            flatten
+        };
+        let flat = phase("lang.flatten", || flatten(&unit)).map_err(compile_error)?;
+        drop(unit);
+        phase("ir.causalize", || causalize(&flat)).map_err(compile_error)?
     };
-    objectmath::ir::verify_compilable(&ir).map_err(|e| CliError::Compile(e.to_string()))?;
+    phase("ir.verify", || objectmath::ir::verify_compilable(&ir)).map_err(compile_error)?;
 
     let result = match command {
         "analyze" => analyze(&ir, &opts),
@@ -369,6 +373,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // exactly when you want one — but keep the command's error.
     let export = export_obs(&opts);
     result.and(export)
+}
+
+/// Run one compile phase under its `om-obs` span (`--metrics` / `--trace`).
+fn phase<T>(name: &'static str, run: impl FnOnce() -> T) -> T {
+    let _span = om_obs::span(name, "compile");
+    run()
+}
+
+fn compile_error(error: impl fmt::Display) -> CliError {
+    CliError::Compile(error.to_string())
 }
 
 /// Write `--trace` / print `--metrics` output. Worker pools have been
@@ -725,26 +739,38 @@ fn explain(code: &str) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Write a command's whole report to stdout in one locked write. A closed
+/// stdout (`omc … | head -1`) is an I/O error, not a panic.
+fn write_stdout(text: &str) -> Result<(), CliError> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+        .map_err(|e| CliError::Io(format!("writing results to stdout: {e}")))
+}
+
 fn analyze(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
+    use std::fmt::Write as _;
     let dep = build_dependency_graph(ir);
     if opts.dot {
-        print!("{}", to_dot(&dep, &ir.name));
-        return Ok(());
+        return write_stdout(&to_dot(&dep, &ir.name));
     }
     let part = partition_by_scc(&dep);
-    println!(
-        "model `{}`: {} states, {} algebraic equations, {} dependencies",
+    let mut report = format!(
+        "model `{}`: {} states, {} algebraic equations, {} dependencies\n",
         ir.name,
         ir.dim(),
         ir.algebraics.len(),
         dep.graph.edge_count()
     );
-    println!("SCC sizes (largest first): {:?}", part.scc_sizes());
+    let _ = writeln!(report, "SCC sizes (largest first): {:?}", part.scc_sizes());
     // What an implicit solver (`--solver bdf|lsoda`) will work with.
     let sparsity = model_sparsity(ir);
     let (kl, ku) = sparsity.bandwidth();
     let colours = sparsity.groups().len();
-    println!(
+    let _ = writeln!(
+        report,
         "Jacobian: nnz {} of {}, bandwidth ({kl}, {ku}), {colours} colour{}",
         sparsity.nnz(),
         ir.dim() * ir.dim(),
@@ -765,73 +791,59 @@ fn analyze(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
                 format!("[{size}: {head}…]")
             })
             .collect();
-        println!("level {lvl}: {}", summary.join(" "));
+        let _ = writeln!(report, "level {lvl}: {}", summary.join(" "));
     }
-    Ok(())
+    write_stdout(&report)
 }
 
 fn emit(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
     let generator = CodeGenerator::default();
     let workers = if opts.workers == 0 { 4 } else { opts.workers };
-    match (opts.lang.as_str(), opts.serial) {
-        ("mma", _) => print!("{}", generator.intermediate_code(ir)),
-        ("f90", true) => print!(
-            "{}",
-            emit_fortran::emit_serial(ir, &generator.options.cost_model).text
-        ),
-        ("cpp", true) => print!(
-            "{}",
-            emit_cpp::emit_serial(ir, &generator.options.cost_model).text
-        ),
+    let cost_model = &generator.options.cost_model;
+    let text = match (opts.lang.as_str(), opts.serial) {
+        ("mma", _) => generator.intermediate_code(ir),
+        ("f90", true) => emit_fortran::emit_serial(ir, cost_model).text,
+        ("cpp", true) => emit_cpp::emit_serial(ir, cost_model).text,
         ("f90", false) | ("cpp", false) => {
             let program = generator.generate(ir);
             let sched = program.schedule(workers);
-            let src = if opts.lang == "f90" {
-                emit_fortran::emit_parallel(
-                    &program.tasks,
-                    &sched.assignment,
-                    workers,
-                    ir,
-                    &generator.options.cost_model,
-                )
+            let emit_parallel = if opts.lang == "f90" {
+                emit_fortran::emit_parallel
             } else {
-                emit_cpp::emit_parallel(
-                    &program.tasks,
-                    &sched.assignment,
-                    workers,
-                    ir,
-                    &generator.options.cost_model,
-                )
+                emit_cpp::emit_parallel
             };
-            print!("{}", src.text);
+            emit_parallel(&program.tasks, &sched.assignment, workers, ir, cost_model).text
         }
         (other, _) => {
             return Err(CliError::Usage(format!(
                 "unknown --lang `{other}` (f90|cpp|mma)"
             )))
         }
-    }
-    Ok(())
+    };
+    write_stdout(&text)
 }
 
 fn tasks(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
+    use std::fmt::Write as _;
     let workers = if opts.workers == 0 { 4 } else { opts.workers };
     let program = CodeGenerator::default().generate(ir);
     let sched = program.schedule(workers);
-    println!(
+    let mut report = format!(
         "{} tasks, total {} flops, schedule on {workers} workers \
-         (makespan {}, imbalance {:.3}):",
+         (makespan {}, imbalance {:.3}):\n",
         program.graph.tasks.len(),
         program.graph.total_cost(),
         sched.makespan,
         sched.imbalance()
     );
-    println!(
+    let _ = writeln!(
+        report,
         "{:<5} {:<28} {:>10} {:>7}",
         "id", "label", "flops", "worker"
     );
     for task in &program.graph.tasks {
-        println!(
+        let _ = writeln!(
+            report,
             "{:<5} {:<28} {:>10} {:>7}",
             task.id,
             truncate(&task.label, 28),
@@ -839,7 +851,7 @@ fn tasks(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
             sched.assignment[task.id]
         );
     }
-    Ok(())
+    write_stdout(&report)
 }
 
 fn truncate(s: &str, n: usize) -> String {
@@ -1355,7 +1367,6 @@ fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
 
 fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     use std::fmt::Write as _;
-    use std::io::Write as _;
     for (name, value) in &opts.sets {
         if !ir.set_start(name, *value) {
             return Err(CliError::Usage(format!("--set: no state named `{name}`")));
@@ -1471,8 +1482,7 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         sol
     };
 
-    // One buffer, one write (a large model has thousands of states); a
-    // closed stdout is an I/O error, not a panic.
+    // One buffer, one write (a large model has thousands of states).
     let mut report = format!(
         "t = {:.6}: {} steps, {} RHS calls{}\n",
         sol.t_end(),
@@ -1487,11 +1497,7 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     for (state, y) in ir.states.iter().zip(sol.y_end()) {
         let _ = writeln!(report, "  {:<24} = {:+.9e}", state.sym.name(), y);
     }
-    let mut stdout = std::io::stdout().lock();
-    stdout
-        .write_all(report.as_bytes())
-        .and_then(|()| stdout.flush())
-        .map_err(|e| CliError::Io(format!("writing results to stdout: {e}")))
+    write_stdout(&report)
 }
 
 #[cfg(test)]

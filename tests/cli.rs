@@ -416,22 +416,32 @@ fn simulate_stdout_is_identical_at_every_worker_count() {
 #[test]
 fn simulate_into_a_closed_stdout_is_an_io_error() {
     let path = write_model("closed_stdout", OSC);
-    let (reader, writer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
-    drop(reader);
-    let out = omc()
-        .arg(&path)
-        .args(["simulate", "--tend", "0.1"])
-        .stdout(std::os::fd::OwnedFd::from(writer))
-        .output()
-        .expect("run omc");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.starts_with("omc: writing results to stdout"),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    // Every command that reports on stdout goes through one writer.
+    for command in [
+        &["simulate", "--tend", "0.1"][..],
+        &["emit"],
+        &["emit", "--lang", "mma"],
+        &["tasks"],
+        &["analyze"],
+        &["analyze", "--dot"],
+    ] {
+        let (reader, writer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+        drop(reader);
+        let out = omc()
+            .arg(&path)
+            .args(command)
+            .stdout(std::os::fd::OwnedFd::from(writer))
+            .output()
+            .expect("run omc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        assert!(
+            stderr.starts_with("omc: writing results to stdout"),
+            "{command:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command:?}: {stderr}");
+    }
 }
 
 #[test]
