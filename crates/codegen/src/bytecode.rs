@@ -134,16 +134,6 @@ impl Program {
         self.instrs.is_empty()
     }
 
-    /// Repoint the `State` load at instruction `i` to read state slot
-    /// `slot` (array-loop task iteration stepping). Panics if instruction
-    /// `i` is not a `State` load.
-    pub fn patch_state(&mut self, i: usize, slot: u32) {
-        match &mut self.instrs[i] {
-            Instr::State { idx, .. } => *idx = slot,
-            other => panic!("patch_state on non-State instruction {other:?}"),
-        }
-    }
-
     /// Index of the unique `State` load reading `slot`, if any. Leaf
     /// loads are cached per symbol by the compiler in every CSE mode, so
     /// a state slot is loaded by at most one instruction.

@@ -27,9 +27,11 @@
 //! 5. [`compile_tasks`] — compile every task body to bytecode, resolve
 //!    reads/writes, and derive the dependence edges.
 
-use crate::bytecode::{compile_roots, Program, VarRef};
+use crate::bytecode::{compile_roots, Instr, Program, VarRef};
 use crate::cse::{self, CseMode};
 use crate::dag::{Dag, NodeId};
+use crate::vm::{self, Load};
+use om_analysis::Pattern;
 use om_expr::expr::Expr;
 use om_expr::{simplify, CostModel, Symbol};
 use om_ir::{Inliner, OdeIr};
@@ -116,9 +118,10 @@ impl SymbolicTask {
     }
 }
 
-/// Compiled loop payload: the task's single program runs `count()` times,
-/// with the listed `State` load instructions repointed before each
-/// iteration.
+/// Compiled loop payload: the task's single program runs `count` times,
+/// the listed `State` loads reading a different slot at each iteration.
+/// The VM runs the iterations as the lanes of one kernel
+/// ([`crate::vm::execute_batch_with_regs`] with this payload).
 #[derive(Clone, Debug)]
 pub struct LoopInfo {
     /// For each patched instruction: its index in `program.instrs` and
@@ -130,10 +133,48 @@ pub struct LoopInfo {
     /// (`base + stride·k` for affine rows), recognized from the
     /// enumerated write vector at compile time so analyses can reason
     /// about the loop in O(1) instead of O(count).
-    pub out_pattern: om_analysis::Pattern,
+    pub out_pattern: Pattern,
     /// Symbolic summaries of the per-iteration state reads, one per
     /// patched load, parallel to `patches`.
-    pub read_patterns: Vec<om_analysis::Pattern>,
+    pub read_patterns: Vec<Pattern>,
+    /// Per instruction of the program: how the kernel addresses its
+    /// `State` load — the patch table turned into a lookup.
+    pub loads: Vec<Load>,
+}
+
+impl LoopInfo {
+    /// The payload running `program` once per entry of `out_slots` (the
+    /// first derivative slot each iteration writes), its `State` load at
+    /// instruction `patches[p].0` reading slot `patches[p].1[k]` at
+    /// iteration `k`. Panics if a patched instruction is not a `State`
+    /// load or a slot table's length is not the trip count.
+    pub fn new(program: &Program, patches: Vec<(u32, Vec<u32>)>, out_slots: &[u32]) -> LoopInfo {
+        let read_patterns: Vec<Pattern> = patches
+            .iter()
+            .map(|(_, slots)| Pattern::from_slots(slots))
+            .collect();
+        let mut loads = vec![Load::Fixed; program.instrs.len()];
+        for (p, ((instr, slots), pattern)) in patches.iter().zip(&read_patterns).enumerate() {
+            let i = *instr as usize;
+            assert!(
+                matches!(program.instrs[i], Instr::State { .. }),
+                "patch on non-State instruction {:?}",
+                program.instrs[i]
+            );
+            assert_eq!(slots.len(), out_slots.len(), "patch table length");
+            loads[i] = match pattern {
+                Pattern::Affine(seq) if seq.stride == 1 => Load::Contiguous(seq.base as u32),
+                _ => Load::Gather(p as u32),
+            };
+        }
+        LoopInfo {
+            patches,
+            count: out_slots.len() as u32,
+            out_pattern: Pattern::from_slots(out_slots),
+            read_patterns,
+            loads,
+        }
+    }
 }
 
 /// A compiled task ready for the runtime.
@@ -186,48 +227,19 @@ impl CompiledTask {
         ))
     }
 
-    /// Execute the task over `lanes` ensemble members into `out`
-    /// (`n_out() × lanes` values, lane index innermost — at one lane the
-    /// plain scalar layout), reusing a caller-provided register file and
-    /// program scratch buffer. Plain tasks run their program once; loop
-    /// tasks clone the program into `prog_scratch`, then repoint the
-    /// patched `State` loads and run it once per iteration — exactly the
-    /// operation sequence of the fully scalarized oracle, so results are
-    /// bitwise identical to per-element tasks.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batch_with_regs(
-        &self,
-        t: f64,
-        ys: &[f64],
-        shared: &[f64],
-        out: &mut [f64],
-        regs: &mut [f64],
-        lanes: usize,
-        prog_scratch: &mut Program,
-    ) {
-        match &self.loop_info {
-            None => {
-                crate::vm::execute_batch_with_regs(&self.program, t, ys, shared, out, regs, lanes)
-            }
-            Some(li) => {
-                prog_scratch.clone_from(&self.program);
-                let n = self.program.outputs.len();
-                for k in 0..li.count as usize {
-                    for (instr, slots) in &li.patches {
-                        prog_scratch.patch_state(*instr as usize, slots[k]);
-                    }
-                    crate::vm::execute_batch_with_regs(
-                        prog_scratch,
-                        t,
-                        ys,
-                        shared,
-                        &mut out[k * n * lanes..(k + 1) * n * lanes],
-                        regs,
-                        lanes,
-                    );
-                }
-            }
-        }
+    /// Execute the task over `scratch.lanes()` ensemble members: reads
+    /// the scratch's shared slots and writes `n_out() × lanes` values
+    /// (lane index innermost — at one lane the plain scalar layout) to
+    /// the front of its output buffer. A plain task runs its program
+    /// once; a loop task runs it as a lane kernel over its iterations,
+    /// each performing exactly the operation sequence of its scalarized
+    /// per-element task, so results are bitwise identical to those tasks.
+    pub fn run(&self, t: f64, ys: &[f64], scratch: &mut BatchScratch) {
+        let lanes = scratch.lanes;
+        let out = &mut scratch.out[..self.n_out() * lanes];
+        let li = self.loop_info.as_ref();
+        let (shared, regs) = (&scratch.shared, &mut scratch.regs);
+        vm::execute_batch_with_regs(&self.program, li, t, ys, shared, out, regs, lanes);
     }
 }
 
@@ -352,16 +364,7 @@ impl TaskGraph {
             "derivative batch length mismatch"
         );
         for task in &self.tasks {
-            let n_out = task.n_out();
-            task.run_batch_with_regs(
-                t,
-                ys,
-                &scratch.shared,
-                &mut scratch.out[..n_out * lanes],
-                &mut scratch.regs,
-                lanes,
-                &mut scratch.prog,
-            );
+            task.run(t, ys, scratch);
             for (o, slot) in task.writes.iter().enumerate() {
                 let src = &scratch.out[o * lanes..(o + 1) * lanes];
                 match slot {
@@ -375,36 +378,33 @@ impl TaskGraph {
     }
 }
 
-/// Reusable buffers for [`TaskGraph::eval_batch`]: the SoA shared-slot
-/// array, the per-task SoA output staging buffer, and the chunk-local
-/// register file. Allocated once per batch integration, reused across
-/// every RHS call.
+/// Reusable buffers for running a [`TaskGraph`]'s tasks: the SoA
+/// shared-slot array, the per-task SoA output staging buffer, and the
+/// block-local register file. Allocated once per integration (and once
+/// per pool worker, at one lane), reused across every RHS call.
 #[derive(Clone, Debug)]
 pub struct BatchScratch {
     shared: Vec<f64>,
     out: Vec<f64>,
     regs: Vec<f64>,
-    prog: Program,
     lanes: usize,
 }
 
 impl BatchScratch {
-    /// Scratch sized for evaluating `graph` over `lanes` members.
+    /// Scratch sized for running any task of `graph` over `lanes`
+    /// members (a loop task's registers cover one [`vm::LOOP_BLOCK`]) —
+    /// the one sizing the in-thread and pooled placements share.
     pub fn new(graph: &TaskGraph, lanes: usize) -> BatchScratch {
         assert!(lanes > 0, "batch must have at least one lane");
-        let stride = crate::vm::LANE_CHUNK.min(lanes);
-        let max_regs = graph
-            .tasks
-            .iter()
-            .map(|t| t.program.n_regs as usize)
-            .max()
-            .unwrap_or(0);
         let max_outs = graph.tasks.iter().map(|t| t.n_out()).max().unwrap_or(0);
+        let regs = graph.tasks.iter().map(|t| {
+            let trips = t.loop_info.as_ref().map(|li| li.count as usize);
+            vm::regs_len(t.program.n_regs, lanes, trips)
+        });
         BatchScratch {
             shared: vec![0.0; graph.n_shared * lanes],
             out: vec![0.0; max_outs * lanes],
-            regs: vec![0.0; max_regs * stride],
-            prog: Program::default(),
+            regs: vec![0.0; regs.max().unwrap_or(0)],
             lanes,
         }
     }
@@ -412,6 +412,18 @@ impl BatchScratch {
     /// The lane count this scratch was sized for.
     pub fn lanes(&self) -> usize {
         self.lanes
+    }
+
+    /// The shared-slot values [`CompiledTask::run`] reads (a pool worker
+    /// fills the slots a task reads before running it).
+    pub fn shared_mut(&mut self) -> &mut [f64] {
+        &mut self.shared
+    }
+
+    /// The staging buffer [`CompiledTask::run`] writes: its first
+    /// `n_out() × lanes` values are the last task's outputs.
+    pub fn out_mut(&mut self) -> &mut [f64] {
+        &mut self.out
     }
 }
 
@@ -950,8 +962,9 @@ pub fn compile_tasks(
                 let count = sl.count();
                 // The patched reads are the row slots, enumerated over
                 // every iteration; the representative's own slots are
-                // repointed before the first iteration ever runs, so only
-                // invariant loads stay from the body's free variables.
+                // never loaded (every iteration reads through the patch
+                // table), so only invariant loads stay from the body's
+                // free variables.
                 let rep_slots: HashSet<u32> = sl
                     .rows
                     .iter()
@@ -992,19 +1005,9 @@ pub fn compile_tasks(
                     .iter()
                     .map(|&s| OutSlot::Deriv(s as usize))
                     .collect();
-                let out_pattern = om_analysis::Pattern::from_slots(&sl.out_slots);
-                let read_patterns = patches
-                    .iter()
-                    .map(|(_, slots)| om_analysis::Pattern::from_slots(slots))
-                    .collect();
                 (
                     writes,
-                    Some(LoopInfo {
-                        patches,
-                        count: count as u32,
-                        out_pattern,
-                        read_patterns,
-                    }),
+                    Some(LoopInfo::new(&program, patches, &sl.out_slots)),
                     body_cost * count as u64,
                     cse_program.cse_count() * count,
                 )

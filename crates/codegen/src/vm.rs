@@ -5,31 +5,89 @@
 //! [`execute_batch_with_regs`].
 //!
 //! There is one instruction body (`run_lanes`), written over a
-//! structure-of-arrays register file of K ensemble members (lanes).
-//! [`execute_batch_with_regs`] instantiates it twice and picks one per
-//! call from the lane count it is passed:
+//! structure-of-arrays register file whose lane axis is one *block* of
+//! `kb` loop iterations × `mw` ensemble members (register `r` of lane
+//! (`kk`, `mm`) at `regs[r * stride + kk * mw + mm]`).
+//! [`execute_batch_with_regs`] instantiates it once per addressing mode
+//! and picks one per call from the lane count and loop payload it is
+//! passed:
 //!
-//! * **K lanes**, in chunks of [`LANE_CHUNK`] — each op is a tight loop
-//!   over the chunk's lanes, so the per-instruction dispatch cost is
-//!   amortized K-fold and the inner loops auto-vectorize.
-//! * **One lane**, entered with the literal 1 — an SoA buffer with one
-//!   lane *is* the scalar layout (`y[state * 1 + 0]`), so once inlined
-//!   every lane loop has trip count one, stride and chunk offset are
-//!   constants, and what is left is a plain scalar interpreter: what
-//!   [`execute`], the in-thread serial RHS and every pool worker run.
+//! * **K lanes**, one iteration, members in chunks of [`LANE_CHUNK`] —
+//!   each op is a tight loop over the chunk's lanes, so the
+//!   per-instruction dispatch cost is amortized K-fold and the inner
+//!   loops auto-vectorize.
+//! * **One lane**, entered with literal block bounds — an SoA buffer with
+//!   one lane *is* the scalar layout (`y[state * 1 + 0]`), so once inlined
+//!   every lane loop has trip count one and what is left is a plain
+//!   scalar interpreter: what [`execute`], the in-thread serial RHS and
+//!   every pool worker run for a plain task.
+//! * **Loop kernel** — an array-loop task's iterations (× members) are
+//!   the lane axis, [`LOOP_BLOCK`] lanes per block. A patched `State`
+//!   load reads `y[slots[k]·lanes + m]` through the task's
+//!   per-instruction [`Load`] table: one slice copy when the slots are
+//!   affine with stride 1, a gather otherwise. Outputs land
+//!   iteration-major, `out[(k·n + o)·lanes + m]`.
 //!
 //! Folding changes how an element is addressed, never what is computed:
-//! at every lane count each lane performs the same f64 operations in the
-//! same order with no cross-lane arithmetic, so a K-lane result is
-//! bitwise identical to K one-lane executions.
+//! every lane — member or iteration — performs the same f64 operations in
+//! the same order, with no cross-lane arithmetic, so a block's results
+//! are bitwise identical to one-lane executions of each (iteration,
+//! member) with its loads repointed.
 
 use crate::bytecode::{Instr, Program};
+use crate::task::LoopInfo;
 
 /// Lanes per register-file chunk in batched execution. Chunking keeps
 /// the live register working set (`n_regs × LANE_CHUNK × 8` bytes)
 /// L1-resident even for wide batches, while the inner loops stay
 /// contiguous (stride 1 along lanes) for the auto-vectorizer.
 pub const LANE_CHUNK: usize = 8;
+
+/// Lanes (iterations × members) per loop-kernel block: wide enough that
+/// dispatch is paid once per many cells, narrow enough that a stencil
+/// body's registers stay L1-resident (EXPERIMENTS E19 measures 8 to 256).
+pub const LOOP_BLOCK: usize = 128;
+
+/// How a loop kernel addresses the `State` load at one instruction
+/// index ([`LoopInfo::loads`], built once from the patch table).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Load {
+    /// Not patched: every iteration reads the instruction's own slot.
+    Fixed,
+    /// Iteration `k` reads slot `base + k`: one slice copy per block.
+    Contiguous(u32),
+    /// Iteration `k` reads `patches[p].1[k]`: a gather.
+    Gather(u32),
+}
+
+/// One block of the lane axis: iterations `k0..k0 + kb` × members
+/// `m0..m0 + mw`. Either `kb == 1` or `mw` is every member.
+#[derive(Clone, Copy)]
+struct Block {
+    k0: usize,
+    kb: usize,
+    m0: usize,
+    mw: usize,
+}
+
+/// Block shape over `lanes` members, as (iterations, members): a plain
+/// program is one iteration in [`LANE_CHUNK`]-member chunks; a loop
+/// kernel takes whole iterations while they fit in [`LOOP_BLOCK`] lanes.
+fn shape(lanes: usize, loop_task: bool) -> (usize, usize) {
+    match loop_task {
+        false => (1, LANE_CHUNK),
+        true if lanes <= LOOP_BLOCK => (LOOP_BLOCK / lanes, lanes),
+        true => (1, LOOP_BLOCK),
+    }
+}
+
+/// Register-file length that runs a program with `n_regs` registers over
+/// `lanes` members; `trips` is an array-loop task's trip count, `None`
+/// for a plain program.
+pub fn regs_len(n_regs: u32, lanes: usize, trips: Option<usize>) -> usize {
+    let (per_block, chunk) = shape(lanes, trips.is_some());
+    n_regs as usize * per_block.min(trips.unwrap_or(1)) * chunk.min(lanes)
+}
 
 /// Execute `p` for one ensemble member with time `t`, state vector `y`,
 /// shared-values array `shared`; writes one value per program output
@@ -50,16 +108,18 @@ pub fn execute_batch(
     out: &mut [f64],
     lanes: usize,
 ) {
-    let mut regs = vec![0.0f64; p.n_regs as usize * LANE_CHUNK.min(lanes.max(1))];
-    execute_batch_with_regs(p, t, y, shared, out, &mut regs, lanes);
+    let mut regs = vec![0.0f64; regs_len(p.n_regs, lanes.max(1), None)];
+    execute_batch_with_regs(p, None, t, y, shared, out, &mut regs, lanes);
 }
 
 /// Like [`execute_batch`] but reusing a caller-provided register file of
-/// at least `p.n_regs * min(LANE_CHUNK, lanes)` values. The register
-/// file is chunk-local: lanes are processed [`LANE_CHUNK`] at a time and
-/// registers are laid out `regs[reg * chunk_stride + lane_in_chunk]`.
+/// at least [`regs_len`] values. With a loop payload `kernel`, `p` is an
+/// array-loop task's body and runs over its `count` iterations × `lanes`
+/// members into `out` (`count × outputs × lanes` values, iteration-major).
+#[allow(clippy::too_many_arguments)]
 pub fn execute_batch_with_regs(
     p: &Program,
+    kernel: Option<&LoopInfo>,
     t: f64,
     y: &[f64],
     shared: &[f64],
@@ -68,104 +128,156 @@ pub fn execute_batch_with_regs(
     lanes: usize,
 ) {
     assert!(lanes > 0, "batch must have at least one lane");
-    let stride = LANE_CHUNK.min(lanes);
+    let count = kernel.map_or(1, |li| li.count as usize);
+    let trips = kernel.map(|_| count);
     assert!(
-        regs.len() >= p.n_regs as usize * stride,
+        regs.len() >= regs_len(p.n_regs, lanes, trips),
         "register file too small"
     );
     assert_eq!(
         out.len(),
-        p.outputs.len() * lanes,
+        count * p.outputs.len() * lanes,
         "output buffer length mismatch"
     );
-    if lanes == 1 {
-        // Literal arguments: after inlining, every lane loop has trip
-        // count one and the SoA indices reduce to scalar ones.
-        run_lanes(p, t, y, shared, out, regs, 1, 0, 1, 1);
-    } else {
-        let mut c0 = 0;
-        while c0 < lanes {
-            let cw = (lanes - c0).min(LANE_CHUNK);
-            run_lanes(p, t, y, shared, out, regs, lanes, c0, cw, stride);
-            c0 += cw;
-        }
+    if let Some(li) = kernel {
+        assert_eq!(li.loads.len(), p.instrs.len(), "load table length mismatch");
+    }
+    // Literal arguments give every addressing mode its own instantiation;
+    // at one lane of a plain program every lane loop has trip count one
+    // and the SoA indices reduce to scalar ones.
+    let (plain, looped, one) = (shape(lanes, false), shape(lanes, true), (LOOP_BLOCK, 1));
+    match kernel {
+        None if lanes == 1 => run_blocks(p, None, t, y, shared, out, regs, 1, 1, (1, 1)),
+        None => run_blocks(p, None, t, y, shared, out, regs, lanes, 1, plain),
+        Some(li) if lanes == 1 => run_blocks(p, Some(li), t, y, shared, out, regs, 1, count, one),
+        Some(li) => run_blocks(p, Some(li), t, y, shared, out, regs, lanes, count, looped),
     }
 }
 
-/// The instruction body: every instruction loops over `cw ≤ LANE_CHUNK`
-/// lanes starting at batch lane `c0`. Inlined into each call site so the
-/// one-lane entry folds to scalar code; the per-lane operation sequence
-/// is the same at every lane count (bitwise identity depends on it).
+/// Walk `count` iterations × `lanes` members in blocks of at most
+/// `per_block` iterations × `chunk` members.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_lanes(
+fn run_blocks(
     p: &Program,
+    kernel: Option<&LoopInfo>,
     t: f64,
     y: &[f64],
     shared: &[f64],
     out: &mut [f64],
     regs: &mut [f64],
     lanes: usize,
-    c0: usize,
-    cw: usize,
+    count: usize,
+    (per_block, chunk): (usize, usize),
+) {
+    let stride = per_block.min(count) * chunk.min(lanes);
+    let mut k0 = 0;
+    while k0 < count {
+        let kb = (count - k0).min(per_block);
+        let mut m0 = 0;
+        while m0 < lanes {
+            let mw = (lanes - m0).min(chunk);
+            let block = Block { k0, kb, m0, mw };
+            run_lanes(p, kernel, t, y, shared, out, regs, lanes, block, stride);
+            m0 += mw;
+        }
+        k0 += kb;
+    }
+}
+
+/// The instruction body: every instruction loops over the block's
+/// `kb × mw` lanes. Inlined into each call site so the one-lane entry
+/// folds to scalar code and a plain program (`kernel` literally `None`)
+/// carries no load-table lookup; the per-lane operation sequence is the
+/// same in every instantiation (bitwise identity depends on it).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn run_lanes(
+    p: &Program,
+    kernel: Option<&LoopInfo>,
+    t: f64,
+    y: &[f64],
+    shared: &[f64],
+    out: &mut [f64],
+    regs: &mut [f64],
+    lanes: usize,
+    block: Block,
     stride: usize,
 ) {
+    let Block { k0, kb, m0, mw } = block;
+    let w = kb * mw;
     let at = |r: u32| r as usize * stride;
-    for instr in &p.instrs {
+    // A per-member operand `src[base + m]`, the same for every iteration
+    // of the block.
+    let fill = |regs: &mut [f64], dst: u32, src: &[f64], base: usize| {
+        for kk in 0..kb {
+            for mm in 0..mw {
+                regs[at(dst) + kk * mw + mm] = src[base + m0 + mm];
+            }
+        }
+    };
+    for (i, instr) in p.instrs.iter().enumerate() {
         match *instr {
             Instr::Const { dst, idx } => {
                 let v = p.consts[idx as usize];
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = v;
                 }
             }
-            Instr::State { dst, idx } => {
-                for l in 0..cw {
-                    regs[at(dst) + l] = y[idx as usize * lanes + c0 + l];
+            Instr::State { dst, idx } => match kernel.map(|li| (li.loads[i], li)) {
+                None | Some((Load::Fixed, _)) => fill(regs, dst, y, idx as usize * lanes),
+                Some((Load::Contiguous(base), _)) => {
+                    let src = (base as usize + k0) * lanes + m0;
+                    regs[at(dst)..at(dst) + w].copy_from_slice(&y[src..src + w]);
                 }
-            }
-            Instr::Shared { dst, idx } => {
-                for l in 0..cw {
-                    regs[at(dst) + l] = shared[idx as usize * lanes + c0 + l];
+                Some((Load::Gather(pi), li)) => {
+                    let slots = &li.patches[pi as usize].1[k0..k0 + kb];
+                    for (kk, &slot) in slots.iter().enumerate() {
+                        let src = slot as usize * lanes + m0;
+                        for mm in 0..mw {
+                            regs[at(dst) + kk * mw + mm] = y[src + mm];
+                        }
+                    }
                 }
-            }
+            },
+            Instr::Shared { dst, idx } => fill(regs, dst, shared, idx as usize * lanes),
             Instr::Time { dst } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = t;
                 }
             }
             Instr::Add { dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = regs[at(a) + l] + regs[at(b) + l];
                 }
             }
             Instr::Mul { dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = regs[at(a) + l] * regs[at(b) + l];
                 }
             }
             Instr::PowI { dst, a, n } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = powi(regs[at(a) + l], n);
                 }
             }
             Instr::Powf { dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = regs[at(a) + l].powf(regs[at(b) + l]);
                 }
             }
             Instr::Call1 { f, dst, a } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = f.apply(&[regs[at(a) + l]]);
                 }
             }
             Instr::Call2 { f, dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = f.apply(&[regs[at(a) + l], regs[at(b) + l]]);
                 }
             }
             Instr::Cmp { op, dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = if op.apply(regs[at(a) + l], regs[at(b) + l]) {
                         1.0
                     } else {
@@ -174,7 +286,7 @@ fn run_lanes(
                 }
             }
             Instr::BoolAnd { dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = if regs[at(a) + l] != 0.0 && regs[at(b) + l] != 0.0 {
                         1.0
                     } else {
@@ -183,7 +295,7 @@ fn run_lanes(
                 }
             }
             Instr::BoolOr { dst, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = if regs[at(a) + l] != 0.0 || regs[at(b) + l] != 0.0 {
                         1.0
                     } else {
@@ -192,12 +304,12 @@ fn run_lanes(
                 }
             }
             Instr::BoolNot { dst, a } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = if regs[at(a) + l] == 0.0 { 1.0 } else { 0.0 };
                 }
             }
             Instr::Select { dst, c, a, b } => {
-                for l in 0..cw {
+                for l in 0..w {
                     regs[at(dst) + l] = if regs[at(c) + l] != 0.0 {
                         regs[at(a) + l]
                     } else {
@@ -207,9 +319,19 @@ fn run_lanes(
             }
         }
     }
+    let n = p.outputs.len();
     for (o, &reg) in p.outputs.iter().enumerate() {
-        for l in 0..cw {
-            out[o * lanes + c0 + l] = regs[at(reg) + l];
+        if kernel.is_some() && n == 1 && mw == lanes {
+            // One output per iteration, every member: the block's share
+            // of `out` is one contiguous run.
+            out[k0 * lanes..k0 * lanes + w].copy_from_slice(&regs[at(reg)..at(reg) + w]);
+            continue;
+        }
+        for kk in 0..kb {
+            let dst = ((k0 + kk) * n + o) * lanes + m0;
+            for mm in 0..mw {
+                out[dst + mm] = regs[at(reg) + kk * mw + mm];
+            }
         }
     }
 }
@@ -256,7 +378,7 @@ mod tests {
         let p = compile_roots(&dag, &[root], &vars, CseMode::PerTask);
         let mut regs = vec![0.0; p.n_regs as usize + 8];
         let mut out = vec![0.0];
-        execute_batch_with_regs(&p, 0.0, &[7.0], &[], &mut out, &mut regs, 1);
+        execute_batch_with_regs(&p, None, 0.0, &[7.0], &[], &mut out, &mut regs, 1);
         assert_eq!(out[0], 21.0);
     }
 
@@ -338,7 +460,7 @@ mod tests {
         let p = mixed_program();
         let mut regs = vec![0.0; 1];
         let mut out = vec![0.0; 8];
-        execute_batch_with_regs(&p, 0.0, &[0.5; 16], &[], &mut out, &mut regs, 8);
+        execute_batch_with_regs(&p, None, 0.0, &[0.5; 16], &[], &mut out, &mut regs, 8);
     }
 
     #[test]
@@ -359,6 +481,6 @@ mod tests {
         let p = compile_roots(&dag, &[root], &vars, CseMode::PerTask);
         let mut regs = vec![0.0; 0];
         let mut out = vec![0.0];
-        execute_batch_with_regs(&p, 0.0, &[7.0], &[], &mut out, &mut regs, 1);
+        execute_batch_with_regs(&p, None, 0.0, &[7.0], &[], &mut out, &mut regs, 1);
     }
 }

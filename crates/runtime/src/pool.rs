@@ -99,7 +99,7 @@
 use crate::error::RuntimeError;
 use crate::fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
 use crate::strategy::Strategy;
-use om_codegen::task::{OutSlot, TaskGraph};
+use om_codegen::task::{BatchScratch, OutSlot, TaskGraph};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -279,12 +279,9 @@ impl Shared {
 
 /// Per-incarnation scratch + cached metric handles for the execute loop.
 struct WorkerCtx {
-    regs: Vec<f64>,
-    out_buf: Vec<f64>,
-    /// Program clone scratch for array-loop tasks (slot patching).
-    prog_scratch: om_codegen::Program,
-    /// Local copy of the shared slots a task reads (filled per task).
-    shared_local: Vec<f64>,
+    /// One-lane task scratch, sized as the in-thread placement's is; the
+    /// shared slots a task reads are copied into it per task.
+    scratch: BatchScratch,
     /// Task executions by this incarnation ([`FaultPlan::fire`] trigger).
     jobs_done: u64,
     steals: Arc<om_obs::Counter>,
@@ -294,18 +291,9 @@ struct WorkerCtx {
 
 impl WorkerCtx {
     fn new(worker: usize, graph: &TaskGraph) -> WorkerCtx {
-        let max_regs = graph
-            .tasks
-            .iter()
-            .map(|t| t.program.n_regs as usize)
-            .max()
-            .unwrap_or(0);
         let m = om_obs::metrics();
         WorkerCtx {
-            regs: vec![0.0; max_regs],
-            out_buf: Vec::new(),
-            prog_scratch: om_codegen::Program::default(),
-            shared_local: vec![0.0; graph.n_shared],
+            scratch: BatchScratch::new(graph, 1),
             jobs_done: 0,
             steals: m.counter("runtime.steals"),
             ready_pushed: m.counter("runtime.ready_pushed"),
@@ -1097,38 +1085,29 @@ fn execute_task(
         _ => {}
     }
     let task = &s.graph.tasks[tid];
+    let shared = ctx.scratch.shared_mut();
     for &slot in &task.reads_shared {
-        ctx.shared_local[slot as usize] =
+        shared[slot as usize] =
             f64::from_bits(s.shared_vals[slot as usize].load(Ordering::Acquire));
     }
-    ctx.out_buf.resize(task.n_out(), 0.0);
-    let run = |ctx: &mut WorkerCtx| {
-        task.run_batch_with_regs(
-            t,
-            y,
-            &ctx.shared_local,
-            &mut ctx.out_buf,
-            &mut ctx.regs,
-            1,
-            &mut ctx.prog_scratch,
-        );
-    };
     let start = Instant::now();
-    run(ctx);
+    task.run(t, y, &mut ctx.scratch);
     let elapsed_ns = start.elapsed().as_nanos() as u64;
+    let out = &mut ctx.scratch.out_mut()[..task.n_out()];
     if fault == Some(FaultKind::CorruptNaN) {
-        if let Some(first) = ctx.out_buf.first_mut() {
+        if let Some(first) = out.first_mut() {
             *first = f64::NAN;
         }
     }
-    let bad = ctx.out_buf.iter().filter(|v| !v.is_finite()).count();
+    let bad = out.iter().filter(|v| !v.is_finite()).count();
     if bad > 0 {
         // A corrupted result and a genuine blow-up look the same from
         // here; recomputing is correct for both (the recomputation of a
-        // genuine non-finite value reproduces it exactly).
+        // genuine non-finite value reproduces it exactly — for a loop
+        // task, every output of the chunk).
         om_obs::instant("result.nan_repair", "runtime");
         s.nan_repairs.fetch_add(bad, Ordering::Relaxed);
-        run(ctx);
+        task.run(t, y, &mut ctx.scratch);
     }
     if fault == Some(FaultKind::DropResult) {
         // The result is lost: the claim stays RUNNING until the sweep's
@@ -1146,7 +1125,7 @@ fn execute_task(
         return Step::Next;
     }
     s.timings_ns[tid].store(elapsed_ns, Ordering::Relaxed);
-    for (value, slot) in ctx.out_buf.iter().zip(&task.writes) {
+    for (value, slot) in ctx.scratch.out_mut().iter().zip(&task.writes) {
         match slot {
             OutSlot::Deriv(i) => s.dydt[*i].store(value.to_bits(), Ordering::Release),
             OutSlot::Shared(i) => s.shared_vals[*i].store(value.to_bits(), Ordering::Release),

@@ -107,6 +107,35 @@ fn loop_task_trajectories_match_oracle_across_executors() {
     }
 }
 
+/// One scratch sizing for both placements: `BatchScratch::new` sizes
+/// loop kernels by their block and plain programs by one lane. A graph
+/// mixing both runs in-thread on the one-lane scratch it returns, and the
+/// pool — whose workers each hold the same one-lane scratch — agrees
+/// bitwise under both policies.
+#[test]
+fn mixed_loop_and_plain_graph_runs_on_one_scratch_sizing() {
+    let n = 2 * om_codegen::vm::LOOP_BLOCK * 8 + 2;
+    let aware = om_ir::causalize(&om_lang::compile_arrays(&heat_src(n)).unwrap()).unwrap();
+    let program = generate(&aware);
+    let graph = &program.graph;
+    assert!(graph.tasks.iter().any(|t| t.loop_info.is_some()));
+    assert!(graph.tasks.iter().any(|t| t.loop_info.is_none()));
+
+    let y0: Vec<f64> = (0..n).map(|i| (0.2 * i as f64).sin() + 0.05).collect();
+    let mut scratch = om_codegen::BatchScratch::new(graph, 1);
+    let mut serial = vec![0.0; n];
+    graph.eval_batch(0.4, &y0, &mut serial, &mut scratch);
+    let sched = program.schedule(2);
+    for strategy in [Strategy::Barrier, Strategy::WorkStealing] {
+        let mut pool =
+            ExecutorPool::build(graph.clone(), 2, sched.assignment.clone(), strategy).unwrap();
+        let mut pooled = vec![0.0; n];
+        pool.rhs(0.4, &y0, &mut pooled);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&serial), bits(&pooled), "{strategy:?}");
+    }
+}
+
 #[test]
 fn loop_task_graph_is_smaller_than_oracle_graph() {
     let n = 64;

@@ -15,7 +15,17 @@ use om_runtime::{
 };
 use om_solver::{dopri5, Tolerances};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
+
+/// The loop-task cases keep both cores busy, and the every-worker fault
+/// case needs each worker to win some task under work stealing; they take
+/// turns.
+static CORES: Mutex<()> = Mutex::new(());
+
+fn cores() -> MutexGuard<'static, ()> {
+    CORES.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const MODEL: &str = "model Chaos;
     Real x(start=0.4); Real v(start=-0.3); Real f;
@@ -221,6 +231,7 @@ fn multi_level_bearing() -> (om_ir::OdeIr, om_codegen::ParallelProgram) {
 /// faults land on stolen tasks, mid-level, and on the fence.
 #[test]
 fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
+    let _cores = cores();
     let (ir, program) = multi_level_bearing();
     assert!(
         program.graph.levels().len() > 1,
@@ -313,6 +324,114 @@ fn seeded_plans_on_the_bearing_match_eval_serial_under_both_policies() {
                 pool.try_rhs(t, &y0, &mut dydt).unwrap();
                 assert_eq!(dydt, expect, "{strategy} seed {seed} call {k}");
             }
+        }
+    }
+}
+
+/// `omc heat1d --size 8194 --array-aware`: eight 1 024-iteration loop
+/// tasks plus one task for the two boundary rows. The oracle is the
+/// scalarized model's graph, evaluated serially. Built once.
+fn loop_heat() -> &'static (Vec<f64>, om_codegen::ParallelProgram, om_codegen::TaskGraph) {
+    static HEAT: OnceLock<(Vec<f64>, om_codegen::ParallelProgram, om_codegen::TaskGraph)> =
+        OnceLock::new();
+    HEAT.get_or_init(|| {
+        let src = om_models::heat1d::source_distributed(&om_models::heat1d::HeatConfig {
+            cells: 8194,
+            velocity: 0.4,
+            ..Default::default()
+        });
+        let aware = om_ir::causalize(&om_lang::compile_arrays(&src).unwrap()).unwrap();
+        let oracle = om_models::compile_to_ir(&src).unwrap();
+        let program = om_codegen::CodeGenerator::default().generate(&aware);
+        let chunks: Vec<usize> = program
+            .graph
+            .tasks
+            .iter()
+            .filter(|t| t.loop_info.is_some())
+            .map(|t| t.n_out())
+            .collect();
+        assert_eq!(chunks, vec![1024; 8]);
+        let oracle_graph = om_codegen::CodeGenerator::default().generate(&oracle).graph;
+        (aware.initial_state(), program, oracle_graph)
+    })
+}
+
+fn hex(v: &[f64]) -> Vec<String> {
+    v.iter().map(|x| format!("{:016x}", x.to_bits())).collect()
+}
+
+/// Seeded plans (panics, stragglers, dropped results, NaN poison) on the
+/// loop-task graph, 3 workers: hex-bit-identical to the scalarized
+/// serial oracle under both policies, call after call.
+#[test]
+fn seeded_plans_on_loop_tasks_match_the_scalarized_oracle_under_both_policies() {
+    let (y0, program, oracle) = loop_heat();
+    let _cores = cores();
+    let sched = program.schedule(3);
+    for strategy in Strategy::ALL {
+        for seed in [3u64, 7, 1995] {
+            let mut pool = ExecutorPool::with_faults(
+                program.graph.clone(),
+                3,
+                sched.assignment.clone(),
+                FaultPlan::from_seed(seed, 3, 6),
+                FaultConfig {
+                    task_timeout: Duration::from_millis(50),
+                    ..FaultConfig::default()
+                },
+                strategy,
+            )
+            .unwrap();
+            let mut dydt = vec![0.0; y0.len()];
+            let mut expect = vec![0.0; y0.len()];
+            for k in 0..8 {
+                let t = 0.05 * k as f64;
+                let y: Vec<f64> = y0.iter().map(|v| v + 1e-3 * k as f64).collect();
+                oracle.eval_serial(t, &y, &mut expect);
+                pool.try_rhs(t, &y, &mut dydt).unwrap();
+                assert_eq!(hex(&dydt), hex(&expect), "{strategy} seed {seed} call {k}");
+            }
+        }
+    }
+}
+
+/// NaN poison on a worker's first three tasks — at least two of them
+/// 1 024-output loop chunks, since one task in nine is not — is repaired
+/// by rerunning the whole task, and every output comes back bitwise.
+#[test]
+fn nan_repair_reruns_a_loop_chunk_bitwise() {
+    let (y0, program, oracle) = loop_heat();
+    let _cores = cores();
+    let sched = program.schedule(2);
+    let mut expect = vec![0.0; y0.len()];
+    oracle.eval_serial(0.25, y0, &mut expect);
+    for strategy in Strategy::ALL {
+        for worker in 0..2 {
+            let plan = (1..=3).fold(FaultPlan::none(), |p, job| {
+                p.inject(worker, job, FaultKind::CorruptNaN)
+            });
+            let mut pool = ExecutorPool::with_faults(
+                program.graph.clone(),
+                2,
+                sched.assignment.clone(),
+                plan,
+                FaultConfig::default(),
+                strategy,
+            )
+            .unwrap();
+            let mut dydt = vec![0.0; y0.len()];
+            for _ in 0..50 {
+                pool.try_rhs(0.25, y0, &mut dydt).unwrap();
+                assert_eq!(hex(&dydt), hex(&expect), "{strategy} worker {worker}");
+                if pool.recovery().nan_repairs >= 3 {
+                    break;
+                }
+            }
+            assert!(
+                pool.recovery().nan_repairs >= 3,
+                "{strategy} worker {worker}: {:?}",
+                pool.recovery()
+            );
         }
     }
 }
