@@ -10,8 +10,9 @@
 //! * static vs semi-dynamic LPT under load imbalance from conditionals,
 //! * the product placement (cluster-scoped CSE, one cluster per worker)
 //!   beside those simulated rows, and measured on this host against the
-//!   equation-level graph in thread and on a 2-worker work-stealing pool
-//!   (experiment E20).
+//!   equation-level graph in thread and on a 2-worker work-stealing pool,
+//!   raw and behind `ParallelRhs` as `omc simulate` runs it (experiments
+//!   E20, E21).
 
 use om_codegen::cse::CseMode;
 use om_codegen::task::TaskGraph;
@@ -39,10 +40,15 @@ fn median_ns(f: &mut dyn FnMut()) -> f64 {
 
 /// E20: size and measured ns per RHS call of the equation-level graph
 /// and the 1- and 2-worker placements, in thread (one-lane
-/// `eval_batch`, median of five batches) and on a 2-worker ws pool.
+/// `eval_batch`, median of five batches) and on a 2-worker ws pool —
+/// raw (`ExecutorPool::rhs`, the static assignment) and, as `omc
+/// simulate` runs it, through `ParallelRhs` rescheduling every 16 calls
+/// from the measured task times and hand-off (E21).
 fn measured_placements() {
     println!("\n-- E20 placement vs equation-level graph (host, ns per RHS call) --");
-    println!("model          graph           tasks   instrs    in-thread   ws2 pool");
+    println!(
+        "model          graph           tasks   instrs    in-thread   ws2 pool   ws2 via ParallelRhs"
+    );
     let bearing = |rollers| {
         bearing2d::ir(&BearingConfig {
             rollers,
@@ -74,14 +80,20 @@ fn measured_placements() {
                 ExecutorPool::build(graph.clone(), 2, assignment.clone(), Strategy::WorkStealing)
                     .expect("valid pool");
             let pooled = median_ns(&mut || pool.rhs(0.0, &y, &mut dydt));
+            let mut rhs = ParallelRhs::new(pool, 16);
+            let product = median_ns(&mut || rhs.rhs(0.0, &y, &mut dydt));
             let (tasks, instrs) = (graph.tasks.len(), graph.instrs());
-            println!("{name:<14} {label:<15} {tasks:>5} {instrs:>8} {serial:>12.0} {pooled:>10.0}");
+            println!(
+                "{name:<14} {label:<15} {tasks:>5} {instrs:>8} {serial:>12.0} {pooled:>10.0} \
+                 {product:>21.0}"
+            );
             rows.push(format!(
-                "{name},{label},{tasks},{instrs},{serial:.0},{pooled:.0}"
+                "{name},{label},{tasks},{instrs},{serial:.0},{pooled:.0},{product:.0}"
             ));
         }
     }
-    let header = "model,graph,tasks,instrs,serial_ns_per_call,ws2_ns_per_call";
+    let header =
+        "model,graph,tasks,instrs,serial_ns_per_call,ws2_ns_per_call,ws2_resched_ns_per_call";
     om_bench::write_csv("table_placement", header, &rows);
 }
 

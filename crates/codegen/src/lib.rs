@@ -44,6 +44,6 @@ pub use cse::{CseMode, CseProgram};
 pub use dag::{Dag, NodeId};
 pub use generator::{CodeGenerator, GenOptions, GenStats, ParallelProgram, Placement};
 pub use registry::{fnv1a64, CompiledModel, ModelKey, ModelRegistry, RegistryError};
-pub use sched::{list_schedule, lpt, Schedule};
+pub use sched::{list_schedule, list_schedule_from, lpt, lpt_from, Schedule};
 pub use task::{BatchScratch, CompiledTask, OutSlot, TaskGraph};
 pub use vm::{execute, execute_batch, LANE_CHUNK};

@@ -55,19 +55,59 @@ impl Schedule {
 /// ```
 pub fn lpt(costs: &[u64], m: usize) -> Schedule {
     assert!(m > 0, "need at least one worker");
+    lpt_greedy(costs, &vec![0; m])
+}
+
+/// [`lpt`] onto workers that cannot all start at once: worker `w` is
+/// free from `start[w]`, so each task goes to the worker on which it
+/// would finish soonest, and a worker that gets no task adds nothing to
+/// the makespan. Greedy placement is not monotone in the start loads, so
+/// the plain [`lpt`] schedule, charged the same start loads, is kept
+/// when it finishes sooner: the prediction is never worse than ignoring
+/// `start`. All-zero start loads give [`lpt`] exactly.
+///
+/// ```
+/// // Worker 1 is a helper that takes 10 to hand work to: it is not worth it.
+/// let sched = om_codegen::lpt_from(&[4, 3], &[0, 10]);
+/// assert_eq!((sched.assignment, sched.makespan), (vec![0, 0], 7));
+/// ```
+pub fn lpt_from(costs: &[u64], start: &[u64]) -> Schedule {
+    assert!(!start.is_empty(), "need at least one worker");
+    let aware = lpt_greedy(costs, start);
+    let mut blind = lpt_greedy(costs, &vec![0; start.len()]);
+    blind.makespan = finish(&blind.assignment, &blind.loads, start);
+    if blind.makespan < aware.makespan {
+        blind
+    } else {
+        aware
+    }
+}
+
+/// The latest finish over the workers that received a task.
+fn finish(assignment: &[usize], loads: &[u64], start: &[u64]) -> u64 {
+    assignment
+        .iter()
+        .map(|&w| start[w] + loads[w])
+        .max()
+        .unwrap_or(0)
+}
+
+fn lpt_greedy(costs: &[u64], start: &[u64]) -> Schedule {
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-    let mut loads = vec![0u64; m];
+    let mut loads = vec![0u64; start.len()];
     let mut assignment = vec![0usize; costs.len()];
     for &task in &order {
-        // Least-loaded worker; ties broken by lowest index for
-        // determinism. A binary heap would be O(n log m); linear scan is
-        // plenty for task counts in the hundreds and keeps ties stable.
-        let w = (0..m).min_by_key(|&w| (loads[w], w)).expect("m > 0");
+        // Earliest finish; ties broken by lowest index for determinism. A
+        // binary heap would be O(n log m); linear scan is plenty for task
+        // counts in the hundreds and keeps ties stable.
+        let w = (0..start.len())
+            .min_by_key(|&w| (start[w] + loads[w], w))
+            .expect("m > 0");
         assignment[task] = w;
         loads[w] += costs[task];
     }
-    let makespan = loads.iter().copied().max().unwrap_or(0);
+    let makespan = finish(&assignment, &loads, start);
     Schedule {
         assignment,
         loads,
@@ -96,6 +136,36 @@ pub(crate) fn schedule(costs: &[u64], deps: &[Vec<usize>], m: usize) -> Schedule
 /// machine model in `om-runtime` adds that).
 pub fn list_schedule(costs: &[u64], deps: &[Vec<usize>], m: usize) -> Schedule {
     assert!(m > 0, "need at least one worker");
+    list_greedy(costs, deps, &vec![0; m]).0
+}
+
+/// [`list_schedule`] onto workers that are first free at `start[w]`, with
+/// the same guarantee as [`lpt_from`]: the plain [`list_schedule`],
+/// replayed in its own order from the same start loads, is kept when it
+/// finishes sooner. All-zero start loads give [`list_schedule`] exactly.
+pub fn list_schedule_from(costs: &[u64], deps: &[Vec<usize>], start: &[u64]) -> Schedule {
+    assert!(!start.is_empty(), "need at least one worker");
+    let (aware, _) = list_greedy(costs, deps, start);
+    let (mut blind, order) = list_greedy(costs, deps, &vec![0; start.len()]);
+    let mut free = start.to_vec();
+    let mut end = vec![0u64; costs.len()];
+    for task in order {
+        let w = blind.assignment[task];
+        let ready = deps[task].iter().map(|&d| end[d]).max().unwrap_or(0);
+        end[task] = free[w].max(ready) + costs[task];
+        free[w] = end[task];
+    }
+    blind.makespan = end.iter().copied().max().unwrap_or(0);
+    if blind.makespan < aware.makespan {
+        blind
+    } else {
+        aware
+    }
+}
+
+/// List scheduling from per-worker start loads; also returns the order
+/// in which tasks were placed (a topological order).
+fn list_greedy(costs: &[u64], deps: &[Vec<usize>], start: &[u64]) -> (Schedule, Vec<usize>) {
     let n = costs.len();
     let mut indegree: Vec<usize> = deps.iter().map(Vec::len).collect();
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -106,15 +176,17 @@ pub fn list_schedule(costs: &[u64], deps: &[Vec<usize>], m: usize) -> Schedule {
     }
     let mut finish_time = vec![0u64; n];
     let mut avail = vec![0u64; n]; // earliest start permitted by deps
-    let mut worker_free = vec![0u64; m];
-    let mut loads = vec![0u64; m];
+    let mut worker_free = start.to_vec();
+    let mut loads = vec![0u64; start.len()];
     let mut assignment = vec![0usize; n];
     let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut scheduled = 0usize;
-    while scheduled < n {
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
         assert!(!ready.is_empty(), "dependency cycle in task graph");
         // Earliest-free worker.
-        let w = (0..m).min_by_key(|&w| (worker_free[w], w)).expect("m > 0");
+        let w = (0..start.len())
+            .min_by_key(|&w| (worker_free[w], w))
+            .expect("m > 0");
         // Among ready tasks, pick the one that can start earliest on `w`;
         // break ties by LPT priority (largest cost), then by index.
         let (pos, &task) = ready
@@ -123,13 +195,13 @@ pub fn list_schedule(costs: &[u64], deps: &[Vec<usize>], m: usize) -> Schedule {
             .min_by_key(|(_, &t)| (worker_free[w].max(avail[t]), std::cmp::Reverse(costs[t]), t))
             .expect("ready nonempty");
         ready.swap_remove(pos);
-        let start = worker_free[w].max(avail[task]);
-        let end = start + costs[task];
+        let begin = worker_free[w].max(avail[task]);
+        let end = begin + costs[task];
         worker_free[w] = end;
         finish_time[task] = end;
         loads[w] += costs[task];
         assignment[task] = w;
-        scheduled += 1;
+        order.push(task);
         for &dep in &dependents[task] {
             indegree[dep] -= 1;
             avail[dep] = avail[dep].max(end);
@@ -139,11 +211,12 @@ pub fn list_schedule(costs: &[u64], deps: &[Vec<usize>], m: usize) -> Schedule {
         }
     }
     let makespan = finish_time.iter().copied().max().unwrap_or(0);
-    Schedule {
+    let schedule = Schedule {
         assignment,
         loads,
         makespan,
-    }
+    };
+    (schedule, order)
 }
 
 #[cfg(test)]

@@ -5,8 +5,15 @@
 //! test compares against the *true* optimum (branch-and-bound over all
 //! assignments) — comparing against a lower bound instead would assert a
 //! stronger, false property.
+//!
+//! The `_from` variants schedule onto workers with start loads (the
+//! executor pool's supervisor starts at once, a helper only after the
+//! measured hand-off): zero start loads must reproduce the plain
+//! schedulers, a hand-off that costs more than all the work must keep
+//! every task on worker 0, and the predicted makespan must never be
+//! worse than that of the schedule that ignores the start loads.
 
-use om_codegen::{list_schedule, lpt};
+use om_codegen::{list_schedule, list_schedule_from, lpt, lpt_from};
 use proptest::prelude::*;
 
 /// Exact minimum makespan by branch-and-bound over all assignments.
@@ -39,8 +46,78 @@ fn opt_makespan(costs: &[u64], m: usize) -> u64 {
     best
 }
 
+/// A random DAG over `n` tasks from `seed`: each task depends on a few
+/// lower-numbered ones.
+fn random_deps(n: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    (0..n)
+        .map(|i| {
+            let mut ds: Vec<usize> = (0..i).filter(|_| next() % 3 == 0).collect();
+            ds.truncate(3);
+            ds
+        })
+        .collect()
+}
+
+/// Makespan of `assignment` when worker `w` starts at `start[w]`
+/// (independent tasks; idle workers count for nothing).
+fn charged(costs: &[u64], assignment: &[usize], start: &[u64]) -> u64 {
+    let mut loads = vec![0u64; start.len()];
+    for (t, &w) in assignment.iter().enumerate() {
+        loads[w] += costs[t];
+    }
+    assignment
+        .iter()
+        .map(|&w| start[w] + loads[w])
+        .max()
+        .unwrap_or(0)
+}
+
+/// The pool's start loads: 0 for the supervisor, `h` for each helper.
+fn helper_start(m: usize, h: u64) -> Vec<u64> {
+    (0..m).map(|w| if w == 0 { 0 } else { h }).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Zero start loads are the plain schedulers, bit for bit.
+    #[test]
+    fn zero_start_loads_reproduce_the_plain_schedulers(
+        costs in prop::collection::vec(0u64..=100, 0..=12),
+        m in 1usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        let zeros = vec![0; m];
+        prop_assert_eq!(lpt_from(&costs, &zeros), lpt(&costs, m));
+        let deps = random_deps(costs.len(), seed);
+        prop_assert_eq!(list_schedule_from(&costs, &deps, &zeros), list_schedule(&costs, &deps, m));
+    }
+
+    /// A hand-off that costs at least all the work together leaves every
+    /// task on the supervisor, whose finish is the total cost.
+    #[test]
+    fn a_handoff_above_the_total_keeps_every_task_on_worker_0(
+        costs in prop::collection::vec(0u64..=100, 1..=12),
+        m in 2usize..=4,
+        extra in 0u64..=50,
+        seed in 0u64..1_000_000,
+    ) {
+        let total: u64 = costs.iter().sum();
+        let start = helper_start(m, total + extra);
+        let deps = random_deps(costs.len(), seed);
+        for sched in [lpt_from(&costs, &start), list_schedule_from(&costs, &deps, &start)] {
+            prop_assert!(sched.assignment.iter().all(|&w| w == 0), "{:?}", sched.assignment);
+            prop_assert_eq!(sched.makespan, total);
+            prop_assert_eq!(sched.loads[0], total);
+        }
+    }
 
     /// Every task is assigned exactly once, to a valid worker, and the
     /// derived metrics are consistent with the assignment.
@@ -105,6 +182,49 @@ proptest! {
         prop_assert_eq!(sched.loads.iter().sum::<u64>(), costs.iter().sum::<u64>());
         prop_assert!(sched.makespan >= opt_makespan(&costs, m));
     }
+}
+
+proptest! {
+    // Greedy placement from start loads beats the start-blind schedule
+    // on all but a fraction of a percent of these cases, so the search
+    // is wide.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Scheduling with the start loads never predicts a later finish
+    /// than the start-blind schedule charged the same start loads (for
+    /// dependent tasks: than the start-blind makespan plus the largest
+    /// start load, which bounds any replay of it).
+    #[test]
+    fn start_loads_never_make_the_prediction_worse(
+        costs in prop::collection::vec(1u64..=100, 1..=12),
+        m in 1usize..=4,
+        h in 0u64..=300,
+        seed in 0u64..1_000_000,
+    ) {
+        let start = helper_start(m, h);
+        let aware = lpt_from(&costs, &start);
+        prop_assert_eq!(aware.makespan, charged(&costs, &aware.assignment, &start));
+        prop_assert!(aware.makespan <= charged(&costs, &lpt(&costs, m).assignment, &start));
+        prop_assert!(aware.makespan <= lpt(&costs, m).makespan + h);
+        let deps = random_deps(costs.len(), seed);
+        let aware = list_schedule_from(&costs, &deps, &start);
+        prop_assert!(aware.makespan <= list_schedule(&costs, &deps, m).makespan + h);
+        prop_assert_eq!(aware.loads.iter().sum::<u64>(), costs.iter().sum::<u64>());
+    }
+}
+
+/// One of those cases: greedy placement from the start loads alone
+/// finishes at 229, the start-blind LPT schedule charged the same start
+/// loads at 217, and `lpt_from` keeps the better one.
+#[test]
+fn start_aware_greedy_alone_is_not_monotone() {
+    let costs = [39, 37, 76, 64, 65, 51, 76];
+    let start = helper_start(2, 17);
+    let blind = charged(&costs, &lpt(&costs, 2).assignment, &start);
+    assert_eq!(blind, 217);
+    let sched = lpt_from(&costs, &start);
+    assert_eq!(sched.makespan, 217);
+    assert_eq!(charged(&costs, &sched.assignment, &start), 217);
 }
 
 #[test]

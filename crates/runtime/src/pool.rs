@@ -24,7 +24,18 @@
 //! # Threading model
 //!
 //! The supervisor thread participates as worker 0; `n_workers - 1`
-//! helper threads park on a condvar between RHS calls. All
+//! helper threads park on a condvar between RHS calls, and a call wakes
+//! them only when its assignment gives a helper a task. The semi-dynamic
+//! rescheduler ([`ExecutorPool::rebalance`]) charges every helper the
+//! measured hand-off as a start load, so when no task would finish
+//! sooner on a helper, every task sits on worker 0 and the call runs on
+//! the supervisor alone: no notify, no shared copy of `y`, the same claim
+//! words, timers, finiteness scan and sweep. The hand-off is measured
+//! only from calls that seed a helper (a seeded helper whose tasks the
+//! supervisor stole before it started counts the whole call as its
+//! hand-off), and a pool with a fault plan keeps it at 0 and every
+//! call's helpers awake, so injected faults land where they are
+//! planned. All
 //! synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
 //! condvars (call start, ready work). Within a call an idle worker parks
 //! on the ready-work condvar behind a sleeper count, so a waker pays the
@@ -142,6 +153,23 @@ fn claim_state(word: u64) -> u64 {
     word & 3
 }
 
+/// One hand-off sample from a call that seeded a helper: its wall time
+/// less the task time of its busiest worker (`worker_ns`, summed per
+/// completing worker, stolen tasks included). When a seeded helper
+/// completed none of its tasks (`idle_helper`: the supervisor stole them
+/// before the helper got going), that helper had not started by the end
+/// of the call, so the hand-off took at least the whole call and the
+/// sample is the wall time. Subtracting the stolen work instead would
+/// leave only the cost of the notify, and a hand-off that never pays
+/// would read as cheap.
+fn handoff_sample(wall_ns: u64, worker_ns: &[Option<u64>], idle_helper: bool) -> u64 {
+    if idle_helper {
+        return wall_ns;
+    }
+    let busiest = worker_ns.iter().flatten().copied().max().unwrap_or(0);
+    wall_ns.saturating_sub(busiest)
+}
+
 /// Lock a mutex whose data every update leaves valid, poisoned or not.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -176,13 +204,15 @@ struct Shared {
     timings_ns: Vec<AtomicU64>,
     /// Current `t`, as bits.
     t_bits: AtomicU64,
-    /// Current state vector; helpers clone the Arc once per call.
+    /// Current state vector; helpers clone the Arc once per call that
+    /// wakes them (a supervisor-only call leaves it stale).
     y: Mutex<Arc<Vec<f64>>>,
     /// Call generation, bumped (Release) *before* the deques are seeded
     /// so a worker that pops a task can detect it belongs to a newer
     /// call than the one it captured `(t, y)` for.
     call_fast: AtomicU64,
-    /// Call generation + start condvar for parked helpers.
+    /// Generation of the last call that woke the helpers + their start
+    /// condvar.
     call: Mutex<u64>,
     start_cv: Condvar,
     /// Ready-work condvar: notified after a push and when `remaining`
@@ -341,6 +371,17 @@ pub struct ExecutorPool {
     /// EWMA of measured per-task seconds, consumed by the semi-dynamic
     /// rescheduler (paper §3.2.3).
     measured: Vec<f64>,
+    /// EWMA of the measured hand-off, in ns ([`handoff_sample`]): what a
+    /// call that seeds a helper costs beyond its busiest worker's task
+    /// time, or all of it when a seeded helper ran nothing. The
+    /// rescheduler charges it to every helper as a start load. Held at 0
+    /// under a fault plan.
+    handoff_ns: f64,
+    /// Per-worker task time of the current call, `None` for a worker
+    /// that completed no task (hand-off sampling).
+    worker_ns: Vec<Option<u64>>,
+    /// Calls that ran every task on worker 0 and woke nobody.
+    solo_calls: u64,
     fault_config: FaultConfig,
     recovery: RecoveryStats,
     /// Worker-0 context.
@@ -351,8 +392,10 @@ pub struct ExecutorPool {
     retried: Vec<u64>,
     rhs_calls: Arc<om_obs::Counter>,
     tasks_executed: Arc<om_obs::Counter>,
+    solo_counter: Arc<om_obs::Counter>,
     task_seconds: Arc<om_obs::Histogram>,
     live_gauge: Arc<om_obs::Gauge>,
+    handoff_gauge: Arc<om_obs::Gauge>,
     /// RHS calls seen, driving the deterministic detail-sampling schedule.
     obs_calls: u64,
 }
@@ -485,6 +528,9 @@ impl ExecutorPool {
                 .iter()
                 .map(|t| t.static_cost as f64 * 1e-9)
                 .collect(),
+            handoff_ns: 0.0,
+            worker_ns: vec![None; n_workers],
+            solo_calls: 0,
             fault_config,
             recovery: RecoveryStats::default(),
             ctx: WorkerCtx::new(0, &graph),
@@ -492,12 +538,14 @@ impl ExecutorPool {
             retried: vec![0; n_tasks],
             rhs_calls: m.counter("runtime.rhs_calls"),
             tasks_executed: m.counter("runtime.tasks_executed"),
+            solo_counter: m.counter("runtime.supervisor_only_calls"),
             // 100ns .. ~1s exponential task-time buckets.
             task_seconds: m.histogram(
                 "runtime.task_seconds",
                 &(0..12).map(|i| 1e-7 * 4f64.powi(i)).collect::<Vec<_>>(),
             ),
             live_gauge: m.gauge("runtime.live_workers"),
+            handoff_gauge: m.gauge("runtime.handoff_ns"),
             obs_calls: 0,
             shared,
         };
@@ -554,10 +602,26 @@ impl ExecutorPool {
         &self.recovery
     }
 
+    /// EWMA of the measured hand-off to a helper, in ns (0 until a call
+    /// has seeded a helper, and always 0 under a fault plan).
+    pub fn handoff_ns(&self) -> f64 {
+        self.handoff_ns
+    }
+
+    /// Calls that ran every task on the supervisor and woke no helper.
+    pub fn supervisor_only_calls(&self) -> u64 {
+        self.solo_calls
+    }
+
     /// Recompute the assignment from per-task costs over the *live*
     /// workers only (LPT for independent graphs, list scheduling
     /// otherwise). Used by the semi-dynamic scheduler and internally
     /// after a worker is written off, so a shrunken pool stays balanced.
+    ///
+    /// Each helper starts [`ExecutorPool::handoff_ns`] late and the
+    /// supervisor at once, so a task goes to a helper only when it would
+    /// finish sooner there; when none would, the next calls run on the
+    /// supervisor alone and wake nobody.
     pub fn rebalance(&mut self, costs: &[u64]) {
         let live: Vec<usize> = (0..self.slots.len())
             .filter(|&w| !self.slots[w].failed)
@@ -567,10 +631,15 @@ impl ExecutorPool {
             return;
         }
         let _span = om_obs::span("sched.rebalance", "sched");
+        let handoff = self.handoff_ns as u64;
+        let start: Vec<u64> = live
+            .iter()
+            .map(|&w| if w == 0 { 0 } else { handoff })
+            .collect();
         let sched = if graph.is_independent() {
-            om_codegen::lpt(costs, live.len())
+            om_codegen::lpt_from(costs, &start)
         } else {
-            om_codegen::list_schedule(costs, &graph.deps, live.len())
+            om_codegen::list_schedule_from(costs, &graph.deps, &start)
         };
         self.assignment = sched.assignment.iter().map(|&k| live[k]).collect();
     }
@@ -620,6 +689,13 @@ impl ExecutorPool {
             om_obs::is_enabled() && self.obs_calls % u64::from(om_obs::detail_every()) == 0;
         self.obs_calls += 1;
 
+        // A call whose tasks all sit on the supervisor wakes nobody and
+        // publishes no copy of `y`; one that seeds a helper measures the
+        // hand-off. A fault plan needs the helpers in every call.
+        let fault_free = s.faults.is_empty();
+        let solo = fault_free && self.assignment.iter().all(|&w| w == 0);
+        let call_start = (fault_free && !solo).then(Instant::now);
+
         // --- reset per-call state (no worker is active: remaining == 0).
         if s.strategy == Strategy::WorkStealing {
             for (p, &init) in s.preds.iter().zip(&s.pred_init) {
@@ -630,8 +706,16 @@ impl ExecutorPool {
             v.store(0, Ordering::Relaxed);
         }
         s.t_bits.store(t.to_bits(), Ordering::Relaxed);
-        let y_arc = Arc::new(y.to_vec());
-        *lock(&s.y) = Arc::clone(&y_arc);
+        let y_arc;
+        let y = if solo {
+            self.solo_calls += 1;
+            self.solo_counter.inc();
+            y
+        } else {
+            y_arc = Arc::new(y.to_vec());
+            *lock(&s.y) = Arc::clone(&y_arc);
+            &y_arc[..]
+        };
         s.detailed.store(detailed, Ordering::Relaxed);
         s.remaining.store(s.graph.tasks.len(), Ordering::Release);
         // Bump the fast generation *before* seeding so a worker popping a
@@ -647,11 +731,14 @@ impl ExecutorPool {
             // below, and the deque mutex orders this store before that.
             s.fence.store(fence, Ordering::Relaxed);
             self.seed(&s, phase, detailed);
-            if phase == 0 && self.slots.len() > 1 {
+            if phase == 0 && self.slots.len() > 1 && !solo {
                 *lock(&s.call) = call_id;
                 s.start_cv.notify_all();
             }
-            self.drain(&s, call_id, t, &y_arc, detailed, fence)?;
+            self.drain(&s, call_id, t, y, detailed, fence)?;
+        }
+        if let Some(call_start) = call_start {
+            self.sample_handoff(&s, call_start.elapsed().as_nanos() as u64);
         }
 
         // --- gather: every derivative slot was written exactly once.
@@ -689,6 +776,28 @@ impl ExecutorPool {
             self.note(Recovered::DegradedCalls, 1);
         }
         Ok(())
+    }
+
+    /// Fold one hand-off sample ([`handoff_sample`]) from a call that
+    /// seeded a helper into the EWMA.
+    fn sample_handoff(&mut self, s: &Shared, wall_ns: u64) {
+        self.worker_ns.fill(None);
+        for (claim, ns) in s.claims.iter().zip(&s.timings_ns) {
+            let w = claim_worker(claim.load(Ordering::Relaxed));
+            *self.worker_ns[w].get_or_insert(0) += ns.load(Ordering::Relaxed);
+        }
+        let idle_helper = self.assignment.iter().any(|&w| {
+            let w = self.route(w);
+            w != 0 && self.worker_ns[w].is_none()
+        });
+        let sample = handoff_sample(wall_ns, &self.worker_ns, idle_helper) as f64;
+        // The fold of `measured`.
+        self.handoff_ns = if self.handoff_ns == 0.0 {
+            sample
+        } else {
+            0.8 * self.handoff_ns + 0.2 * sample
+        };
+        self.handoff_gauge.set(self.handoff_ns);
     }
 
     /// Push one phase's tasks onto their assigned workers' deques,
@@ -1010,9 +1119,11 @@ fn work_call(
     loop {
         let Some((tid, src)) = s.take(worker) else {
             // The supervisor returns to its own wait loop; helpers park
-            // briefly for ready work.
+            // briefly for ready work, and leave once a newer call has
+            // begun (this one is over; the newer one may not want them).
             if worker == 0
                 || s.remaining.load(Ordering::Acquire) == 0
+                || s.call_fast.load(Ordering::Acquire) != call_id
                 || s.shutdown.load(Ordering::Acquire)
                 || s.retired[worker].load(Ordering::Acquire)
             {
@@ -1326,6 +1437,86 @@ mod tests {
         let mut got = [0.0; 2];
         pool.rhs(0.0, &[0.2, 0.3], &mut got);
         assert_close(&got, &reference_rhs(&ir, 0.0, &[0.2, 0.3]), 1e-10);
+    }
+
+    // ---- hand-off-aware rescheduling ------------------------------------
+
+    #[test]
+    fn a_costly_handoff_keeps_every_call_on_the_supervisor() {
+        for strategy in Strategy::ALL {
+            let (ir, g) = graph(MODEL, true);
+            let y = [0.4, -0.3];
+            let mut expect = [0.0; 2];
+            g.eval_serial(0.8, &y, &mut expect);
+            let mut pool = ExecutorPool::build(g, 2, vec![0, 1], strategy).unwrap();
+            let mut got = [0.0; 2];
+            for _ in 0..20 {
+                pool.rhs(0.8, &y, &mut got);
+            }
+            assert_eq!(
+                pool.supervisor_only_calls(),
+                0,
+                "{strategy}: both workers seeded"
+            );
+            assert!(pool.handoff_ns() > 0.0, "{strategy}: hand-off measured");
+            let total: f64 = pool.measured().iter().map(|s| s * 1e9).sum();
+            pool.handoff_ns = total + 1e6;
+            pool.rebalance_from_measured();
+            assert_eq!(pool.assignment(), &[0, 0], "{strategy}");
+            let before = pool.handoff_ns();
+            for n in 1..=50 {
+                pool.rhs(0.8, &y, &mut got);
+                assert_eq!(got, expect, "{strategy}: bitwise the serial graph");
+                assert_eq!(pool.supervisor_only_calls(), n);
+                for word in &pool.shared.claims {
+                    let word = word.load(Ordering::Relaxed);
+                    assert_eq!((claim_worker(word), claim_state(word)), (0, DONE));
+                }
+            }
+            assert_eq!(pool.handoff_ns(), before, "no sample without a hand-off");
+            assert!(pool.measured().iter().all(|&m| m > 0.0));
+            assert_close(&got, &reference_rhs(&ir, 0.8, &y), 1e-12);
+        }
+    }
+
+    #[test]
+    fn a_helper_whose_tasks_were_stolen_charges_the_whole_call() {
+        // The helper ran its task: the hand-off is what the busiest worker
+        // did not account for.
+        assert_eq!(
+            handoff_sample(5_000, &[Some(2_000), Some(2_500)], false),
+            2_500
+        );
+        // The supervisor stole the helper's task and ran both: subtracting
+        // that work would leave only the notify, 1 µs, below either task.
+        assert_eq!(handoff_sample(5_000, &[Some(4_000), None], true), 5_000);
+        // An unseeded helper that ran nothing is no evidence either way.
+        assert_eq!(handoff_sample(5_000, &[Some(4_000), None], false), 1_000);
+        assert_eq!(handoff_sample(3_000, &[Some(4_000), None], false), 0);
+    }
+
+    #[test]
+    fn a_fault_plan_pool_never_goes_supervisor_only() {
+        for strategy in Strategy::ALL {
+            let (_, g) = graph(MODEL, true);
+            let y = [0.4, -0.3];
+            let mut expect = [0.0; 2];
+            g.eval_serial(0.1, &y, &mut expect);
+            // A plan that never fires within the run still counts.
+            let plan = FaultPlan::none().inject(1, 1_000_000, FaultKind::CorruptNaN);
+            let mut pool =
+                ExecutorPool::with_faults(g, 2, vec![0, 0], plan, FaultConfig::default(), strategy)
+                    .unwrap();
+            let mut got = [0.0; 2];
+            for _ in 0..20 {
+                pool.rhs(0.1, &y, &mut got);
+                assert_eq!(got, expect);
+                pool.rebalance(&[100, 100]);
+                assert_eq!(pool.assignment(), &[0, 1], "{strategy}: no start load");
+            }
+            assert_eq!(pool.supervisor_only_calls(), 0, "{strategy}");
+            assert_eq!(pool.handoff_ns(), 0.0, "{strategy}");
+        }
     }
 
     // ---- fault-injection & recovery, under both policies ----------------

@@ -10,8 +10,10 @@
 //!
 //! The scheduler consumes the worker pool's EWMA task-time measurements
 //! and re-runs LPT (or dependency-aware list scheduling) every
-//! `resched_every` RHS calls; the time it spends is accounted separately
-//! so experiment E6 can report the overhead fraction.
+//! `resched_every` RHS calls, each helper starting late by the pool's
+//! measured hand-off ([`ExecutorPool::rebalance`]); the time it spends is
+//! accounted separately so experiment E6 can report the overhead
+//! fraction.
 
 use crate::pool::ExecutorPool;
 use std::time::{Duration, Instant};

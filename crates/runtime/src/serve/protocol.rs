@@ -161,6 +161,12 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
     if let Some(tend) = doc.get("tend").and_then(Json::as_f64) {
         run.tend = tend;
     }
+    if !(run.t0.is_finite() && run.tend.is_finite() && run.tend > run.t0) {
+        return Err(format!(
+            "'tend' {} must be a finite time after 't0' {}",
+            run.tend, run.t0
+        ));
+    }
     if let Some(h) = doc.get("h").and_then(Json::as_f64) {
         if !(h.is_finite() && h > 0.0) {
             return Err("'h' must be a positive finite step".into());
@@ -371,6 +377,26 @@ mod tests {
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"h":-0.1}"#,
                 "positive",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"h":0}"#,
+                "positive",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":0}"#,
+                "'tend' 0 must be a finite time after 't0' 0",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":-1}"#,
+                "'tend' -1 must be",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"t0":2,"tend":1}"#,
+                "after 't0' 2",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":1e999}"#,
+                "finite",
             ),
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"gpu"}"#,

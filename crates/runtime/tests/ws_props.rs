@@ -10,10 +10,10 @@
 //! tree-walking `IrEvaluator` oracle and full-trajectory equality
 //! through the solver.
 
-use om_codegen::{CodeGenerator, GenOptions};
+use om_codegen::{BatchScratch, CodeGenerator, GenOptions};
 use om_models::{bearing2d, bearing3d, heat1d, hydro, oscillator, servo};
 use om_runtime::{ExecutorPool, ParallelRhs, Strategy};
-use om_solver::{dopri5, Tolerances};
+use om_solver::{dopri5, FnSystem, Tolerances};
 use proptest::prelude::*;
 
 /// Every built-in model as `(name, source)`.
@@ -159,6 +159,46 @@ fn ws_trajectories_are_bitwise_identical_to_barrier() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The product path: bearing2d/10 placed at m = 2 and 3 (one cluster per
+/// worker) behind `ParallelRhs` with rescheduling every 16 calls, as
+/// `omc simulate` runs it. Once the measured hand-off says the helpers do
+/// not pay, calls run on the supervisor alone; either way the dopri5
+/// trajectory is bitwise the in-thread one-cluster run's.
+#[test]
+fn placed_bearing_trajectories_match_the_in_thread_run() {
+    let ir = bearing2d::ir(&bearing2d::BearingConfig {
+        rollers: 10,
+        ..bearing2d::BearingConfig::default()
+    });
+    let generator = CodeGenerator::default();
+    let tasks = generator.tasks(&ir);
+    let y0 = ir.initial_state();
+    let tend = 0.01;
+    let one = generator.place(&ir, &tasks, 1).graph;
+    let mut scratch = BatchScratch::new(&one, 1);
+    let mut in_thread = FnSystem::new(one.dim, move |t, y: &[f64], d: &mut [f64]| {
+        one.eval_batch(t, y, d, &mut scratch);
+    });
+    let reference = dopri5(&mut in_thread, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    for m in [2, 3] {
+        let placement = generator.place(&ir, &tasks, m);
+        for strategy in Strategy::ALL {
+            let pool = ExecutorPool::build(
+                placement.graph.clone(),
+                m,
+                placement.assignment.clone(),
+                strategy,
+            )
+            .unwrap();
+            let mut rhs = ParallelRhs::new(pool, 16);
+            let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+            assert!(rhs.scheduler.reschedules > 0, "m={m} {strategy}");
+            assert_eq!(sol.ts, reference.ts, "m={m} {strategy}: grids");
+            assert_eq!(sol.ys, reference.ys, "m={m} {strategy}: states");
         }
     }
 }

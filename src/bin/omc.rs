@@ -515,11 +515,7 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
                     .parse()
                     .map_err(|e| CliError::Usage(format!("--workers: {e}")))?
             }
-            "--tend" => {
-                f.tend = value("--tend")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--tend: {e}")))?
-            }
+            "--tend" => f.tend = positive_finite("--tend", &value("--tend")?)?,
             "--rtol" => {
                 f.rtol = value("--rtol")?
                     .parse()
@@ -530,11 +526,7 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
                     .parse()
                     .map_err(|e| CliError::Usage(format!("--atol: {e}")))?
             }
-            "--h" => {
-                f.h = value("--h")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--h: {e}")))?
-            }
+            "--h" => f.h = positive_finite("--h", &value("--h")?)?,
             "--set" => {
                 let spec = value("--set")?;
                 let (name, val) = spec.split_once('=').ok_or_else(|| {
@@ -652,10 +644,32 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
     }
     // The fixed step of rk4 and of every ensemble scenario defaults to a
     // thousandth of the span.
-    if f.h <= 0.0 {
+    if f.h == 0.0 {
         f.h = f.tend / 1000.0;
+        if f.h == 0.0 {
+            return Err(CliError::Usage(format!(
+                "--tend {} is too short for the default step; give --h",
+                f.tend
+            )));
+        }
     }
     Ok(f)
+}
+
+/// A `--tend` or `--h` value. Every solver integrates forward from
+/// t = 0 with a positive step, so anything but a positive finite number
+/// is a usage error here rather than a solver panic later.
+fn positive_finite(flag: &str, text: &str) -> Result<f64, CliError> {
+    let v: f64 = text
+        .parse()
+        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(CliError::Usage(format!(
+            "{flag} must be a positive finite number, got `{text}`"
+        )))
+    }
 }
 
 /// Run the whole-model static analyzer and the generated-schedule race
@@ -1483,10 +1497,12 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         let rhs = sys.inner;
         eprintln!(
             "[parallel RHS ({strategy}): {clusters} clusters, {} calls, {:.0} calls/s, \
-             scheduler overhead {:.3}%]",
+             scheduler overhead {:.3}%, {} supervisor-only, hand-off ≈ {:.1} µs]",
             rhs.calls,
             rhs.rhs_calls_per_sec(),
-            100.0 * rhs.scheduler.overhead_fraction(rhs.rhs_time)
+            100.0 * rhs.scheduler.overhead_fraction(rhs.rhs_time),
+            rhs.pool.supervisor_only_calls(),
+            rhs.pool.handoff_ns() * 1e-3
         );
         sol
     };

@@ -445,6 +445,59 @@ fn simulate_into_a_closed_stdout_is_an_io_error() {
 }
 
 #[test]
+fn a_span_that_is_not_positive_and_finite_is_a_usage_error() {
+    let path = write_model("bad_span", OSC);
+    let scenarios = ["--grid", "x=0:1:2", "--socket", "/nonexistent.sock"];
+    let mut cases: Vec<(&str, Vec<&str>, &str)> = Vec::new();
+    for tend in ["0", "-1", "nan", "inf"] {
+        for solver in ["dopri5", "rk4", "abm", "bdf", "lsoda"] {
+            cases.push((
+                "simulate",
+                vec!["--solver", solver, "--tend", tend],
+                "--tend",
+            ));
+        }
+        cases.push(("simulate", vec!["--workers", "2", "--tend", tend], "--tend"));
+        cases.push(("sweep", vec!["--tend", tend], "--tend"));
+        cases.push(("request", vec!["--tend", tend], "--tend"));
+    }
+    for h in ["0", "-0.1", "nan"] {
+        cases.push(("simulate", vec!["--solver", "rk4", "--h", h], "--h"));
+        cases.push(("sweep", vec!["--h", h], "--h"));
+        cases.push(("request", vec!["--h", h], "--h"));
+    }
+    for (command, flags, named) in cases {
+        let mut cmd = omc();
+        cmd.arg(&path).arg(command).args(&flags);
+        if command != "simulate" {
+            cmd.args(scenarios);
+        }
+        let out = cmd.output().expect("run omc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{named} must be a positive finite number")),
+            "{command} {flags:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{command} {flags:?}: {stderr}"
+        );
+    }
+    // A valid short span still runs.
+    let out = omc()
+        .arg(&path)
+        .args(["simulate", "--solver", "rk4", "--tend", "0.5", "--h", "0.1"])
+        .output()
+        .expect("run omc");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn ignored_flag_combinations_are_usage_errors() {
     let path = write_model("ignored_flags", OSC);
     let scenarios = ["--grid", "x=0:1:2", "--socket", "/nonexistent.sock"];
