@@ -11,8 +11,9 @@
 //! * the product placement (cluster-scoped CSE, one cluster per worker)
 //!   beside those simulated rows, and measured on this host against the
 //!   equation-level graph in thread and on a 2-worker work-stealing pool,
-//!   raw and behind `ParallelRhs` as `omc simulate` runs it (experiments
-//!   E20, E21).
+//!   raw and behind `ParallelRhs` as `omc simulate` runs it, with and
+//!   without the one-cluster graph for supervisor-only calls
+//!   (experiments E20, E21, E22).
 
 use om_codegen::cse::CseMode;
 use om_codegen::task::TaskGraph;
@@ -43,11 +44,14 @@ fn median_ns(f: &mut dyn FnMut()) -> f64 {
 /// `eval_batch`, median of five batches) and on a 2-worker ws pool —
 /// raw (`ExecutorPool::rhs`, the static assignment) and, as `omc
 /// simulate` runs it, through `ParallelRhs` rescheduling every 16 calls
-/// from the measured task times and hand-off (E21).
+/// from the measured task times and hand-off (E21) — supervisor-only
+/// calls running the pool's own graph, or the one-cluster graph as
+/// `omc simulate` gives it (E22).
 fn measured_placements() {
     println!("\n-- E20 placement vs equation-level graph (host, ns per RHS call) --");
     println!(
-        "model          graph           tasks   instrs    in-thread   ws2 pool   ws2 via ParallelRhs"
+        "model          graph           tasks   instrs    in-thread   ws2 pool   ws2 via ParallelRhs   \
+         + one-cluster solo"
     );
     let bearing = |rollers| {
         bearing2d::ir(&BearingConfig {
@@ -82,18 +86,24 @@ fn measured_placements() {
             let pooled = median_ns(&mut || pool.rhs(0.0, &y, &mut dydt));
             let mut rhs = ParallelRhs::new(pool, 16);
             let product = median_ns(&mut || rhs.rhs(0.0, &y, &mut dydt));
+            let pool =
+                ExecutorPool::build(graph.clone(), 2, assignment.clone(), Strategy::WorkStealing)
+                    .and_then(|pool| pool.with_solo_graph(one.graph.clone()))
+                    .expect("valid pool");
+            let mut rhs = ParallelRhs::new(pool, 16);
+            let solo = median_ns(&mut || rhs.rhs(0.0, &y, &mut dydt));
             let (tasks, instrs) = (graph.tasks.len(), graph.instrs());
             println!(
                 "{name:<14} {label:<15} {tasks:>5} {instrs:>8} {serial:>12.0} {pooled:>10.0} \
-                 {product:>21.0}"
+                 {product:>21.0} {solo:>18.0}"
             );
             rows.push(format!(
-                "{name},{label},{tasks},{instrs},{serial:.0},{pooled:.0},{product:.0}"
+                "{name},{label},{tasks},{instrs},{serial:.0},{pooled:.0},{product:.0},{solo:.0}"
             ));
         }
     }
-    let header =
-        "model,graph,tasks,instrs,serial_ns_per_call,ws2_ns_per_call,ws2_resched_ns_per_call";
+    let header = "model,graph,tasks,instrs,serial_ns_per_call,ws2_ns_per_call,\
+                  ws2_resched_ns_per_call,ws2_resched_one_cluster_ns_per_call";
     om_bench::write_csv("table_placement", header, &rows);
 }
 

@@ -84,6 +84,10 @@ pub struct Placement {
     pub graph: TaskGraph,
     /// `assignment[task of graph] = worker`.
     pub assignment: Vec<usize>,
+    /// Clusters formed. With at most one, every other task passed
+    /// through, so the graph is the one-cluster placement's (`m = 1`)
+    /// up to that cluster's label.
+    pub clusters: usize,
 }
 
 /// Code-generation statistics for the §3.3 table (experiment E5).
@@ -156,8 +160,8 @@ impl CodeGenerator {
             .map(|t| t.static_cost(o.cse, &o.cost_model))
             .collect();
         let schedule = sched::schedule(&costs, &symbolic_deps(tasks), m);
-        let (clusters, assignment) = cluster(tasks, &schedule.assignment, m);
-        let graph = compile_tasks(&clusters, ir, o.cse, &o.cost_model);
+        let (placed, assignment, clusters) = cluster(tasks, &schedule.assignment, m);
+        let graph = compile_tasks(&placed, ir, o.cse, &o.cost_model);
         if om_obs::is_enabled() {
             let gauge = |name: &str, value: usize| om_obs::metrics().gauge(name).set(value as f64);
             gauge("codegen.tasks", tasks.len());
@@ -168,6 +172,7 @@ impl CodeGenerator {
             schedule,
             graph,
             assignment,
+            clusters,
         }
     }
 

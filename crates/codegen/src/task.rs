@@ -801,14 +801,14 @@ pub(crate) fn symbolic_deps(tasks: &[SymbolicTask]) -> Vec<Vec<usize>> {
 /// `m = 1` that is the paper's global-CSE serial code. Loop tasks and
 /// tasks that write or read shared slots pass through unchanged, ahead
 /// of the clusters and in their original order (so shared slots number
-/// as before). Returns the tasks and the worker of each. Sharing a node
-/// re-associates nothing, so the result is bitwise the input graph
-/// (DESIGN.md "Placement").
+/// as before). Returns the tasks, the worker of each, and the number of
+/// clusters formed. Sharing a node re-associates nothing, so the result
+/// is bitwise the input graph (DESIGN.md "Placement").
 pub fn cluster(
     tasks: &[SymbolicTask],
     assignment: &[usize],
     m: usize,
-) -> (Vec<SymbolicTask>, Vec<usize>) {
+) -> (Vec<SymbolicTask>, Vec<usize>, usize) {
     assert_eq!(tasks.len(), assignment.len(), "one worker per task");
     let deps = symbolic_deps(tasks);
     let mut members: Vec<Vec<(OutTarget, Expr)>> = vec![Vec::new(); m];
@@ -828,6 +828,7 @@ pub fn cluster(
             placed.push(w);
         }
     }
+    let passed = out.len();
     for (w, outputs) in members.into_iter().enumerate() {
         if !outputs.is_empty() {
             out.push(SymbolicTask {
@@ -838,7 +839,8 @@ pub fn cluster(
             placed.push(w);
         }
     }
-    (out, placed)
+    let clusters = out.len() - passed;
+    (out, placed, clusters)
 }
 
 /// Extract subexpressions shared between *different* tasks into producer

@@ -481,6 +481,7 @@ pub fn run_sweep(
                 placement.assignment.clone(),
                 cfg.strategy,
             )
+            .and_then(|pool| pool.with_solo_graph(model.graph().clone()))
             .map_err(|e| SweepError::Config(format!("executor pool: {e}")))?;
             pools.push(Some(pool));
         }

@@ -12,6 +12,7 @@
 //! a concurrent faulted sweep against a sequential no-fault oracle.
 
 use crate::pool::ExecutorPool;
+use crate::sched_dyn::{SemiDynamicScheduler, RESCHED_EVERY};
 use om_codegen::registry::CompiledModel;
 use om_codegen::task::{BatchScratch, TaskGraph};
 use om_solver::{rk4_budgeted, Budget, OdeSystem, RhsError, SolveError};
@@ -262,7 +263,8 @@ pub enum Substrate<'a> {
     /// In-thread one-lane bytecode evaluation (the oracle path), with the
     /// scratch it evaluates through held across the scenario's RHS calls.
     Serial(&'a TaskGraph, BatchScratch),
-    /// A scenario-private executor pool (either strategy).
+    /// A scenario-private executor pool (either strategy), rescheduled
+    /// from its measurements as `omc simulate` reschedules its pool.
     Pool(&'a mut ExecutorPool),
 }
 
@@ -280,6 +282,9 @@ struct ScenarioSystem<'a, 'b> {
     fault: Option<&'a ScenarioFault>,
     attempt: u32,
     calls: u64,
+    /// Reschedules a [`Substrate::Pool`] after each successful call
+    /// (made at the first one, so the serial substrate never builds it).
+    scheduler: Option<SemiDynamicScheduler>,
 }
 
 impl ScenarioSystem<'_, '_> {
@@ -309,9 +314,14 @@ impl ScenarioSystem<'_, '_> {
                 graph.eval_batch(t, y, dydt, scratch);
                 Ok(())
             }
-            Substrate::Pool(pool) => pool
-                .try_rhs(t, y, dydt)
-                .map_err(|e| RhsError::new(e.to_string())),
+            Substrate::Pool(pool) => {
+                pool.try_rhs(t, y, dydt)
+                    .map_err(|e| RhsError::new(e.to_string()))?;
+                self.scheduler
+                    .get_or_insert_with(|| SemiDynamicScheduler::new(RESCHED_EVERY))
+                    .after_rhs_call(pool);
+                Ok(())
+            }
         }
     }
 }
@@ -375,6 +385,7 @@ pub fn run_scenario(
             fault,
             attempt,
             calls: 0,
+            scheduler: None,
         };
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
             rk4_budgeted(&mut sys, cfg.t0, &y0, cfg.tend, cfg.h, &budget)

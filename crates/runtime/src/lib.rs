@@ -57,7 +57,7 @@ pub use machine::MachineSpec;
 pub use pipeline::{run_pipeline, PipelineCoupling, PipelineResult, PipelineStage};
 pub use pool::ExecutorPool;
 pub use rhs::{model_sparsity, ModelSystem, ParallelRhs};
-pub use sched_dyn::SemiDynamicScheduler;
+pub use sched_dyn::{SemiDynamicScheduler, RESCHED_EVERY};
 pub use serve::{ServeConfig, Server};
 pub use sim::{simulate_rhs_time, simulate_rhs_time_with, SimBreakdown};
 pub use strategy::Strategy;

@@ -28,14 +28,20 @@
 //! them only when its assignment gives a helper a task. The semi-dynamic
 //! rescheduler ([`ExecutorPool::rebalance`]) charges every helper the
 //! measured hand-off as a start load, so when no task would finish
-//! sooner on a helper, every task sits on worker 0 and the call runs on
-//! the supervisor alone: no notify, no shared copy of `y`, the same claim
-//! words, timers, finiteness scan and sweep. The hand-off is measured
+//! sooner on a helper, every task sits on worker 0. Such a call is
+//! *supervisor-only*: it returns early and evaluates the pool's solo
+//! graph in thread with the one-lane `TaskGraph::eval_batch` — the
+//! one-cluster placement with global CSE when the pool was given it
+//! ([`ExecutorPool::with_solo_graph`]), else the pool's own graph —
+//! touching no claim word, deque, atomic slot or helper. Its wall time
+//! is the measured solo time, and the rescheduler seeds a helper again
+//! only when the predicted makespan beats it
+//! ([`ExecutorPool::rebalance_from_measured`]). The hand-off is measured
 //! only from calls that seed a helper (a seeded helper whose tasks the
 //! supervisor stole before it started counts the whole call as its
-//! hand-off), and a pool with a fault plan keeps it at 0 and every
-//! call's helpers awake, so injected faults land where they are
-//! planned. All
+//! hand-off), and a pool with a fault plan keeps it at 0, never goes
+//! solo and wakes every call's helpers, so injected faults land where
+//! they are planned. All
 //! synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
 //! condvars (call start, ready work). Within a call an idle worker parks
 //! on the ready-work condvar behind a sleeper count, so a waker pays the
@@ -154,20 +160,36 @@ fn claim_state(word: u64) -> u64 {
 }
 
 /// One hand-off sample from a call that seeded a helper: its wall time
-/// less the task time of its busiest worker (`worker_ns`, summed per
-/// completing worker, stolen tasks included). When a seeded helper
-/// completed none of its tasks (`idle_helper`: the supervisor stole them
-/// before the helper got going), that helper had not started by the end
-/// of the call, so the hand-off took at least the whole call and the
-/// sample is the wall time. Subtracting the stolen work instead would
-/// leave only the cost of the notify, and a hand-off that never pays
-/// would read as cheap.
+/// less the task time of its busiest helper (`worker_ns`, summed per
+/// completing worker, stolen tasks included; worker 0 is the
+/// supervisor). The rescheduler charges the hand-off as the time a
+/// helper starts late, and the supervisor starts at once, so a
+/// supervisor busier than every helper says nothing about it:
+/// subtracting its work would read a helper that woke after most of the
+/// call as cheap. When a seeded helper completed none of its tasks
+/// (`idle_helper`: the supervisor stole them before the helper got
+/// going), that helper had not started by the end of the call, so the
+/// hand-off took at least the whole call and the sample is the wall
+/// time. A call in which no helper ran anything and none was left idle
+/// subtracts the supervisor's work.
 fn handoff_sample(wall_ns: u64, worker_ns: &[Option<u64>], idle_helper: bool) -> u64 {
     if idle_helper {
         return wall_ns;
     }
-    let busiest = worker_ns.iter().flatten().copied().max().unwrap_or(0);
-    wall_ns.saturating_sub(busiest)
+    let helpers = worker_ns.iter().skip(1).flatten().copied().max();
+    let busiest = helpers.or(worker_ns.first().copied().flatten());
+    wall_ns.saturating_sub(busiest.unwrap_or(0))
+}
+
+/// The pool's exponentially weighted moving average: the first sample
+/// as is, then 0.8 of the old value and 0.2 of the new (paper §3.2.3:
+/// previous elapsed times predict the next step).
+fn ewma(old: f64, sample: f64) -> f64 {
+    if old == 0.0 {
+        sample
+    } else {
+        0.8 * old + 0.2 * sample
+    }
 }
 
 /// Lock a mutex whose data every update leaves valid, poisoned or not.
@@ -334,6 +356,38 @@ impl WorkerCtx {
     }
 }
 
+/// What a supervisor-only call evaluates in thread.
+struct Solo {
+    /// Bitwise the pool's graph (every placement is); normally the
+    /// one-cluster placement with global CSE.
+    graph: Arc<TaskGraph>,
+    scratch: BatchScratch,
+    /// EWMA of a supervisor-only call's wall time in ns; 0 until one ran.
+    ns: f64,
+    /// Each pool task's share of the pool graph's static cost: how a
+    /// solo call's time is split into the placed tasks' estimates.
+    share: Vec<f64>,
+}
+
+impl Solo {
+    fn new(graph: Arc<TaskGraph>, placed: &TaskGraph) -> Solo {
+        om_obs::metrics()
+            .gauge("runtime.solo_graph_instrs")
+            .set(graph.instrs() as f64);
+        let total = placed.total_cost().max(1) as f64;
+        Solo {
+            scratch: BatchScratch::new(&graph, 1),
+            graph,
+            ns: 0.0,
+            share: placed
+                .tasks
+                .iter()
+                .map(|t| t.static_cost as f64 / total)
+                .collect(),
+        }
+    }
+}
+
 /// Supervisor-side view of one worker. Slot 0 is the supervisor's own
 /// executor role and never holds a thread.
 struct Slot {
@@ -372,7 +426,7 @@ pub struct ExecutorPool {
     /// rescheduler (paper §3.2.3).
     measured: Vec<f64>,
     /// EWMA of the measured hand-off, in ns ([`handoff_sample`]): what a
-    /// call that seeds a helper costs beyond its busiest worker's task
+    /// call that seeds a helper costs beyond its busiest helper's task
     /// time, or all of it when a seeded helper ran nothing. The
     /// rescheduler charges it to every helper as a start load. Held at 0
     /// under a fault plan.
@@ -382,6 +436,8 @@ pub struct ExecutorPool {
     worker_ns: Vec<Option<u64>>,
     /// Calls that ran every task on worker 0 and woke nobody.
     solo_calls: u64,
+    /// The supervisor-only path.
+    solo: Solo,
     fault_config: FaultConfig,
     recovery: RecoveryStats,
     /// Worker-0 context.
@@ -531,6 +587,7 @@ impl ExecutorPool {
             handoff_ns: 0.0,
             worker_ns: vec![None; n_workers],
             solo_calls: 0,
+            solo: Solo::new(Arc::clone(&graph), &graph),
             fault_config,
             recovery: RecoveryStats::default(),
             ctx: WorkerCtx::new(0, &graph),
@@ -564,6 +621,25 @@ impl ExecutorPool {
         }
         pool.live_gauge.set(n_workers as f64);
         Ok(pool)
+    }
+
+    /// Give supervisor-only calls `graph` to evaluate in thread instead
+    /// of the pool's own: the one-cluster placement of the same tasks
+    /// (`CodeGenerator::place(ir, tasks, 1)`), whose global CSE does the
+    /// work of the per-worker clusters in fewer instructions. Every
+    /// placement is bitwise the same RHS, so which graph a call ran never
+    /// shows in its result.
+    pub fn with_solo_graph(mut self, graph: TaskGraph) -> Result<ExecutorPool, RuntimeError> {
+        if graph.dim != self.shared.graph.dim {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "solo graph has dimension {} but the pool's has {}",
+                    graph.dim, self.shared.graph.dim
+                ),
+            });
+        }
+        self.solo = Solo::new(Arc::new(graph), &self.shared.graph);
+        Ok(self)
     }
 
     /// The scheduling policy this pool executes with.
@@ -613,6 +689,19 @@ impl ExecutorPool {
         self.solo_calls
     }
 
+    /// The graph supervisor-only calls evaluate in thread.
+    pub fn solo_graph(&self) -> &TaskGraph {
+        &self.solo.graph
+    }
+
+    /// Whether the next call is supervisor-only: no fault plan, worker 0
+    /// live and every task assigned to it.
+    fn goes_solo(&self) -> bool {
+        self.shared.faults.is_empty()
+            && !self.slots[0].failed
+            && self.assignment.iter().all(|&w| w == 0)
+    }
+
     /// Recompute the assignment from per-task costs over the *live*
     /// workers only (LPT for independent graphs, list scheduling
     /// otherwise). Used by the semi-dynamic scheduler and internally
@@ -623,12 +712,18 @@ impl ExecutorPool {
     /// finish sooner there; when none would, the next calls run on the
     /// supervisor alone and wake nobody.
     pub fn rebalance(&mut self, costs: &[u64]) {
+        self.schedule(costs);
+    }
+
+    /// [`ExecutorPool::rebalance`], returning the predicted makespan
+    /// (`None` when nothing was scheduled).
+    fn schedule(&mut self, costs: &[u64]) -> Option<u64> {
         let live: Vec<usize> = (0..self.slots.len())
             .filter(|&w| !self.slots[w].failed)
             .collect();
         let graph = &self.shared.graph;
         if live.is_empty() || costs.len() != graph.tasks.len() {
-            return;
+            return None;
         }
         let _span = om_obs::span("sched.rebalance", "sched");
         let handoff = self.handoff_ns as u64;
@@ -642,16 +737,29 @@ impl ExecutorPool {
             om_codegen::list_schedule_from(costs, &graph.deps, &start)
         };
         self.assignment = sched.assignment.iter().map(|&k| live[k]).collect();
+        Some(sched.makespan)
     }
 
-    /// [`ExecutorPool::rebalance`] from the measured task times.
+    /// [`ExecutorPool::rebalance`] from the measured task times, the
+    /// semi-dynamic rescheduler's step. Once a supervisor-only call has
+    /// been timed, a schedule that seeds a helper is kept only when its
+    /// makespan beats that solo time; otherwise every task goes back to
+    /// worker 0 and the next calls run solo. While calls run solo, each
+    /// placed task's estimate follows the solo time (split by static-cost
+    /// share), so a slower RHS reopens the helper.
     pub(crate) fn rebalance_from_measured(&mut self) {
         let costs: Vec<u64> = self
             .measured
             .iter()
             .map(|&s| (s * 1e9).max(1.0) as u64)
             .collect();
-        self.rebalance(&costs);
+        let Some(makespan) = self.schedule(&costs) else {
+            return;
+        };
+        let seeds_helper = self.assignment.iter().any(|&w| w != 0);
+        if seeds_helper && self.solo.ns > 0.0 && makespan as f64 >= self.solo.ns {
+            self.assignment.fill(0);
+        }
     }
 
     /// Evaluate the parallel RHS, panicking on failure (benchmark and
@@ -666,18 +774,20 @@ impl ExecutorPool {
     /// surviving worker crashes, hangs, lost and corrupted results per
     /// the recovery ladder in the module docs.
     pub fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RuntimeError> {
-        let s = Arc::clone(&self.shared);
+        let dim = self.shared.graph.dim;
         for got in [y.len(), dydt.len()] {
-            if got != s.graph.dim {
-                return Err(RuntimeError::DimensionMismatch {
-                    expected: s.graph.dim,
-                    got,
-                });
+            if got != dim {
+                return Err(RuntimeError::DimensionMismatch { expected: dim, got });
             }
         }
         self.check_live()?;
         let _span = om_obs::span("rhs.eval", "runtime");
         self.rhs_calls.inc();
+        if self.goes_solo() {
+            self.solo_call(t, y, dydt);
+            return Ok(());
+        }
+        let s = Arc::clone(&self.shared);
         // Counted here, once and uncontended, rather than by each worker:
         // a call completes every task exactly once (replays aside).
         self.tasks_executed.add(s.graph.tasks.len() as u64);
@@ -689,12 +799,9 @@ impl ExecutorPool {
             om_obs::is_enabled() && self.obs_calls % u64::from(om_obs::detail_every()) == 0;
         self.obs_calls += 1;
 
-        // A call whose tasks all sit on the supervisor wakes nobody and
-        // publishes no copy of `y`; one that seeds a helper measures the
+        // A fault-free call here seeds a helper, so it measures the
         // hand-off. A fault plan needs the helpers in every call.
-        let fault_free = s.faults.is_empty();
-        let solo = fault_free && self.assignment.iter().all(|&w| w == 0);
-        let call_start = (fault_free && !solo).then(Instant::now);
+        let call_start = s.faults.is_empty().then(Instant::now);
 
         // --- reset per-call state (no worker is active: remaining == 0).
         if s.strategy == Strategy::WorkStealing {
@@ -706,16 +813,8 @@ impl ExecutorPool {
             v.store(0, Ordering::Relaxed);
         }
         s.t_bits.store(t.to_bits(), Ordering::Relaxed);
-        let y_arc;
-        let y = if solo {
-            self.solo_calls += 1;
-            self.solo_counter.inc();
-            y
-        } else {
-            y_arc = Arc::new(y.to_vec());
-            *lock(&s.y) = Arc::clone(&y_arc);
-            &y_arc[..]
-        };
+        let y = Arc::new(y.to_vec());
+        *lock(&s.y) = Arc::clone(&y);
         s.detailed.store(detailed, Ordering::Relaxed);
         s.remaining.store(s.graph.tasks.len(), Ordering::Release);
         // Bump the fast generation *before* seeding so a worker popping a
@@ -731,11 +830,11 @@ impl ExecutorPool {
             // below, and the deque mutex orders this store before that.
             s.fence.store(fence, Ordering::Relaxed);
             self.seed(&s, phase, detailed);
-            if phase == 0 && self.slots.len() > 1 && !solo {
+            if phase == 0 && self.slots.len() > 1 {
                 *lock(&s.call) = call_id;
                 s.start_cv.notify_all();
             }
-            self.drain(&s, call_id, t, y, detailed, fence)?;
+            self.drain(&s, call_id, t, &y, detailed, fence)?;
         }
         if let Some(call_start) = call_start {
             self.sample_handoff(&s, call_start.elapsed().as_nanos() as u64);
@@ -754,11 +853,7 @@ impl ExecutorPool {
                 if detailed {
                     self.task_seconds.observe(secs);
                 }
-                *m = if *m == 0.0 {
-                    secs
-                } else {
-                    0.8 * *m + 0.2 * secs
-                };
+                *m = ewma(*m, secs);
             }
         }
         for (seen, what) in [
@@ -778,6 +873,29 @@ impl ExecutorPool {
         Ok(())
     }
 
+    /// A supervisor-only call: the solo graph in this thread, timed into
+    /// the solo EWMA and, split by static-cost share, into every placed
+    /// task's estimate.
+    fn solo_call(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
+        self.solo_calls += 1;
+        self.solo_counter.inc();
+        self.tasks_executed.add(self.solo.graph.tasks.len() as u64);
+        let start = Instant::now();
+        self.solo
+            .graph
+            .eval_batch(t, y, dydt, &mut self.solo.scratch);
+        let ns = start.elapsed().as_nanos() as u64;
+        self.ctx.busy_ns.add(ns);
+        self.fold_solo(ns as f64);
+    }
+
+    fn fold_solo(&mut self, ns: f64) {
+        self.solo.ns = ewma(self.solo.ns, ns);
+        for (m, share) in self.measured.iter_mut().zip(&self.solo.share) {
+            *m = ewma(*m, ns * 1e-9 * share);
+        }
+    }
+
     /// Fold one hand-off sample ([`handoff_sample`]) from a call that
     /// seeded a helper into the EWMA.
     fn sample_handoff(&mut self, s: &Shared, wall_ns: u64) {
@@ -791,12 +909,7 @@ impl ExecutorPool {
             w != 0 && self.worker_ns[w].is_none()
         });
         let sample = handoff_sample(wall_ns, &self.worker_ns, idle_helper) as f64;
-        // The fold of `measured`.
-        self.handoff_ns = if self.handoff_ns == 0.0 {
-            sample
-        } else {
-            0.8 * self.handoff_ns + 0.2 * sample
-        };
+        self.handoff_ns = ewma(self.handoff_ns, sample);
         self.handoff_gauge.set(self.handoff_ns);
     }
 
@@ -1464,28 +1577,179 @@ mod tests {
             pool.rebalance_from_measured();
             assert_eq!(pool.assignment(), &[0, 0], "{strategy}");
             let before = pool.handoff_ns();
+            let claims = claim_words(&pool);
             for n in 1..=50 {
                 pool.rhs(0.8, &y, &mut got);
                 assert_eq!(got, expect, "{strategy}: bitwise the serial graph");
                 assert_eq!(pool.supervisor_only_calls(), n);
-                for word in &pool.shared.claims {
-                    let word = word.load(Ordering::Relaxed);
-                    assert_eq!((claim_worker(word), claim_state(word)), (0, DONE));
-                }
             }
+            assert_untouched(&pool, 20, &claims);
             assert_eq!(pool.handoff_ns(), before, "no sample without a hand-off");
+            assert!(pool.solo.ns > 0.0, "{strategy}: solo calls timed");
             assert!(pool.measured().iter().all(|&m| m > 0.0));
             assert_close(&got, &reference_rhs(&ir, 0.8, &y), 1e-12);
         }
     }
 
+    fn claim_words(pool: &ExecutorPool) -> Vec<u64> {
+        let claims = &pool.shared.claims;
+        claims.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Nothing a pooled call touches has moved since call `calls`: the
+    /// call generation, the helpers' start word (a helper still parked on
+    /// it has run nothing, so its `busy_ns` cannot have grown), the claim
+    /// words and the deques.
+    fn assert_untouched(pool: &ExecutorPool, calls: u64, claims: &[u64]) {
+        let s = &pool.shared;
+        assert_eq!(s.call_fast.load(Ordering::Relaxed), calls);
+        assert!(*lock(&s.call) <= calls);
+        assert_eq!(claim_words(pool), claims);
+        assert!(s.deques.iter().all(|d| lock(d).is_empty()));
+        assert_eq!(s.remaining.load(Ordering::Relaxed), 0);
+    }
+
+    /// Two tasks of equal static cost.
+    const TWIN: &str = "model T;
+        Real x(start=0.4); Real y(start=-0.3);
+        equation
+          der(x) = sin(y)*cos(x);
+          der(y) = sin(x)*cos(y);
+        end T;";
+
+    /// A model's equation-level graph, and the one-cluster placement of
+    /// the same model (one task, global CSE).
+    fn with_one_cluster(src: &str) -> (TaskGraph, TaskGraph) {
+        let ir = causalize(&om_lang::compile(src).unwrap()).unwrap();
+        let generator = CodeGenerator::default();
+        let tasks = generator.tasks(&ir);
+        let one = generator.place(&ir, &tasks, 1).graph;
+        (graph(src, true).1, one)
+    }
+
+    /// The rescheduler's decision with a solo time of `solo_ns`.
+    fn decide(pool: &mut ExecutorPool, solo_ns: f64) -> Vec<usize> {
+        pool.solo.ns = solo_ns;
+        pool.rebalance_from_measured();
+        pool.assignment().to_vec()
+    }
+
+    #[test]
+    fn a_supervisor_only_call_runs_the_one_cluster_graph() {
+        for strategy in Strategy::ALL {
+            let (g, one) = with_one_cluster(MODEL);
+            assert_eq!(one.tasks.len(), 1);
+            let y = [0.4, -0.3];
+            let mut expect = [0.0; 2];
+            g.eval_serial(0.6, &y, &mut expect);
+            let mut pool = ExecutorPool::build(g, 2, vec![0, 0], strategy)
+                .unwrap()
+                .with_solo_graph(one)
+                .unwrap();
+            assert_eq!(pool.solo_graph().tasks.len(), 1);
+            let mut got = [0.0; 2];
+            for n in 1..=30 {
+                pool.rhs(0.6, &y, &mut got);
+                assert_eq!(got, expect, "{strategy}: bitwise the pool's graph");
+                assert_eq!(pool.supervisor_only_calls(), n);
+            }
+            // No call reached the pool: no generation, no helper released
+            // (worker 1 ran nothing), no claim word, deque or slot written.
+            assert_untouched(&pool, 0, &[0, 0]);
+            assert_eq!(*lock(&pool.shared.call), 0);
+            assert!(pool
+                .shared
+                .dydt
+                .iter()
+                .all(|v| v.load(Ordering::Relaxed) == 0));
+            assert!(pool.solo.ns > 0.0, "{strategy}");
+            assert_eq!(pool.handoff_ns(), 0.0, "{strategy}");
+        }
+    }
+
+    #[test]
+    fn a_solo_graph_of_another_dimension_is_refused() {
+        let (_, g) = graph(MODEL, true);
+        let (_, other) = graph(
+            "model N; Real z(start=1.0); equation der(z) = -z; end N;",
+            true,
+        );
+        let pool = ExecutorPool::build(g, 2, vec![0, 1], Strategy::WorkStealing).unwrap();
+        assert!(matches!(
+            pool.with_solo_graph(other),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn a_helper_is_seeded_only_when_the_schedule_beats_the_solo_time() {
+        let (g, one) = with_one_cluster(TWIN);
+        let mut pool = ExecutorPool::build(g, 2, vec![0, 1], Strategy::WorkStealing)
+            .unwrap()
+            .with_solo_graph(one)
+            .unwrap();
+        // Two 1 µs tasks and a 0.5 µs hand-off: with the helper the call
+        // predicts max(1, 0.5 + 1) = 1.5 µs.
+        pool.measured = vec![1e-6, 1e-6];
+        pool.handoff_ns = 500.0;
+        // No solo call timed yet: against both tasks on worker 0 (2 µs).
+        assert_eq!(decide(&mut pool, 0.0), [0, 1]);
+        // The one-cluster graph runs in 1.4 µs: the helper does not pay,
+        // although the hand-off is below one task's time.
+        assert_eq!(decide(&mut pool, 1_400.0), [0, 0]);
+        assert_eq!(decide(&mut pool, 1_500.0), [0, 0], "a tie stays solo");
+        assert_eq!(decide(&mut pool, 1_600.0), [0, 1]);
+        // A hand-off above one task's time: the supervisor finishes both
+        // sooner than the helper finishes one, whatever solo costs.
+        pool.handoff_ns = 1_200.0;
+        assert_eq!(decide(&mut pool, 1e9), [0, 0]);
+    }
+
+    #[test]
+    fn a_step_change_in_the_solo_time_reopens_the_helper() {
+        let (g, one) = with_one_cluster(TWIN);
+        let mut pool = ExecutorPool::build(g, 2, vec![0, 1], Strategy::WorkStealing)
+            .unwrap()
+            .with_solo_graph(one)
+            .unwrap();
+        pool.handoff_ns = 5_000.0;
+        // Solo calls of 2 µs: every estimate follows, the hand-off costs
+        // more than both tasks, and the pool stays solo.
+        for _ in 0..40 {
+            pool.fold_solo(2_000.0);
+        }
+        let total: f64 = pool.measured().iter().sum();
+        assert!((total * 1e9 - 2_000.0).abs() < 1.0, "{total}");
+        pool.rebalance_from_measured();
+        assert_eq!(pool.assignment(), &[0, 0]);
+        // The RHS gets 100 times slower while solo: the estimates follow
+        // the solo time, so the helper reopens.
+        for _ in 0..40 {
+            pool.fold_solo(200_000.0);
+        }
+        pool.rebalance_from_measured();
+        assert_eq!(pool.assignment(), &[0, 1]);
+        // The next call seeds it again and samples the hand-off anew.
+        let mut got = [0.0; 2];
+        pool.rhs(0.0, &[0.4, -0.3], &mut got);
+        assert_eq!(pool.supervisor_only_calls(), 0);
+        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+        assert_ne!(pool.handoff_ns(), 5_000.0);
+    }
+
     #[test]
     fn a_helper_whose_tasks_were_stolen_charges_the_whole_call() {
-        // The helper ran its task: the hand-off is what the busiest worker
+        // The helper ran its task: the hand-off is what the busiest helper
         // did not account for.
         assert_eq!(
             handoff_sample(5_000, &[Some(2_000), Some(2_500)], false),
             2_500
+        );
+        // The supervisor did most of the work and the helper a sliver at
+        // the end: the helper started late by nearly the whole call.
+        assert_eq!(
+            handoff_sample(5_000, &[Some(4_500), Some(300)], false),
+            4_700
         );
         // The supervisor stole the helper's task and ran both: subtracting
         // that work would leave only the notify, 1 µs, below either task.
@@ -1506,16 +1770,25 @@ mod tests {
             let plan = FaultPlan::none().inject(1, 1_000_000, FaultKind::CorruptNaN);
             let mut pool =
                 ExecutorPool::with_faults(g, 2, vec![0, 0], plan, FaultConfig::default(), strategy)
+                    .unwrap()
+                    .with_solo_graph(with_one_cluster(MODEL).1)
                     .unwrap();
             let mut got = [0.0; 2];
-            for _ in 0..20 {
+            for n in 1..=20 {
                 pool.rhs(0.1, &y, &mut got);
                 assert_eq!(got, expect);
+                // The call went through the pool, not the early return.
+                assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), n);
                 pool.rebalance(&[100, 100]);
                 assert_eq!(pool.assignment(), &[0, 1], "{strategy}: no start load");
+                pool.rebalance(&[1, 1_000]);
+                assert_eq!(pool.assignment(), &[1, 0], "{strategy}");
+                pool.rebalance_from_measured();
+                pool.rebalance(&[0, 0]);
             }
             assert_eq!(pool.supervisor_only_calls(), 0, "{strategy}");
             assert_eq!(pool.handoff_ns(), 0.0, "{strategy}");
+            assert_eq!(pool.solo.ns, 0.0, "{strategy}");
         }
     }
 

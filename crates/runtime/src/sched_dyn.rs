@@ -16,7 +16,12 @@
 //! fraction.
 
 use crate::pool::ExecutorPool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The rescheduling period of the product paths (`omc simulate` and
+/// every sweep/serve scenario pool), in RHS calls.
+pub const RESCHED_EVERY: usize = 16;
 
 /// Semi-dynamic scheduler state.
 pub struct SemiDynamicScheduler {
@@ -28,6 +33,9 @@ pub struct SemiDynamicScheduler {
     pub sched_time: Duration,
     /// Number of reschedules performed.
     pub reschedules: usize,
+    /// `sched.reschedules`, looked up once (a lookup takes the registry
+    /// lock).
+    counter: Arc<om_obs::Counter>,
 }
 
 impl SemiDynamicScheduler {
@@ -37,6 +45,7 @@ impl SemiDynamicScheduler {
             calls_since: 0,
             sched_time: Duration::ZERO,
             reschedules: 0,
+            counter: om_obs::metrics().counter("sched.reschedules"),
         }
     }
 
@@ -58,7 +67,7 @@ impl SemiDynamicScheduler {
         pool.rebalance_from_measured();
         self.sched_time += start.elapsed();
         self.reschedules += 1;
-        om_obs::metrics().counter("sched.reschedules").inc();
+        self.counter.inc();
         true
     }
 

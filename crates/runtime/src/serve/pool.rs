@@ -166,7 +166,8 @@ fn execute(job: Job, shared: &Shared) {
                     workers,
                     placement.assignment.clone(),
                     strategy,
-                );
+                )
+                .and_then(|pool| pool.with_solo_graph(model.graph().clone()));
                 if built.is_err() {
                     shared.build_fallbacks.fetch_add(1, Ordering::Relaxed);
                     om_obs::metrics().counter("serve.pool_build_fallback").inc();

@@ -203,6 +203,81 @@ fn placed_bearing_trajectories_match_the_in_thread_run() {
     }
 }
 
+/// A pool switches between its two placements from one call to the
+/// next: a supervisor-only call evaluates the one-cluster graph in
+/// thread, a call that seeds a helper runs the per-worker clusters. Here
+/// every call is rebalanced by hand so that solo and helper-seeded calls
+/// alternate over a whole dopri5 trajectory — tasks of 2^40 ns spread
+/// over both workers; 1 ns tasks stay on the supervisor once a hand-off
+/// has been measured — and the trajectory must be bitwise the in-thread
+/// one-cluster run's, for both policies.
+#[test]
+fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
+    let bearing = |rollers| {
+        bearing2d::ir(&bearing2d::BearingConfig {
+            rollers,
+            ..bearing2d::BearingConfig::default()
+        })
+    };
+    let heat = om_models::heat1d::source_distributed(&heat1d::HeatConfig {
+        cells: 2050,
+        velocity: 0.4,
+        ..heat1d::HeatConfig::default()
+    });
+    let models = [
+        ("bearing2d/10", bearing(10), 0.004),
+        ("bearing2d/24", bearing(24), 0.002),
+        ("bearing3d", bearing3d::ir(&Default::default()), 0.004),
+        (
+            "heat1d/2050 array-aware",
+            om_ir::causalize(&om_lang::compile_arrays(&heat).unwrap()).unwrap(),
+            1e-5,
+        ),
+    ];
+    let generator = CodeGenerator::default();
+    for (name, ir, tend) in &models {
+        let tasks = generator.tasks(ir);
+        let y0 = ir.initial_state();
+        let one = generator.place(ir, &tasks, 1).graph;
+        let mut scratch = BatchScratch::new(&one, 1);
+        let mut in_thread = FnSystem::new(one.dim, |t, y: &[f64], d: &mut [f64]| {
+            one.eval_batch(t, y, d, &mut scratch);
+        });
+        let reference = dopri5(&mut in_thread, 0.0, &y0, *tend, &Tolerances::default()).unwrap();
+        let placement = generator.place(ir, &tasks, 2);
+        let n = placement.graph.tasks.len();
+        assert!(n >= 2, "{name}: a helper needs a task");
+        for strategy in Strategy::ALL {
+            let mut pool = ExecutorPool::build(
+                placement.graph.clone(),
+                2,
+                placement.assignment.clone(),
+                strategy,
+            )
+            .unwrap()
+            .with_solo_graph(one.clone())
+            .unwrap();
+            let mut calls = 0u64;
+            let sol = {
+                let mut alternating = FnSystem::new(one.dim, |t, y: &[f64], d: &mut [f64]| {
+                    let cost = [1 << 40, 1][calls as usize & 1];
+                    pool.rebalance(&vec![cost; n]);
+                    calls += 1;
+                    pool.rhs(t, y, d);
+                });
+                dopri5(&mut alternating, 0.0, &y0, *tend, &Tolerances::default()).unwrap()
+            };
+            let solo = pool.supervisor_only_calls();
+            assert!(
+                solo > 0 && solo < calls,
+                "{name} {strategy}: {solo} of {calls}"
+            );
+            assert_eq!(sol.ts, reference.ts, "{name} {strategy}: grids");
+            assert_eq!(sol.ys, reference.ys, "{name} {strategy}: states");
+        }
+    }
+}
+
 /// The semi-dynamic rescheduler must not perturb work-stealing results
 /// (seeding changes; values must not).
 #[test]

@@ -20,7 +20,7 @@ use objectmath::runtime::ensemble::json;
 use objectmath::runtime::{
     model_sparsity, run_sweep, ExecutorPool, FaultConfig, FaultPlan, ModelSystem, ParallelRhs,
     RuntimeError, ScenarioRunConfig, ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig,
-    SweepError, SweepFaultPlan,
+    SweepError, SweepFaultPlan, RESCHED_EVERY,
 };
 use objectmath::solver::{
     abm4, bdf, dopri5, lsoda, rk4, BdfOptions, FnSystem, LsodaOptions, OdeSystem, SolveError,
@@ -1446,15 +1446,15 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     // equation-level tasks fused into one cluster per worker. Up to one
     // worker evaluates the one-cluster (global-CSE) graph in this thread
     // with the one-lane `eval_batch`; more hand each worker's cluster to
-    // the executor pool. Every placement is bitwise the equation-level
-    // graph, and is wrapped with the model, so an implicit solver gets
-    // the same structural Jacobian pattern — and makes the same RHS
-    // calls — wherever the graph runs.
+    // the executor pool, which runs the one-cluster graph in thread for
+    // every call that no helper would finish sooner. Every placement is
+    // bitwise the equation-level graph, and is wrapped with the model,
+    // so an implicit solver gets the same structural Jacobian pattern —
+    // and makes the same RHS calls — wherever the graph runs.
     let ir = &*ir;
     let generator = CodeGenerator::default();
-    let placement = generator.place(ir, &generator.tasks(ir), opts.workers.max(1));
     let sol = if opts.workers <= 1 {
-        let graph = placement.graph;
+        let graph = generator.place(ir, &generator.tasks(ir), 1).graph;
         let mut scratch = BatchScratch::new(&graph, 1);
         let rhs = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
             graph.eval_batch(t, y, d, &mut scratch);
@@ -1466,8 +1466,14 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             None => FaultPlan::none(),
         };
         let strategy = opts.executor;
+        let tasks = generator.tasks(ir);
+        let placement = generator.place(ir, &tasks, opts.workers);
+        // With one cluster formed the placed graph is the one-cluster
+        // graph already (an array-aware model's loop tasks pass through).
+        let one = (placement.clusters > 1).then(|| generator.place(ir, &tasks, 1).graph);
+        drop(tasks);
         let clusters = placement.graph.tasks.len();
-        let pool = ExecutorPool::with_faults(
+        let mut pool = ExecutorPool::with_faults(
             placement.graph,
             opts.workers,
             placement.assignment,
@@ -1476,13 +1482,16 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             strategy,
         )
         .map_err(CliError::Runtime)?;
+        if let Some(one) = one {
+            pool = pool.with_solo_graph(one).map_err(CliError::Runtime)?;
+        }
         // Record the strategy where `--metrics` can see it.
         if om_obs::is_enabled() {
             om_obs::metrics()
                 .counter(&format!("runtime.strategy.{strategy}"))
                 .inc();
         }
-        let mut sys = ModelSystem::new(ParallelRhs::new(pool, 16), ir);
+        let mut sys = ModelSystem::new(ParallelRhs::new(pool, RESCHED_EVERY), ir);
         let sol = match solve(&mut sys) {
             Ok(sol) => sol,
             Err(e) => {
@@ -1495,14 +1504,19 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
             }
         };
         let rhs = sys.inner;
+        let solo = rhs.pool.solo_graph();
         eprintln!(
             "[parallel RHS ({strategy}): {clusters} clusters, {} calls, {:.0} calls/s, \
-             scheduler overhead {:.3}%, {} supervisor-only, hand-off ≈ {:.1} µs]",
+             scheduler overhead {:.3}%, {} supervisor-only, hand-off ≈ {:.1} µs, \
+             supervisor-only on {} cluster{} / {} instrs]",
             rhs.calls,
             rhs.rhs_calls_per_sec(),
             100.0 * rhs.scheduler.overhead_fraction(rhs.rhs_time),
             rhs.pool.supervisor_only_calls(),
-            rhs.pool.handoff_ns() * 1e-3
+            rhs.pool.handoff_ns() * 1e-3,
+            solo.tasks.len(),
+            if solo.tasks.len() == 1 { "" } else { "s" },
+            solo.instrs(),
         );
         sol
     };
