@@ -97,8 +97,8 @@ pub fn model_sparsity(ir: &OdeIr) -> Sparsity {
 /// implicit solver through the same RHS-call sequence.
 ///
 /// The pattern is derived on the first `sparsity()` call and kept: an
-/// explicit solver never asks and never pays for it, and `lsoda`'s
-/// per-window `bdf` calls share one colouring.
+/// explicit solver never asks and never pays for it, and each BDF that
+/// `lsoda` starts after a non-stiff stretch reuses the one colouring.
 pub struct ModelSystem<'a, S> {
     pub inner: S,
     ir: &'a OdeIr,

@@ -21,7 +21,8 @@
 //! * [`mod@batch`] — lockstep batched RK4 advancing K ensemble members
 //!   per RHS call (structure-of-arrays, bitwise-identical per lane),
 //! * [`adams`] — Adams-Bashforth-Moulton PECE predictor-corrector,
-//! * [`mod@bdf`] — variable-step BDF(1–5) with modified Newton iteration,
+//! * [`mod@bdf`] — variable-step, variable-order BDF(1–5) in Nordsieck
+//!   form with modified Newton iteration on a held Jacobian,
 //! * [`mod@lsoda`] — the stiff/non-stiff auto-switching driver,
 //! * [`partitioned`] — co-simulation of independently-stepped subsystems
 //!   (paper §2.3: independent step sizes, smaller Jacobians).

@@ -10,7 +10,10 @@
 //! * the driver tracks the `RHS`-call cost of each method's most recent
 //!   window and switches when the current method becomes clearly more
 //!   expensive, or when the non-stiff method shows stress symptoms
-//!   (rejection storms, step-size collapse).
+//!   (rejection storms, step-size collapse);
+//! * consecutive stiff windows continue one BDF integration — its held
+//!   Jacobian, step, order and history — instead of starting over at
+//!   order 1 in each window.
 //!
 //! This is a faithful *behavioral* reproduction (same observable policy:
 //! cheap Adams on non-stiff stretches, BDF through stiff ones), not a
@@ -18,7 +21,7 @@
 //! method-internal order information.
 
 use crate::adams::abm4;
-use crate::bdf::{bdf, BdfOptions};
+use crate::bdf::{BdfOptions, BdfStepper};
 use crate::ode::{OdeSystem, Solution, SolveError, SolveStats, Tolerances};
 
 /// Which method family is active.
@@ -111,6 +114,13 @@ pub fn lsoda(
     // Most recent per-window RHS cost of each method (None = not tried).
     let mut cost_nonstiff: Option<usize> = None;
     let mut cost_stiff: Option<usize> = None;
+    // The BDF of the previous window, while windows stay stiff: its held
+    // Jacobian, step and order carry into the next one.
+    let mut stiff: Option<BdfStepper> = None;
+    let bo = BdfOptions {
+        tol: opts.tol,
+        ..BdfOptions::default()
+    };
 
     for w in 0..opts.windows {
         let t_next = if w + 1 == opts.windows {
@@ -121,13 +131,7 @@ pub fn lsoda(
         phases.push((t, phase));
         let result = match phase {
             Phase::NonStiff => abm4(sys, t, &y, t_next, &opts.tol),
-            Phase::Stiff => {
-                let bo = BdfOptions {
-                    tol: opts.tol,
-                    ..BdfOptions::default()
-                };
-                bdf(sys, t, &y, t_next, &bo)
-            }
+            Phase::Stiff => bdf_window(sys, &mut stiff, t, &y, t_next, &bo),
         };
         let chunk = match result {
             Ok(chunk) => chunk,
@@ -141,11 +145,7 @@ pub fn lsoda(
                 if let Some(last) = phases.last_mut() {
                     *last = (t, phase);
                 }
-                let bo = BdfOptions {
-                    tol: opts.tol,
-                    ..BdfOptions::default()
-                };
-                bdf(sys, t, &y, t_next, &bo)?
+                bdf_window(sys, &mut stiff, t, &y, t_next, &bo)?
             }
             Err(e) => return Err(e),
         };
@@ -201,6 +201,7 @@ pub fn lsoda(
                 if nonstiff_cheaper || (lazy && cost_nonstiff.is_none_or(|ns| ns < 4 * cost)) {
                     phase = Phase::NonStiff;
                     obs_switch(phase);
+                    stiff = None;
                 }
             }
         }
@@ -209,6 +210,32 @@ pub fn lsoda(
         solution: total,
         phases,
     })
+}
+
+/// One stiff window `[t, t_next]`: resume `stiff`, the previous
+/// window's BDF, or start a new one at `(t, y)`.
+fn bdf_window(
+    sys: &mut dyn OdeSystem,
+    stiff: &mut Option<BdfStepper>,
+    t: f64,
+    y: &[f64],
+    t_next: f64,
+    opts: &BdfOptions,
+) -> Result<Solution, SolveError> {
+    let mut chunk = Solution {
+        ts: vec![t],
+        ys: vec![y.to_vec()],
+        stats: SolveStats::default(),
+    };
+    let stepper = match stiff {
+        Some(stepper) => {
+            debug_assert_eq!(stepper.t(), t, "resumed where the last window ended");
+            stepper
+        }
+        None => stiff.insert(BdfStepper::new(sys, t, y, t_next, opts, &mut chunk.stats)?),
+    };
+    stepper.integrate(sys, t_next, &mut chunk)?;
+    Ok(chunk)
 }
 
 #[cfg(test)]
@@ -245,6 +272,26 @@ mod tests {
             sol.stiff_fraction()
         );
         assert!((sol.solution.y_end()[0] - (2.0f64).cos()).abs() < 1e-2);
+    }
+
+    #[test]
+    fn consecutive_stiff_windows_resume_one_bdf() {
+        let mut sys = FnSystem::new(1, |t: f64, y: &[f64], d: &mut [f64]| {
+            d[0] = -2000.0 * (y[0] - t.cos());
+        });
+        let sol = lsoda(&mut sys, 0.0, &[0.0], 2.0, &LsodaOptions::default()).unwrap();
+        let stiff = sol
+            .phases
+            .iter()
+            .filter(|(_, p)| *p == Phase::Stiff)
+            .count();
+        assert!(stiff > 16, "{stiff} stiff windows");
+        // A new BDF per window would refresh J at least once in each.
+        let stats = sol.solution.stats;
+        assert!(
+            stats.jac_evals * 4 < stiff,
+            "{stats:?} over {stiff} stiff windows"
+        );
     }
 
     #[test]

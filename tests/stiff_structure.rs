@@ -156,10 +156,12 @@ fn pattern_covers_the_symbolic_jacobian_and_fd_agrees_with_it() {
 }
 
 /// `omc heat1d simulate --size 128 --solver bdf --tend 0.02`, counter by
-/// counter. 242 RHS calls belong to the predictor and the Newton
-/// iterations; each of the 108 Jacobian refreshes adds the base point
-/// and one call per colour — χ + 1 = 4 on the tridiagonal stencil where
-/// the one-column sweep paid n + 1 = 129.
+/// counter. The solver holds J and refactors `I − h·l₀·J` from it, so 59
+/// steps cost 2 Jacobian refreshes and 13 factorizations. One RHS call
+/// is the start's `h·y′` and 76 belong to the Newton iterations; each
+/// refresh differences at the predictor the first Newton iteration
+/// evaluated, adding one call per colour — χ = 3 on the tridiagonal
+/// stencil where the one-column sweep pays n = 128.
 #[test]
 fn heat128_bdf_counts_are_pinned() {
     let ir = compile(&heat_source(128), false);
@@ -178,16 +180,20 @@ fn heat128_bdf_counts_are_pinned() {
     let stats = structured.stats;
     assert_eq!(
         (stats.steps, stats.rejected, stats.newton_iters),
-        (118, 15, 224)
+        (59, 2, 76)
     );
-    assert_eq!((stats.jac_evals, stats.lu_factorizations), (108, 108));
-    assert_eq!(stats.rhs_calls, 242 + 108 * (3 + 1));
-    assert_eq!(stats.rhs_calls, 674);
+    assert_eq!((stats.jac_evals, stats.lu_factorizations), (2, 13));
+    assert!(stats.jac_evals * 10 < stats.steps);
+    assert_eq!(
+        stats.rhs_calls,
+        1 + stats.newton_iters + stats.jac_evals * 3
+    );
+    assert_eq!(stats.rhs_calls, 83);
 
     // The same RHS without the model behind it: dense, n-colour — and
     // the same trajectory to the last bit.
     let dense = bdf(&mut graph_rhs(&ir), 0.0, &y0, 0.02, &opts).expect("bdf");
-    assert_eq!(dense.stats.rhs_calls, 242 + 108 * (128 + 1));
+    assert_eq!(dense.stats.rhs_calls, 1 + 76 + 2 * 128);
     assert_eq!(dense.ts, structured.ts);
     for (a, b) in dense.ys.iter().zip(&structured.ys) {
         let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
