@@ -11,9 +11,8 @@
 //! * the product placement (cluster-scoped CSE, one cluster per worker)
 //!   beside those simulated rows, and measured on this host against the
 //!   equation-level graph in thread and on a 2-worker work-stealing pool,
-//!   raw and behind `ParallelRhs` as `omc simulate` runs it, with and
-//!   without the one-cluster graph for supervisor-only calls
-//!   (experiments E20, E21, E22).
+//!   raw and behind `ParallelRhs`, and born serial on the one-cluster
+//!   graph as `omc simulate` runs it (experiments E20, E21, E22, E24).
 
 use om_codegen::cse::CseMode;
 use om_codegen::task::TaskGraph;
@@ -44,14 +43,15 @@ fn median_ns(f: &mut dyn FnMut()) -> f64 {
 /// `eval_batch`, median of five batches) and on a 2-worker ws pool —
 /// raw (`ExecutorPool::rhs`, the static assignment) and, as `omc
 /// simulate` runs it, through `ParallelRhs` rescheduling every 16 calls
-/// from the measured task times and hand-off (E21) — supervisor-only
-/// calls running the pool's own graph, or the one-cluster graph as
-/// `omc simulate` gives it (E22).
+/// from the measured task times and hand-off (E21), supervisor-only
+/// calls running the pool's own graph — and born serial, as `omc
+/// simulate` runs it: the one-cluster graph in thread, this graph
+/// compiled in only if a helper pays (E22, E24).
 fn measured_placements() {
     println!("\n-- E20 placement vs equation-level graph (host, ns per RHS call) --");
     println!(
         "model          graph           tasks   instrs    in-thread   ws2 pool   ws2 via ParallelRhs   \
-         + one-cluster solo"
+            ws2 born serial"
     );
     let bearing = |rollers| {
         bearing2d::ir(&BearingConfig {
@@ -86,10 +86,15 @@ fn measured_placements() {
             let pooled = median_ns(&mut || pool.rhs(0.0, &y, &mut dydt));
             let mut rhs = ParallelRhs::new(pool, 16);
             let product = median_ns(&mut || rhs.rhs(0.0, &y, &mut dydt));
-            let pool =
-                ExecutorPool::build(graph.clone(), 2, assignment.clone(), Strategy::WorkStealing)
-                    .and_then(|pool| pool.with_solo_graph(one.graph.clone()))
-                    .expect("valid pool");
+            let (later, later_assignment) = (graph.clone(), assignment.clone());
+            let pool = ExecutorPool::born_serial(
+                one.graph.clone(),
+                2,
+                Strategy::WorkStealing,
+                &two.schedule,
+                move |_| (std::sync::Arc::new(later), later_assignment),
+            )
+            .expect("valid pool");
             let mut rhs = ParallelRhs::new(pool, 16);
             let solo = median_ns(&mut || rhs.rhs(0.0, &y, &mut dydt));
             let (tasks, instrs) = (graph.tasks.len(), graph.instrs());

@@ -72,22 +72,40 @@ impl ParallelProgram {
     }
 }
 
+/// The static scheduler's input for the equation-level tasks, read off
+/// the symbolic tasks without compiling them: each task's static cost
+/// and predecessors, equal to the `static_cost` and `deps` that
+/// [`compile_tasks`] gives the same tasks.
+#[derive(Clone, Debug)]
+pub struct TaskCosts {
+    pub costs: Vec<u64>,
+    pub deps: Vec<Vec<usize>>,
+}
+
+impl TaskCosts {
+    /// The static schedule on `m` workers: plain LPT when the tasks are
+    /// independent, LPT-priority list scheduling otherwise (equal to
+    /// [`ParallelProgram::schedule`] of the same tasks).
+    pub fn schedule(&self, m: usize) -> Schedule {
+        sched::schedule(&self.costs, &self.deps, m)
+    }
+}
+
 /// The executable graph for `m` workers: the equation-level tasks
 /// scheduled, then each worker's plain tasks fused into one cluster
 /// ([`crate::task::cluster`]). Bitwise the equation-level graph.
 #[derive(Clone, Debug)]
 pub struct Placement {
-    /// The equation-level schedule the clusters were formed from (equal
-    /// to [`ParallelProgram::schedule`] of the same tasks).
+    /// The equation-level tasks' static costs and edges, from which a
+    /// schedule on any worker count follows without compiling.
+    pub costs: TaskCosts,
+    /// The equation-level schedule the clusters were formed from
+    /// (`costs.schedule(m)`).
     pub schedule: Schedule,
     /// The clustered graph.
     pub graph: TaskGraph,
     /// `assignment[task of graph] = worker`.
     pub assignment: Vec<usize>,
-    /// Clusters formed. With at most one, every other task passed
-    /// through, so the graph is the one-cluster placement's (`m = 1`)
-    /// up to that cluster's label.
-    pub clusters: usize,
 }
 
 /// Code-generation statistics for the §3.3 table (experiment E5).
@@ -148,6 +166,20 @@ impl CodeGenerator {
         tasks
     }
 
+    /// The static scheduler's input for the equation-level `tasks`: what
+    /// [`CodeGenerator::generate`] would compile them to cost, without
+    /// compiling them.
+    pub fn costs(&self, tasks: &[SymbolicTask]) -> TaskCosts {
+        let o = &self.options;
+        TaskCosts {
+            costs: tasks
+                .iter()
+                .map(|t| t.static_cost(o.cse, &o.cost_model))
+                .collect(),
+            deps: symbolic_deps(tasks),
+        }
+    }
+
     /// Place the equation-level `tasks` of `ir` on `m` workers: schedule
     /// them as [`ParallelProgram::schedule`] would, fuse each worker's
     /// plain tasks into one cluster, and compile only that graph. At
@@ -155,12 +187,9 @@ impl CodeGenerator {
     pub fn place(&self, ir: &OdeIr, tasks: &[SymbolicTask], m: usize) -> Placement {
         let o = &self.options;
         let _span = om_obs::span("codegen.place", "compile");
-        let costs: Vec<u64> = tasks
-            .iter()
-            .map(|t| t.static_cost(o.cse, &o.cost_model))
-            .collect();
-        let schedule = sched::schedule(&costs, &symbolic_deps(tasks), m);
-        let (placed, assignment, clusters) = cluster(tasks, &schedule.assignment, m);
+        let costs = self.costs(tasks);
+        let schedule = costs.schedule(m);
+        let (placed, assignment) = cluster(tasks, &schedule.assignment, m);
         let graph = compile_tasks(&placed, ir, o.cse, &o.cost_model);
         if om_obs::is_enabled() {
             let gauge = |name: &str, value: usize| om_obs::metrics().gauge(name).set(value as f64);
@@ -169,10 +198,10 @@ impl CodeGenerator {
             gauge("codegen.placed_instrs", graph.instrs());
         }
         Placement {
+            costs,
             schedule,
             graph,
             assignment,
-            clusters,
         }
     }
 

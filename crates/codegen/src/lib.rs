@@ -42,7 +42,7 @@ pub mod vm;
 pub use bytecode::{Instr, Program};
 pub use cse::{CseMode, CseProgram};
 pub use dag::{Dag, NodeId};
-pub use generator::{CodeGenerator, GenOptions, GenStats, ParallelProgram, Placement};
+pub use generator::{CodeGenerator, GenOptions, GenStats, ParallelProgram, Placement, TaskCosts};
 pub use registry::{fnv1a64, CompiledModel, ModelKey, ModelRegistry, RegistryError};
 pub use sched::{list_schedule, list_schedule_from, lpt, lpt_from, Schedule};
 pub use task::{BatchScratch, CompiledTask, OutSlot, TaskGraph};

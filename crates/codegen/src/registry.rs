@@ -201,9 +201,10 @@ impl CompiledModel {
     }
 
     /// The equation-level static schedule for `m` workers (the one
-    /// [`CompiledModel::placement`] clustered).
+    /// [`CompiledModel::placement`] clusters), from the costs the
+    /// in-thread placement kept: nothing is compiled.
     pub fn schedule(&self, m: usize) -> Schedule {
-        self.placement(m).schedule.clone()
+        self.serial.costs.schedule(m)
     }
 }
 
@@ -503,6 +504,7 @@ mod tests {
         let p2b = m.placement(2);
         assert!(Arc::ptr_eq(&p2a, &p2b));
         assert_eq!(m.schedule(2), m.program().schedule(2));
+        assert_eq!(m.schedule(2), p2a.schedule);
         assert_eq!(m.schedule(4).loads.len(), 4);
         assert_eq!(p2a.assignment.len(), p2a.graph.tasks.len());
         // The in-thread graph is the one the identity hashes.

@@ -212,6 +212,11 @@ pub struct CompiledTask {
     pub writes: Vec<OutSlot>,
     /// Loop payload for array-loop tasks; `None` for plain tasks.
     pub loop_info: Option<LoopInfo>,
+    /// `Some(b)` when `writes` is the contiguous run `Deriv(b)`,
+    /// `Deriv(b + 1)`, … ([`deriv_run`]; every stride-1 loop chunk is
+    /// one): the outputs then land in the derivative vector with one
+    /// copy. `None` is always correct, just slower.
+    pub deriv_run: Option<usize>,
     /// State indices the task reads.
     pub reads_states: Vec<u32>,
     /// Shared slots the task reads.
@@ -222,6 +227,19 @@ pub struct CompiledTask {
     pub static_cost: u64,
     /// Common subexpressions extracted within this task (statistics).
     pub cse_count: usize,
+}
+
+/// The first slot of `writes` when they are the contiguous derivative
+/// run `Deriv(b)`, `Deriv(b + 1)`, … in order ([`CompiledTask::deriv_run`]).
+pub fn deriv_run(writes: &[OutSlot]) -> Option<usize> {
+    let Some(&OutSlot::Deriv(base)) = writes.first() else {
+        return None;
+    };
+    let contiguous = writes
+        .iter()
+        .enumerate()
+        .all(|(k, slot)| *slot == OutSlot::Deriv(base + k));
+    contiguous.then_some(base)
 }
 
 impl CompiledTask {
@@ -392,6 +410,12 @@ impl TaskGraph {
         );
         for task in &self.tasks {
             task.run(t, ys, scratch);
+            // The SoA layouts of `out` and `dydt` line up over a run.
+            if let Some(base) = task.deriv_run {
+                let n = task.n_out() * lanes;
+                dydt[base * lanes..][..n].copy_from_slice(&scratch.out[..n]);
+                continue;
+            }
             for (o, slot) in task.writes.iter().enumerate() {
                 let src = &scratch.out[o * lanes..(o + 1) * lanes];
                 match slot {
@@ -801,34 +825,24 @@ pub(crate) fn symbolic_deps(tasks: &[SymbolicTask]) -> Vec<Vec<usize>> {
 /// `m = 1` that is the paper's global-CSE serial code. Loop tasks and
 /// tasks that write or read shared slots pass through unchanged, ahead
 /// of the clusters and in their original order (so shared slots number
-/// as before). Returns the tasks, the worker of each, and the number of
-/// clusters formed. Sharing a node re-associates nothing, so the result
-/// is bitwise the input graph (DESIGN.md "Placement").
+/// as before). Returns the tasks and the worker of each
+/// ([`cluster_assignment`]). Sharing a node re-associates nothing, so the
+/// result is bitwise the input graph (DESIGN.md "Placement").
 pub fn cluster(
     tasks: &[SymbolicTask],
     assignment: &[usize],
     m: usize,
-) -> (Vec<SymbolicTask>, Vec<usize>, usize) {
+) -> (Vec<SymbolicTask>, Vec<usize>) {
     assert_eq!(tasks.len(), assignment.len(), "one worker per task");
-    let deps = symbolic_deps(tasks);
     let mut members: Vec<Vec<(OutTarget, Expr)>> = vec![Vec::new(); m];
     let mut out = Vec::new();
-    let mut placed = Vec::new();
-    for ((task, &w), deps) in tasks.iter().zip(assignment).zip(&deps) {
-        let plain = task.array_loop.is_none()
-            && deps.is_empty()
-            && task
-                .outputs
-                .iter()
-                .all(|(target, _)| matches!(target, OutTarget::Deriv(_)));
+    for ((task, &w), plain) in tasks.iter().zip(assignment).zip(plain_tasks(tasks)) {
         if plain {
             members[w].extend(task.outputs.iter().cloned());
         } else {
             out.push(task.clone());
-            placed.push(w);
         }
     }
-    let passed = out.len();
     for (w, outputs) in members.into_iter().enumerate() {
         if !outputs.is_empty() {
             out.push(SymbolicTask {
@@ -836,11 +850,49 @@ pub fn cluster(
                 outputs,
                 array_loop: None,
             });
+        }
+    }
+    (out, cluster_assignment(tasks, assignment, m).0)
+}
+
+/// Which of `tasks` [`cluster`] fuses: no array loop, derivative outputs
+/// only, no shared-slot reads.
+fn plain_tasks(tasks: &[SymbolicTask]) -> Vec<bool> {
+    let deps = symbolic_deps(tasks);
+    tasks
+        .iter()
+        .zip(&deps)
+        .map(|(task, deps)| {
+            task.array_loop.is_none()
+                && deps.is_empty()
+                && task
+                    .outputs
+                    .iter()
+                    .all(|(target, _)| matches!(target, OutTarget::Deriv(_)))
+        })
+        .collect()
+}
+
+/// The worker of each task [`cluster`] returns and the number of
+/// clusters it forms, without building them. With at most one cluster
+/// the clustered tasks are those of every `m` (the cluster's label
+/// aside), so a placement that forms one needs no compiling of its own.
+pub fn cluster_assignment(
+    tasks: &[SymbolicTask],
+    assignment: &[usize],
+    m: usize,
+) -> (Vec<usize>, usize) {
+    let mut used = vec![false; m];
+    let mut placed = Vec::new();
+    for (&w, plain) in assignment.iter().zip(plain_tasks(tasks)) {
+        if plain {
+            used[w] = true;
+        } else {
             placed.push(w);
         }
     }
-    let clusters = out.len() - passed;
-    (out, placed, clusters)
+    placed.extend((0..m).filter(|&w| used[w]));
+    (placed, used.iter().filter(|&&u| u).count())
 }
 
 /// Extract subexpressions shared between *different* tasks into producer
@@ -1126,6 +1178,7 @@ pub fn compile_tasks(
             id,
             label: task.label.clone(),
             program,
+            deriv_run: deriv_run(&writes),
             writes,
             loop_info,
             reads_states,
@@ -1380,6 +1433,74 @@ mod tests {
 
     fn heat_y0(n: usize) -> Vec<f64> {
         (0..n).map(|i| (0.3 * i as f64).sin() + 0.1).collect()
+    }
+
+    /// `cluster_assignment` counts the clusters `place` would form without
+    /// compiling: array-aware heat1d on two workers forms one (its loop
+    /// chunks pass through), so its placement is the one-cluster graph
+    /// under the counted assignment; bearing2d forms two.
+    #[test]
+    fn cluster_assignment_matches_the_placement() {
+        let heat = om_models::heat1d::source_distributed(&om_models::heat1d::HeatConfig {
+            cells: 512,
+            velocity: 0.4,
+            ..Default::default()
+        });
+        let heat = causalize(&om_lang::compile_arrays(&heat).unwrap()).unwrap();
+        let bearing = om_models::bearing2d::ir(&Default::default());
+        let generator = crate::CodeGenerator::default();
+        for (ir, clusters) in [(&heat, 1), (&bearing, 2)] {
+            let tasks = generator.tasks(ir);
+            let one = generator.place(ir, &tasks, 1);
+            let two = generator.place(ir, &tasks, 2);
+            let (assignment, formed) =
+                cluster_assignment(&tasks, &one.costs.schedule(2).assignment, 2);
+            assert_eq!((formed, &assignment), (clusters, &two.assignment));
+            if formed <= 1 {
+                let programs = |g: &TaskGraph| -> Vec<_> {
+                    g.tasks
+                        .iter()
+                        .map(|t| (t.program.instrs.clone(), t.writes.clone()))
+                        .collect()
+                };
+                assert_eq!(programs(&one.graph), programs(&two.graph));
+            }
+        }
+    }
+
+    /// A stride-1 heat loop chunk writes one contiguous derivative run
+    /// and scatters with one copy; a bearing2d cluster (slots 2, 3, 4,
+    /// 6, …) does not, and keeps the per-slot loop.
+    #[test]
+    fn contiguous_derivative_runs_are_recognised_at_compile_time() {
+        let heat = om_models::heat1d::source_distributed(&om_models::heat1d::HeatConfig {
+            cells: 256,
+            velocity: 0.4,
+            ..Default::default()
+        });
+        let aware = causalize(&om_lang::compile_arrays(&heat).unwrap()).unwrap();
+        let g = crate::CodeGenerator::default().generate(&aware).graph;
+        let chunks: Vec<&CompiledTask> = g.tasks.iter().filter(|t| t.loop_info.is_some()).collect();
+        assert!(!chunks.is_empty());
+        for chunk in chunks {
+            let base = chunk.deriv_run.expect("a stride-1 chunk is one run");
+            assert_eq!(chunk.writes[0], OutSlot::Deriv(base));
+            assert_eq!(
+                chunk.writes.last(),
+                Some(&OutSlot::Deriv(base + chunk.n_out() - 1))
+            );
+        }
+        let bearing = om_models::bearing2d::ir(&Default::default());
+        let generator = crate::CodeGenerator::default();
+        let placed = generator
+            .place(&bearing, &generator.tasks(&bearing), 2)
+            .graph;
+        assert_eq!(placed.tasks.len(), 2);
+        assert!(placed.tasks.iter().all(|t| t.deriv_run.is_none()));
+        assert_eq!(deriv_run(&[OutSlot::Deriv(3), OutSlot::Deriv(4)]), Some(3));
+        assert_eq!(deriv_run(&[OutSlot::Deriv(4), OutSlot::Deriv(3)]), None);
+        assert_eq!(deriv_run(&[OutSlot::Shared(0), OutSlot::Shared(1)]), None);
+        assert_eq!(deriv_run(&[]), None);
     }
 
     /// The class-carrying task graph (with loop tasks) is bitwise equal

@@ -12,7 +12,7 @@
 
 use om_analysis::Pattern;
 use om_codegen::bytecode::{compile_roots, Instr, Program, VarRef};
-use om_codegen::task::{CompiledTask, LoopInfo, OutSlot};
+use om_codegen::task::{deriv_run, CompiledTask, LoopInfo, OutSlot};
 use om_codegen::vm::LOOP_BLOCK;
 use om_codegen::{BatchScratch, CodeGenerator, CseMode, Dag, TaskGraph};
 use om_expr::expr::{CmpOp, Expr, Func};
@@ -116,6 +116,7 @@ fn task(id: usize, program: Program, writes: Vec<OutSlot>, li: Option<LoopInfo>)
         id,
         label: format!("t{id}"),
         program,
+        deriv_run: deriv_run(&writes),
         writes,
         loop_info: li,
         reads_states: Vec::new(),

@@ -57,6 +57,31 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
+/// A scenario-private pool on `workers`, born serial: it runs `model`'s
+/// one-cluster graph in thread and asks the registry for the placement
+/// on `workers` ([`CompiledModel::placement`]) only on the first call
+/// that seeds a helper.
+pub(crate) fn scenario_pool(
+    model: &Arc<CompiledModel>,
+    workers: usize,
+    strategy: Strategy,
+) -> Result<ExecutorPool, crate::RuntimeError> {
+    let later = Arc::clone(model);
+    ExecutorPool::born_serial(
+        model.graph().clone(),
+        workers,
+        strategy,
+        &model.schedule(workers),
+        move |_| {
+            let placement = later.placement(workers);
+            (
+                Arc::new(placement.graph.clone()),
+                placement.assignment.clone(),
+            )
+        },
+    )
+}
+
 /// Sweep-level configuration (per-scenario settings live in
 /// [`ScenarioRunConfig`]).
 #[derive(Clone, Debug)]
@@ -473,16 +498,9 @@ pub fn run_sweep(
     // construction failure is a sweep error, not a scenario outcome.
     let mut pools: Vec<Option<ExecutorPool>> = Vec::with_capacity(n_threads);
     if cfg.workers > 1 {
-        let placement = model.placement(cfg.workers);
         for _ in 0..n_threads {
-            let pool = ExecutorPool::build(
-                placement.graph.clone(),
-                cfg.workers,
-                placement.assignment.clone(),
-                cfg.strategy,
-            )
-            .and_then(|pool| pool.with_solo_graph(model.graph().clone()))
-            .map_err(|e| SweepError::Config(format!("executor pool: {e}")))?;
+            let pool = scenario_pool(model, cfg.workers, cfg.strategy)
+                .map_err(|e| SweepError::Config(format!("executor pool: {e}")))?;
             pools.push(Some(pool));
         }
     } else {

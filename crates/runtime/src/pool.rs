@@ -30,18 +30,30 @@
 //! measured hand-off as a start load, so when no task would finish
 //! sooner on a helper, every task sits on worker 0. Such a call is
 //! *supervisor-only*: it returns early and evaluates the pool's solo
-//! graph in thread with the one-lane `TaskGraph::eval_batch` — the
-//! one-cluster placement with global CSE when the pool was given it
-//! ([`ExecutorPool::with_solo_graph`]), else the pool's own graph —
-//! touching no claim word, deque, atomic slot or helper. Its wall time
-//! is the measured solo time, and the rescheduler seeds a helper again
-//! only when the predicted makespan beats it
-//! ([`ExecutorPool::rebalance_from_measured`]). The hand-off is measured
-//! only from calls that seed a helper (a seeded helper whose tasks the
-//! supervisor stole before it started counts the whole call as its
-//! hand-off), and a pool with a fault plan keeps it at 0, never goes
-//! solo and wakes every call's helpers, so injected faults land where
-//! they are planned. All
+//! graph in thread with the one-lane `TaskGraph::eval_batch`, touching
+//! no claim word, deque, atomic slot or helper, and reads the clock once.
+//! Its wall time is the measured solo time, and the rescheduler seeds a
+//! helper again only when the predicted makespan beats it
+//! ([`ExecutorPool::rebalance_from_measured`]).
+//!
+//! The product's pools are *born serial* ([`ExecutorPool::born_serial`]):
+//! they hold only the one-cluster placement with global CSE (the code
+//! `--workers 1` runs), and every call is supervisor-only. Each
+//! reschedule is one comparison: a helper pays when the hand-off H plus
+//! the equation-level static schedule's makespan share of the fastest
+//! recent solo call beats that call. H comes from a one-time probe at
+//! the first reschedule, which wakes the parked helpers with a call that
+//! has no task; each stamps when it woke. The m-worker placement is
+//! compiled on the first call that seeds a helper, and never if none
+//! does; its call state replaces the solo graph's, and the helpers,
+//! spawned at build, move on to it. A pool built with its placement
+//! ([`ExecutorPool::build`]) runs its own graph as the solo graph.
+//!
+//! The hand-off is then measured from calls that seed a helper (a seeded
+//! helper whose tasks the supervisor stole before it started counts the
+//! whole call as its hand-off). A pool with a fault plan starts on its
+//! placement, keeps the hand-off at 0, never goes solo and wakes every
+//! call's helpers, so injected faults land where they are planned. All
 //! synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
 //! condvars (call start, ready work). Within a call an idle worker parks
 //! on the ready-work condvar behind a sleeper count, so a waker pays the
@@ -117,6 +129,7 @@ use crate::error::RuntimeError;
 use crate::fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
 use crate::strategy::Strategy;
 use om_codegen::task::{BatchScratch, OutSlot, TaskGraph};
+use om_codegen::Schedule;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -253,9 +266,91 @@ struct Shared {
     /// [`RecoveryStats`] by the supervisor at the end of each call.
     nan_repairs: AtomicUsize,
     stale_results: AtomicUsize,
+    /// Wake-ups acknowledged by helpers, one per call that woke one, and
+    /// the latest of them in ns since `epoch`: the hand-off probe's
+    /// answer. A helper stamps before it counts (Release), so a count
+    /// loaded Acquire covers its stamp.
+    acks: AtomicUsize,
+    woke_ns: AtomicU64,
+    epoch: Instant,
 }
 
 impl Shared {
+    /// The call state for executing `graph` on `n_workers` under
+    /// `strategy`, no call running.
+    fn new(graph: Arc<TaskGraph>, n_workers: usize, plan: FaultPlan, strategy: Strategy) -> Shared {
+        let n_tasks = graph.tasks.len();
+        let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        Shared {
+            strategy,
+            faults: plan,
+            succ: graph.successors(),
+            pred_init: graph.pred_counts(),
+            preds: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
+            claims: atomics(n_tasks),
+            remaining: AtomicUsize::new(0),
+            fence: AtomicUsize::new(0),
+            deques: (0..n_workers)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
+            shared_vals: atomics(graph.n_shared),
+            dydt: atomics(graph.dim),
+            timings_ns: atomics(n_tasks),
+            t_bits: AtomicU64::new(0),
+            y: Mutex::new(Arc::new(Vec::new())),
+            call_fast: AtomicU64::new(0),
+            call: Mutex::new(0),
+            start_cv: Condvar::new(),
+            idle: Mutex::new(()),
+            work_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            detailed: AtomicBool::new(false),
+            retired: (0..n_workers).map(|_| AtomicBool::new(false)).collect(),
+            nan_repairs: AtomicUsize::new(0),
+            stale_results: AtomicUsize::new(0),
+            acks: AtomicUsize::new(0),
+            woke_ns: AtomicU64::new(0),
+            epoch: Instant::now(),
+            graph,
+        }
+    }
+
+    /// The seeding phases of a call ([`ExecutorPool`]'s `phases`).
+    fn phases(&self) -> Vec<(Vec<usize>, usize)> {
+        let n_tasks = self.graph.tasks.len();
+        match self.strategy {
+            Strategy::WorkStealing => {
+                vec![(
+                    (0..n_tasks).filter(|&i| self.pred_init[i] == 0).collect(),
+                    0,
+                )]
+            }
+            Strategy::Barrier => {
+                let mut left = n_tasks;
+                self.graph
+                    .levels()
+                    .into_iter()
+                    .map(|level| {
+                        left -= level.len();
+                        (level, left)
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Stop the helpers serving this call state: they leave their wait
+    /// on the start condvar and exit, or move on to the state the pool
+    /// swapped in.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        // Helpers park on the start condvar between calls; taking the
+        // lock orders the flag before their next predicate check.
+        drop(lock(&self.call));
+        self.start_cv.notify_all();
+        self.wake();
+    }
     /// Next task for worker `w` and the deque it came from: its own
     /// deque's back, else — under work stealing — another deque's front,
     /// scanning round-robin from `w + 1`.
@@ -364,28 +459,64 @@ struct Solo {
     scratch: BatchScratch,
     /// EWMA of a supervisor-only call's wall time in ns; 0 until one ran.
     ns: f64,
+    /// The fastest supervisor-only call since the last reschedule, in ns
+    /// (infinite when none ran): the solo time a born-serial pool's
+    /// break-even reads, which a preempted call cannot inflate.
+    low: f64,
     /// Each pool task's share of the pool graph's static cost: how a
     /// solo call's time is split into the placed tasks' estimates.
     share: Vec<f64>,
 }
 
 impl Solo {
-    fn new(graph: Arc<TaskGraph>, placed: &TaskGraph) -> Solo {
+    fn new(graph: Arc<TaskGraph>) -> Solo {
         om_obs::metrics()
             .gauge("runtime.solo_graph_instrs")
             .set(graph.instrs() as f64);
-        let total = placed.total_cost().max(1) as f64;
         Solo {
             scratch: BatchScratch::new(&graph, 1),
+            share: Solo::shares(&graph),
             graph,
             ns: 0.0,
-            share: placed
-                .tasks
-                .iter()
-                .map(|t| t.static_cost as f64 / total)
-                .collect(),
+            low: f64::INFINITY,
         }
     }
+
+    /// Each task of `placed` as a share of its total static cost.
+    fn shares(placed: &TaskGraph) -> Vec<f64> {
+        let total = placed.total_cost().max(1) as f64;
+        placed
+            .tasks
+            .iter()
+            .map(|t| t.static_cost as f64 / total)
+            .collect()
+    }
+}
+
+/// A born-serial pool's m-worker placement, not yet compiled
+/// ([`ExecutorPool::born_serial`]).
+struct Later {
+    /// Compiles the placement, given the solo graph: the placed graph
+    /// (the solo graph itself when the placement forms at most one
+    /// cluster) and its task → worker assignment.
+    #[allow(clippy::type_complexity)]
+    place: Box<dyn FnOnce(&Arc<TaskGraph>) -> (Arc<TaskGraph>, Vec<usize>) + Send>,
+    /// The equation-level static schedule's makespan over its total
+    /// load: the share of the solo time the busiest worker of a seeded
+    /// call is predicted to take.
+    share: f64,
+    /// The last reschedule found that a helper pays: the next call
+    /// compiles the placement and seeds one.
+    seed: bool,
+    /// Costs of the placed tasks given to [`ExecutorPool::rebalance`],
+    /// to schedule them with once they are compiled.
+    costs: Option<Vec<u64>>,
+    /// The hand-off probe, once sent: when (ns since the call state's
+    /// epoch) and the acknowledgement count that answers it.
+    probe: Option<(u64, usize)>,
+    /// `runtime.placements_built`, registered at build so `--metrics`
+    /// shows a pool that never compiled its placement as 0.
+    built: Arc<om_obs::Counter>,
 }
 
 /// Supervisor-side view of one worker. Slot 0 is the supervisor's own
@@ -414,6 +545,14 @@ enum Recovered {
 /// The supervisor-side handle to the pool.
 pub struct ExecutorPool {
     shared: Arc<Shared>,
+    /// The call state helpers serve: `shared`, read by a helper when it
+    /// starts and again when the state it served shuts down, so a
+    /// born-serial pool's helpers move on to the placement it compiles.
+    door: Arc<Mutex<Arc<Shared>>>,
+    /// A born-serial pool's placement while it is not compiled.
+    later: Option<Later>,
+    /// Wall time of the last call.
+    last: Duration,
     slots: Vec<Slot>,
     /// task → preferred worker (seeding; the whole schedule under the
     /// fence policy).
@@ -459,18 +598,42 @@ pub struct ExecutorPool {
 fn spawn_helper(
     worker: usize,
     incarnation: usize,
-    shared: &Arc<Shared>,
+    door: &Arc<Mutex<Arc<Shared>>>,
 ) -> Result<JoinHandle<()>, RuntimeError> {
-    let shared = Arc::clone(shared);
+    let door = Arc::clone(door);
     let join = std::thread::Builder::new()
         .name(format!("om-worker-{worker}.{incarnation}"))
-        .spawn(move || helper_main(worker, &shared))
+        .spawn(move || helper_main(worker, &door))
         .map_err(|e| RuntimeError::SpawnFailed {
             worker,
             reason: e.to_string(),
         })?;
     om_obs::metrics().counter("runtime.worker_spawns").inc();
     Ok(join)
+}
+
+/// Check that `assignment` names a worker of `n_workers` for every task
+/// of `graph`.
+fn check_assignment(
+    graph: &TaskGraph,
+    n_workers: usize,
+    assignment: &[usize],
+) -> Result<(), RuntimeError> {
+    if assignment.len() != graph.tasks.len() {
+        return Err(RuntimeError::InvalidConfig {
+            reason: format!(
+                "assignment covers {} tasks but the graph has {}",
+                assignment.len(),
+                graph.tasks.len()
+            ),
+        });
+    }
+    if let Some(&w) = assignment.iter().find(|&&w| w >= n_workers) {
+        return Err(RuntimeError::InvalidConfig {
+            reason: format!("assignment references worker {w} of {n_workers}"),
+        });
+    }
+    Ok(())
 }
 
 impl ExecutorPool {
@@ -510,75 +673,15 @@ impl ExecutorPool {
                 ),
             });
         }
-        if assignment.len() != graph.tasks.len() {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!(
-                    "assignment covers {} tasks but the graph has {}",
-                    assignment.len(),
-                    graph.tasks.len()
-                ),
-            });
-        }
-        if let Some(&w) = assignment.iter().find(|&&w| w >= n_workers) {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!("assignment references worker {w} of {n_workers}"),
-            });
-        }
+        check_assignment(&graph, n_workers, &assignment)?;
         let graph = Arc::new(graph);
         let n_tasks = graph.tasks.len();
-        let pred_init = graph.pred_counts();
-        let phases = match strategy {
-            Strategy::WorkStealing => {
-                vec![((0..n_tasks).filter(|&i| pred_init[i] == 0).collect(), 0)]
-            }
-            Strategy::Barrier => {
-                let mut left = n_tasks;
-                graph
-                    .levels()
-                    .into_iter()
-                    .map(|level| {
-                        left -= level.len();
-                        (level, left)
-                    })
-                    .collect()
-            }
-        };
-        let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let shared = Arc::new(Shared {
-            strategy,
-            faults: plan,
-            succ: graph.successors(),
-            pred_init,
-            preds: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
-            claims: atomics(n_tasks),
-            remaining: AtomicUsize::new(0),
-            fence: AtomicUsize::new(0),
-            deques: (0..n_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            shared_vals: atomics(graph.n_shared),
-            dydt: atomics(graph.dim),
-            timings_ns: atomics(n_tasks),
-            t_bits: AtomicU64::new(0),
-            y: Mutex::new(Arc::new(Vec::new())),
-            call_fast: AtomicU64::new(0),
-            call: Mutex::new(0),
-            start_cv: Condvar::new(),
-            idle: Mutex::new(()),
-            work_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            detailed: AtomicBool::new(false),
-            retired: (0..n_workers).map(|_| AtomicBool::new(false)).collect(),
-            nan_repairs: AtomicUsize::new(0),
-            stale_results: AtomicUsize::new(0),
-            graph: Arc::clone(&graph),
-        });
+        let shared = Arc::new(Shared::new(Arc::clone(&graph), n_workers, plan, strategy));
         let m = om_obs::metrics();
         let mut pool = ExecutorPool {
             slots: Vec::with_capacity(n_workers),
             assignment,
-            phases,
+            phases: shared.phases(),
             measured: graph
                 .tasks
                 .iter()
@@ -587,7 +690,7 @@ impl ExecutorPool {
             handoff_ns: 0.0,
             worker_ns: vec![None; n_workers],
             solo_calls: 0,
-            solo: Solo::new(Arc::clone(&graph), &graph),
+            solo: Solo::new(Arc::clone(&graph)),
             fault_config,
             recovery: RecoveryStats::default(),
             ctx: WorkerCtx::new(0, &graph),
@@ -604,6 +707,9 @@ impl ExecutorPool {
             live_gauge: m.gauge("runtime.live_workers"),
             handoff_gauge: m.gauge("runtime.handoff_ns"),
             obs_calls: 0,
+            door: Arc::new(Mutex::new(Arc::clone(&shared))),
+            later: None,
+            last: Duration::ZERO,
             shared,
         };
         // Slots are pushed as their threads start, so an early return
@@ -611,7 +717,7 @@ impl ExecutorPool {
         for w in 0..n_workers {
             let join = match w {
                 0 => None,
-                _ => Some(spawn_helper(w, 0, &pool.shared)?),
+                _ => Some(spawn_helper(w, 0, &pool.door)?),
             };
             pool.slots.push(Slot {
                 join,
@@ -623,23 +729,90 @@ impl ExecutorPool {
         Ok(pool)
     }
 
-    /// Give supervisor-only calls `graph` to evaluate in thread instead
-    /// of the pool's own: the one-cluster placement of the same tasks
-    /// (`CodeGenerator::place(ir, tasks, 1)`), whose global CSE does the
-    /// work of the per-worker clusters in fewer instructions. Every
-    /// placement is bitwise the same RHS, so which graph a call ran never
-    /// shows in its result.
-    pub fn with_solo_graph(mut self, graph: TaskGraph) -> Result<ExecutorPool, RuntimeError> {
+    /// Build a fault-free pool that is born serial: every call evaluates
+    /// `solo` (the one-cluster placement, global CSE) in thread until a
+    /// reschedule finds that a helper pays, and only then is the
+    /// `n_workers` placement compiled — by `place`, given the solo graph,
+    /// on the first call that seeds a helper, and never if no call does.
+    /// `schedule` is the equation-level static schedule on `n_workers`;
+    /// its makespan share predicts a seeded call. The helpers are spawned
+    /// here and park until then, so a spawn error is reported by the
+    /// build, not by a call.
+    pub fn born_serial(
+        solo: TaskGraph,
+        n_workers: usize,
+        strategy: Strategy,
+        schedule: &Schedule,
+        place: impl FnOnce(&Arc<TaskGraph>) -> (Arc<TaskGraph>, Vec<usize>) + Send + 'static,
+    ) -> Result<ExecutorPool, RuntimeError> {
+        let solo_tasks = solo.tasks.len();
+        let mut pool = ExecutorPool::build(solo, n_workers, vec![0; solo_tasks], strategy)?;
+        let total: u64 = schedule.loads.iter().sum();
+        pool.later = Some(Later {
+            place: Box::new(place),
+            share: match total {
+                0 => 1.0,
+                _ => schedule.makespan as f64 / total as f64,
+            },
+            seed: false,
+            costs: None,
+            probe: None,
+            built: om_obs::metrics().counter("runtime.placements_built"),
+        });
+        Ok(pool)
+    }
+
+    /// Compile a born-serial pool's placement and hand it to the helpers:
+    /// a call state for the placed graph replaces the solo graph's, whose
+    /// helpers move on to it — unless the placement is the solo graph
+    /// itself, which only takes the new assignment. Each placed task's
+    /// estimate starts at its static-cost share of the solo time.
+    fn grow(&mut self) -> Result<(), RuntimeError> {
+        let Some(later) = self.later.take() else {
+            return Ok(());
+        };
+        let (graph, assignment) = (later.place)(&self.solo.graph);
+        let n_workers = self.slots.len();
         if graph.dim != self.shared.graph.dim {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!(
-                    "solo graph has dimension {} but the pool's has {}",
+                    "placement has dimension {} but the solo graph has {}",
                     graph.dim, self.shared.graph.dim
                 ),
             });
         }
-        self.solo = Solo::new(Arc::new(graph), &self.shared.graph);
-        Ok(self)
+        check_assignment(&graph, n_workers, &assignment)?;
+        if !Arc::ptr_eq(&graph, &self.shared.graph) {
+            let n_tasks = graph.tasks.len();
+            let shared = Arc::new(Shared::new(
+                Arc::clone(&graph),
+                n_workers,
+                FaultPlan::none(),
+                self.shared.strategy,
+            ));
+            for (slot, retired) in self.slots.iter().zip(&shared.retired) {
+                retired.store(slot.failed, Ordering::Relaxed);
+            }
+            *lock(&self.door) = Arc::clone(&shared);
+            std::mem::replace(&mut self.shared, shared).shut_down();
+            self.phases = self.shared.phases();
+            self.ctx = WorkerCtx::new(0, &graph);
+            self.watch = vec![(0, Instant::now()); n_tasks];
+            self.retried = vec![0; n_tasks];
+        }
+        self.assignment = assignment;
+        self.solo.share = Solo::shares(&graph);
+        self.measured = self
+            .solo
+            .share
+            .iter()
+            .map(|share| self.solo.ns * 1e-9 * share)
+            .collect();
+        if let Some(costs) = later.costs {
+            self.schedule(&costs);
+        }
+        later.built.inc();
+        Ok(())
     }
 
     /// The scheduling policy this pool executes with.
@@ -647,7 +820,8 @@ impl ExecutorPool {
         self.shared.strategy
     }
 
-    /// The task graph being executed.
+    /// The task graph calls that seed a helper execute: a born-serial
+    /// pool's solo graph until it has compiled its placement.
     pub fn graph(&self) -> &TaskGraph {
         &self.shared.graph
     }
@@ -678,8 +852,9 @@ impl ExecutorPool {
         &self.recovery
     }
 
-    /// EWMA of the measured hand-off to a helper, in ns (0 until a call
-    /// has seeded a helper, and always 0 under a fault plan).
+    /// EWMA of the measured hand-off to a helper, in ns: 0 until a
+    /// born-serial pool's probe or a call that seeded a helper measured
+    /// it, and always 0 under a fault plan.
     pub fn handoff_ns(&self) -> f64 {
         self.handoff_ns
     }
@@ -692,6 +867,18 @@ impl ExecutorPool {
     /// The graph supervisor-only calls evaluate in thread.
     pub fn solo_graph(&self) -> &TaskGraph {
         &self.solo.graph
+    }
+
+    /// Whether the pool holds its placement: always when it was built
+    /// with one, and for a born-serial pool from the first call that
+    /// seeded a helper.
+    pub fn placed(&self) -> bool {
+        self.later.is_none()
+    }
+
+    /// Wall time of the last call that succeeded.
+    pub fn last_call(&self) -> Duration {
+        self.last
     }
 
     /// Whether the next call is supervisor-only: no fault plan, worker 0
@@ -711,8 +898,19 @@ impl ExecutorPool {
     /// supervisor at once, so a task goes to a helper only when it would
     /// finish sooner there; when none would, the next calls run on the
     /// supervisor alone and wake nobody.
+    ///
+    /// `costs` are the placed tasks': a born-serial pool schedules them
+    /// when the next call has compiled its placement.
     pub fn rebalance(&mut self, costs: &[u64]) {
-        self.schedule(costs);
+        match &mut self.later {
+            Some(later) => {
+                later.seed = true;
+                later.costs = Some(costs.to_vec());
+            }
+            None => {
+                self.schedule(costs);
+            }
+        }
     }
 
     /// [`ExecutorPool::rebalance`], returning the predicted makespan
@@ -747,7 +945,17 @@ impl ExecutorPool {
     /// worker 0 and the next calls run solo. While calls run solo, each
     /// placed task's estimate follows the solo time (split by static-cost
     /// share), so a slower RHS reopens the helper.
+    ///
+    /// A born-serial pool that has not compiled its placement makes one
+    /// comparison instead: a helper pays when the hand-off (probed once,
+    /// at the first reschedule) plus the static schedule's makespan share
+    /// of the solo time beats the solo time — the fastest solo call since
+    /// the last reschedule.
     pub(crate) fn rebalance_from_measured(&mut self) {
+        if self.later.is_some() {
+            self.break_even();
+            return;
+        }
         let costs: Vec<u64> = self
             .measured
             .iter()
@@ -783,8 +991,12 @@ impl ExecutorPool {
         self.check_live()?;
         let _span = om_obs::span("rhs.eval", "runtime");
         self.rhs_calls.inc();
+        if self.later.as_ref().is_some_and(|later| later.seed) {
+            self.grow()?;
+        }
+        let start = Instant::now();
         if self.goes_solo() {
-            self.solo_call(t, y, dydt);
+            self.solo_call(t, y, dydt, start);
             return Ok(());
         }
         let s = Arc::clone(&self.shared);
@@ -801,7 +1013,7 @@ impl ExecutorPool {
 
         // A fault-free call here seeds a helper, so it measures the
         // hand-off. A fault plan needs the helpers in every call.
-        let call_start = s.faults.is_empty().then(Instant::now);
+        let sample = s.faults.is_empty();
 
         // --- reset per-call state (no worker is active: remaining == 0).
         if s.strategy == Strategy::WorkStealing {
@@ -836,8 +1048,8 @@ impl ExecutorPool {
             }
             self.drain(&s, call_id, t, &y, detailed, fence)?;
         }
-        if let Some(call_start) = call_start {
-            self.sample_handoff(&s, call_start.elapsed().as_nanos() as u64);
+        if sample {
+            self.sample_handoff(&s, start.elapsed().as_nanos() as u64);
         }
 
         // --- gather: every derivative slot was written exactly once.
@@ -870,26 +1082,78 @@ impl ExecutorPool {
             om_obs::instant("pool.degraded", "runtime");
             self.note(Recovered::DegradedCalls, 1);
         }
+        self.last = start.elapsed();
         Ok(())
     }
 
-    /// A supervisor-only call: the solo graph in this thread, timed into
-    /// the solo EWMA and, split by static-cost share, into every placed
-    /// task's estimate.
-    fn solo_call(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        self.solo_calls += 1;
-        self.solo_counter.inc();
-        self.tasks_executed.add(self.solo.graph.tasks.len() as u64);
-        let start = Instant::now();
+    /// A supervisor-only call begun at `start`: the solo graph in this
+    /// thread, timed (one clock pair) into the call's wall time, the solo
+    /// EWMA and, split by static-cost share, every placed task's
+    /// estimate.
+    fn solo_call(&mut self, t: f64, y: &[f64], dydt: &mut [f64], start: Instant) {
         self.solo
             .graph
             .eval_batch(t, y, dydt, &mut self.solo.scratch);
-        let ns = start.elapsed().as_nanos() as u64;
+        self.last = start.elapsed();
+        let ns = self.last.as_nanos() as u64;
+        self.solo_calls += 1;
+        self.solo_counter.inc();
+        self.tasks_executed.add(self.solo.graph.tasks.len() as u64);
         self.ctx.busy_ns.add(ns);
         self.fold_solo(ns as f64);
     }
 
+    /// A born-serial pool's reschedule: a helper pays when the hand-off H
+    /// plus the static makespan share of the solo time T beats T, that is
+    /// when H is below `(1 − share)·T`. H comes from a one-time
+    /// wake/acknowledge probe, sent at the first reschedule: the parked
+    /// helpers are woken by a call with no task, and each stamps when it
+    /// woke. The supervisor waits for the stamps no longer than that
+    /// bound — a later answer cannot make a helper pay — and reads a late
+    /// one at a later reschedule.
+    fn break_even(&mut self) {
+        let Some(later) = &mut self.later else {
+            return;
+        };
+        // No solo call since the last reschedule: nothing to beat.
+        let bound = match (1.0 - later.share) * self.solo.low {
+            b if b.is_finite() => b,
+            _ => 0.0,
+        };
+        self.solo.low = f64::INFINITY;
+        let helpers = (1..self.slots.len())
+            .filter(|&w| !self.slots[w].failed)
+            .count();
+        if self.handoff_ns == 0.0 && helpers > 0 {
+            let s = &self.shared;
+            let (sent, acks) = *later.probe.get_or_insert_with(|| {
+                let acks = s.acks.load(Ordering::Acquire) + helpers;
+                let sent = s.epoch.elapsed().as_nanos() as u64;
+                // No task is seeded, so `remaining` stays 0 and a woken
+                // helper stamps, counts and goes straight back to its wait.
+                let call_id = s.call_fast.fetch_add(1, Ordering::Release) + 1;
+                *lock(&s.call) = call_id;
+                s.start_cv.notify_all();
+                (sent, acks)
+            });
+            let waited = || s.epoch.elapsed().as_nanos() as f64 - sent as f64;
+            while s.acks.load(Ordering::Acquire) < acks && waited() < bound {
+                std::thread::yield_now();
+            }
+            if s.acks.load(Ordering::Acquire) >= acks {
+                let woke = s.woke_ns.load(Ordering::Relaxed);
+                self.handoff_ns = woke.saturating_sub(sent).max(1) as f64;
+                self.handoff_gauge.set(self.handoff_ns);
+                om_obs::metrics()
+                    .gauge("runtime.handoff_probe_ns")
+                    .set(self.handoff_ns);
+            }
+        }
+        later.seed = self.handoff_ns > 0.0 && self.handoff_ns < bound;
+    }
+
     fn fold_solo(&mut self, ns: f64) {
+        self.solo.low = self.solo.low.min(ns);
         self.solo.ns = ewma(self.solo.ns, ns);
         for (m, share) in self.measured.iter_mut().zip(&self.solo.share) {
             *m = ewma(*m, ns * 1e-9 * share);
@@ -1091,7 +1355,7 @@ impl ExecutorPool {
                     true
                 }
                 // A refused spawn is one more lost worker, not a failed call.
-                _ => spawn_helper(w, incarnation, s)
+                _ => spawn_helper(w, incarnation, &self.door)
                     .map(|join| self.slots[w].join = Some(join))
                     .is_ok(),
             };
@@ -1142,20 +1406,23 @@ impl ExecutorPool {
 
 impl Drop for ExecutorPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Helpers park on the start condvar between calls; taking the
-        // lock orders the flag before their next predicate check.
-        drop(lock(&self.shared.call));
-        self.shared.start_cv.notify_all();
-        self.shared.wake();
-        // Bounded wait so a hung helper cannot wedge the supervisor.
+        self.shared.shut_down();
+        // Bounded wait so a hung helper cannot wedge the supervisor. A
+        // parked helper is gone within microseconds of the notify, so
+        // yield a bounded number of times before polling.
         let deadline = Instant::now() + Duration::from_secs(2);
         for slot in &mut self.slots {
             let Some(join) = slot.join.take() else {
                 continue;
             };
+            let mut looks = 0;
             while !join.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
+                looks += 1;
+                if looks < FENCE_SPINS {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
             }
             if join.is_finished() {
                 let _ = join.join();
@@ -1169,11 +1436,26 @@ impl Drop for ExecutorPool {
 /// with it skips the global panic hook, keeping chaos tests quiet.
 struct InjectedWorkerPanic;
 
-/// Helper thread main: park between calls, work each call to completion.
-fn helper_main(worker: usize, s: &Shared) {
+/// Helper thread main: serve the pool's call state until it shuts down,
+/// then the one the pool swapped in for it, if any.
+fn helper_main(worker: usize, door: &Mutex<Arc<Shared>>) {
     // On the helper's own track, so every incarnation shows in a trace
     // whether or not it is ever handed a task.
     om_obs::instant("worker.spawn", "runtime");
+    let mut s = Arc::clone(&lock(door));
+    loop {
+        serve(worker, &s);
+        let next = Arc::clone(&lock(door));
+        if Arc::ptr_eq(&next, &s) {
+            return;
+        }
+        s = next;
+    }
+}
+
+/// Park between calls, work each call to completion; return on shutdown
+/// or retirement.
+fn serve(worker: usize, s: &Shared) {
     let mut ctx = WorkerCtx::new(worker, &s.graph);
     let mut last_call = 0u64;
     loop {
@@ -1190,6 +1472,9 @@ fn helper_main(worker: usize, s: &Shared) {
             }
         };
         last_call = call_id;
+        let woke = s.epoch.elapsed().as_nanos() as u64;
+        s.woke_ns.fetch_max(woke, Ordering::Relaxed);
+        s.acks.fetch_add(1, Ordering::Release);
         let t = f64::from_bits(s.t_bits.load(Ordering::Relaxed));
         let y = lock(&s.y).clone();
         let detailed = s.detailed.load(Ordering::Relaxed);
@@ -1627,6 +1912,21 @@ mod tests {
         (graph(src, true).1, one)
     }
 
+    /// A born-serial 2-worker pool on `src`'s one-cluster graph whose
+    /// placement is the equation-level graph, one task per worker.
+    fn born(src: &str, strategy: Strategy) -> ExecutorPool {
+        let (g, one) = with_one_cluster(src);
+        let schedule = om_codegen::lpt(
+            &g.tasks.iter().map(|t| t.static_cost).collect::<Vec<_>>(),
+            2,
+        );
+        let assignment = schedule.assignment.clone();
+        ExecutorPool::born_serial(one, 2, strategy, &schedule, move |_| {
+            (Arc::new(g), assignment)
+        })
+        .unwrap()
+    }
+
     /// The rescheduler's decision with a solo time of `solo_ns`.
     fn decide(pool: &mut ExecutorPool, solo_ns: f64) -> Vec<usize> {
         pool.solo.ns = solo_ns;
@@ -1634,62 +1934,175 @@ mod tests {
         pool.assignment().to_vec()
     }
 
+    /// Whether the next call of a born-serial pool compiles its
+    /// placement and seeds a helper, with a solo time of `solo_ns`.
+    fn seeds(pool: &mut ExecutorPool, solo_ns: f64) -> bool {
+        pool.solo.low = solo_ns;
+        pool.rebalance_from_measured();
+        pool.later.as_ref().is_some_and(|later| later.seed)
+    }
+
     #[test]
     fn a_supervisor_only_call_runs_the_one_cluster_graph() {
         for strategy in Strategy::ALL {
-            let (g, one) = with_one_cluster(MODEL);
-            assert_eq!(one.tasks.len(), 1);
+            let (g, _) = with_one_cluster(MODEL);
             let y = [0.4, -0.3];
             let mut expect = [0.0; 2];
             g.eval_serial(0.6, &y, &mut expect);
-            let mut pool = ExecutorPool::build(g, 2, vec![0, 0], strategy)
-                .unwrap()
-                .with_solo_graph(one)
-                .unwrap();
+            let mut pool = born(MODEL, strategy);
             assert_eq!(pool.solo_graph().tasks.len(), 1);
             let mut got = [0.0; 2];
             for n in 1..=30 {
                 pool.rhs(0.6, &y, &mut got);
-                assert_eq!(got, expect, "{strategy}: bitwise the pool's graph");
+                assert_eq!(got, expect, "{strategy}: bitwise the placed graph");
                 assert_eq!(pool.supervisor_only_calls(), n);
+                assert!(pool.last_call() > Duration::ZERO);
             }
             // No call reached the pool: no generation, no helper released
-            // (worker 1 ran nothing), no claim word, deque or slot written.
-            assert_untouched(&pool, 0, &[0, 0]);
+            // (worker 1 ran nothing), no claim word, deque or slot written,
+            // and no placement compiled.
+            assert_untouched(&pool, 0, &[0]);
             assert_eq!(*lock(&pool.shared.call), 0);
             assert!(pool
                 .shared
                 .dydt
                 .iter()
                 .all(|v| v.load(Ordering::Relaxed) == 0));
+            assert!(!pool.placed(), "{strategy}");
             assert!(pool.solo.ns > 0.0, "{strategy}");
             assert_eq!(pool.handoff_ns(), 0.0, "{strategy}");
         }
     }
 
     #[test]
-    fn a_solo_graph_of_another_dimension_is_refused() {
-        let (_, g) = graph(MODEL, true);
+    fn a_placement_of_another_dimension_is_refused() {
+        let (_, one) = with_one_cluster(MODEL);
         let (_, other) = graph(
             "model N; Real z(start=1.0); equation der(z) = -z; end N;",
             true,
         );
-        let pool = ExecutorPool::build(g, 2, vec![0, 1], Strategy::WorkStealing).unwrap();
+        let schedule = om_codegen::lpt(&[1], 2);
+        let mut pool =
+            ExecutorPool::born_serial(one, 2, Strategy::WorkStealing, &schedule, move |_| {
+                (Arc::new(other), vec![1])
+            })
+            .unwrap();
+        pool.later.as_mut().unwrap().seed = true;
+        let mut got = [0.0; 2];
         assert!(matches!(
-            pool.with_solo_graph(other),
+            pool.try_rhs(0.0, &[0.4, -0.3], &mut got),
             Err(RuntimeError::InvalidConfig { .. })
         ));
     }
 
     #[test]
-    fn a_helper_is_seeded_only_when_the_schedule_beats_the_solo_time() {
-        let (g, one) = with_one_cluster(TWIN);
-        let mut pool = ExecutorPool::build(g, 2, vec![0, 1], Strategy::WorkStealing)
-            .unwrap()
-            .with_solo_graph(one)
+    fn a_placement_that_is_the_solo_graph_only_takes_the_assignment() {
+        for strategy in Strategy::ALL {
+            let (_, g) = graph(TWIN, true);
+            let y = [0.4, -0.3];
+            let mut expect = [0.0; 2];
+            g.eval_serial(0.5, &y, &mut expect);
+            let schedule = om_codegen::lpt(&[1, 1], 2);
+            let mut pool = ExecutorPool::born_serial(g, 2, strategy, &schedule, |solo| {
+                (Arc::clone(solo), vec![0, 1])
+            })
             .unwrap();
-        // Two 1 µs tasks and a 0.5 µs hand-off: with the helper the call
-        // predicts max(1, 0.5 + 1) = 1.5 µs.
+            let before = Arc::clone(&pool.shared);
+            let mut got = [0.0; 2];
+            pool.rhs(0.5, &y, &mut got);
+            pool.later.as_mut().unwrap().seed = true;
+            pool.rhs(0.5, &y, &mut got);
+            assert_eq!(got, expect, "{strategy}");
+            assert!(pool.placed());
+            assert!(
+                Arc::ptr_eq(&pool.shared, &before),
+                "{strategy}: same call state"
+            );
+            assert!(Arc::ptr_eq(&pool.shared.graph, &pool.solo.graph));
+            assert_eq!(pool.assignment(), &[0, 1]);
+            assert_eq!(pool.supervisor_only_calls(), 1);
+            assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn the_first_reschedule_probes_the_handoff_once() {
+        for strategy in Strategy::ALL {
+            let mut pool = born(TWIN, strategy);
+            let mut got = [0.0; 2];
+            pool.rhs(0.0, &[0.4, -0.3], &mut got);
+            pool.rebalance_from_measured();
+            // One wake-up and no task: the helper stamps and counts it,
+            // and the supervisor waited no longer than a helper could pay
+            // (a ~100 ns call), so it reads the answer later.
+            assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+            for _ in 0..2000 {
+                if pool.shared.acks.load(Ordering::Acquire) == 1 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(pool.shared.acks.load(Ordering::Relaxed), 1);
+            assert!(pool.shared.deques.iter().all(|d| lock(d).is_empty()));
+            pool.rhs(0.0, &[0.4, -0.3], &mut got);
+            pool.rebalance_from_measured();
+            let probed = pool.handoff_ns();
+            assert!(probed > 0.0, "{strategy}");
+            assert!(!pool.later.as_ref().unwrap().seed, "{strategy}");
+            for _ in 0..5 {
+                pool.rhs(0.0, &[0.4, -0.3], &mut got);
+                pool.rebalance_from_measured();
+            }
+            assert_eq!(pool.handoff_ns(), probed, "{strategy}: probed once");
+            assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+            assert_eq!(pool.shared.acks.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn a_helper_is_seeded_only_when_the_schedule_beats_the_solo_time() {
+        // Born serial: two tasks of equal static cost put half the solo
+        // time on each worker, so a helper pays when H + T/2 < T.
+        let mut pool = born(TWIN, Strategy::WorkStealing);
+        pool.handoff_ns = 500.0;
+        // No solo call timed since the last reschedule: nothing to beat.
+        assert!(!seeds(&mut pool, f64::INFINITY));
+        assert!(!seeds(&mut pool, 800.0));
+        assert!(!seeds(&mut pool, 1_000.0), "a tie stays solo");
+        assert!(seeds(&mut pool, 1_001.0));
+        // A hand-off above half the solo time never pays.
+        pool.handoff_ns = 1_200.0;
+        assert!(!seeds(&mut pool, 2_000.0));
+        assert!(!seeds(&mut pool, 2_400.0));
+        assert!(seeds(&mut pool, 1e9));
+        // The fastest solo call decides: one preempted call among fast
+        // ones reopens nothing.
+        pool.later.as_mut().unwrap().seed = false;
+        pool.solo.low = f64::INFINITY;
+        for ns in [2_000.0, 1e9, 2_100.0] {
+            pool.fold_solo(ns);
+        }
+        pool.rebalance_from_measured();
+        assert!(!pool.later.as_ref().unwrap().seed);
+        assert!(seeds(&mut pool, 1e9));
+        // The decision is all a reschedule did: nothing is compiled until
+        // the next call, which builds the placement and seeds the helper.
+        assert!(!pool.placed());
+        assert_eq!(pool.graph().tasks.len(), 1);
+        let mut got = [0.0; 2];
+        pool.rhs(0.0, &[0.4, -0.3], &mut got);
+        assert!(pool.placed());
+        assert_eq!(pool.graph().tasks.len(), 2);
+        assert_eq!(pool.supervisor_only_calls(), 0);
+        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+        let mut expect = [0.0; 2];
+        pool.solo_graph()
+            .eval_serial(0.0, &[0.4, -0.3], &mut expect);
+        assert_eq!(got, expect);
+
+        // Placed: the LPT over measured task times decides. Two 1 µs
+        // tasks and a 0.5 µs hand-off: with the helper the call predicts
+        // max(1, 0.5 + 1) = 1.5 µs.
         pool.measured = vec![1e-6, 1e-6];
         pool.handoff_ns = 500.0;
         // No solo call timed yet: against both tasks on worker 0 (2 µs).
@@ -1707,34 +2120,51 @@ mod tests {
 
     #[test]
     fn a_step_change_in_the_solo_time_reopens_the_helper() {
-        let (g, one) = with_one_cluster(TWIN);
-        let mut pool = ExecutorPool::build(g, 2, vec![0, 1], Strategy::WorkStealing)
-            .unwrap()
-            .with_solo_graph(one)
-            .unwrap();
+        let mut pool = born(TWIN, Strategy::WorkStealing);
         pool.handoff_ns = 5_000.0;
-        // Solo calls of 2 µs: every estimate follows, the hand-off costs
-        // more than both tasks, and the pool stays solo.
+        let mut got = [0.0; 2];
+        pool.rhs(0.0, &[0.4, -0.3], &mut got);
+        assert_eq!(pool.supervisor_only_calls(), 1);
+        // Solo calls of 2 µs: the estimates follow, the hand-off costs
+        // more than the solo call, and the pool stays serial.
         for _ in 0..40 {
             pool.fold_solo(2_000.0);
         }
         let total: f64 = pool.measured().iter().sum();
         assert!((total * 1e9 - 2_000.0).abs() < 1.0, "{total}");
         pool.rebalance_from_measured();
+        assert_eq!(pool.assignment(), &[0]);
+        assert!(!pool.later.as_ref().unwrap().seed);
+        assert!(!pool.placed());
+        // The RHS gets 100 times slower while solo: the solo time follows,
+        // so the helper reopens.
+        for _ in 0..40 {
+            pool.fold_solo(200_000.0);
+        }
+        pool.rebalance_from_measured();
+        // The next call compiles the placement, seeds the helper and
+        // samples the hand-off anew; each placed task's estimate starts
+        // at its share of the solo time.
+        pool.rhs(0.0, &[0.4, -0.3], &mut got);
+        assert!(pool.placed());
+        assert_eq!(pool.supervisor_only_calls(), 1);
+        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+        assert_ne!(pool.handoff_ns(), 5_000.0);
+        assert_eq!(pool.measured().len(), 2);
+        // A placed pool follows step changes too.
+        pool.handoff_ns = 5_000.0;
+        for _ in 0..80 {
+            pool.fold_solo(2_000.0);
+        }
+        let total: f64 = pool.measured().iter().sum();
+        assert!((total * 1e9 - 2_000.0).abs() < 1.0, "{total}");
+        pool.rebalance_from_measured();
         assert_eq!(pool.assignment(), &[0, 0]);
-        // The RHS gets 100 times slower while solo: the estimates follow
-        // the solo time, so the helper reopens.
         for _ in 0..40 {
             pool.fold_solo(200_000.0);
         }
         pool.rebalance_from_measured();
         assert_eq!(pool.assignment(), &[0, 1]);
-        // The next call seeds it again and samples the hand-off anew.
-        let mut got = [0.0; 2];
-        pool.rhs(0.0, &[0.4, -0.3], &mut got);
-        assert_eq!(pool.supervisor_only_calls(), 0);
-        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
-        assert_ne!(pool.handoff_ns(), 5_000.0);
     }
 
     #[test]
@@ -1770,8 +2200,6 @@ mod tests {
             let plan = FaultPlan::none().inject(1, 1_000_000, FaultKind::CorruptNaN);
             let mut pool =
                 ExecutorPool::with_faults(g, 2, vec![0, 0], plan, FaultConfig::default(), strategy)
-                    .unwrap()
-                    .with_solo_graph(with_one_cluster(MODEL).1)
                     .unwrap();
             let mut got = [0.0; 2];
             for n in 1..=20 {

@@ -12,7 +12,6 @@ use crate::sched_dyn::SemiDynamicScheduler;
 use om_ir::OdeIr;
 use om_solver::{OdeSystem, RhsError, Sparsity};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A parallel right-hand side: executor pool + semi-dynamic scheduler, usable as an [`OdeSystem`].
 pub struct ParallelRhs {
@@ -20,7 +19,8 @@ pub struct ParallelRhs {
     pub scheduler: SemiDynamicScheduler,
     /// Total RHS calls made.
     pub calls: usize,
-    /// Wall-clock spent inside RHS evaluations (incl. communication).
+    /// Wall-clock spent inside successful RHS evaluations (incl.
+    /// communication).
     pub rhs_time: std::time::Duration,
     /// The most recent runtime failure, if any. Set by both the fallible
     /// and the infallible evaluation paths.
@@ -50,10 +50,11 @@ impl ParallelRhs {
 
     fn eval(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RuntimeError> {
         self.calls += 1;
-        let start = Instant::now();
         let result = self.pool.try_rhs(t, y, dydt);
-        self.rhs_time += start.elapsed();
         if result.is_ok() {
+            // The pool times each call: a supervisor-only one reads the
+            // clock once, for this and for its solo estimate together.
+            self.rhs_time += self.pool.last_call();
             self.scheduler.after_rhs_call(&mut self.pool);
         }
         result

@@ -11,8 +11,10 @@
 //! The scheduler consumes the worker pool's EWMA task-time measurements
 //! and re-runs LPT (or dependency-aware list scheduling) every
 //! `resched_every` RHS calls, each helper starting late by the pool's
-//! measured hand-off ([`ExecutorPool::rebalance`]); the time it spends is
-//! accounted separately so experiment E6 can report the overhead
+//! measured hand-off ([`ExecutorPool::rebalance`]). While a born-serial
+//! pool has not compiled its placement, a reschedule is one break-even
+//! comparison instead ([`ExecutorPool::born_serial`]). The time it spends
+//! is accounted separately so experiment E6 can report the overhead
 //! fraction.
 
 use crate::pool::ExecutorPool;

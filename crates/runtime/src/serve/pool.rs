@@ -14,8 +14,8 @@
 
 use crate::ensemble::batch::run_scenario_batch;
 use crate::ensemble::scenario::{run_scenario, ScenarioOutcome, ScenarioRunConfig, Substrate};
-use crate::ensemble::{SweepFaultPlan, WorkItem};
-use crate::pool::{lock, ExecutorPool};
+use crate::ensemble::{scenario_pool, SweepFaultPlan, WorkItem};
+use crate::pool::lock;
 use crate::strategy::Strategy;
 use om_codegen::registry::CompiledModel;
 use std::collections::VecDeque;
@@ -160,14 +160,7 @@ fn execute(job: Job, shared: &Shared) {
             // identity invariant, so the outcome is unaffected — and is
             // counted, so the fallback is visible in `op:"stats"`.
             let mut pool = if workers > 1 {
-                let placement = model.placement(workers);
-                let built = ExecutorPool::build(
-                    placement.graph.clone(),
-                    workers,
-                    placement.assignment.clone(),
-                    strategy,
-                )
-                .and_then(|pool| pool.with_solo_graph(model.graph().clone()));
+                let built = scenario_pool(&model, workers, strategy);
                 if built.is_err() {
                     shared.build_fallbacks.fetch_add(1, Ordering::Relaxed);
                     om_obs::metrics().counter("serve.pool_build_fallback").inc();

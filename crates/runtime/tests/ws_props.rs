@@ -15,6 +15,8 @@ use om_models::{bearing2d, bearing3d, heat1d, hydro, oscillator, servo};
 use om_runtime::{ExecutorPool, ParallelRhs, Strategy};
 use om_solver::{dopri5, FnSystem, Tolerances};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Every built-in model as `(name, source)`.
 fn builtin_sources() -> Vec<(&'static str, String)> {
@@ -203,16 +205,81 @@ fn placed_bearing_trajectories_match_the_in_thread_run() {
     }
 }
 
+/// The product start: a fault-free 2-worker pool on bearing2d/10, born
+/// serial behind `ParallelRhs` with rescheduling every 16 calls, as
+/// `omc simulate --workers 2` runs it. No helper finishes a ~2 µs call
+/// sooner than the supervisor, so the pool never compiles its 2-worker
+/// placement and runs every call in thread; either way its dopri5
+/// trajectory is bitwise the `--workers 1` run's.
+#[test]
+fn a_born_serial_bearing_pool_never_compiles_its_placement() {
+    let ir = bearing2d::ir(&bearing2d::BearingConfig {
+        rollers: 10,
+        ..bearing2d::BearingConfig::default()
+    });
+    let generator = CodeGenerator::default();
+    let tasks = generator.tasks(&ir);
+    let y0 = ir.initial_state();
+    let tend = 0.01;
+    let one = generator.place(&ir, &tasks, 1);
+    let mut scratch = BatchScratch::new(&one.graph, 1);
+    let graph = one.graph.clone();
+    let mut in_thread = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
+        graph.eval_batch(t, y, d, &mut scratch);
+    });
+    let reference = dopri5(&mut in_thread, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    for strategy in Strategy::ALL {
+        let compiled = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&compiled);
+        let (ir, tasks) = (ir.clone(), tasks.clone());
+        let pool = ExecutorPool::born_serial(
+            one.graph.clone(),
+            2,
+            strategy,
+            &one.costs.schedule(2),
+            move |_| {
+                count.fetch_add(1, Ordering::Relaxed);
+                let placement = CodeGenerator::default().place(&ir, &tasks, 2);
+                (Arc::new(placement.graph), placement.assignment)
+            },
+        )
+        .unwrap();
+        let mut rhs = ParallelRhs::new(pool, 16);
+        let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+        assert!(rhs.scheduler.reschedules > 0, "{strategy}");
+        assert!(rhs.pool.handoff_ns() > 0.0, "{strategy}: probed");
+        // The placement is compiled exactly when a call left the solo
+        // path.
+        let built = compiled.load(Ordering::Relaxed);
+        assert_eq!(built, usize::from(rhs.pool.placed()), "{strategy}");
+        let all_solo = rhs.pool.supervisor_only_calls() == rhs.calls as u64;
+        assert_eq!(all_solo, built == 0, "{strategy}");
+        // Optimised, a call takes ~2 µs and no wake-up is that short. An
+        // unoptimised build interprets ~15 times slower, long enough for
+        // a quick hand-off to pay, so there only the rule is checked.
+        if !cfg!(debug_assertions) {
+            let h = rhs.pool.handoff_ns();
+            assert_eq!(built, 0, "{strategy}: hand-off {h} ns");
+        }
+        assert_eq!(sol.ts, reference.ts, "{strategy}: grids");
+        assert_eq!(sol.ys, reference.ys, "{strategy}: states");
+    }
+}
+
 /// A pool switches between its two placements from one call to the
 /// next: a supervisor-only call evaluates the one-cluster graph in
 /// thread, a call that seeds a helper runs the per-worker clusters. Here
-/// every call is rebalanced by hand so that solo and helper-seeded calls
-/// alternate over a whole dopri5 trajectory — tasks of 2^40 ns spread
-/// over both workers; 1 ns tasks stay on the supervisor once a hand-off
-/// has been measured — and the trajectory must be bitwise the in-thread
-/// one-cluster run's, for both policies.
+/// the pool is born serial, runs its first calls in thread without
+/// compiling anything, and from then on every call is rebalanced by hand
+/// so that solo and helper-seeded calls alternate over a whole dopri5
+/// trajectory — tasks of 2^40 ns spread over both workers; 1 ns tasks
+/// stay on the supervisor once a hand-off has been measured. The first
+/// forced seed compiles the placement, and the trajectory must be
+/// bitwise the in-thread one-cluster run's across the switch, for both
+/// policies.
 #[test]
 fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
+    const SOLO_FIRST: u64 = 8;
     let bearing = |rollers| {
         bearing2d::ir(&bearing2d::BearingConfig {
             rollers,
@@ -248,30 +315,38 @@ fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
         let n = placement.graph.tasks.len();
         assert!(n >= 2, "{name}: a helper needs a task");
         for strategy in Strategy::ALL {
-            let mut pool = ExecutorPool::build(
-                placement.graph.clone(),
+            let (graph, assignment) = (placement.graph.clone(), placement.assignment.clone());
+            let mut pool = ExecutorPool::born_serial(
+                one.clone(),
                 2,
-                placement.assignment.clone(),
                 strategy,
+                &placement.schedule,
+                move |_| (Arc::new(graph), assignment),
             )
-            .unwrap()
-            .with_solo_graph(one.clone())
             .unwrap();
             let mut calls = 0u64;
             let sol = {
                 let mut alternating = FnSystem::new(one.dim, |t, y: &[f64], d: &mut [f64]| {
-                    let cost = [1 << 40, 1][calls as usize & 1];
-                    pool.rebalance(&vec![cost; n]);
-                    calls += 1;
+                    if calls >= SOLO_FIRST {
+                        let cost = [1 << 40, 1][calls as usize & 1];
+                        pool.rebalance(&vec![cost; n]);
+                    }
                     pool.rhs(t, y, d);
+                    calls += 1;
+                    let built = calls > SOLO_FIRST;
+                    assert_eq!(pool.placed(), built, "{name} {strategy}: call {calls}");
+                    if !built {
+                        assert_eq!(pool.supervisor_only_calls(), calls);
+                    }
                 });
                 dopri5(&mut alternating, 0.0, &y0, *tend, &Tolerances::default()).unwrap()
             };
             let solo = pool.supervisor_only_calls();
             assert!(
-                solo > 0 && solo < calls,
+                solo > SOLO_FIRST && solo < calls,
                 "{name} {strategy}: {solo} of {calls}"
             );
+            assert_eq!(pool.graph().tasks.len(), n, "{name} {strategy}");
             assert_eq!(sol.ts, reference.ts, "{name} {strategy}: grids");
             assert_eq!(sol.ys, reference.ys, "{name} {strategy}: states");
         }

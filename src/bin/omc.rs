@@ -14,6 +14,7 @@
 //! ```
 
 use objectmath::analysis::{build_dependency_graph, partition_by_scc, to_dot};
+use objectmath::codegen::task::cluster_assignment;
 use objectmath::codegen::{emit_cpp, emit_fortran, BatchScratch, CodeGenerator, ModelRegistry};
 use objectmath::ir::{causalize, OdeIr};
 use objectmath::runtime::ensemble::json;
@@ -28,6 +29,7 @@ use objectmath::solver::{
 };
 use std::fmt;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Typed CLI failure; each class maps to a distinct exit code so scripts
@@ -343,7 +345,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // The source text and the flat model are dead once the IR exists:
     // free them before the command allocates (they count towards the
     // peak RSS of a `simulate`).
-    let mut ir = {
+    let ir = {
         use objectmath::lang::{flatten, flatten_arrays, parse_unit, scope};
         let unit = phase("lang.parse", || parse_unit(&source)).map_err(compile_error)?;
         drop(source);
@@ -363,7 +365,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "analyze" => analyze(&ir, &opts),
         "emit" => emit(&ir, &opts),
         "tasks" => tasks(&ir, &opts),
-        "simulate" => simulate(&mut ir, &opts),
+        "simulate" => simulate(ir, &opts),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n{}",
             usage()
@@ -819,14 +821,16 @@ fn emit(ir: &OdeIr, opts: &Flags) -> Result<(), CliError> {
         ("f90", true) => emit_fortran::emit_serial(ir, cost_model).text,
         ("cpp", true) => emit_cpp::emit_serial(ir, cost_model).text,
         ("f90", false) | ("cpp", false) => {
-            let program = generator.generate(ir);
-            let sched = program.schedule(workers);
+            // The schedule reads the symbolic tasks' costs: nothing is
+            // compiled to bytecode.
+            let tasks = generator.tasks(ir);
+            let sched = generator.costs(&tasks).schedule(workers);
             let emit_parallel = if opts.lang == "f90" {
                 emit_fortran::emit_parallel
             } else {
                 emit_cpp::emit_parallel
             };
-            emit_parallel(&program.tasks, &sched.assignment, workers, ir, cost_model).text
+            emit_parallel(&tasks, &sched.assignment, workers, ir, cost_model).text
         }
         (other, _) => {
             return Err(CliError::Usage(format!(
@@ -1388,7 +1392,7 @@ fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
+fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
     use std::fmt::Write as _;
     for (name, value) in &opts.sets {
         if !ir.set_start(name, *value) {
@@ -1445,53 +1449,67 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
     // One RHS at every worker count, compiled for its placement: the
     // equation-level tasks fused into one cluster per worker. Up to one
     // worker evaluates the one-cluster (global-CSE) graph in this thread
-    // with the one-lane `eval_batch`; more hand each worker's cluster to
-    // the executor pool, which runs the one-cluster graph in thread for
-    // every call that no helper would finish sooner. Every placement is
+    // with the one-lane `eval_batch`. More build an executor pool that
+    // is born serial: it runs the same graph in thread and compiles the
+    // per-worker clusters only on the first call that a helper would
+    // finish sooner (a fault plan's pool starts on them, so its faults
+    // land on the workers it plans them for). Every placement is
     // bitwise the equation-level graph, and is wrapped with the model,
     // so an implicit solver gets the same structural Jacobian pattern —
     // and makes the same RHS calls — wherever the graph runs.
-    let ir = &*ir;
+    let ir = Arc::new(ir);
     let generator = CodeGenerator::default();
+    let tasks = generator.tasks(&ir);
     let sol = if opts.workers <= 1 {
-        let graph = generator.place(ir, &generator.tasks(ir), 1).graph;
+        let graph = generator.place(&ir, &tasks, 1).graph;
+        drop(tasks);
         let mut scratch = BatchScratch::new(&graph, 1);
         let rhs = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
             graph.eval_batch(t, y, d, &mut scratch);
         });
-        solve(&mut ModelSystem::new(rhs, ir))?
+        solve(&mut ModelSystem::new(rhs, &ir))?
     } else {
-        let plan = match opts.fault_seed {
-            Some(seed) => FaultPlan::from_seed(seed, opts.workers, opts.workers),
-            None => FaultPlan::none(),
-        };
         let strategy = opts.executor;
-        let tasks = generator.tasks(ir);
-        let placement = generator.place(ir, &tasks, opts.workers);
-        // With one cluster formed the placed graph is the one-cluster
-        // graph already (an array-aware model's loop tasks pass through).
-        let one = (placement.clusters > 1).then(|| generator.place(ir, &tasks, 1).graph);
-        drop(tasks);
-        let clusters = placement.graph.tasks.len();
-        let mut pool = ExecutorPool::with_faults(
-            placement.graph,
-            opts.workers,
-            placement.assignment,
-            plan,
-            FaultConfig::default(),
-            strategy,
-        )
-        .map_err(CliError::Runtime)?;
-        if let Some(one) = one {
-            pool = pool.with_solo_graph(one).map_err(CliError::Runtime)?;
+        let m = opts.workers;
+        let pool = match opts.fault_seed {
+            Some(seed) => {
+                let placement = generator.place(&ir, &tasks, m);
+                drop(tasks);
+                ExecutorPool::with_faults(
+                    placement.graph,
+                    m,
+                    placement.assignment,
+                    FaultPlan::from_seed(seed, m, m),
+                    FaultConfig::default(),
+                    strategy,
+                )
+            }
+            None => {
+                let one = generator.place(&ir, &tasks, 1);
+                let schedule = one.costs.schedule(m);
+                let (assignment, clusters) = cluster_assignment(&tasks, &schedule.assignment, m);
+                drop(tasks);
+                let ir = Arc::clone(&ir);
+                ExecutorPool::born_serial(one.graph, m, strategy, &schedule, move |solo| {
+                    // With at most one cluster formed (an array-aware
+                    // model's loop tasks pass through), the placement is
+                    // the one-cluster graph under a new assignment.
+                    if clusters <= 1 {
+                        return (Arc::clone(solo), assignment);
+                    }
+                    let placement = generator.place(&ir, &generator.tasks(&ir), m);
+                    (Arc::new(placement.graph), placement.assignment)
+                })
+            }
         }
+        .map_err(CliError::Runtime)?;
         // Record the strategy where `--metrics` can see it.
         if om_obs::is_enabled() {
             om_obs::metrics()
                 .counter(&format!("runtime.strategy.{strategy}"))
                 .inc();
         }
-        let mut sys = ModelSystem::new(ParallelRhs::new(pool, RESCHED_EVERY), ir);
+        let mut sys = ModelSystem::new(ParallelRhs::new(pool, RESCHED_EVERY), &ir);
         let sol = match solve(&mut sys) {
             Ok(sol) => sol,
             Err(e) => {
@@ -1505,8 +1523,13 @@ fn simulate(ir: &mut OdeIr, opts: &Flags) -> Result<(), CliError> {
         };
         let rhs = sys.inner;
         let solo = rhs.pool.solo_graph();
+        let placed = match rhs.pool.graph().tasks.len() {
+            _ if !rhs.pool.placed() => "no helper seeded".to_owned(),
+            1 => "1 cluster".to_owned(),
+            n => format!("{n} clusters"),
+        };
         eprintln!(
-            "[parallel RHS ({strategy}): {clusters} clusters, {} calls, {:.0} calls/s, \
+            "[parallel RHS ({strategy}): {placed}, {} calls, {:.0} calls/s, \
              scheduler overhead {:.3}%, {} supervisor-only, hand-off ≈ {:.1} µs, \
              supervisor-only on {} cluster{} / {} instrs]",
             rhs.calls,
