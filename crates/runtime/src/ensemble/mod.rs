@@ -11,6 +11,14 @@
 //! sheds concurrency when deadline failures cluster, which is the
 //! classic symptom of an oversubscribed host).
 //!
+//! There is one scenario pool, [`pool::ScenarioPool`]: `omc serve` keeps
+//! one for the life of the service, and [`run_sweep`] runs as a transient
+//! session on its own. The sweep is the pool's supervisor: it admits
+//! (`stop_after` keeps the first N scenarios before anything is queued),
+//! checkpoints, and sheds (only the pool's first `k` workers take jobs);
+//! a failure — a dying checkpoint device, an executor pool that cannot
+//! be built — drops the queued items, whose scenarios end `skipped`.
+//!
 //! Scenario lifecycle:
 //!
 //! ```text
@@ -37,6 +45,7 @@
 pub mod batch;
 pub mod checkpoint;
 pub use om_obs::json;
+pub(crate) mod pool;
 pub mod scenario;
 
 pub use checkpoint::{load as load_checkpoint, CheckpointHeader, CheckpointWriter};
@@ -45,42 +54,16 @@ pub use scenario::{
     SweepFaultKind, SweepFaultPlan,
 };
 
-use crate::pool::ExecutorPool;
 use crate::strategy::Strategy;
 use checkpoint::render_record;
 use om_codegen::registry::CompiledModel;
+use pool::{Job, ScenarioPool};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
-
-/// A scenario-private pool on `workers`, born serial: it runs `model`'s
-/// one-cluster graph in thread and asks the registry for the placement
-/// on `workers` ([`CompiledModel::placement`]) only on the first call
-/// that seeds a helper.
-pub(crate) fn scenario_pool(
-    model: &Arc<CompiledModel>,
-    workers: usize,
-    strategy: Strategy,
-) -> Result<ExecutorPool, crate::RuntimeError> {
-    let later = Arc::clone(model);
-    ExecutorPool::born_serial(
-        model.graph().clone(),
-        workers,
-        strategy,
-        &model.schedule(workers),
-        move |_| {
-            let placement = later.placement(workers);
-            (
-                Arc::new(placement.graph.clone()),
-                placement.assignment.clone(),
-            )
-        },
-    )
-}
 
 /// Sweep-level configuration (per-scenario settings live in
 /// [`ScenarioRunConfig`]).
@@ -92,7 +75,7 @@ pub struct SweepConfig {
     /// Degradation floor: shedding never drops below this.
     pub min_concurrency: usize,
     /// ODE workers *per scenario* (1 = in-thread serial evaluation;
-    /// >1 = a scenario-private executor pool).
+    /// >1 = an executor pool each scenario worker keeps).
     pub workers: usize,
     /// Executor strategy when `workers > 1`.
     pub strategy: Strategy,
@@ -108,8 +91,8 @@ pub struct SweepConfig {
     pub checkpoint_every: usize,
     /// Carry terminal outcomes forward from an existing checkpoint.
     pub resume: bool,
-    /// Stop admitting scenarios after this many fresh results (test hook
-    /// that simulates an interrupted run; in-flight scenarios finish).
+    /// Admit only the first this-many pending scenarios (test hook that
+    /// simulates an interrupted run; the rest end `skipped`).
     pub stop_after: Option<usize>,
     /// Consecutive deadline failures before concurrency is halved.
     pub shed_after: u32,
@@ -326,16 +309,8 @@ pub struct SweepResult {
     pub report: SweepReport,
 }
 
-struct WorkerMsg {
-    index: usize,
-    outcome: ScenarioOutcome,
-    latency_ns: u64,
-}
-
-/// One unit a scenario worker pulls off the shared queue: a scalar
-/// scenario or a pre-packed batch of compatible ones. Shared with the
-/// resident service ([`crate::serve`]), whose pool multiplexes items
-/// from many requests onto one queue.
+/// One unit a scenario worker pulls off the [`ScenarioPool`]'s queue: a
+/// scalar scenario or a pre-packed batch of compatible ones.
 pub(crate) enum WorkItem {
     Single(ScenarioSpec),
     Batch(Vec<ScenarioSpec>),
@@ -385,13 +360,19 @@ pub(crate) fn pack_work_items(
     items
 }
 
-fn lock_queue(queue: &Mutex<VecDeque<WorkItem>>) -> std::sync::MutexGuard<'_, VecDeque<WorkItem>> {
-    match queue.lock() {
-        Ok(guard) => guard,
-        // Nothing under this lock can leave a half-written state: a
-        // poisoned queue is still a valid queue.
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// Keep the first `cap` scenarios of `items`, the admission cap of an
+/// interrupted sweep: a batch straddling the cap keeps only its admitted
+/// lanes, and the rest end `skipped`.
+fn admit_first(items: &mut VecDeque<WorkItem>, cap: usize) {
+    let mut left = cap;
+    items.retain_mut(|item| {
+        if let WorkItem::Batch(specs) = item {
+            specs.truncate(left);
+        }
+        let admitted = left > 0;
+        left = left.saturating_sub(item.len());
+        admitted
+    });
 }
 
 fn obs_outcome(outcome: &ScenarioOutcome) {
@@ -492,172 +473,93 @@ pub fn run_sweep(
     let n_pending = pending.len();
     let n_threads = cfg.concurrency.min(n_pending.max(1));
 
-    let pending = pack_work_items(pending, cfg.batch, &cfg.faults);
-
-    // Scenario-private executor pools are built up front so a pool
-    // construction failure is a sweep error, not a scenario outcome.
-    let mut pools: Vec<Option<ExecutorPool>> = Vec::with_capacity(n_threads);
-    if cfg.workers > 1 {
-        for _ in 0..n_threads {
-            let pool = scenario_pool(model, cfg.workers, cfg.strategy)
-                .map_err(|e| SweepError::Config(format!("executor pool: {e}")))?;
-            pools.push(Some(pool));
-        }
-    } else {
-        pools.resize_with(n_threads, || None);
+    let mut items = pack_work_items(pending, cfg.batch, &cfg.faults);
+    if let Some(cap) = cfg.stop_after {
+        admit_first(&mut items, cap);
     }
 
-    let queue = Arc::new(Mutex::new(pending));
-    let stop = Arc::new(AtomicBool::new(false));
-    let target = Arc::new(AtomicUsize::new(n_threads));
-    // Admission cap for `stop_after`: enforced at the point workers pull
-    // work, so the number of fresh scenarios is exact regardless of how
-    // fast they finish.
-    let admission_cap = cfg.stop_after.unwrap_or(usize::MAX);
-    let admitted = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = mpsc::channel::<WorkerMsg>();
-
-    let mut handles = Vec::with_capacity(n_threads);
-    for (wid, mut pool) in pools.into_iter().enumerate() {
-        let queue = Arc::clone(&queue);
-        let stop = Arc::clone(&stop);
-        let target = Arc::clone(&target);
-        let tx = tx.clone();
-        let model = Arc::clone(model);
-        let run = cfg.run;
-        let faults = cfg.faults.clone();
-        let admitted = Arc::clone(&admitted);
-        let builder = std::thread::Builder::new().name(format!("om-sweep-{wid}"));
-        let handle = builder
-            .spawn(move || {
-                'work: loop {
-                    // Degradation gate: shed workers stop admitting work.
-                    if stop.load(Ordering::Relaxed) || wid >= target.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Some(item) = lock_queue(&queue).pop_front() else {
-                        break;
-                    };
-                    // Admission is counted in scenarios, not items: a
-                    // batch straddling the cap is truncated to the
-                    // granted lanes (the rest end `skipped`, exactly as
-                    // an un-admitted scalar scenario would).
-                    let want = item.len();
-                    let prev = admitted.fetch_add(want, Ordering::Relaxed);
-                    let granted = if prev >= admission_cap {
-                        0
-                    } else {
-                        want.min(admission_cap - prev)
-                    };
-                    if granted == 0 {
-                        break;
-                    }
-                    match item {
-                        WorkItem::Single(spec) => {
-                            let mut substrate = match pool.as_mut() {
-                                Some(p) => Substrate::Pool(p),
-                                None => Substrate::serial(model.graph()),
-                            };
-                            let begun = Instant::now();
-                            let outcome = run_scenario(
-                                &model,
-                                &spec,
-                                faults.get(spec.index),
-                                &run,
-                                &mut substrate,
-                            );
-                            let msg = WorkerMsg {
-                                index: spec.index,
-                                outcome,
-                                latency_ns: begun.elapsed().as_nanos() as u64,
-                            };
-                            if tx.send(msg).is_err() {
-                                break;
-                            }
-                        }
-                        WorkItem::Batch(mut specs) => {
-                            specs.truncate(granted);
-                            let begun = Instant::now();
-                            let outcomes = batch::run_scenario_batch(&model, &specs, &faults, &run);
-                            // The batch's wall time was shared by all
-                            // lanes; attribute an even share to each.
-                            let per_lane =
-                                begun.elapsed().as_nanos() as u64 / specs.len().max(1) as u64;
-                            for (index, outcome) in outcomes {
-                                let msg = WorkerMsg {
-                                    index,
-                                    outcome,
-                                    latency_ns: per_lane,
-                                };
-                                if tx.send(msg).is_err() {
-                                    break 'work;
-                                }
-                            }
-                        }
-                    }
-                }
-            })
-            .map_err(|e| SweepError::Config(format!("spawn scenario worker: {e}")))?;
-        handles.push(handle);
+    // A transient session on the scenario pool: every admitted item is
+    // queued up front, and the reply channel closes once each has run or
+    // been dropped.
+    let pool = ScenarioPool::new(n_threads);
+    if pool.threads() == 0 {
+        return Err(SweepError::Config(
+            "no scenario worker could be spawned".into(),
+        ));
+    }
+    let faults = Arc::new(cfg.faults.clone());
+    let (tx, rx) = mpsc::channel();
+    for item in items {
+        pool.submit(Job {
+            model: Arc::clone(model),
+            item,
+            run: cfg.run,
+            workers: cfg.workers,
+            strategy: cfg.strategy,
+            faults: Arc::clone(&faults),
+            reply: tx.clone(),
+        });
     }
     drop(tx);
 
     // Supervisor: collect results, checkpoint, degrade under pressure.
+    // A failure (an executor pool that cannot be built, a dying
+    // checkpoint device) stops admission: the queued items are dropped,
+    // their scenarios end `skipped`, and the items already running finish.
     let mut fresh: HashMap<usize, ScenarioOutcome> = HashMap::new();
     let mut latencies_ns = Vec::with_capacity(n_pending);
     let mut consecutive_deadlines = 0u32;
     let mut degraded = false;
-    let mut checkpoint_error: Option<String> = None;
-    while let Ok(msg) = rx.recv() {
-        if let Some(w) = writer.as_mut() {
-            if checkpoint_error.is_none() {
-                if let Err(e) = w.record(msg.index, &msg.outcome) {
-                    // A dying checkpoint device must not wedge the sweep:
-                    // stop admitting new scenarios and surface the error.
-                    checkpoint_error = Some(e);
-                    stop.store(true, Ordering::Relaxed);
+    let mut failure: Option<SweepError> = None;
+    for reply in rx {
+        let lanes = match reply {
+            Ok(lanes) => lanes,
+            Err(e) => {
+                failure.get_or_insert(SweepError::Config(format!("executor pool: {e}")));
+                pool.drop_queued();
+                continue;
+            }
+        };
+        for (index, outcome, latency_ns) in lanes {
+            if let (Some(w), None) = (writer.as_mut(), &failure) {
+                if let Err(e) = w.record(index, &outcome) {
+                    failure = Some(SweepError::Checkpoint(e));
+                    pool.drop_queued();
                 }
             }
-        }
-        obs_outcome(&msg.outcome);
-        match msg.outcome {
-            ScenarioOutcome::DeadlineExceeded { .. } => {
-                consecutive_deadlines += 1;
-                if consecutive_deadlines >= cfg.shed_after.max(1) {
-                    consecutive_deadlines = 0;
-                    let current = target.load(Ordering::Relaxed);
-                    if current > cfg.min_concurrency {
-                        let next = (current / 2).max(cfg.min_concurrency);
-                        target.store(next, Ordering::Relaxed);
-                        degraded = true;
-                        if om_obs::is_enabled() {
-                            om_obs::instant("sweep.shed", "ensemble");
-                            om_obs::metrics().counter("sweep.sheds").inc();
+            obs_outcome(&outcome);
+            match outcome {
+                ScenarioOutcome::DeadlineExceeded { .. } => {
+                    consecutive_deadlines += 1;
+                    if consecutive_deadlines >= cfg.shed_after.max(1) {
+                        consecutive_deadlines = 0;
+                        let current = pool.active();
+                        if current > cfg.min_concurrency {
+                            pool.set_active((current / 2).max(cfg.min_concurrency));
+                            degraded = true;
+                            if om_obs::is_enabled() {
+                                om_obs::instant("sweep.shed", "ensemble");
+                                om_obs::metrics().counter("sweep.sheds").inc();
+                            }
                         }
                     }
                 }
+                ScenarioOutcome::Completed { .. } => consecutive_deadlines = 0,
+                ScenarioOutcome::Quarantined { .. } => {}
             }
-            ScenarioOutcome::Completed { .. } => consecutive_deadlines = 0,
-            ScenarioOutcome::Quarantined { .. } => {}
-        }
-        latencies_ns.push(msg.latency_ns);
-        fresh.insert(msg.index, msg.outcome);
-    }
-    for handle in handles {
-        // Scenario panics are caught inside run_scenario; a panic that
-        // reaches here is a driver bug, reported but not propagated so
-        // the manifest still accounts for every scenario.
-        if handle.join().is_err() {
-            eprintln!("warning: sweep worker thread died unexpectedly");
+            latencies_ns.push(latency_ns);
+            fresh.insert(index, outcome);
         }
     }
+    let final_concurrency = pool.active();
+    drop(pool);
     if let Some(w) = writer.as_mut() {
         if let Err(e) = w.flush() {
-            checkpoint_error.get_or_insert(e);
+            failure.get_or_insert(SweepError::Checkpoint(e));
         }
     }
-    if let Some(e) = checkpoint_error {
-        return Err(SweepError::Checkpoint(e));
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     // The manifest: every scenario exactly once, in index order.
@@ -685,7 +587,7 @@ pub fn run_sweep(
             from_checkpoint,
             latencies_ns,
             degraded,
-            final_concurrency: target.load(Ordering::Relaxed),
+            final_concurrency,
             effective_batch: cfg.batch,
         },
     })
@@ -833,6 +735,53 @@ mod tests {
             oracle.manifest.render_json()
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stop_after_interrupts_at_exactly_the_first_scenarios() {
+        let model = model();
+        let oracle = run_sweep(&model, &specs(12), &quick_cfg()).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("om-sweep-stop-after-{}.jsonl", std::process::id()));
+        let mut first: Option<String> = None;
+        for _ in 0..20 {
+            let _ = std::fs::remove_file(&path);
+            let mut cfg = quick_cfg();
+            cfg.concurrency = 4;
+            cfg.checkpoint = Some(path.clone());
+            cfg.checkpoint_every = 1;
+            cfg.stop_after = Some(7);
+            let partial = run_sweep(&model, &specs(12), &cfg).unwrap();
+            let rendered = partial.manifest.render_json();
+            assert_eq!(first.get_or_insert_with(|| rendered.clone()), &rendered);
+            for i in 0..12 {
+                assert_eq!(partial.manifest.outcome(i).is_some(), i < 7, "scenario {i}");
+            }
+        }
+        let mut resume_cfg = quick_cfg();
+        resume_cfg.checkpoint = Some(path.clone());
+        resume_cfg.resume = true;
+        let resumed = run_sweep(&model, &specs(12), &resume_cfg).unwrap();
+        assert_eq!(resumed.report.from_checkpoint, 7);
+        assert_eq!(
+            resumed.manifest.render_json(),
+            oracle.manifest.render_json()
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unbuildable_executor_pool_is_a_config_error() {
+        let model = model();
+        let mut cfg = quick_cfg();
+        // More workers than a claim word can name: build refuses.
+        cfg.workers = (1 << 16) + 1;
+        cfg.strategy = Strategy::WorkStealing;
+        let err = run_sweep(&model, &specs(6), &cfg).unwrap_err();
+        assert!(
+            matches!(&err, SweepError::Config(m) if m.starts_with("executor pool: ")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! process cold-start per invocation; the service amortizes both: one
 //! long-running process holds the [`ModelRegistry`] warm across
 //! requests and multiplexes many concurrent clients onto one resident
-//! [`ScenarioPool`]. Clients speak newline-delimited JSON over a Unix
-//! socket (or stdio for CI harnesses) — see [`protocol`] for the wire
-//! format.
+//! [`ScenarioPool`], the pool a sweep opens per invocation. Clients speak
+//! newline-delimited JSON over a Unix socket (or stdio for CI harnesses)
+//! — see [`protocol`] for the wire format.
 //!
 //! ## Request lifecycle
 //!
@@ -35,12 +35,10 @@
 pub mod protocol;
 pub mod quota;
 
-mod pool;
-
 use crate::ensemble::checkpoint::render_record;
+use crate::ensemble::pool::{Job, ScenarioPool, ScenarioReply};
 use crate::ensemble::{pack_work_items, ScenarioOutcome, SweepFaultPlan};
 use om_codegen::registry::{ModelKey, ModelRegistry};
-use pool::{Job, ScenarioPool, ScenarioReply};
 use protocol::{ModelRef, Request, RunRequest};
 use quota::{ClientState, InflightReservation, ShedReason, TokenBucket};
 use std::fmt::Write as _;
@@ -283,29 +281,38 @@ impl Server {
         // Enqueue on the shared pool: the same packing as the sweep
         // driver.
         let begun = Instant::now();
-        let (tx, rx) = mpsc::channel::<ScenarioReply>();
+        let (tx, rx) = mpsc::channel();
         {
-            let pool = match self.pool.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for item in pack_work_items(req.scenarios.into(), req.batch, &SweepFaultPlan::none()) {
+            let pool = crate::pool::lock(&self.pool);
+            let faults = Arc::new(SweepFaultPlan::none());
+            for item in pack_work_items(req.scenarios.into(), req.batch, &faults) {
                 pool.submit(Job {
                     model: Arc::clone(&model),
                     item,
                     run: req.run,
                     workers: req.workers,
                     strategy: req.strategy,
+                    faults: Arc::clone(&faults),
                     reply: tx.clone(),
                 });
             }
         }
         drop(tx);
 
-        // Collect every admitted scenario; the reply channel closing
-        // early (pool shut down mid-request) leaves the remainder
-        // accounted as an error line rather than silently missing.
-        let mut replies: Vec<ScenarioReply> = rx.iter().collect();
+        // Collect every admitted scenario. A job whose executor pool could
+        // not be built, or the reply channel closing early (pool shut down
+        // mid-request), ends the request with an error line rather than
+        // leaving scenarios silently missing.
+        let mut replies: Vec<ScenarioReply> = Vec::with_capacity(n);
+        let mut failure = None;
+        for reply in rx {
+            match reply {
+                Ok(lanes) => replies.extend(lanes),
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
         let mut latencies: Vec<u64> = replies.iter().map(|(_, _, ns)| *ns).collect();
         replies.sort_by_key(|(index, _, _)| *index);
         let (mut completed, mut quarantined, mut deadline) = (0usize, 0usize, 0usize);
@@ -320,15 +327,18 @@ impl Server {
                 &render_record(*index, outcome),
             ));
         }
-        if replies.len() != n {
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            lines.push(protocol::render_error(
-                &req.id,
-                &format!(
+        let failure = match failure {
+            Some(e) => Some(format!("executor pool: {e}")),
+            None => (replies.len() != n).then(|| {
+                format!(
                     "internal: {} of {n} scenarios lost (service shutting down mid-request)",
                     n - replies.len()
-                ),
-            ));
+                )
+            }),
+        };
+        if let Some(message) = failure {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            lines.push(protocol::render_error(&req.id, &message));
         } else {
             lines.push(protocol::render_done(
                 &req.id,
@@ -364,7 +374,7 @@ impl Server {
         let _ = write!(
             out,
             "{{\"type\":\"stats\",\"id\":{id},\"requests\":{},\"scenarios\":{},\
-             \"in_flight\":{},\"pool_threads\":{},\"pool_build_fallback\":{},\"errors\":{},\
+             \"in_flight\":{},\"pool_threads\":{},\"errors\":{},\
              \"registry\":{{\"hits\":{hits},\"misses\":{misses},\"hit_ratio\":{hit_ratio:.4},\
              \"warm_models\":{},\"warm_units\":{},\"evictions\":{}}},\
              \"shed\":{{\"rate\":{},\"inflight\":{},\"capacity\":{},\"draining\":{}}},\
@@ -373,7 +383,6 @@ impl Server {
             self.stats.scenarios.load(Ordering::Relaxed),
             self.inflight.load(Ordering::Relaxed),
             pool.threads(),
-            pool.build_fallbacks(),
             self.stats.errors.load(Ordering::Relaxed),
             self.registry.len(),
             self.registry.warm_units(),
@@ -646,11 +655,6 @@ mod tests {
         assert_eq!(lines.len(), 1);
         let doc = json::parse(&lines[0]).unwrap();
         assert_eq!(doc.get("requests").and_then(json::Json::as_usize), Some(2));
-        assert_eq!(
-            doc.get("pool_build_fallback")
-                .and_then(json::Json::as_usize),
-            Some(0)
-        );
         let registry = doc.get("registry").unwrap();
         assert_eq!(registry.get("hits").and_then(json::Json::as_usize), Some(1));
         assert_eq!(
@@ -661,6 +665,50 @@ mod tests {
         let shed = doc.get("shed").unwrap();
         assert_eq!(shed.get("inflight").and_then(json::Json::as_usize), Some(1));
         assert_eq!(shed.get("rate").and_then(json::Json::as_usize), Some(0));
+    }
+
+    #[test]
+    fn unbuildable_executor_pool_answers_an_error_line() {
+        let server = Server::new(ServeConfig::default());
+        let mut client = server.new_client();
+        let Ok(Request::Run(mut req)) = protocol::parse_request(&run_request_line(2)) else {
+            panic!("run request expected");
+        };
+        // More workers than a claim word can name (beyond what the
+        // protocol admits): build refuses.
+        req.workers = (1 << 16) + 1;
+        req.strategy = crate::strategy::Strategy::WorkStealing;
+        let lines = server.handle_run(*req, &mut client, 0);
+        assert!(lines[0].contains("\"type\":\"accepted\""), "{lines:#?}");
+        let last = lines.last().unwrap();
+        assert!(last.contains("\"type\":\"error\""), "{last}");
+        assert!(last.contains("executor pool: "), "{last}");
+        assert!(lines.iter().all(|l| !l.contains("\"type\":\"done\"")));
+        assert_eq!(server.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn pooled_requests_reuse_each_workers_executor_pool() {
+        let server = Server::new(ServeConfig {
+            pool_threads: 2,
+            ..ServeConfig::default()
+        });
+        let mut client = server.new_client();
+        let serial = server.handle_line(&run_request_line(4), &mut client, 0);
+        let pooled_line = run_request_line(4).replace(
+            "\"tend\":0.2",
+            "\"workers\":2,\"executor\":\"ws\",\"tend\":0.2",
+        );
+        for _ in 0..3 {
+            let pooled = server.handle_line(&pooled_line, &mut client, 0);
+            // Same scenario records, bit for bit, as the serial substrate.
+            assert_eq!(pooled[1..5], serial[1..5]);
+        }
+        let built = crate::pool::lock(&server.pool).executor_pools_built();
+        assert!(
+            (1..=2).contains(&built),
+            "{built} executor pools for 12 jobs"
+        );
     }
 
     #[test]

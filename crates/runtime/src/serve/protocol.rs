@@ -35,7 +35,9 @@
 //! * `overloaded` — typed shed: `reason` ∈ rate|inflight|capacity|
 //!   draining, optional `retry_ms` hint, the client's running shed
 //!   count. The request executed nothing.
-//! * `error` — malformed request, unknown model key, or compile failure.
+//! * `error` — malformed request, unknown model key, or compile failure;
+//!   after `accepted`, it ends a request whose scenario executor pool
+//!   could not be built (`executor pool: …`) in place of `done`.
 //! * `stats` — service-level counters (for `op":"stats"`).
 
 use super::quota::ShedReason;
