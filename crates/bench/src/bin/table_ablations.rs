@@ -19,7 +19,7 @@ use om_codegen::task::TaskGraph;
 use om_codegen::{lpt, BatchScratch, CodeGenerator, GenOptions};
 use om_models::bearing2d::{self, BearingConfig};
 use om_runtime::sim::simulate_rhs_time;
-use om_runtime::{ExecutorPool, MachineSpec, ParallelRhs, Strategy};
+use om_runtime::{ExecutorPool, FaultConfig, FaultPlan, MachineSpec, ParallelRhs, Strategy};
 use om_solver::OdeSystem;
 use std::time::Instant;
 
@@ -90,6 +90,8 @@ fn measured_placements() {
             let pool = ExecutorPool::born_serial(
                 one.graph.clone(),
                 2,
+                FaultPlan::none(),
+                FaultConfig::default(),
                 Strategy::WorkStealing,
                 &two.schedule,
                 move |_| (std::sync::Arc::new(later), later_assignment),

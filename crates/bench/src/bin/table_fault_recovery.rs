@@ -112,14 +112,16 @@ fn main() {
     println!("pool, 4ms detection        {tight_us:>10.1} µs/call (informational)");
 
     // Recovery latency: kill one worker mid-run, time every call, and
-    // find the call that absorbed the failure.
+    // find the call that absorbed the failure. Under the fence policy the
+    // claimant of a task is the worker the schedule assigns it to.
     let sched = lpt(&costs, workers);
     let kill_at = 500u64;
+    let task = sched.assignment.iter().position(|&w| w == 1).unwrap_or(0);
     let mut pool = ExecutorPool::with_faults(
         graph.clone(),
         workers,
         sched.assignment,
-        FaultPlan::kill(1, kill_at),
+        FaultPlan::kill(kill_at, task),
         FaultConfig::default(),
         Strategy::default(),
     )
@@ -154,7 +156,7 @@ fn main() {
     };
     let recovery_us = spike_us - steady_us;
 
-    println!("\nkill worker 1 at its task {kill_at}:");
+    println!("\nkill worker 1 on its task {task} of call {kill_at}:");
     println!("  steady-state mean        {steady_us:>10.1} µs/call");
     println!("  recovery call (#{spike_idx})    {spike_us:>10.1} µs");
     println!("  recovery latency         {recovery_us:>10.1} µs (detection + respawn + replay)");

@@ -22,7 +22,7 @@ use super::scenario::{run_scenario, ScenarioOutcome, ScenarioRunConfig, Substrat
 use super::{SweepFaultPlan, WorkItem};
 use crate::pool::{lock, ExecutorPool};
 use crate::strategy::Strategy;
-use crate::RuntimeError;
+use crate::{FaultConfig, FaultPlan, RuntimeError};
 use om_codegen::registry::CompiledModel;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,6 +74,8 @@ fn scenario_pool(
     ExecutorPool::born_serial(
         model.graph().clone(),
         workers,
+        FaultPlan::none(),
+        FaultConfig::default(),
         strategy,
         &model.schedule(workers),
         move |_| {

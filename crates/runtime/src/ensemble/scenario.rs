@@ -74,8 +74,8 @@ pub struct ScenarioFault {
     pub fail_attempts: u32,
 }
 
-/// Scenario-indexed fault plan (distinct from the *worker*-level
-/// [`crate::FaultPlan`], which injects inside the barrier executor).
+/// Scenario-indexed fault plan (distinct from [`crate::FaultPlan`],
+/// which injects into the tasks of an executor pool's RHS calls).
 #[derive(Clone, Debug, Default)]
 pub struct SweepFaultPlan {
     faults: HashMap<usize, ScenarioFault>,
@@ -255,7 +255,7 @@ impl ScenarioOutcome {
 
 /// Payload type for injected scenario panics: `resume_unwind` skips the
 /// global panic hook, so chaos runs do not spam stderr (same pattern as
-/// the worker-level injector in [`crate::exec`]).
+/// the executor pool's injected worker panic in [`crate::pool`]).
 pub(crate) struct InjectedScenarioPanic;
 
 /// The integration substrate a scenario runs on.

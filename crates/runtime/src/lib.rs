@@ -52,7 +52,7 @@ pub use ensemble::{
     SweepConfig, SweepError, SweepFaultKind, SweepFaultPlan, SweepReport, SweepResult,
 };
 pub use error::RuntimeError;
-pub use fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
+pub use fault::{Fault, FaultConfig, FaultKind, FaultPlan, RecoveryStats};
 pub use machine::MachineSpec;
 pub use pipeline::{run_pipeline, PipelineCoupling, PipelineResult, PipelineStage};
 pub use pool::ExecutorPool;

@@ -25,43 +25,28 @@
 //!
 //! The supervisor thread participates as worker 0; `n_workers - 1`
 //! helper threads park on a condvar between RHS calls, and a call wakes
-//! them only when its assignment gives a helper a task. The semi-dynamic
+//! them only when its assignment gives a helper a task. A call with every
+//! task on worker 0 is *supervisor-only*: it returns early and evaluates
+//! the pool's solo graph in thread with the one-lane
+//! `TaskGraph::eval_batch`, touching no claim word, deque or helper. The
 //! rescheduler ([`ExecutorPool::rebalance`]) charges every helper the
-//! measured hand-off as a start load, so when no task would finish
-//! sooner on a helper, every task sits on worker 0. Such a call is
-//! *supervisor-only*: it returns early and evaluates the pool's solo
-//! graph in thread with the one-lane `TaskGraph::eval_batch`, touching
-//! no claim word, deque, atomic slot or helper, and reads the clock once.
-//! Its wall time is the measured solo time, and the rescheduler seeds a
-//! helper again only when the predicted makespan beats it
-//! ([`ExecutorPool::rebalance_from_measured`]).
+//! measured hand-off as a start load, and seeds one again only when the
+//! predicted makespan beats the timed solo call
+//! ([`ExecutorPool::rebalance_from_measured`]). The product's pools are
+//! *born serial* ([`ExecutorPool::born_serial`]): they hold only the
+//! one-cluster placement with global CSE (the code `--workers 1` runs),
+//! probe the hand-off once at the first reschedule, and compile the
+//! m-worker placement on the first call that seeds a helper. A fault
+//! plan changes none of this: a fault names a (call, task), and whoever
+//! claims the task acts it out. DESIGN.md ("The executor") has the rules.
 //!
-//! The product's pools are *born serial* ([`ExecutorPool::born_serial`]):
-//! they hold only the one-cluster placement with global CSE (the code
-//! `--workers 1` runs), and every call is supervisor-only. Each
-//! reschedule is one comparison: a helper pays when the hand-off H plus
-//! the equation-level static schedule's makespan share of the fastest
-//! recent solo call beats that call. H comes from a one-time probe at
-//! the first reschedule, which wakes the parked helpers with a call that
-//! has no task; each stamps when it woke. The m-worker placement is
-//! compiled on the first call that seeds a helper, and never if none
-//! does; its call state replaces the solo graph's, and the helpers,
-//! spawned at build, move on to it. A pool built with its placement
-//! ([`ExecutorPool::build`]) runs its own graph as the solo graph.
-//!
-//! The hand-off is then measured from calls that seed a helper (a seeded
-//! helper whose tasks the supervisor stole before it started counts the
-//! whole call as its hand-off). A pool with a fault plan starts on its
-//! placement, keeps the hand-off at 0, never goes solo and wakes every
-//! call's helpers, so injected faults land where they are planned. All
-//! synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
+//! Synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
 //! condvars (call start, ready work). Within a call an idle worker parks
-//! on the ready-work condvar behind a sleeper count, so a waker pays the
-//! notify syscall only when somebody is parked and a parker cannot miss
-//! it; at the level fence it first yields a bounded number of times,
-//! because there every level is a hand-off. A poisoned lock is recovered
-//! with `PoisonError::into_inner`: the guarded data are plain deques
-//! and counters that every update leaves valid.
+//! behind a sleeper count, so a waker pays the notify syscall only when
+//! somebody is parked; at the level fence it first yields a bounded
+//! number of times, because there every level is a hand-off. A poisoned
+//! lock is recovered with `PoisonError::into_inner`: the guarded data
+//! are plain deques and counters that every update leaves valid.
 //!
 //! # Determinism
 //!
@@ -116,12 +101,13 @@
 //! load of `fence` after the `remaining` decrement. No lock, allocation
 //! or clock read.
 //!
-//! Worker 0 is the supervisor's own executor role, and faults injected
-//! on it are acted out on that role: a `Panic` marks the role dead
-//! (respawn budget, then written off — the thread lives on as the
-//! supervisor and only executes tasks again when nobody else is left),
-//! a `DropResult` is found by the supervisor's own sweep, a `Straggle`
-//! just delays the call (nobody supervises the supervisor).
+//! Worker 0 is the supervisor's own executor role, and the claimant of
+//! every supervisor-only call: a `Panic` respawns the role in place (a
+//! supervisor-only call reruns in thread) until the budget is spent, then
+//! writes it off, and the thread executes tasks again only when nobody
+//! else is left; a `DropResult` is retried and a `CorruptNaN` repaired,
+//! and a `Straggle` just delays the call (nobody supervises the
+//! supervisor).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -142,11 +128,9 @@ use std::time::{Duration, Instant};
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// Looks a worker takes at the fence, yielding the CPU between them,
-/// before it parks. Every level of a fence-policy call is a hand-off
-/// (supervisor → helpers → supervisor), and a futex wake-up costs more
-/// than most levels take to run; yielding rather than spinning keeps an
-/// oversubscribed host (more workers than CPUs) from starving the worker
-/// everybody is waiting for.
+/// before it parks: a futex wake-up costs more than most levels take to
+/// run, and yielding rather than spinning lets an oversubscribed host
+/// run the worker everybody is waiting for.
 const FENCE_SPINS: usize = 200;
 
 /// Claim states. `READY` is only ever written by the supervisor: the
@@ -174,17 +158,12 @@ fn claim_state(word: u64) -> u64 {
 
 /// One hand-off sample from a call that seeded a helper: its wall time
 /// less the task time of its busiest helper (`worker_ns`, summed per
-/// completing worker, stolen tasks included; worker 0 is the
-/// supervisor). The rescheduler charges the hand-off as the time a
-/// helper starts late, and the supervisor starts at once, so a
-/// supervisor busier than every helper says nothing about it:
-/// subtracting its work would read a helper that woke after most of the
-/// call as cheap. When a seeded helper completed none of its tasks
-/// (`idle_helper`: the supervisor stole them before the helper got
-/// going), that helper had not started by the end of the call, so the
-/// hand-off took at least the whole call and the sample is the wall
-/// time. A call in which no helper ran anything and none was left idle
-/// subtracts the supervisor's work.
+/// completing worker; worker 0 is the supervisor, which starts at once
+/// and so says nothing about how late a helper starts). A seeded helper
+/// that completed none of its tasks (`idle_helper`: the supervisor stole
+/// them) had not started by the end of the call, so the sample is the
+/// wall time. A call in which no helper ran anything and none was left
+/// idle subtracts the supervisor's work. DESIGN.md has the argument.
 fn handoff_sample(wall_ns: u64, worker_ns: &[Option<u64>], idle_helper: bool) -> u64 {
     if idle_helper {
         return wall_ns;
@@ -214,7 +193,7 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Shared {
     graph: Arc<TaskGraph>,
     strategy: Strategy,
-    faults: FaultPlan,
+    faults: Arc<FaultPlan>,
     /// `succ[i]` — tasks whose predecessor counter task `i` decrements.
     succ: Vec<Vec<usize>>,
     /// Initial predecessor counts (reset template for `preds`).
@@ -239,6 +218,8 @@ struct Shared {
     timings_ns: Vec<AtomicU64>,
     /// Current `t`, as bits.
     t_bits: AtomicU64,
+    /// The pool's RHS call number of the current call (fault addresses).
+    rhs_call: AtomicU64,
     /// Current state vector; helpers clone the Arc once per call that
     /// wakes them (a supervisor-only call leaves it stale).
     y: Mutex<Arc<Vec<f64>>>,
@@ -276,9 +257,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// The call state for executing `graph` on `n_workers` under
+    /// The call state for executing `graph` on `n` workers under
     /// `strategy`, no call running.
-    fn new(graph: Arc<TaskGraph>, n_workers: usize, plan: FaultPlan, strategy: Strategy) -> Shared {
+    fn new(graph: Arc<TaskGraph>, n: usize, plan: Arc<FaultPlan>, strategy: Strategy) -> Shared {
         let n_tasks = graph.tasks.len();
         let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         Shared {
@@ -290,13 +271,12 @@ impl Shared {
             claims: atomics(n_tasks),
             remaining: AtomicUsize::new(0),
             fence: AtomicUsize::new(0),
-            deques: (0..n_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            deques: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             shared_vals: atomics(graph.n_shared),
             dydt: atomics(graph.dim),
             timings_ns: atomics(n_tasks),
             t_bits: AtomicU64::new(0),
+            rhs_call: AtomicU64::new(0),
             y: Mutex::new(Arc::new(Vec::new())),
             call_fast: AtomicU64::new(0),
             call: Mutex::new(0),
@@ -306,7 +286,7 @@ impl Shared {
             sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             detailed: AtomicBool::new(false),
-            retired: (0..n_workers).map(|_| AtomicBool::new(false)).collect(),
+            retired: (0..n).map(|_| AtomicBool::new(false)).collect(),
             nan_repairs: AtomicUsize::new(0),
             stale_results: AtomicUsize::new(0),
             acks: AtomicUsize::new(0),
@@ -429,8 +409,6 @@ struct WorkerCtx {
     /// One-lane task scratch, sized as the in-thread placement's is; the
     /// shared slots a task reads are copied into it per task.
     scratch: BatchScratch,
-    /// Task executions by this incarnation ([`FaultPlan::fire`] trigger).
-    jobs_done: u64,
     steals: Arc<om_obs::Counter>,
     ready_pushed: Arc<om_obs::Counter>,
     busy_ns: Arc<om_obs::Counter>,
@@ -441,7 +419,6 @@ impl WorkerCtx {
         let m = om_obs::metrics();
         WorkerCtx {
             scratch: BatchScratch::new(graph, 1),
-            jobs_done: 0,
             steals: m.counter("runtime.steals"),
             ready_pushed: m.counter("runtime.ready_pushed"),
             // Keyed by worker id (not incarnation) so respawns keep
@@ -460,8 +437,8 @@ struct Solo {
     /// EWMA of a supervisor-only call's wall time in ns; 0 until one ran.
     ns: f64,
     /// The fastest supervisor-only call since the last reschedule, in ns
-    /// (infinite when none ran): the solo time a born-serial pool's
-    /// break-even reads, which a preempted call cannot inflate.
+    /// (infinite when none ran): the break-even's solo time, which a
+    /// preempted call cannot inflate.
     low: f64,
     /// Each pool task's share of the pool graph's static cost: how a
     /// solo call's time is split into the placed tasks' estimates.
@@ -497,8 +474,7 @@ impl Solo {
 /// ([`ExecutorPool::born_serial`]).
 struct Later {
     /// Compiles the placement, given the solo graph: the placed graph
-    /// (the solo graph itself when the placement forms at most one
-    /// cluster) and its task → worker assignment.
+    /// (maybe the solo graph itself) and its task → worker assignment.
     #[allow(clippy::type_complexity)]
     place: Box<dyn FnOnce(&Arc<TaskGraph>) -> (Arc<TaskGraph>, Vec<usize>) + Send>,
     /// The equation-level static schedule's makespan over its total
@@ -557,25 +533,22 @@ pub struct ExecutorPool {
     /// task → preferred worker (seeding; the whole schedule under the
     /// fence policy).
     assignment: Vec<usize>,
-    /// `(tasks to seed, value of remaining that ends the phase)`: the
-    /// initially-ready tasks and 0 under work stealing, one entry per
-    /// level under the fence policy.
+    /// `(tasks to seed, value of remaining that ends the phase)`: one
+    /// phase under work stealing, one per level under the fence policy.
     phases: Vec<(Vec<usize>, usize)>,
     /// EWMA of measured per-task seconds, consumed by the semi-dynamic
     /// rescheduler (paper §3.2.3).
     measured: Vec<f64>,
-    /// EWMA of the measured hand-off, in ns ([`handoff_sample`]): what a
-    /// call that seeds a helper costs beyond its busiest helper's task
-    /// time, or all of it when a seeded helper ran nothing. The
-    /// rescheduler charges it to every helper as a start load. Held at 0
-    /// under a fault plan.
+    /// EWMA of the measured hand-off ([`handoff_sample`]) in ns, which the
+    /// rescheduler charges to every helper as a start load.
     handoff_ns: f64,
     /// Per-worker task time of the current call, `None` for a worker
     /// that completed no task (hand-off sampling).
     worker_ns: Vec<Option<u64>>,
     /// Calls that ran every task on worker 0 and woke nobody.
     solo_calls: u64,
-    /// The supervisor-only path.
+    /// RHS calls begun, solo or seeded: the call a fault is addressed to.
+    calls: u64,
     solo: Solo,
     fault_config: FaultConfig,
     recovery: RecoveryStats,
@@ -656,7 +629,7 @@ impl ExecutorPool {
     }
 
     /// Build a pool with a fault-injection plan and recovery policy.
-    /// Every worker consults `plan` once per task execution.
+    /// Whoever executes a task consults `plan` first.
     pub fn with_faults(
         graph: TaskGraph,
         n_workers: usize,
@@ -676,6 +649,7 @@ impl ExecutorPool {
         check_assignment(&graph, n_workers, &assignment)?;
         let graph = Arc::new(graph);
         let n_tasks = graph.tasks.len();
+        let plan = Arc::new(plan);
         let shared = Arc::new(Shared::new(Arc::clone(&graph), n_workers, plan, strategy));
         let m = om_obs::metrics();
         let mut pool = ExecutorPool {
@@ -690,6 +664,7 @@ impl ExecutorPool {
             handoff_ns: 0.0,
             worker_ns: vec![None; n_workers],
             solo_calls: 0,
+            calls: 0,
             solo: Solo::new(Arc::clone(&graph)),
             fault_config,
             recovery: RecoveryStats::default(),
@@ -729,24 +704,26 @@ impl ExecutorPool {
         Ok(pool)
     }
 
-    /// Build a fault-free pool that is born serial: every call evaluates
-    /// `solo` (the one-cluster placement, global CSE) in thread until a
-    /// reschedule finds that a helper pays, and only then is the
-    /// `n_workers` placement compiled — by `place`, given the solo graph,
-    /// on the first call that seeds a helper, and never if no call does.
-    /// `schedule` is the equation-level static schedule on `n_workers`;
-    /// its makespan share predicts a seeded call. The helpers are spawned
-    /// here and park until then, so a spawn error is reported by the
-    /// build, not by a call.
+    /// Build a pool that is born serial: every call evaluates `solo` (the
+    /// one-cluster placement, global CSE) in thread until a reschedule
+    /// finds that a helper pays; only then does `place`, given the solo
+    /// graph, compile the `n_workers` placement. `schedule` is the
+    /// equation-level static schedule on `n_workers`, whose makespan share
+    /// predicts a seeded call. The helpers are spawned here, so a spawn
+    /// error fails the build; `plan` and `fault_config` are as for
+    /// [`ExecutorPool::with_faults`].
     pub fn born_serial(
         solo: TaskGraph,
         n_workers: usize,
+        plan: FaultPlan,
+        fault_config: FaultConfig,
         strategy: Strategy,
         schedule: &Schedule,
         place: impl FnOnce(&Arc<TaskGraph>) -> (Arc<TaskGraph>, Vec<usize>) + Send + 'static,
     ) -> Result<ExecutorPool, RuntimeError> {
-        let solo_tasks = solo.tasks.len();
-        let mut pool = ExecutorPool::build(solo, n_workers, vec![0; solo_tasks], strategy)?;
+        let assignment = vec![0; solo.tasks.len()];
+        let mut pool =
+            ExecutorPool::with_faults(solo, n_workers, assignment, plan, fault_config, strategy)?;
         let total: u64 = schedule.loads.iter().sum();
         pool.later = Some(Later {
             place: Box::new(place),
@@ -762,11 +739,10 @@ impl ExecutorPool {
         Ok(pool)
     }
 
-    /// Compile a born-serial pool's placement and hand it to the helpers:
-    /// a call state for the placed graph replaces the solo graph's, whose
-    /// helpers move on to it — unless the placement is the solo graph
-    /// itself, which only takes the new assignment. Each placed task's
-    /// estimate starts at its static-cost share of the solo time.
+    /// Compile a born-serial pool's placement and move the helpers to a
+    /// call state for it (unless it is the solo graph, which only takes
+    /// the new assignment). Each placed task's estimate starts at its
+    /// static-cost share of the solo time.
     fn grow(&mut self) -> Result<(), RuntimeError> {
         let Some(later) = self.later.take() else {
             return Ok(());
@@ -787,7 +763,7 @@ impl ExecutorPool {
             let shared = Arc::new(Shared::new(
                 Arc::clone(&graph),
                 n_workers,
-                FaultPlan::none(),
+                Arc::clone(&self.shared.faults),
                 self.shared.strategy,
             ));
             for (slot, retired) in self.slots.iter().zip(&shared.retired) {
@@ -826,12 +802,6 @@ impl ExecutorPool {
         &self.shared.graph
     }
 
-    /// Total worker count, the participating supervisor and permanently
-    /// failed workers included.
-    pub fn n_workers(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of workers still accepting work.
     pub fn live_workers(&self) -> usize {
         self.slots.iter().filter(|slot| !slot.failed).count()
@@ -852,9 +822,13 @@ impl ExecutorPool {
         &self.recovery
     }
 
+    /// The pool's fault plan: which faults fired, and who claimed them.
+    pub fn faults(&self) -> &FaultPlan {
+        &self.shared.faults
+    }
+
     /// EWMA of the measured hand-off to a helper, in ns: 0 until a
-    /// born-serial pool's probe or a call that seeded a helper measured
-    /// it, and always 0 under a fault plan.
+    /// born-serial pool's probe or a call that seeded a helper measured it.
     pub fn handoff_ns(&self) -> f64 {
         self.handoff_ns
     }
@@ -869,9 +843,8 @@ impl ExecutorPool {
         &self.solo.graph
     }
 
-    /// Whether the pool holds its placement: always when it was built
-    /// with one, and for a born-serial pool from the first call that
-    /// seeded a helper.
+    /// Whether the pool holds its placement: always when built with one,
+    /// and for a born-serial pool from the first call that seeded a helper.
     pub fn placed(&self) -> bool {
         self.later.is_none()
     }
@@ -881,26 +854,19 @@ impl ExecutorPool {
         self.last
     }
 
-    /// Whether the next call is supervisor-only: no fault plan, worker 0
-    /// live and every task assigned to it.
+    /// Whether the next call is supervisor-only: worker 0 live and every
+    /// task assigned to it.
     fn goes_solo(&self) -> bool {
-        self.shared.faults.is_empty()
-            && !self.slots[0].failed
-            && self.assignment.iter().all(|&w| w == 0)
+        !self.slots[0].failed && self.assignment.iter().all(|&w| w == 0)
     }
 
     /// Recompute the assignment from per-task costs over the *live*
     /// workers only (LPT for independent graphs, list scheduling
-    /// otherwise). Used by the semi-dynamic scheduler and internally
-    /// after a worker is written off, so a shrunken pool stays balanced.
-    ///
-    /// Each helper starts [`ExecutorPool::handoff_ns`] late and the
-    /// supervisor at once, so a task goes to a helper only when it would
-    /// finish sooner there; when none would, the next calls run on the
-    /// supervisor alone and wake nobody.
-    ///
-    /// `costs` are the placed tasks': a born-serial pool schedules them
-    /// when the next call has compiled its placement.
+    /// otherwise). Each helper starts [`ExecutorPool::handoff_ns`] late and
+    /// the supervisor at once, so a task goes to a helper only when it
+    /// would finish sooner there. `costs` are the placed tasks': a
+    /// born-serial pool schedules them once the next call has compiled its
+    /// placement, so hand-set costs force a helper into a call.
     pub fn rebalance(&mut self, costs: &[u64]) {
         match &mut self.later {
             Some(later) => {
@@ -939,18 +905,12 @@ impl ExecutorPool {
     }
 
     /// [`ExecutorPool::rebalance`] from the measured task times, the
-    /// semi-dynamic rescheduler's step. Once a supervisor-only call has
-    /// been timed, a schedule that seeds a helper is kept only when its
-    /// makespan beats that solo time; otherwise every task goes back to
-    /// worker 0 and the next calls run solo. While calls run solo, each
-    /// placed task's estimate follows the solo time (split by static-cost
-    /// share), so a slower RHS reopens the helper.
-    ///
-    /// A born-serial pool that has not compiled its placement makes one
-    /// comparison instead: a helper pays when the hand-off (probed once,
-    /// at the first reschedule) plus the static schedule's makespan share
-    /// of the solo time beats the solo time — the fastest solo call since
-    /// the last reschedule.
+    /// semi-dynamic rescheduler's step: a schedule that seeds a helper is
+    /// kept only when its makespan beats the timed solo call, else every
+    /// task goes back to worker 0. While calls run solo, each placed
+    /// task's estimate follows the solo time by static-cost share, so a
+    /// slower RHS reopens the helper. A born-serial pool that has not
+    /// compiled its placement makes one comparison instead (`break_even`).
     pub(crate) fn rebalance_from_measured(&mut self) {
         if self.later.is_some() {
             self.break_even();
@@ -991,12 +951,12 @@ impl ExecutorPool {
         self.check_live()?;
         let _span = om_obs::span("rhs.eval", "runtime");
         self.rhs_calls.inc();
+        self.calls += 1;
         if self.later.as_ref().is_some_and(|later| later.seed) {
             self.grow()?;
         }
         let start = Instant::now();
-        if self.goes_solo() {
-            self.solo_call(t, y, dydt, start);
+        if self.goes_solo() && self.solo_call(t, y, dydt, start)? {
             return Ok(());
         }
         let s = Arc::clone(&self.shared);
@@ -1011,10 +971,6 @@ impl ExecutorPool {
             om_obs::is_enabled() && self.obs_calls % u64::from(om_obs::detail_every()) == 0;
         self.obs_calls += 1;
 
-        // A fault-free call here seeds a helper, so it measures the
-        // hand-off. A fault plan needs the helpers in every call.
-        let sample = s.faults.is_empty();
-
         // --- reset per-call state (no worker is active: remaining == 0).
         if s.strategy == Strategy::WorkStealing {
             for (p, &init) in s.preds.iter().zip(&s.pred_init) {
@@ -1025,6 +981,7 @@ impl ExecutorPool {
             v.store(0, Ordering::Relaxed);
         }
         s.t_bits.store(t.to_bits(), Ordering::Relaxed);
+        s.rhs_call.store(self.calls, Ordering::Relaxed);
         let y = Arc::new(y.to_vec());
         *lock(&s.y) = Arc::clone(&y);
         s.detailed.store(detailed, Ordering::Relaxed);
@@ -1048,9 +1005,7 @@ impl ExecutorPool {
             }
             self.drain(&s, call_id, t, &y, detailed, fence)?;
         }
-        if sample {
-            self.sample_handoff(&s, start.elapsed().as_nanos() as u64);
-        }
+        self.sample_handoff(&s, start.elapsed().as_nanos() as u64);
 
         // --- gather: every derivative slot was written exactly once.
         for (out, slot) in dydt.iter_mut().zip(&s.dydt) {
@@ -1068,14 +1023,7 @@ impl ExecutorPool {
                 *m = ewma(*m, secs);
             }
         }
-        for (seen, what) in [
-            (&s.nan_repairs, Recovered::NanRepairs),
-            (&s.stale_results, Recovered::StaleResults),
-        ] {
-            if seen.load(Ordering::Relaxed) > 0 {
-                self.note(what, seen.swap(0, Ordering::Relaxed));
-            }
-        }
+        self.fold_events();
         if self.live_workers() == 0 {
             // Failure is permanent, so none left now means the
             // supervisor drained (part of) this call alone.
@@ -1089,11 +1037,45 @@ impl ExecutorPool {
     /// A supervisor-only call begun at `start`: the solo graph in this
     /// thread, timed (one clock pair) into the call's wall time, the solo
     /// EWMA and, split by static-cost share, every placed task's
-    /// estimate.
-    fn solo_call(&mut self, t: f64, y: &[f64], dydt: &mut [f64], start: Instant) {
-        self.solo
-            .graph
-            .eval_batch(t, y, dydt, &mut self.solo.scratch);
+    /// estimate. The call is worker 0's one task, and acts out the faults
+    /// it draws (module docs); false when a kill wrote worker 0 off, and
+    /// the call is the helpers' to run.
+    fn solo_call(
+        &mut self,
+        t: f64,
+        y: &[f64],
+        dydt: &mut [f64],
+        start: Instant,
+    ) -> Result<bool, RuntimeError> {
+        loop {
+            let fault = self.shared.faults.fire(self.calls, 0, 1, 0);
+            if fault == Some(FaultKind::Panic) {
+                // Call 0 is no call's: the role holds no claim to replay.
+                self.worker_died(&Arc::clone(&self.shared), 0, 0);
+                self.note(Recovered::ReplayedTasks, 1);
+                if self.slots[0].failed {
+                    return self.check_live().map(|()| false);
+                }
+                continue;
+            }
+            if let Some(FaultKind::Straggle(delay)) = fault {
+                std::thread::sleep(delay);
+            }
+            let solo = &mut self.solo;
+            solo.graph.eval_batch(t, y, dydt, &mut solo.scratch);
+            if fault == Some(FaultKind::CorruptNaN) {
+                if let Some(first) = dydt.first_mut() {
+                    *first = f64::NAN;
+                }
+                let bad = dydt.iter().filter(|v| !v.is_finite()).count();
+                solo.graph.eval_batch(t, y, dydt, &mut solo.scratch);
+                self.note(Recovered::NanRepairs, bad);
+            }
+            if fault != Some(FaultKind::DropResult) {
+                break;
+            }
+            self.note(Recovered::Retries, 1);
+        }
         self.last = start.elapsed();
         let ns = self.last.as_nanos() as u64;
         self.solo_calls += 1;
@@ -1101,6 +1083,23 @@ impl ExecutorPool {
         self.tasks_executed.add(self.solo.graph.tasks.len() as u64);
         self.ctx.busy_ns.add(ns);
         self.fold_solo(ns as f64);
+        self.fold_events();
+        Ok(true)
+    }
+
+    /// Fold the recovery events workers observed into [`RecoveryStats`]:
+    /// this call's, and a straggler's stale result from an earlier one.
+    fn fold_events(&mut self) {
+        for what in [Recovered::NanRepairs, Recovered::StaleResults] {
+            let seen = match what {
+                Recovered::NanRepairs => &self.shared.nan_repairs,
+                _ => &self.shared.stale_results,
+            };
+            if seen.load(Ordering::Relaxed) > 0 {
+                let n = seen.swap(0, Ordering::Relaxed);
+                self.note(what, n);
+            }
+        }
     }
 
     /// A born-serial pool's reschedule: a helper pays when the hand-off H
@@ -1293,11 +1292,7 @@ impl ExecutorPool {
             }
             let w = claim_worker(word);
             let running = claim_state(word) == RUNNING;
-            if running
-                && !self.slots[w].failed
-                && self.fault_config.retry_before_failing
-                && self.retried[tid] != call_id
-            {
+            if running && !self.slots[w].failed && self.retried[tid] != call_id {
                 // One retry on the same worker: a straggler may just be
                 // slow, and whichever execution loses the claim is
                 // filtered as stale.
@@ -1349,16 +1344,11 @@ impl ExecutorPool {
             std::thread::sleep(self.fault_config.respawn_backoff * (1u32 << respawns.min(10)));
             let incarnation = respawns + 1;
             self.slots[w].respawns = incarnation;
-            respawned = match w {
-                0 => {
-                    self.ctx.jobs_done = 0;
-                    true
-                }
-                // A refused spawn is one more lost worker, not a failed call.
-                _ => spawn_helper(w, incarnation, &self.door)
+            // A refused spawn is one more lost worker, not a failed call.
+            respawned = w == 0
+                || spawn_helper(w, incarnation, &self.door)
                     .map(|join| self.slots[w].join = Some(join))
-                    .is_ok(),
-            };
+                    .is_ok();
         }
         if respawned {
             om_obs::instant("worker.respawn", "runtime");
@@ -1582,15 +1572,20 @@ fn execute_task(
     // Relaxed: the word publishes no data, and nobody else writes it
     // while the task is out of every deque and not yet RUNNING.
     s.claims[tid].store(mine, Ordering::Relaxed);
-    let fault = if s.faults.is_empty() {
-        None
-    } else {
-        ctx.jobs_done += 1;
-        s.faults.fire(worker, ctx.jobs_done)
-    };
+    let call = s.rhs_call.load(Ordering::Relaxed);
+    let fault = s.faults.fire(call, tid, s.graph.tasks.len(), worker);
     match fault {
         Some(FaultKind::Panic) => return Step::Killed,
-        Some(FaultKind::Straggle(delay)) => std::thread::sleep(delay),
+        Some(FaultKind::Straggle(delay)) => {
+            std::thread::sleep(delay);
+            // A helper stalls on until the supervisor takes the task back.
+            while worker != 0
+                && s.claims[tid].load(Ordering::Acquire) == mine
+                && !s.shutdown.load(Ordering::Acquire)
+            {
+                std::thread::sleep(IDLE_PARK);
+            }
+        }
         _ => {}
     }
     let task = &s.graph.tasks[tid];
@@ -1711,28 +1706,24 @@ mod tests {
         ExecutorPool::with_faults(g, n_workers, vec![0, 1], plan, config, strategy).unwrap()
     }
 
-    /// A fault on helper 1's first task. Under work stealing the
-    /// supervisor would usually run both of MODEL's tasks before the
-    /// helper wakes, so it is held back on its own first task.
+    /// A fault on task 1 of the first call, which `faulty` assigns to
+    /// helper 1. Under work stealing the supervisor would usually run
+    /// both of MODEL's tasks before the helper wakes, so it is held back
+    /// on its own task 0.
     fn on_helper(kind: FaultKind) -> FaultPlan {
         FaultPlan::none()
-            .inject(0, 1, FaultKind::Straggle(Duration::from_millis(20)))
+            .inject(1, 0, FaultKind::Straggle(Duration::from_millis(20)))
             .inject(1, 1, kind)
     }
 
-    /// Evaluate until every planned fault has fired (which worker runs
-    /// which task is up to the scheduler under work stealing), checking
-    /// each result against `expect` bit for bit.
-    fn run_until_fired(pool: &mut ExecutorPool, t: f64, y: &[f64], expect: &[f64]) {
+    /// One call, checked against `expect` bit for bit, after which every
+    /// planned fault has fired: a fault names its call.
+    fn call_once(pool: &mut ExecutorPool, t: f64, y: &[f64], expect: &[f64]) {
         let mut got = vec![0.0; y.len()];
-        for _ in 0..200 {
-            pool.try_rhs(t, y, &mut got).unwrap();
-            assert_eq!(got, expect, "recovery must not perturb values");
-            if pool.shared.faults.fired() == pool.shared.faults.len() {
-                return;
-            }
-        }
-        panic!("planned faults never fired: {:?}", pool.shared.faults);
+        pool.try_rhs(t, y, &mut got).unwrap();
+        assert_eq!(got, expect, "recovery must not perturb values");
+        let plan = pool.faults();
+        assert_eq!(plan.fired(), plan.len(), "{plan:?}");
     }
 
     /// Reference derivative at (t, y).
@@ -1921,7 +1912,8 @@ mod tests {
             2,
         );
         let assignment = schedule.assignment.clone();
-        ExecutorPool::born_serial(one, 2, strategy, &schedule, move |_| {
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+        ExecutorPool::born_serial(one, 2, plan, config, strategy, &schedule, move |_| {
             (Arc::new(g), assignment)
         })
         .unwrap()
@@ -1974,6 +1966,61 @@ mod tests {
         }
     }
 
+    /// Each fault kind on the supervisor-only call it names, in a pool
+    /// born serial with a plan: acted out on worker 0's role, and every
+    /// call returns the fault-free bits. A second kill spends the respawn
+    /// budget, so the role is written off and that call, and every later
+    /// one, runs on the helper.
+    #[test]
+    fn a_born_serial_pool_acts_out_each_fault_on_the_solo_call_it_names() {
+        for strategy in Strategy::ALL {
+            let (g, one) = with_one_cluster(MODEL);
+            let y = [0.4, -0.3];
+            let mut expect = [0.0; 2];
+            one.eval_serial(0.6, &y, &mut expect);
+            let straggle = Duration::from_millis(30);
+            // Task 1 of a one-task call is its task 0.
+            let plan = FaultPlan::kill(2, 0)
+                .inject(3, 1, FaultKind::DropResult)
+                .inject(4, 0, FaultKind::CorruptNaN)
+                .inject(5, 0, FaultKind::Straggle(straggle))
+                .inject(6, 0, FaultKind::Panic);
+            let config = FaultConfig {
+                max_respawns: 1,
+                ..FaultConfig::default()
+            };
+            let schedule = om_codegen::lpt(&[1, 1], 2);
+            let mut pool =
+                ExecutorPool::born_serial(one, 2, plan, config, strategy, &schedule, move |_| {
+                    (Arc::new(g), vec![0, 1])
+                })
+                .unwrap();
+            let mut got = [0.0; 2];
+            for n in 1..=7u64 {
+                let start = Instant::now();
+                pool.rhs(0.6, &y, &mut got);
+                assert_eq!(got, expect, "{strategy}: call {n}");
+                assert_eq!(pool.faults().fired() as u64, (n - 1).min(5), "{strategy}");
+                assert_eq!(pool.supervisor_only_calls(), n.min(5), "{strategy}");
+                if n == 5 {
+                    assert!(start.elapsed() >= straggle, "{strategy}: delayed");
+                }
+            }
+            assert!((0..5).all(|i| pool.faults().claimant(i) == Some(0)));
+            let expect_stats = RecoveryStats {
+                respawns: 1,
+                workers_lost: 1,
+                replayed_tasks: 2,
+                retries: 1,
+                nan_repairs: 1,
+                ..RecoveryStats::default()
+            };
+            assert_eq!(*pool.recovery(), expect_stats, "{strategy}");
+            assert_eq!(pool.live_workers(), 1, "{strategy}");
+            assert!(!pool.placed(), "{strategy}: the helper ran the solo graph");
+        }
+    }
+
     #[test]
     fn a_placement_of_another_dimension_is_refused() {
         let (_, one) = with_one_cluster(MODEL);
@@ -1982,8 +2029,10 @@ mod tests {
             true,
         );
         let schedule = om_codegen::lpt(&[1], 2);
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+        let strategy = Strategy::WorkStealing;
         let mut pool =
-            ExecutorPool::born_serial(one, 2, Strategy::WorkStealing, &schedule, move |_| {
+            ExecutorPool::born_serial(one, 2, plan, config, strategy, &schedule, move |_| {
                 (Arc::new(other), vec![1])
             })
             .unwrap();
@@ -2003,10 +2052,12 @@ mod tests {
             let mut expect = [0.0; 2];
             g.eval_serial(0.5, &y, &mut expect);
             let schedule = om_codegen::lpt(&[1, 1], 2);
-            let mut pool = ExecutorPool::born_serial(g, 2, strategy, &schedule, |solo| {
-                (Arc::clone(solo), vec![0, 1])
-            })
-            .unwrap();
+            let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+            let mut pool =
+                ExecutorPool::born_serial(g, 2, plan, config, strategy, &schedule, |solo| {
+                    (Arc::clone(solo), vec![0, 1])
+                })
+                .unwrap();
             let before = Arc::clone(&pool.shared);
             let mut got = [0.0; 2];
             pool.rhs(0.5, &y, &mut got);
@@ -2189,37 +2240,6 @@ mod tests {
         assert_eq!(handoff_sample(3_000, &[Some(4_000), None], false), 0);
     }
 
-    #[test]
-    fn a_fault_plan_pool_never_goes_supervisor_only() {
-        for strategy in Strategy::ALL {
-            let (_, g) = graph(MODEL, true);
-            let y = [0.4, -0.3];
-            let mut expect = [0.0; 2];
-            g.eval_serial(0.1, &y, &mut expect);
-            // A plan that never fires within the run still counts.
-            let plan = FaultPlan::none().inject(1, 1_000_000, FaultKind::CorruptNaN);
-            let mut pool =
-                ExecutorPool::with_faults(g, 2, vec![0, 0], plan, FaultConfig::default(), strategy)
-                    .unwrap();
-            let mut got = [0.0; 2];
-            for n in 1..=20 {
-                pool.rhs(0.1, &y, &mut got);
-                assert_eq!(got, expect);
-                // The call went through the pool, not the early return.
-                assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), n);
-                pool.rebalance(&[100, 100]);
-                assert_eq!(pool.assignment(), &[0, 1], "{strategy}: no start load");
-                pool.rebalance(&[1, 1_000]);
-                assert_eq!(pool.assignment(), &[1, 0], "{strategy}");
-                pool.rebalance_from_measured();
-                pool.rebalance(&[0, 0]);
-            }
-            assert_eq!(pool.supervisor_only_calls(), 0, "{strategy}");
-            assert_eq!(pool.handoff_ns(), 0.0, "{strategy}");
-            assert_eq!(pool.solo.ns, 0.0, "{strategy}");
-        }
-    }
-
     // ---- fault-injection & recovery, under both policies ----------------
 
     #[test]
@@ -2229,10 +2249,13 @@ mod tests {
             let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
             let plan = on_helper(FaultKind::Panic);
             let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
-            run_until_fired(&mut pool, 1.1, &[0.4, -0.3], &expect);
+            call_once(&mut pool, 1.1, &[0.4, -0.3], &expect);
+            if strategy == Strategy::Barrier {
+                assert_eq!(pool.faults().claimant(1), Some(1));
+            }
             let r = pool.recovery();
             assert!(r.respawns >= 1 && r.replayed_tasks >= 1, "{r:?}");
-            assert_eq!(pool.live_workers(), 2, "worker 1 respawned");
+            assert_eq!(pool.live_workers(), 2, "the claimant respawned");
             // The pool keeps working afterwards.
             let mut got = [0.0; 2];
             pool.try_rhs(1.1, &[0.4, -0.3], &mut got).unwrap();
@@ -2242,17 +2265,21 @@ mod tests {
 
     #[test]
     fn killed_supervisor_role_is_respawned_in_place() {
-        for strategy in Strategy::ALL {
+        // Worker 0 claims its own task under the fence policy, and is
+        // the one worker of a supervisor-only call under either.
+        for (strategy, assignment) in [
+            (Strategy::Barrier, vec![0, 1]),
+            (Strategy::Barrier, vec![0, 0]),
+            (Strategy::WorkStealing, vec![0, 0]),
+        ] {
             let (ir, g) = graph(MODEL, true);
             let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
-            let mut pool = faulty(
-                g,
-                2,
-                FaultPlan::kill(0, 1),
-                FaultConfig::default(),
-                strategy,
-            );
-            run_until_fired(&mut pool, 1.1, &[0.4, -0.3], &expect);
+            let plan = FaultPlan::kill(1, 0);
+            let mut pool =
+                ExecutorPool::with_faults(g, 2, assignment, plan, FaultConfig::default(), strategy)
+                    .unwrap();
+            call_once(&mut pool, 1.1, &[0.4, -0.3], &expect);
+            assert_eq!(pool.faults().claimant(0), Some(0), "{strategy}");
             let r = pool.recovery();
             assert_eq!((r.respawns, r.replayed_tasks), (1, 1), "{r:?}");
             assert_eq!(pool.live_workers(), 2);
@@ -2273,11 +2300,15 @@ mod tests {
                 ..FaultConfig::default()
             };
             let plan = match worker {
-                0 => FaultPlan::none().inject(0, 1, FaultKind::DropResult),
+                0 => FaultPlan::none().inject(1, 0, FaultKind::DropResult),
                 _ => on_helper(FaultKind::DropResult),
             };
             let mut pool = faulty(g, 2, plan, config, strategy);
-            run_until_fired(&mut pool, 0.7, &[0.4, -0.3], &expect);
+            call_once(&mut pool, 0.7, &[0.4, -0.3], &expect);
+            if strategy == Strategy::Barrier {
+                let last = pool.faults().len() - 1;
+                assert_eq!(pool.faults().claimant(last), Some(worker));
+            }
             assert!(pool.recovery().retries >= 1, "{:?}", pool.recovery());
         }
     }
@@ -2287,9 +2318,9 @@ mod tests {
         for strategy in Strategy::ALL {
             let (ir, g) = graph(MODEL, true);
             let expect = reference_rhs(&ir, 0.3, &[0.4, -0.3]);
-            let plan = FaultPlan::none().inject(0, 1, FaultKind::CorruptNaN);
+            let plan = FaultPlan::none().inject(1, 0, FaultKind::CorruptNaN);
             let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
-            run_until_fired(&mut pool, 0.3, &[0.4, -0.3], &expect);
+            call_once(&mut pool, 0.3, &[0.4, -0.3], &expect);
             assert!(expect.iter().all(|v| v.is_finite()));
             assert!(pool.recovery().nan_repairs >= 1, "{:?}", pool.recovery());
         }
@@ -2306,7 +2337,13 @@ mod tests {
             };
             let plan = on_helper(FaultKind::Straggle(Duration::from_millis(400)));
             let mut pool = faulty(g, 2, plan, config, strategy);
-            run_until_fired(&mut pool, 0.9, &[0.4, -0.3], &expect);
+            call_once(&mut pool, 0.9, &[0.4, -0.3], &expect);
+            if pool.faults().claimant(1) == Some(0) {
+                // The supervisor stole the task: nobody supervises its sleep.
+                assert_eq!(strategy, Strategy::WorkStealing);
+                assert_eq!(pool.recovery().retries, 0);
+                continue;
+            }
             let r = pool.recovery();
             assert!(r.retries >= 1, "{r:?}");
             if strategy == Strategy::Barrier {
@@ -2324,6 +2361,27 @@ mod tests {
         }
     }
 
+    /// A helper's straggle stalls until the supervisor takes its task
+    /// back, so one far shorter than the task timeout still trips it.
+    #[test]
+    fn a_helper_straggle_always_trips_the_task_timeout() {
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.4, &[0.4, -0.3]);
+        let timeout = Duration::from_millis(20);
+        let config = FaultConfig {
+            task_timeout: timeout,
+            ..FaultConfig::default()
+        };
+        let straggle = FaultKind::Straggle(Duration::from_millis(1));
+        let plan = FaultPlan::none().inject(1, 1, straggle);
+        let mut pool = faulty(g, 2, plan, config, Strategy::Barrier);
+        let start = Instant::now();
+        call_once(&mut pool, 0.4, &[0.4, -0.3], &expect);
+        assert!(start.elapsed() >= timeout);
+        assert_eq!(pool.faults().claimant(0), Some(1));
+        assert_eq!(pool.recovery().retries, 1, "{:?}", pool.recovery());
+    }
+
     #[test]
     fn exhausted_pool_without_fallback_returns_err() {
         for strategy in Strategy::ALL {
@@ -2333,10 +2391,7 @@ mod tests {
                 sequential_fallback: false,
                 ..FaultConfig::default()
             };
-            let plan =
-                FaultPlan::none()
-                    .inject(0, 1, FaultKind::Panic)
-                    .inject(1, 1, FaultKind::Panic);
+            let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
             let mut pool = faulty(g, 2, plan, config, strategy);
             let mut got = [0.0; 2];
             let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
@@ -2356,12 +2411,9 @@ mod tests {
                 max_respawns: 0,
                 ..FaultConfig::default()
             };
-            let plan =
-                FaultPlan::none()
-                    .inject(0, 1, FaultKind::Panic)
-                    .inject(1, 1, FaultKind::Panic);
+            let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
             let mut pool = faulty(g, 2, plan, config, strategy);
-            run_until_fired(&mut pool, 0.2, &[0.4, -0.3], &expect);
+            call_once(&mut pool, 0.2, &[0.4, -0.3], &expect);
             let r = pool.recovery();
             assert_eq!(r.workers_lost, 2, "{r:?}");
             assert!(r.degraded_calls >= 1, "{r:?}");
@@ -2396,8 +2448,9 @@ mod tests {
             max_respawns: 0,
             ..FaultConfig::default()
         };
+        // Task 1 of the first call is worker 1's.
         let mut pool = faulty(g, 3, FaultPlan::kill(1, 1), config, Strategy::Barrier);
-        run_until_fired(&mut pool, 0.6, &[0.4, -0.3], &expect);
+        call_once(&mut pool, 0.6, &[0.4, -0.3], &expect);
         assert_eq!(pool.live_workers(), 2);
         // After the loss the assignment must avoid the failed worker.
         assert!(pool.assignment().iter().all(|&w| w != 1));
@@ -2415,7 +2468,7 @@ mod tests {
             let plan = on_helper(FaultKind::Panic);
             let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
             assert_eq!(pool.strategy(), strategy);
-            run_until_fired(&mut pool, 0.0, &[0.4, -0.3], &expect);
+            call_once(&mut pool, 0.0, &[0.4, -0.3], &expect);
             assert_eq!(pool.strategy(), strategy);
             assert_ne!(*pool.recovery(), RecoveryStats::default(), "{strategy}");
         }
@@ -2436,18 +2489,17 @@ mod tests {
         let levels = g.levels();
         assert!(levels.len() > 2, "hydro must be multi-level");
         let assignment = (0..g.tasks.len()).map(|i| i % 4).collect();
-        // Stragglers hold levels open long enough to be looked at.
-        let mut plan = FaultPlan::none();
-        for k in 0..24 {
-            plan.push(
-                k % 4,
-                3 + 7 * k as u64,
-                FaultKind::Straggle(Duration::from_millis(2)),
-            );
-        }
-        let mut pool =
-            ExecutorPool::with_faults(g, 4, assignment, plan, FaultConfig::default(), strategy)
-                .unwrap();
+        // Stragglers hold levels open long enough to be looked at; a
+        // helper's stalls until a 4 ms timeout takes its task back.
+        let straggle = FaultKind::Straggle(Duration::from_millis(2));
+        let plan = (0..24).fold(FaultPlan::none(), |plan, k| {
+            plan.inject(1 + 2 * k as u64, 7 * k, straggle)
+        });
+        let config = FaultConfig {
+            task_timeout: Duration::from_millis(4),
+            ..FaultConfig::default()
+        };
+        let mut pool = ExecutorPool::with_faults(g, 4, assignment, plan, config, strategy).unwrap();
         let shared = Arc::clone(&pool.shared);
         let stop = AtomicBool::new(false);
         let y0 = ir.initial_state();

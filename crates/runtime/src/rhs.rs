@@ -217,9 +217,7 @@ mod tests {
         let ir = causalize(&om_lang::compile(src).unwrap()).unwrap();
         let program = CodeGenerator::default().generate(&ir);
         let sched = program.schedule(2);
-        let plan = FaultPlan::none()
-            .inject(0, 1, FaultKind::Panic)
-            .inject(1, 1, FaultKind::Panic);
+        let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
         let config = FaultConfig {
             max_respawns: 0,
             sequential_fallback: false,

@@ -9,6 +9,11 @@
 //! "identical trajectory" an `assert_eq!`, not a tolerance. The recovery
 //! ladder is the same code under both scheduling policies, and every
 //! case here runs under both.
+//!
+//! A fault names a (call, task) and fires on that call whoever claims
+//! the task, so every case runs a fixed number of calls and asserts that
+//! every planned fault fired. Which worker claimed it is decided by the
+//! assignment under the fence policy and recorded under work stealing.
 
 use om_runtime::{
     ExecutorPool, FaultConfig, FaultKind, FaultPlan, ParallelRhs, RuntimeError, Strategy,
@@ -18,8 +23,7 @@ use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// The loop-task cases keep both cores busy, and the every-worker fault
-/// case needs each worker to win some task under work stealing; they take
+/// The loop-task and bearing cases keep both cores busy; they take
 /// turns.
 static CORES: Mutex<()> = Mutex::new(());
 
@@ -79,7 +83,12 @@ fn trajectory_with(
         "unexpected runtime error: {:?}",
         rhs.last_error
     );
+    all_fired(rhs.pool.faults());
     (sol.ts, sol.ys)
+}
+
+fn all_fired(plan: &FaultPlan) {
+    assert_eq!(plan.fired(), plan.len(), "planned faults left: {plan:?}");
 }
 
 fn short_timeout() -> FaultConfig {
@@ -92,8 +101,9 @@ fn short_timeout() -> FaultConfig {
 #[test]
 fn killed_worker_mid_integration_trajectory_is_bitwise_identical() {
     let clean = trajectory(FaultPlan::none(), FaultConfig::default(), 2.0);
-    // Kill worker 0 after its 5th job — mid-integration, not at startup.
-    let faulty = trajectory(FaultPlan::kill(0, 5), FaultConfig::default(), 2.0);
+    // Kill the claimant of task 0 in call 5 — mid-integration, not at
+    // startup.
+    let faulty = trajectory(FaultPlan::kill(5, 0), FaultConfig::default(), 2.0);
     assert_eq!(clean.0, faulty.0, "time grids differ");
     assert_eq!(clean.1, faulty.1, "states differ");
 }
@@ -101,7 +111,7 @@ fn killed_worker_mid_integration_trajectory_is_bitwise_identical() {
 #[test]
 fn dropped_result_trajectory_is_bitwise_identical() {
     let clean = trajectory(FaultPlan::none(), short_timeout(), 1.0);
-    let plan = FaultPlan::none().inject(1, 3, FaultKind::DropResult);
+    let plan = FaultPlan::none().inject(3, 1, FaultKind::DropResult);
     let faulty = trajectory(plan, short_timeout(), 1.0);
     assert_eq!(clean.0, faulty.0);
     assert_eq!(clean.1, faulty.1);
@@ -119,7 +129,7 @@ fn straggling_worker_trajectory_is_bitwise_identical() {
 #[test]
 fn corrupted_output_trajectory_is_bitwise_identical() {
     let clean = trajectory(FaultPlan::none(), FaultConfig::default(), 1.0);
-    let plan = FaultPlan::none().inject(0, 4, FaultKind::CorruptNaN);
+    let plan = FaultPlan::none().inject(4, 0, FaultKind::CorruptNaN);
     let faulty = trajectory(plan, FaultConfig::default(), 1.0);
     assert_eq!(clean.0, faulty.0);
     assert_eq!(clean.1, faulty.1);
@@ -132,10 +142,11 @@ fn losing_every_worker_mid_run_still_finishes_identically() {
         max_respawns: 0,
         ..FaultConfig::default()
     };
-    let plan = FaultPlan::none()
-        .inject(0, 2, FaultKind::Panic)
-        .inject(1, 4, FaultKind::Panic)
-        .inject(2, 6, FaultKind::Panic);
+    // A written-off worker claims nothing while another lives, so each
+    // kill takes a different one of the three.
+    let plan = FaultPlan::kill(2, 0)
+        .inject(4, 0, FaultKind::Panic)
+        .inject(6, 1, FaultKind::Panic);
     let faulty = trajectory(plan, config, 1.0);
     assert_eq!(clean.0, faulty.0);
     assert_eq!(clean.1, faulty.1);
@@ -154,10 +165,12 @@ fn exhausted_pool_returns_err_not_deadlock() {
             task_timeout: Duration::from_millis(100),
             ..FaultConfig::default()
         };
-        let plan = FaultPlan::none()
-            .inject(0, 1, FaultKind::Panic)
-            .inject(1, 1, FaultKind::Panic)
-            .inject(2, 1, FaultKind::Panic);
+        // Whoever claims task 0 of the first call dies, three times over:
+        // each replay of it kills the next claimant.
+        let plan =
+            FaultPlan::kill(1, 0)
+                .inject(1, 0, FaultKind::Panic)
+                .inject(1, 0, FaultKind::Panic);
         let (mut rhs, y0) = build_rhs(3, plan, config);
         let mut dydt = vec![0.0; y0.len()];
         let result = rhs.pool.try_rhs(0.0, &y0, &mut dydt);
@@ -199,10 +212,10 @@ fn ws_with_faults_recovers_on_the_ws_pool_identically() {
         Strategy::WorkStealing,
     );
     let plans = [
-        FaultPlan::kill(0, 5),
-        FaultPlan::none().inject(1, 3, FaultKind::DropResult),
+        FaultPlan::kill(5, 0),
+        FaultPlan::none().inject(3, 1, FaultKind::DropResult),
         FaultPlan::none().inject(2, 2, FaultKind::Straggle(Duration::from_millis(200))),
-        FaultPlan::none().inject(0, 4, FaultKind::CorruptNaN),
+        FaultPlan::none().inject(4, 0, FaultKind::CorruptNaN),
     ];
     for plan in plans {
         let faulty = trajectory_with(plan, short_timeout(), 1.0, Strategy::WorkStealing);
@@ -228,7 +241,10 @@ fn multi_level_bearing() -> (om_ir::OdeIr, om_codegen::ParallelProgram) {
 /// Every fault kind on every worker id — 0, the supervisor's own worker
 /// role, included — is acted out and recovered under both policies. The
 /// model is the multi-level, steal-heavy 2-D bearing on 4 workers, so
-/// faults land on stolen tasks, mid-level, and on the fence.
+/// faults land on stolen tasks, mid-level, and on the fence. Each fault
+/// names a task the schedule gives the worker in the first call: under
+/// the fence policy that worker claims it, under work stealing whoever
+/// claimed it shows the signature of its kind.
 #[test]
 fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
     let _cores = cores();
@@ -250,12 +266,17 @@ fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
     ];
     for strategy in Strategy::ALL {
         for worker in 0..n_workers {
+            let own: Vec<usize> = (0..sched.assignment.len())
+                .filter(|&j| sched.assignment[j] == worker)
+                .collect();
+            assert!(!own.is_empty(), "worker {worker} has a task");
+            let task = own[own.len() / 2];
             for kind in kinds {
                 let mut pool = ExecutorPool::with_faults(
                     program.graph.clone(),
                     n_workers,
                     sched.assignment.clone(),
-                    FaultPlan::none().inject(worker, 2, kind),
+                    FaultPlan::none().inject(1, task, kind),
                     FaultConfig {
                         task_timeout: Duration::from_millis(30),
                         ..FaultConfig::default()
@@ -264,29 +285,24 @@ fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
                 )
                 .unwrap();
                 let mut dydt = vec![0.0; y0.len()];
-                let mut acted = false;
-                // Under work stealing which worker runs how many tasks
-                // is the scheduler's call: evaluate until the fault has
-                // been acted out (almost always the first call).
-                for _ in 0..200 {
-                    pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
-                    assert_eq!(dydt, expect, "{strategy} worker {worker} {kind:?}");
-                    let r = pool.recovery();
-                    acted = match kind {
-                        FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
-                        // Nobody supervises the supervisor's own sleep.
-                        FaultKind::Straggle(_) => worker == 0 || r.retries >= 1,
-                        FaultKind::DropResult => r.retries >= 1,
-                        FaultKind::CorruptNaN => r.nan_repairs >= 1,
-                    };
-                    if acted {
-                        break;
-                    }
+                pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
+                assert_eq!(dydt, expect, "{strategy} worker {worker} {kind:?}");
+                all_fired(pool.faults());
+                let claimant = pool.faults().claimant(0).unwrap();
+                if strategy == Strategy::Barrier {
+                    assert_eq!(claimant, worker, "{kind:?}: the assignment decides");
                 }
+                let r = pool.recovery();
+                let acted = match kind {
+                    FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
+                    // Nobody supervises the supervisor's own sleep.
+                    FaultKind::Straggle(_) => claimant == 0 || r.retries >= 1,
+                    FaultKind::DropResult => r.retries >= 1,
+                    FaultKind::CorruptNaN => r.nan_repairs >= 1,
+                };
                 assert!(
                     acted,
-                    "{strategy} worker {worker} {kind:?}: {:?}",
-                    pool.recovery()
+                    "{strategy} worker {worker} (claimant {claimant}) {kind:?}: {r:?}"
                 );
             }
         }
@@ -295,7 +311,8 @@ fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
 
 /// A seeded plan over every worker id including the supervisor, on the
 /// multi-level bearing with 4 workers: bitwise equal to the sequential
-/// oracle under both policies, call after call.
+/// oracle under both policies, call after call, over the 25 calls a
+/// seeded plan addresses.
 #[test]
 fn seeded_plans_on_the_bearing_match_eval_serial_under_both_policies() {
     let (ir, program) = multi_level_bearing();
@@ -318,12 +335,13 @@ fn seeded_plans_on_the_bearing_match_eval_serial_under_both_policies() {
             .unwrap();
             let mut dydt = vec![0.0; y0.len()];
             let mut expect = vec![0.0; y0.len()];
-            for k in 0..12 {
+            for k in 0..25 {
                 let t = 0.05 * k as f64;
                 program.graph.eval_serial(t, &y0, &mut expect);
                 pool.try_rhs(t, &y0, &mut dydt).unwrap();
                 assert_eq!(dydt, expect, "{strategy} seed {seed} call {k}");
             }
+            all_fired(pool.faults());
         }
     }
 }
@@ -362,7 +380,8 @@ fn hex(v: &[f64]) -> Vec<String> {
 
 /// Seeded plans (panics, stragglers, dropped results, NaN poison) on the
 /// loop-task graph, 3 workers: hex-bit-identical to the scalarized
-/// serial oracle under both policies, call after call.
+/// serial oracle under both policies, call after call, over the 25 calls
+/// a seeded plan addresses.
 #[test]
 fn seeded_plans_on_loop_tasks_match_the_scalarized_oracle_under_both_policies() {
     let (y0, program, oracle) = loop_heat();
@@ -384,20 +403,21 @@ fn seeded_plans_on_loop_tasks_match_the_scalarized_oracle_under_both_policies() 
             .unwrap();
             let mut dydt = vec![0.0; y0.len()];
             let mut expect = vec![0.0; y0.len()];
-            for k in 0..8 {
+            for k in 0..25 {
                 let t = 0.05 * k as f64;
                 let y: Vec<f64> = y0.iter().map(|v| v + 1e-3 * k as f64).collect();
                 oracle.eval_serial(t, &y, &mut expect);
                 pool.try_rhs(t, &y, &mut dydt).unwrap();
                 assert_eq!(hex(&dydt), hex(&expect), "{strategy} seed {seed} call {k}");
             }
+            all_fired(pool.faults());
         }
     }
 }
 
-/// NaN poison on a worker's first three tasks — at least two of them
-/// 1 024-output loop chunks, since one task in nine is not — is repaired
-/// by rerunning the whole task, and every output comes back bitwise.
+/// NaN poison on three 1 024-output loop chunks of one call, each
+/// assigned to the same worker, is repaired by rerunning the whole task,
+/// and every output comes back bitwise.
 #[test]
 fn nan_repair_reruns_a_loop_chunk_bitwise() {
     let (y0, program, oracle) = loop_heat();
@@ -407,8 +427,14 @@ fn nan_repair_reruns_a_loop_chunk_bitwise() {
     oracle.eval_serial(0.25, y0, &mut expect);
     for strategy in Strategy::ALL {
         for worker in 0..2 {
-            let plan = (1..=3).fold(FaultPlan::none(), |p, job| {
-                p.inject(worker, job, FaultKind::CorruptNaN)
+            let chunks: Vec<usize> = (0..sched.assignment.len())
+                .filter(|&j| sched.assignment[j] == worker)
+                .filter(|&j| program.graph.tasks[j].loop_info.is_some())
+                .take(3)
+                .collect();
+            assert_eq!(chunks.len(), 3, "worker {worker} has three chunks");
+            let plan = chunks.iter().fold(FaultPlan::none(), |p, &task| {
+                p.inject(1, task, FaultKind::CorruptNaN)
             });
             let mut pool = ExecutorPool::with_faults(
                 program.graph.clone(),
@@ -420,15 +446,15 @@ fn nan_repair_reruns_a_loop_chunk_bitwise() {
             )
             .unwrap();
             let mut dydt = vec![0.0; y0.len()];
-            for _ in 0..50 {
-                pool.try_rhs(0.25, y0, &mut dydt).unwrap();
-                assert_eq!(hex(&dydt), hex(&expect), "{strategy} worker {worker}");
-                if pool.recovery().nan_repairs >= 3 {
-                    break;
-                }
+            pool.try_rhs(0.25, y0, &mut dydt).unwrap();
+            assert_eq!(hex(&dydt), hex(&expect), "{strategy} worker {worker}");
+            all_fired(pool.faults());
+            if strategy == Strategy::Barrier {
+                assert!((0..3).all(|i| pool.faults().claimant(i) == Some(worker)));
             }
-            assert!(
-                pool.recovery().nan_repairs >= 3,
+            assert_eq!(
+                pool.recovery().nan_repairs,
+                3,
                 "{strategy} worker {worker}: {:?}",
                 pool.recovery()
             );
@@ -450,7 +476,8 @@ fn clustered_bearing(m: usize) -> (Vec<f64>, om_codegen::Placement, om_codegen::
 
 /// Seeded plans on the clustered bearing — every fault lands on a whole
 /// worker's share of the RHS — under both policies: hex-equal to the
-/// equation-level graph evaluated serially, call after call.
+/// equation-level graph evaluated serially, call after call, over the 25
+/// calls a seeded plan addresses.
 #[test]
 fn seeded_plans_on_the_clustered_bearing_match_the_serial_oracle() {
     let _cores = cores();
@@ -472,7 +499,7 @@ fn seeded_plans_on_the_clustered_bearing_match_the_serial_oracle() {
                 .unwrap();
                 let mut dydt = vec![0.0; y0.len()];
                 let mut expect = vec![0.0; y0.len()];
-                for k in 0..12 {
+                for k in 0..25 {
                     let t = 0.05 * k as f64;
                     let y: Vec<f64> = y0.iter().map(|v| v + 1e-4 * k as f64).collect();
                     oracle.eval_serial(t, &y, &mut expect);
@@ -483,13 +510,15 @@ fn seeded_plans_on_the_clustered_bearing_match_the_serial_oracle() {
                         "m={m} {strategy} seed {seed} call {k}"
                     );
                 }
+                all_fired(pool.faults());
             }
         }
     }
 }
 
-/// NaN poison on a cluster's first output is repaired by rerunning the
-/// whole cluster, and every output of it comes back bitwise.
+/// NaN poison on a cluster's first output, in each of three calls, is
+/// repaired by rerunning the whole cluster, and every output of it comes
+/// back bitwise.
 #[test]
 fn nan_repair_reruns_a_whole_cluster_bitwise() {
     let _cores = cores();
@@ -498,8 +527,10 @@ fn nan_repair_reruns_a_whole_cluster_bitwise() {
     oracle.eval_serial(0.25, &y0, &mut expect);
     for strategy in Strategy::ALL {
         for worker in 0..2 {
-            let plan = (1..=3).fold(FaultPlan::none(), |p, job| {
-                p.inject(worker, job, FaultKind::CorruptNaN)
+            let cluster = placement.assignment.iter().position(|&w| w == worker);
+            let cluster = cluster.expect("one cluster per worker");
+            let plan = (1..=3).fold(FaultPlan::none(), |p, call| {
+                p.inject(call, cluster, FaultKind::CorruptNaN)
             });
             let mut pool = ExecutorPool::with_faults(
                 placement.graph.clone(),
@@ -511,20 +542,19 @@ fn nan_repair_reruns_a_whole_cluster_bitwise() {
             )
             .unwrap();
             let mut dydt = vec![0.0; y0.len()];
-            // Under work stealing the supervisor often takes the other
-            // worker's only task: call until the worker has run three.
-            for _ in 0..2000 {
+            for call in 1..=3 {
                 pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
                 assert_eq!(hex(&dydt), hex(&expect), "{strategy} worker {worker}");
-                if pool.recovery().nan_repairs >= 3 {
-                    break;
-                }
+                assert_eq!(
+                    pool.recovery().nan_repairs,
+                    call,
+                    "{strategy} worker {worker}"
+                );
             }
-            assert!(
-                pool.recovery().nan_repairs >= 3,
-                "{strategy} worker {worker}: {:?}",
-                pool.recovery()
-            );
+            all_fired(pool.faults());
+            if strategy == Strategy::Barrier {
+                assert!((0..3).all(|i| pool.faults().claimant(i) == Some(worker)));
+            }
         }
     }
 }

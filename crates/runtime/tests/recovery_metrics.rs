@@ -20,35 +20,36 @@ fn recovery_counters_equal_recovery_stats() {
             max_respawns: 1,
             ..FaultConfig::default()
         };
-        // A kill, a dropped result, a corrupted one, and a second kill
-        // of the same worker that exhausts its respawn budget.
-        let plan = FaultPlan::kill(1, 2)
-            .inject(2, 3, FaultKind::DropResult)
-            .inject(0, 2, FaultKind::CorruptNaN)
-            .inject(1, 2, FaultKind::Panic);
+        // A dropped result, a corrupted one, and four kills of whoever
+        // claims one task: with one respawn each, four kills over three
+        // workers lose at least one of them whoever the claimants are.
+        let task_of = |w| sched.assignment.iter().position(|&a| a == w).unwrap();
+        let plan = [1, 3, 4, 5].into_iter().fold(
+            FaultPlan::none()
+                .inject(2, task_of(2), FaultKind::DropResult)
+                .inject(2, task_of(0), FaultKind::CorruptNaN),
+            |plan, call| plan.inject(call, task_of(1), FaultKind::Panic),
+        );
         let mut pool =
             ExecutorPool::with_faults(program.graph, 3, sched.assignment, plan, config, strategy)
                 .unwrap();
         let y0 = ir.initial_state();
         let mut dydt = vec![0.0; y0.len()];
         let before: Vec<u64> = counters();
-        // Under work stealing which worker runs how many tasks is the
-        // scheduler's call: evaluate until every fault has been acted out.
-        let acted_out = |r: &om_runtime::RecoveryStats| {
-            r.respawns >= 1
-                && r.replayed_tasks >= 2
-                && r.retries >= 1
-                && r.workers_lost >= 1
-                && r.nan_repairs >= 1
-        };
-        for k in 0..2000 {
+        for k in 0..5 {
             pool.try_rhs(1e-3 * k as f64, &y0, &mut dydt).unwrap();
-            if acted_out(pool.recovery()) {
-                break;
-            }
         }
+        let plan = pool.faults();
+        assert_eq!(plan.fired(), plan.len(), "{strategy}: {plan:?}");
         let r = *pool.recovery();
-        assert!(acted_out(&r), "{strategy}: {r:?}");
+        assert!(
+            r.respawns + r.workers_lost >= 4
+                && r.workers_lost >= 1
+                && r.replayed_tasks >= 4
+                && r.retries >= 1
+                && r.nan_repairs >= 1,
+            "{strategy}: {r:?}"
+        );
         let fields = [
             r.respawns,
             r.retries,

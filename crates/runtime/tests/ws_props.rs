@@ -12,7 +12,7 @@
 
 use om_codegen::{BatchScratch, CodeGenerator, GenOptions};
 use om_models::{bearing2d, bearing3d, heat1d, hydro, oscillator, servo};
-use om_runtime::{ExecutorPool, ParallelRhs, Strategy};
+use om_runtime::{ExecutorPool, FaultConfig, FaultPlan, ParallelRhs, Strategy};
 use om_solver::{dopri5, FnSystem, Tolerances};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -235,6 +235,8 @@ fn a_born_serial_bearing_pool_never_compiles_its_placement() {
         let pool = ExecutorPool::born_serial(
             one.graph.clone(),
             2,
+            FaultPlan::none(),
+            FaultConfig::default(),
             strategy,
             &one.costs.schedule(2),
             move |_| {
@@ -319,6 +321,8 @@ fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
             let mut pool = ExecutorPool::born_serial(
                 one.clone(),
                 2,
+                FaultPlan::none(),
+                FaultConfig::default(),
                 strategy,
                 &placement.schedule,
                 move |_| (Arc::new(graph), assignment),

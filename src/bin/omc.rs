@@ -14,7 +14,7 @@
 //! ```
 
 use objectmath::analysis::{build_dependency_graph, partition_by_scc, to_dot};
-use objectmath::codegen::task::cluster_assignment;
+use objectmath::codegen::task::{cluster_assignment, TaskGraph};
 use objectmath::codegen::{emit_cpp, emit_fortran, BatchScratch, CodeGenerator, ModelRegistry};
 use objectmath::ir::{causalize, OdeIr};
 use objectmath::runtime::ensemble::json;
@@ -151,8 +151,8 @@ fn usage() -> String {
          --set state=value         override a start value (repeatable)\n\
          --rtol R --atol A         tolerances (default 1e-6 / 1e-9)\n\
          --h H                     fixed step for rk4 (default (tend-t0)/1000)\n\
-         --fault-seed SEED         seeded worker-level fault plan (chaos runs;\n\
-                                   recovered in place under either --executor;\n\
+         --fault-seed SEED         seeded fault plan on the pool's RHS calls (chaos\n\
+                                   runs; recovered in place under either --executor;\n\
                                    requires --workers > 1)\n\
        sweep                       run N parameter scenarios over one compiled model\n\
          --params FILE             scenario vectors: .json (array of objects) or\n\
@@ -1401,8 +1401,8 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
     }
     if opts.fault_seed.is_some() && opts.workers <= 1 {
         return Err(CliError::Usage(
-            "simulate: --fault-seed plans worker-level faults and needs --workers N > 1 \
-             (the in-thread run has no workers to fault)"
+            "simulate: --fault-seed plans faults on a pool's RHS calls and needs \
+             --workers N > 1 (the in-thread run has no pool to fault)"
                 .into(),
         ));
     }
@@ -1449,14 +1449,12 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
     // One RHS at every worker count, compiled for its placement: the
     // equation-level tasks fused into one cluster per worker. Up to one
     // worker evaluates the one-cluster (global-CSE) graph in this thread
-    // with the one-lane `eval_batch`. More build an executor pool that
-    // is born serial: it runs the same graph in thread and compiles the
-    // per-worker clusters only on the first call that a helper would
-    // finish sooner (a fault plan's pool starts on them, so its faults
-    // land on the workers it plans them for). Every placement is
-    // bitwise the equation-level graph, and is wrapped with the model,
-    // so an implicit solver gets the same structural Jacobian pattern —
-    // and makes the same RHS calls — wherever the graph runs.
+    // with the one-lane `eval_batch`. More build one kind of pool, fault
+    // plan or not: born serial, it runs the same graph in thread and
+    // compiles the per-worker clusters only on the first call that a
+    // helper would finish sooner. Every placement is bitwise the
+    // equation-level graph and is wrapped with the model, so an implicit
+    // solver makes the same RHS calls wherever the graph runs.
     let ir = Arc::new(ir);
     let generator = CodeGenerator::default();
     let tasks = generator.tasks(&ir);
@@ -1471,38 +1469,28 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
     } else {
         let strategy = opts.executor;
         let m = opts.workers;
-        let pool = match opts.fault_seed {
-            Some(seed) => {
-                let placement = generator.place(&ir, &tasks, m);
-                drop(tasks);
-                ExecutorPool::with_faults(
-                    placement.graph,
-                    m,
-                    placement.assignment,
-                    FaultPlan::from_seed(seed, m, m),
-                    FaultConfig::default(),
-                    strategy,
-                )
+        let one = generator.place(&ir, &tasks, 1);
+        let schedule = one.costs.schedule(m);
+        let (assignment, clusters) = cluster_assignment(&tasks, &schedule.assignment, m);
+        drop(tasks);
+        let placed_ir = Arc::clone(&ir);
+        let place = move |solo: &Arc<TaskGraph>| {
+            // With at most one cluster formed (an array-aware model's loop
+            // tasks pass through), the placement is the one-cluster graph
+            // under a new assignment.
+            if clusters <= 1 {
+                return (Arc::clone(solo), assignment);
             }
-            None => {
-                let one = generator.place(&ir, &tasks, 1);
-                let schedule = one.costs.schedule(m);
-                let (assignment, clusters) = cluster_assignment(&tasks, &schedule.assignment, m);
-                drop(tasks);
-                let ir = Arc::clone(&ir);
-                ExecutorPool::born_serial(one.graph, m, strategy, &schedule, move |solo| {
-                    // With at most one cluster formed (an array-aware
-                    // model's loop tasks pass through), the placement is
-                    // the one-cluster graph under a new assignment.
-                    if clusters <= 1 {
-                        return (Arc::clone(solo), assignment);
-                    }
-                    let placement = generator.place(&ir, &generator.tasks(&ir), m);
-                    (Arc::new(placement.graph), placement.assignment)
-                })
-            }
-        }
-        .map_err(CliError::Runtime)?;
+            let placement = generator.place(&placed_ir, &generator.tasks(&placed_ir), m);
+            (Arc::new(placement.graph), placement.assignment)
+        };
+        let plan = opts
+            .fault_seed
+            .map_or_else(FaultPlan::none, |s| FaultPlan::from_seed(s, m, m));
+        let config = FaultConfig::default();
+        let pool =
+            ExecutorPool::born_serial(one.graph, m, plan, config, strategy, &schedule, place)
+                .map_err(CliError::Runtime)?;
         // Record the strategy where `--metrics` can see it.
         if om_obs::is_enabled() {
             om_obs::metrics()

@@ -347,11 +347,37 @@ fn ws_executor_with_fault_seed_runs_ws_and_prints_the_same_states() {
         assert!(out.status.success(), "{stderr}");
         assert!(!stderr.contains("warning"), "{stderr}");
         assert!(stderr.contains("[parallel RHS (ws): "), "{stderr}");
-        String::from_utf8_lossy(&out.stdout).into_owned()
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
     };
-    let clean = run(&[]);
+    let (clean, _) = run(&[]);
     assert!(clean.contains(" = "), "{clean}");
-    assert_eq!(run(&["--fault-seed", "7"]), clean);
+    let (faulty, metrics) = run(&["--fault-seed", "7", "--metrics"]);
+    assert_eq!(faulty, clean);
+    // Each fault fires on the call it names, so the counters its kind
+    // implies moved (a straggle on worker 0 is only a delay).
+    let counter = |name: &str| -> u64 {
+        let line = metrics.lines().find(|l| {
+            let mut fields = l.split_whitespace();
+            fields.next() == Some("counter") && fields.next() == Some(name)
+        });
+        line.and_then(|l| l.split_whitespace().nth(2)?.parse().ok())
+            .unwrap_or(0)
+    };
+    use om_runtime::{FaultKind, FaultPlan};
+    let plan = FaultPlan::from_seed(7, 3, 3);
+    let planned = |kind| plan.faults().filter(|f| f.kind == kind).count() as u64;
+    let implied = [
+        (FaultKind::Panic, "runtime.replayed_tasks"),
+        (FaultKind::DropResult, "runtime.retries"),
+        (FaultKind::CorruptNaN, "runtime.nan_repairs"),
+    ];
+    assert!(
+        implied.iter().any(|&(kind, _)| planned(kind) > 0),
+        "{plan:?}"
+    );
+    for (kind, moved) in implied {
+        assert!(counter(moved) >= planned(kind), "{kind:?}: {metrics}");
+    }
 }
 
 /// The contract of `simulate`: one RHS — the generated task graph — at
