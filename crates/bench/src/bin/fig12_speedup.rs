@@ -107,7 +107,7 @@ fn main() {
         om_obs::init(&om_obs::ObsConfig::enabled());
         let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
         let sched = om_codegen::lpt(&costs, w);
-        let pool = ExecutorPool::build(graph.clone(), w, sched.assignment, Strategy::default())
+        let pool = ExecutorPool::build(graph.clone(), w, sched.assignment, Strategy::WorkStealing)
             .expect("valid pool");
         let mut rhs = ParallelRhs::new(pool, 0);
         let mut dydt = vec![0.0; rhs.dim()];

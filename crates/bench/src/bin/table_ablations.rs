@@ -92,7 +92,6 @@ fn measured_placements() {
                 2,
                 FaultPlan::none(),
                 FaultConfig::default(),
-                Strategy::WorkStealing,
                 &two.schedule,
                 move |_| (std::sync::Arc::new(later), later_assignment),
             )
@@ -212,7 +211,7 @@ fn main() {
     for (label, period) in [("static schedule", 0usize), ("semi-dynamic (every 16)", 16)] {
         let costs: Vec<u64> = graph.tasks.iter().map(|t| t.static_cost).collect();
         let sched = lpt(&costs, 4);
-        let pool = ExecutorPool::build(graph.clone(), 4, sched.assignment, Strategy::default())
+        let pool = ExecutorPool::build(graph.clone(), 4, sched.assignment, Strategy::WorkStealing)
             .expect("valid pool");
         let mut rhs = ParallelRhs::new(pool, period);
         let mut dydt = vec![0.0; rhs.dim()];

@@ -54,7 +54,6 @@ pub use scenario::{
     SweepFaultKind, SweepFaultPlan,
 };
 
-use crate::strategy::Strategy;
 use checkpoint::render_record;
 use om_codegen::registry::CompiledModel;
 use pool::{Job, ScenarioPool};
@@ -77,8 +76,6 @@ pub struct SweepConfig {
     /// ODE workers *per scenario* (1 = in-thread serial evaluation;
     /// >1 = an executor pool each scenario worker keeps).
     pub workers: usize,
-    /// Executor strategy when `workers > 1`.
-    pub strategy: Strategy,
     /// Scenarios evaluated per batched integration (lane width). A
     /// width above 1 requires `workers == 1`: intra-scenario pools and
     /// inter-scenario batching are competing uses of the same cores and
@@ -105,7 +102,6 @@ impl Default for SweepConfig {
             concurrency: 4,
             min_concurrency: 1,
             workers: 1,
-            strategy: Strategy::Barrier,
             batch: 1,
             faults: SweepFaultPlan::none(),
             checkpoint: None,
@@ -495,7 +491,6 @@ pub fn run_sweep(
             item,
             run: cfg.run,
             workers: cfg.workers,
-            strategy: cfg.strategy,
             faults: Arc::clone(&faults),
             reply: tx.clone(),
         });
@@ -776,7 +771,6 @@ mod tests {
         let mut cfg = quick_cfg();
         // More workers than a claim word can name: build refuses.
         cfg.workers = (1 << 16) + 1;
-        cfg.strategy = Strategy::WorkStealing;
         let err = run_sweep(&model, &specs(6), &cfg).unwrap_err();
         assert!(
             matches!(&err, SweepError::Config(m) if m.starts_with("executor pool: ")),
@@ -940,17 +934,10 @@ mod tests {
     fn pooled_sweep_matches_serial_sweep_bitwise() {
         let model = model();
         let serial = run_sweep(&model, &specs(6), &quick_cfg()).unwrap();
-        for strategy in Strategy::ALL {
-            let mut cfg = quick_cfg();
-            cfg.workers = 2;
-            cfg.strategy = strategy;
-            cfg.concurrency = 2;
-            let pooled = run_sweep(&model, &specs(6), &cfg).unwrap();
-            assert_eq!(
-                serial.manifest.render_json(),
-                pooled.manifest.render_json(),
-                "strategy {strategy}"
-            );
-        }
+        let mut cfg = quick_cfg();
+        cfg.workers = 2;
+        cfg.concurrency = 2;
+        let pooled = run_sweep(&model, &specs(6), &cfg).unwrap();
+        assert_eq!(serial.manifest.render_json(), pooled.manifest.render_json());
     }
 }

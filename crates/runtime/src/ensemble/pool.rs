@@ -21,7 +21,6 @@ use super::batch::run_scenario_batch;
 use super::scenario::{run_scenario, ScenarioOutcome, ScenarioRunConfig, Substrate};
 use super::{SweepFaultPlan, WorkItem};
 use crate::pool::{lock, ExecutorPool};
-use crate::strategy::Strategy;
 use crate::{FaultConfig, FaultPlan, RuntimeError};
 use om_codegen::registry::CompiledModel;
 use std::collections::VecDeque;
@@ -44,7 +43,6 @@ pub(crate) struct Job {
     /// ODE workers per scenario; > 1 runs the item's scenarios on an
     /// executor pool the scenario worker keeps across jobs.
     pub workers: usize,
-    pub strategy: Strategy,
     pub faults: Arc<SweepFaultPlan>,
     pub reply: mpsc::Sender<Reply>,
 }
@@ -65,18 +63,13 @@ struct Shared {
 /// `model`'s one-cluster graph in thread and asks the registry for the
 /// placement on `workers` ([`CompiledModel::placement`]) only on the
 /// first call that seeds a helper.
-fn scenario_pool(
-    model: &Arc<CompiledModel>,
-    workers: usize,
-    strategy: Strategy,
-) -> Result<ExecutorPool, RuntimeError> {
+fn scenario_pool(model: &Arc<CompiledModel>, workers: usize) -> Result<ExecutorPool, RuntimeError> {
     let later = Arc::clone(model);
     ExecutorPool::born_serial(
         model.graph().clone(),
         workers,
         FaultPlan::none(),
         FaultConfig::default(),
-        strategy,
         &model.schedule(workers),
         move |_| {
             let placement = later.placement(workers);
@@ -89,12 +82,11 @@ fn scenario_pool(
 }
 
 /// The executor pool a scenario worker keeps across jobs that share its
-/// model, worker count and strategy. Reuse is bitwise-safe: every
+/// model and worker count. Reuse is bitwise-safe: every
 /// substrate computes the same RHS bits.
 struct HeldPool {
     model: Arc<CompiledModel>,
     workers: usize,
-    strategy: Strategy,
     pool: ExecutorPool,
 }
 
@@ -268,22 +260,17 @@ fn held_pool<'a>(
     shared: &Shared,
 ) -> Result<&'a mut HeldPool, RuntimeError> {
     match held.take() {
-        Some(h)
-            if Arc::ptr_eq(&h.model, &job.model)
-                && h.workers == job.workers
-                && h.strategy == job.strategy =>
-        {
+        Some(h) if Arc::ptr_eq(&h.model, &job.model) && h.workers == job.workers => {
             Ok(held.insert(h))
         }
         stale => {
             // Join the old pool's helpers before spawning new ones.
             drop(stale);
-            let pool = scenario_pool(&job.model, job.workers, job.strategy)?;
+            let pool = scenario_pool(&job.model, job.workers)?;
             shared.pools_built.fetch_add(1, Ordering::Relaxed);
             Ok(held.insert(HeldPool {
                 model: Arc::clone(&job.model),
                 workers: job.workers,
-                strategy: job.strategy,
                 pool,
             }))
         }
@@ -323,7 +310,6 @@ mod tests {
                 item,
                 run: quick_run(),
                 workers,
-                strategy: Strategy::WorkStealing,
                 faults: Arc::clone(&faults),
                 reply: tx.clone(),
             });
@@ -378,7 +364,6 @@ mod tests {
             run: quick_run(),
             // More workers than a claim word can name: build refuses.
             workers: (1 << 16) + 1,
-            strategy: Strategy::WorkStealing,
             faults: Arc::new(SweepFaultPlan::none()),
             reply: tx,
         });

@@ -263,7 +263,7 @@ pub enum Substrate<'a> {
     /// In-thread one-lane bytecode evaluation (the oracle path), with the
     /// scratch it evaluates through held across the scenario's RHS calls.
     Serial(&'a TaskGraph, BatchScratch),
-    /// A scenario-private executor pool (either strategy), rescheduled
+    /// A scenario-private executor pool, rescheduled
     /// from its measurements as `omc simulate` reschedules its pool.
     Pool(&'a mut ExecutorPool),
 }
@@ -578,13 +578,10 @@ mod tests {
         let mut serial = Substrate::serial(model.graph());
         let a = run_scenario(&model, &spec, None, &cfg, &mut serial);
         let sched = model.schedule(2);
-        let mut pool = ExecutorPool::build(
-            model.program().graph.clone(),
-            2,
-            sched.assignment.clone(),
-            crate::Strategy::Barrier,
-        )
-        .unwrap();
+        let (plan, config) = (crate::FaultPlan::none(), crate::FaultConfig::default());
+        let graph = model.program().graph.clone();
+        let mut pool =
+            ExecutorPool::with_faults(graph, 2, sched.assignment.clone(), plan, config).unwrap();
         let mut pooled = Substrate::Pool(&mut pool);
         let b = run_scenario(&model, &spec, None, &cfg, &mut pooled);
         assert_eq!(a, b, "serial vs pool substrate must agree bit-for-bit");

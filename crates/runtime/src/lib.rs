@@ -9,10 +9,9 @@
 //!
 //! * [`pool`] — the one real-thread executor: the supervisor works as
 //!   worker 0 beside `n - 1` helper threads over per-task dependency
-//!   counters and per-worker deques. [`Strategy`] is a policy on that
-//!   core: work stealing, or the paper's level fence with static
-//!   assignment (the Fig. 10/12 reproduction mode). Both policies share
-//!   one recovery ladder: dead workers are respawned (bounded retries),
+//!   counters and per-worker deques, seeded from the static LPT
+//!   assignment, with idle workers stealing. Its recovery ladder: dead
+//!   workers are respawned (bounded retries),
 //!   hung workers are written off and their work replayed on survivors,
 //!   and a fully failed pool degrades to sequential in-supervisor
 //!   evaluation. [`fault`] provides the deterministic fault-injection
@@ -59,5 +58,5 @@ pub use pool::ExecutorPool;
 pub use rhs::{model_sparsity, ModelSystem, ParallelRhs};
 pub use sched_dyn::{SemiDynamicScheduler, RESCHED_EVERY};
 pub use serve::{ServeConfig, Server};
-pub use sim::{simulate_rhs_time, simulate_rhs_time_with, SimBreakdown};
+pub use sim::{simulate_rhs_time, SimBreakdown};
 pub use strategy::Strategy;

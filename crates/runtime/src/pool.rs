@@ -8,18 +8,9 @@
 //! caches) and steal from other workers' fronts (FIFO, oldest first).
 //! The static LPT assignment survives as the *initial queue seeding*:
 //! ready tasks land on the deque of their assigned worker, cheapest
-//! first, so each worker pops its longest task first.
-//!
-//! # Policies
-//!
-//! [`Strategy`] is a scheduling policy on this one core, not a second
-//! executor. `WorkStealing` is the description above. `Barrier` is the
-//! paper's Figure 10 static-assignment semantics, kept as the
-//! Fig. 10/12 reproduction mode: the same deques with a *level fence* —
-//! the supervisor seeds one [`TaskGraph::levels`] level at a time and
-//! seeds the next only when `remaining` has dropped to that level's
-//! fence — with stealing and successor pushes off, so a task runs on
-//! the worker it was assigned to.
+//! first, so each worker pops its longest task first. This is the pool's
+//! one scheduling policy; the paper's level fence (Figure 10) was
+//! measured against it and removed (EXPERIMENTS E12b).
 //!
 //! # Threading model
 //!
@@ -43,10 +34,9 @@
 //! Synchronisation is std: atomics, `Mutex<VecDeque>` deques, and two
 //! condvars (call start, ready work). Within a call an idle worker parks
 //! behind a sleeper count, so a waker pays the notify syscall only when
-//! somebody is parked; at the level fence it first yields a bounded
-//! number of times, because there every level is a hand-off. A poisoned
-//! lock is recovered with `PoisonError::into_inner`: the guarded data
-//! are plain deques and counters that every update leaves valid.
+//! somebody is parked. A poisoned lock is recovered with
+//! `PoisonError::into_inner`: the guarded data are plain deques and
+//! counters that every update leaves valid.
 //!
 //! # Determinism
 //!
@@ -55,13 +45,12 @@
 //! is bitwise-identical regardless of which worker runs which task in
 //! which order — or how many times. The required happens-before edges
 //! are: a producer's shared-slot `store(Release)` is ordered before its
-//! `fetch_sub(AcqRel)` on the successor's predecessor counter (under the
-//! fence policy: on `remaining`, which the supervisor loads `Acquire`
-//! before seeding the next level); RMW chains on the same counter order
-//! *all* producers before the final decrement; the ready push / pop
-//! pair synchronises through the deque mutex; and consumers load shared
-//! slots with `Acquire`. `om-lint`'s edge-granularity OM040/OM041
-//! passes check the race-freedom argument statically.
+//! `fetch_sub(AcqRel)` on the successor's predecessor counter; RMW
+//! chains on the same counter order *all* producers before the final
+//! decrement; the ready push / pop pair synchronises through the deque
+//! mutex; and consumers load shared slots with `Acquire`. `om-lint`'s
+//! edge-granularity OM040/OM041 passes check the race-freedom argument
+//! statically.
 //!
 //! # Claim words and the recovery ladder
 //!
@@ -77,12 +66,12 @@
 //!
 //! Detection is a sweep of the claim table from the supervisor's
 //! idle-wait loop, every [`FaultConfig::poll_interval`] and only while
-//! a call is actually waiting. The ladder, for both policies:
+//! a call is actually waiting. The ladder:
 //!
 //! 1. **respawn** — a helper whose thread has exited is restarted
 //!    (bounded, doubling backoff) and the task it held is requeued,
 //! 2. **retry** — a task `RUNNING` past `task_timeout` is requeued once
-//!    on the same worker (stealable, under work stealing),
+//!    on the same worker (stealable),
 //! 3. **reassign** — a worker that times out again, or sits on a retried
 //!    task for another timeout, is written off: its deque moves to the
 //!    survivors and the assignment is re-balanced over live workers,
@@ -96,10 +85,9 @@
 //! What this costs a task when nothing fails, over the bare
 //! dependency-counter core: a Relaxed store and one AcqRel
 //! compare-exchange on the claim word, an emptiness test of the fault
-//! plan, a finiteness scan of the task's outputs (the repair is for real
-//! corruption too, so it does not hide behind the plan), and a Relaxed
-//! load of `fence` after the `remaining` decrement. No lock, allocation
-//! or clock read.
+//! plan and a finiteness scan of the task's outputs (the repair is for
+//! real corruption too, so it does not hide behind the plan). No lock,
+//! allocation or clock read.
 //!
 //! Worker 0 is the supervisor's own executor role, and the claimant of
 //! every supervisor-only call: a `Panic` respawns the role in place (a
@@ -127,11 +115,10 @@ use std::time::{Duration, Instant};
 /// notifies (retirement, shutdown).
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
-/// Looks a worker takes at the fence, yielding the CPU between them,
-/// before it parks: a futex wake-up costs more than most levels take to
-/// run, and yielding rather than spinning lets an oversubscribed host
-/// run the worker everybody is waiting for.
-const FENCE_SPINS: usize = 200;
+/// Looks `Drop` takes at a helper's join handle, yielding the CPU between
+/// them, before it polls at [`IDLE_PARK`]: a parked helper is gone within
+/// microseconds of the shutdown notify.
+const JOIN_SPINS: usize = 200;
 
 /// Claim states. `READY` is only ever written by the supervisor: the
 /// task was taken back from a worker and waits on `worker`'s deque.
@@ -192,21 +179,17 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// State shared between the supervisor and the helper threads.
 struct Shared {
     graph: Arc<TaskGraph>,
-    strategy: Strategy,
     faults: Arc<FaultPlan>,
     /// `succ[i]` — tasks whose predecessor counter task `i` decrements.
     succ: Vec<Vec<usize>>,
     /// Initial predecessor counts (reset template for `preds`).
     pred_init: Vec<u32>,
-    /// Live predecessor counters, reset each call (work stealing only).
+    /// Live predecessor counters, reset each call.
     preds: Vec<AtomicU32>,
     /// Per-task claim words (see the module docs).
     claims: Vec<AtomicU64>,
     /// Tasks not yet completed this call; 0 = call complete.
     remaining: AtomicUsize,
-    /// The value of `remaining` the supervisor is waiting for: the
-    /// current level's fence, or 0 under work stealing.
-    fence: AtomicUsize,
     /// Per-worker deques: own end is the back (LIFO), steal end the
     /// front (FIFO).
     deques: Vec<Mutex<VecDeque<usize>>>,
@@ -232,7 +215,7 @@ struct Shared {
     call: Mutex<u64>,
     start_cv: Condvar,
     /// Ready-work condvar: notified after a push and when `remaining`
-    /// reaches the fence — if `sleepers` says anybody is parked on it.
+    /// reaches 0 — if `sleepers` says anybody is parked on it.
     idle: Mutex<()>,
     work_cv: Condvar,
     /// Workers inside [`Shared::park`].
@@ -257,20 +240,18 @@ struct Shared {
 }
 
 impl Shared {
-    /// The call state for executing `graph` on `n` workers under
-    /// `strategy`, no call running.
-    fn new(graph: Arc<TaskGraph>, n: usize, plan: Arc<FaultPlan>, strategy: Strategy) -> Shared {
+    /// The call state for executing `graph` on `n` workers, no call
+    /// running.
+    fn new(graph: Arc<TaskGraph>, n: usize, plan: Arc<FaultPlan>) -> Shared {
         let n_tasks = graph.tasks.len();
         let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         Shared {
-            strategy,
             faults: plan,
             succ: graph.successors(),
             pred_init: graph.pred_counts(),
             preds: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
             claims: atomics(n_tasks),
             remaining: AtomicUsize::new(0),
-            fence: AtomicUsize::new(0),
             deques: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             shared_vals: atomics(graph.n_shared),
             dydt: atomics(graph.dim),
@@ -296,28 +277,11 @@ impl Shared {
         }
     }
 
-    /// The seeding phases of a call ([`ExecutorPool`]'s `phases`).
-    fn phases(&self) -> Vec<(Vec<usize>, usize)> {
-        let n_tasks = self.graph.tasks.len();
-        match self.strategy {
-            Strategy::WorkStealing => {
-                vec![(
-                    (0..n_tasks).filter(|&i| self.pred_init[i] == 0).collect(),
-                    0,
-                )]
-            }
-            Strategy::Barrier => {
-                let mut left = n_tasks;
-                self.graph
-                    .levels()
-                    .into_iter()
-                    .map(|level| {
-                        left -= level.len();
-                        (level, left)
-                    })
-                    .collect()
-            }
-        }
+    /// The tasks a call seeds: those with no predecessor.
+    fn roots(&self) -> Vec<usize> {
+        (0..self.graph.tasks.len())
+            .filter(|&i| self.pred_init[i] == 0)
+            .collect()
     }
 
     /// Stop the helpers serving this call state: they leave their wait
@@ -332,14 +296,11 @@ impl Shared {
         self.wake();
     }
     /// Next task for worker `w` and the deque it came from: its own
-    /// deque's back, else — under work stealing — another deque's front,
-    /// scanning round-robin from `w + 1`.
+    /// deque's back, else another deque's front, scanning round-robin
+    /// from `w + 1`.
     fn take(&self, w: usize) -> Option<(usize, usize)> {
         if let Some(tid) = lock(&self.deques[w]).pop_back() {
             return Some((tid, w));
-        }
-        if self.strategy == Strategy::Barrier {
-            return None;
         }
         let n = self.deques.len();
         (1..n)
@@ -357,15 +318,12 @@ impl Shared {
         self.wake();
     }
 
-    /// Whether [`Shared::take`] could succeed for worker `w` right now.
-    fn has_work(&self, w: usize) -> bool {
-        match self.strategy {
-            Strategy::Barrier => !lock(&self.deques[w]).is_empty(),
-            Strategy::WorkStealing => self.deques.iter().any(|d| !lock(d).is_empty()),
-        }
+    /// Whether [`Shared::take`] could succeed right now, for any worker.
+    fn has_work(&self) -> bool {
+        self.deques.iter().any(|d| !lock(d).is_empty())
     }
 
-    /// Wake parked workers after a push or a completed phase — a syscall
+    /// Wake parked workers after a push or a completed call — a syscall
     /// only when somebody is parked. A lone supervisor has nobody to wake.
     fn wake(&self) {
         if self.deques.len() == 1 {
@@ -384,16 +342,8 @@ impl Shared {
     }
 
     /// Wait for a [`Shared::wake`] unless `ready` already holds, at most
-    /// [`IDLE_PARK`] — under the fence policy after spinning on `ready`.
+    /// [`IDLE_PARK`].
     fn park(&self, ready: impl Fn() -> bool) {
-        if self.strategy == Strategy::Barrier {
-            for _ in 0..FENCE_SPINS {
-                if ready() {
-                    return;
-                }
-                std::thread::yield_now();
-            }
-        }
         self.sleepers.fetch_add(1, Ordering::Relaxed);
         fence(Ordering::SeqCst);
         let guard = lock(&self.idle);
@@ -530,12 +480,11 @@ pub struct ExecutorPool {
     /// Wall time of the last call.
     last: Duration,
     slots: Vec<Slot>,
-    /// task → preferred worker (seeding; the whole schedule under the
-    /// fence policy).
+    /// task → preferred worker: the deque each task is seeded on.
     assignment: Vec<usize>,
-    /// `(tasks to seed, value of remaining that ends the phase)`: one
-    /// phase under work stealing, one per level under the fence policy.
-    phases: Vec<(Vec<usize>, usize)>,
+    /// The tasks with no predecessor, seeded at the start of each call
+    /// (reordered longest-last in place).
+    roots: Vec<usize>,
     /// EWMA of measured per-task seconds, consumed by the semi-dynamic
     /// rescheduler (paper §3.2.3).
     measured: Vec<f64>,
@@ -612,11 +561,16 @@ fn check_assignment(
 impl ExecutorPool {
     /// Build a fault-free pool with `n_workers` total workers (the
     /// supervisor is worker 0, so `n_workers - 1` threads are created).
+    ///
+    /// The pool has one policy, and either [`Strategy`] value builds it.
+    /// The parameter stays only because the frozen benchmark ledger's
+    /// traced replay passes both values; the next change to the
+    /// benchmark removes it.
     pub fn build(
         graph: TaskGraph,
         n_workers: usize,
         assignment: Vec<usize>,
-        strategy: Strategy,
+        _policy: Strategy,
     ) -> Result<ExecutorPool, RuntimeError> {
         ExecutorPool::with_faults(
             graph,
@@ -624,7 +578,6 @@ impl ExecutorPool {
             assignment,
             FaultPlan::none(),
             FaultConfig::default(),
-            strategy,
         )
     }
 
@@ -636,7 +589,6 @@ impl ExecutorPool {
         assignment: Vec<usize>,
         plan: FaultPlan,
         fault_config: FaultConfig,
-        strategy: Strategy,
     ) -> Result<ExecutorPool, RuntimeError> {
         if !(1..=1 << WORKER_BITS).contains(&n_workers) {
             return Err(RuntimeError::InvalidConfig {
@@ -650,12 +602,12 @@ impl ExecutorPool {
         let graph = Arc::new(graph);
         let n_tasks = graph.tasks.len();
         let plan = Arc::new(plan);
-        let shared = Arc::new(Shared::new(Arc::clone(&graph), n_workers, plan, strategy));
+        let shared = Arc::new(Shared::new(Arc::clone(&graph), n_workers, plan));
         let m = om_obs::metrics();
         let mut pool = ExecutorPool {
             slots: Vec::with_capacity(n_workers),
             assignment,
-            phases: shared.phases(),
+            roots: shared.roots(),
             measured: graph
                 .tasks
                 .iter()
@@ -717,13 +669,11 @@ impl ExecutorPool {
         n_workers: usize,
         plan: FaultPlan,
         fault_config: FaultConfig,
-        strategy: Strategy,
         schedule: &Schedule,
         place: impl FnOnce(&Arc<TaskGraph>) -> (Arc<TaskGraph>, Vec<usize>) + Send + 'static,
     ) -> Result<ExecutorPool, RuntimeError> {
         let assignment = vec![0; solo.tasks.len()];
-        let mut pool =
-            ExecutorPool::with_faults(solo, n_workers, assignment, plan, fault_config, strategy)?;
+        let mut pool = ExecutorPool::with_faults(solo, n_workers, assignment, plan, fault_config)?;
         let total: u64 = schedule.loads.iter().sum();
         pool.later = Some(Later {
             place: Box::new(place),
@@ -764,14 +714,13 @@ impl ExecutorPool {
                 Arc::clone(&graph),
                 n_workers,
                 Arc::clone(&self.shared.faults),
-                self.shared.strategy,
             ));
             for (slot, retired) in self.slots.iter().zip(&shared.retired) {
                 retired.store(slot.failed, Ordering::Relaxed);
             }
             *lock(&self.door) = Arc::clone(&shared);
             std::mem::replace(&mut self.shared, shared).shut_down();
-            self.phases = self.shared.phases();
+            self.roots = self.shared.roots();
             self.ctx = WorkerCtx::new(0, &graph);
             self.watch = vec![(0, Instant::now()); n_tasks];
             self.retried = vec![0; n_tasks];
@@ -789,11 +738,6 @@ impl ExecutorPool {
         }
         later.built.inc();
         Ok(())
-    }
-
-    /// The scheduling policy this pool executes with.
-    pub fn strategy(&self) -> Strategy {
-        self.shared.strategy
     }
 
     /// The task graph calls that seed a helper execute: a born-serial
@@ -972,10 +916,8 @@ impl ExecutorPool {
         self.obs_calls += 1;
 
         // --- reset per-call state (no worker is active: remaining == 0).
-        if s.strategy == Strategy::WorkStealing {
-            for (p, &init) in s.preds.iter().zip(&s.pred_init) {
-                p.store(init, Ordering::Relaxed);
-            }
+        for (p, &init) in s.preds.iter().zip(&s.pred_init) {
+            p.store(init, Ordering::Relaxed);
         }
         for v in &s.shared_vals {
             v.store(0, Ordering::Relaxed);
@@ -990,21 +932,12 @@ impl ExecutorPool {
         // seeded task always observes the new call id.
         let call_id = s.call_fast.fetch_add(1, Ordering::Release) + 1;
 
-        for phase in 0..self.phases.len() {
-            // A single-phase call's `level` span would duplicate `rhs.eval`.
-            let _level = (detailed && self.phases.len() > 1)
-                .then(|| om_obs::span_arg("level", "runtime", "level", phase as i64));
-            let fence = self.phases[phase].1;
-            // Relaxed: a finisher reads it after popping a task seeded
-            // below, and the deque mutex orders this store before that.
-            s.fence.store(fence, Ordering::Relaxed);
-            self.seed(&s, phase, detailed);
-            if phase == 0 && self.slots.len() > 1 {
-                *lock(&s.call) = call_id;
-                s.start_cv.notify_all();
-            }
-            self.drain(&s, call_id, t, &y, detailed, fence)?;
+        self.seed(&s, detailed);
+        if self.slots.len() > 1 {
+            *lock(&s.call) = call_id;
+            s.start_cv.notify_all();
         }
+        self.drain(&s, call_id, t, &y, detailed)?;
         self.sample_handoff(&s, start.elapsed().as_nanos() as u64);
 
         // --- gather: every derivative slot was written exactly once.
@@ -1176,23 +1109,17 @@ impl ExecutorPool {
         self.handoff_gauge.set(self.handoff_ns);
     }
 
-    /// Push one phase's tasks onto their assigned workers' deques,
-    /// cheapest first so the LIFO own-end pops the longest task first
-    /// (LPT order).
-    fn seed(&mut self, s: &Shared, phase: usize, detailed: bool) {
+    /// Push the root tasks onto their assigned workers' deques, cheapest
+    /// first so the LIFO own-end pops the longest task first (LPT order).
+    fn seed(&mut self, s: &Shared, detailed: bool) {
         let measured = &self.measured;
-        self.phases[phase]
-            .0
+        self.roots
             .sort_unstable_by(|&a, &b| measured[a].total_cmp(&measured[b]).then(a.cmp(&b)));
-        for &tid in &self.phases[phase].0 {
+        for &tid in &self.roots {
             s.push(self.route(self.assignment[tid]), tid);
         }
-        if phase > 0 {
-            // Helpers are parked in their work loops, not on `start_cv`.
-            s.wake();
-        }
         if detailed {
-            om_obs::counter_value("runtime.pending_jobs", self.phases[phase].0.len() as f64);
+            om_obs::counter_value("runtime.pending_jobs", self.roots.len() as f64);
         }
     }
 
@@ -1206,9 +1133,9 @@ impl ExecutorPool {
             .unwrap_or(0)
     }
 
-    /// Work the call as worker 0 and wait for the helpers until
-    /// `remaining` drops to `fence`, sweeping for dead and hung workers
-    /// every poll interval spent waiting.
+    /// Work the call as worker 0 and wait for the helpers until it
+    /// completes, sweeping for dead and hung workers every poll interval
+    /// spent waiting.
     fn drain(
         &mut self,
         s: &Arc<Shared>,
@@ -1216,7 +1143,6 @@ impl ExecutorPool {
         t: f64,
         y: &[f64],
         detailed: bool,
-        fence: usize,
     ) -> Result<(), RuntimeError> {
         let poll = self.fault_config.poll_interval();
         let mut next_sweep: Option<Instant> = None;
@@ -1227,10 +1153,10 @@ impl ExecutorPool {
                 self.check_live()?;
                 continue;
             }
-            if s.remaining.load(Ordering::Acquire) <= fence {
+            if s.remaining.load(Ordering::Acquire) == 0 {
                 return Ok(());
             }
-            s.park(|| s.remaining.load(Ordering::Acquire) <= fence || (works && s.has_work(0)));
+            s.park(|| s.remaining.load(Ordering::Acquire) == 0 || (works && s.has_work()));
             // The first wait only starts the clock: a call that never
             // idles for a whole poll interval never sweeps.
             let now = Instant::now();
@@ -1397,9 +1323,7 @@ impl ExecutorPool {
 impl Drop for ExecutorPool {
     fn drop(&mut self) {
         self.shared.shut_down();
-        // Bounded wait so a hung helper cannot wedge the supervisor. A
-        // parked helper is gone within microseconds of the notify, so
-        // yield a bounded number of times before polling.
+        // Bounded wait so a hung helper cannot wedge the supervisor.
         let deadline = Instant::now() + Duration::from_secs(2);
         for slot in &mut self.slots {
             let Some(join) = slot.join.take() else {
@@ -1408,10 +1332,10 @@ impl Drop for ExecutorPool {
             let mut looks = 0;
             while !join.is_finished() && Instant::now() < deadline {
                 looks += 1;
-                if looks < FENCE_SPINS {
+                if looks < JOIN_SPINS {
                     std::thread::yield_now();
                 } else {
-                    std::thread::sleep(Duration::from_micros(200));
+                    std::thread::sleep(IDLE_PARK);
                 }
             }
             if join.is_finished() {
@@ -1517,7 +1441,7 @@ fn work_call(
             {
                 break;
             }
-            s.park(|| s.has_work(worker) || s.remaining.load(Ordering::Acquire) == 0);
+            s.park(|| s.has_work() || s.remaining.load(Ordering::Acquire) == 0);
             continue;
         };
         // Stale-pop guard: the task belongs to a newer call than the
@@ -1635,29 +1559,23 @@ fn execute_task(
             OutSlot::Shared(i) => s.shared_vals[*i].store(value.to_bits(), Ordering::Release),
         }
     }
-    if s.strategy == Strategy::WorkStealing {
-        // Dependency-counter scheduling: the AcqRel RMW chain on each
-        // counter orders every producer's stores before the final
-        // decrement.
-        let mut pushed = 0u64;
-        for &succ in &s.succ[tid] {
-            if s.preds[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                s.push(worker, succ);
-                pushed += 1;
-            }
-        }
-        if pushed > 0 {
-            s.wake();
-            ctx.ready_pushed.add(pushed);
+    // Dependency-counter scheduling: the AcqRel RMW chain on each
+    // counter orders every producer's stores before the final decrement.
+    let mut pushed = 0u64;
+    for &succ in &s.succ[tid] {
+        if s.preds[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
+            s.push(worker, succ);
+            pushed += 1;
         }
     }
-    let left = s.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
-    if left == s.fence.load(Ordering::Relaxed) {
-        // The phase is complete: wake the supervisor (and, at 0, any
-        // parked helpers, so they fall out of their idle loops promptly).
+    if pushed > 0 {
         s.wake();
+        ctx.ready_pushed.add(pushed);
     }
-    if left == 0 {
+    if s.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        // The call is complete: wake the supervisor and any parked
+        // helpers, so they fall out of their idle loops promptly.
+        s.wake();
         Step::CallDone
     } else {
         Step::Next
@@ -1693,7 +1611,8 @@ mod tests {
         end M;";
 
     fn pool(g: TaskGraph, n_workers: usize, assignment: Vec<usize>) -> ExecutorPool {
-        ExecutorPool::build(g, n_workers, assignment, Strategy::Barrier).unwrap()
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+        ExecutorPool::with_faults(g, n_workers, assignment, plan, config).unwrap()
     }
 
     fn faulty(
@@ -1701,15 +1620,15 @@ mod tests {
         n_workers: usize,
         plan: FaultPlan,
         config: FaultConfig,
-        strategy: Strategy,
     ) -> ExecutorPool {
-        ExecutorPool::with_faults(g, n_workers, vec![0, 1], plan, config, strategy).unwrap()
+        ExecutorPool::with_faults(g, n_workers, vec![0, 1], plan, config).unwrap()
     }
 
     /// A fault on task 1 of the first call, which `faulty` assigns to
-    /// helper 1. Under work stealing the supervisor would usually run
-    /// both of MODEL's tasks before the helper wakes, so it is held back
-    /// on its own task 0.
+    /// helper 1. The supervisor would usually run both of MODEL's tasks
+    /// before the helper wakes, stealing task 1, so a straggle (a plain
+    /// delay on worker 0) holds it on its own task 0 while the helper
+    /// claims task 1: the plan's entry 1 records the helper.
     fn on_helper(kind: FaultKind) -> FaultPlan {
         FaultPlan::none()
             .inject(1, 0, FaultKind::Straggle(Duration::from_millis(20)))
@@ -1752,7 +1671,7 @@ mod tests {
     }
 
     #[test]
-    fn dependent_graph_executes_level_by_level() {
+    fn dependent_graph_executes_by_dependency_counters() {
         let (ir, g) = graph(MODEL, false);
         assert!(!g.is_independent());
         let sched = om_codegen::list_schedule(
@@ -1760,8 +1679,9 @@ mod tests {
             &g.deps,
             3,
         );
+        let n_tasks = g.tasks.len();
         let mut pool = pool(g, 3, sched.assignment);
-        assert!(pool.phases.len() > 1, "one phase per level");
+        assert!(pool.roots.len() < n_tasks, "some tasks wait on a counter");
         let mut got = [0.0; 2];
         pool.rhs(0.5, &[0.4, -0.3], &mut got);
         assert_close(&got, &reference_rhs(&ir, 0.5, &[0.4, -0.3]), 1e-12);
@@ -1832,39 +1752,33 @@ mod tests {
 
     #[test]
     fn a_costly_handoff_keeps_every_call_on_the_supervisor() {
-        for strategy in Strategy::ALL {
-            let (ir, g) = graph(MODEL, true);
-            let y = [0.4, -0.3];
-            let mut expect = [0.0; 2];
-            g.eval_serial(0.8, &y, &mut expect);
-            let mut pool = ExecutorPool::build(g, 2, vec![0, 1], strategy).unwrap();
-            let mut got = [0.0; 2];
-            for _ in 0..20 {
-                pool.rhs(0.8, &y, &mut got);
-            }
-            assert_eq!(
-                pool.supervisor_only_calls(),
-                0,
-                "{strategy}: both workers seeded"
-            );
-            assert!(pool.handoff_ns() > 0.0, "{strategy}: hand-off measured");
-            let total: f64 = pool.measured().iter().map(|s| s * 1e9).sum();
-            pool.handoff_ns = total + 1e6;
-            pool.rebalance_from_measured();
-            assert_eq!(pool.assignment(), &[0, 0], "{strategy}");
-            let before = pool.handoff_ns();
-            let claims = claim_words(&pool);
-            for n in 1..=50 {
-                pool.rhs(0.8, &y, &mut got);
-                assert_eq!(got, expect, "{strategy}: bitwise the serial graph");
-                assert_eq!(pool.supervisor_only_calls(), n);
-            }
-            assert_untouched(&pool, 20, &claims);
-            assert_eq!(pool.handoff_ns(), before, "no sample without a hand-off");
-            assert!(pool.solo.ns > 0.0, "{strategy}: solo calls timed");
-            assert!(pool.measured().iter().all(|&m| m > 0.0));
-            assert_close(&got, &reference_rhs(&ir, 0.8, &y), 1e-12);
+        let (ir, g) = graph(MODEL, true);
+        let y = [0.4, -0.3];
+        let mut expect = [0.0; 2];
+        g.eval_serial(0.8, &y, &mut expect);
+        let mut pool = pool(g, 2, vec![0, 1]);
+        let mut got = [0.0; 2];
+        for _ in 0..20 {
+            pool.rhs(0.8, &y, &mut got);
         }
+        assert_eq!(pool.supervisor_only_calls(), 0, "both workers seeded");
+        assert!(pool.handoff_ns() > 0.0, "hand-off measured");
+        let total: f64 = pool.measured().iter().map(|s| s * 1e9).sum();
+        pool.handoff_ns = total + 1e6;
+        pool.rebalance_from_measured();
+        assert_eq!(pool.assignment(), &[0, 0]);
+        let before = pool.handoff_ns();
+        let claims = claim_words(&pool);
+        for n in 1..=50 {
+            pool.rhs(0.8, &y, &mut got);
+            assert_eq!(got, expect, "bitwise the serial graph");
+            assert_eq!(pool.supervisor_only_calls(), n);
+        }
+        assert_untouched(&pool, 20, &claims);
+        assert_eq!(pool.handoff_ns(), before, "no sample without a hand-off");
+        assert!(pool.solo.ns > 0.0, "solo calls timed");
+        assert!(pool.measured().iter().all(|&m| m > 0.0));
+        assert_close(&got, &reference_rhs(&ir, 0.8, &y), 1e-12);
     }
 
     fn claim_words(pool: &ExecutorPool) -> Vec<u64> {
@@ -1905,7 +1819,7 @@ mod tests {
 
     /// A born-serial 2-worker pool on `src`'s one-cluster graph whose
     /// placement is the equation-level graph, one task per worker.
-    fn born(src: &str, strategy: Strategy) -> ExecutorPool {
+    fn born(src: &str) -> ExecutorPool {
         let (g, one) = with_one_cluster(src);
         let schedule = om_codegen::lpt(
             &g.tasks.iter().map(|t| t.static_cost).collect::<Vec<_>>(),
@@ -1913,7 +1827,7 @@ mod tests {
         );
         let assignment = schedule.assignment.clone();
         let (plan, config) = (FaultPlan::none(), FaultConfig::default());
-        ExecutorPool::born_serial(one, 2, plan, config, strategy, &schedule, move |_| {
+        ExecutorPool::born_serial(one, 2, plan, config, &schedule, move |_| {
             (Arc::new(g), assignment)
         })
         .unwrap()
@@ -1936,34 +1850,32 @@ mod tests {
 
     #[test]
     fn a_supervisor_only_call_runs_the_one_cluster_graph() {
-        for strategy in Strategy::ALL {
-            let (g, _) = with_one_cluster(MODEL);
-            let y = [0.4, -0.3];
-            let mut expect = [0.0; 2];
-            g.eval_serial(0.6, &y, &mut expect);
-            let mut pool = born(MODEL, strategy);
-            assert_eq!(pool.solo_graph().tasks.len(), 1);
-            let mut got = [0.0; 2];
-            for n in 1..=30 {
-                pool.rhs(0.6, &y, &mut got);
-                assert_eq!(got, expect, "{strategy}: bitwise the placed graph");
-                assert_eq!(pool.supervisor_only_calls(), n);
-                assert!(pool.last_call() > Duration::ZERO);
-            }
-            // No call reached the pool: no generation, no helper released
-            // (worker 1 ran nothing), no claim word, deque or slot written,
-            // and no placement compiled.
-            assert_untouched(&pool, 0, &[0]);
-            assert_eq!(*lock(&pool.shared.call), 0);
-            assert!(pool
-                .shared
-                .dydt
-                .iter()
-                .all(|v| v.load(Ordering::Relaxed) == 0));
-            assert!(!pool.placed(), "{strategy}");
-            assert!(pool.solo.ns > 0.0, "{strategy}");
-            assert_eq!(pool.handoff_ns(), 0.0, "{strategy}");
+        let (g, _) = with_one_cluster(MODEL);
+        let y = [0.4, -0.3];
+        let mut expect = [0.0; 2];
+        g.eval_serial(0.6, &y, &mut expect);
+        let mut pool = born(MODEL);
+        assert_eq!(pool.solo_graph().tasks.len(), 1);
+        let mut got = [0.0; 2];
+        for n in 1..=30 {
+            pool.rhs(0.6, &y, &mut got);
+            assert_eq!(got, expect, "bitwise the placed graph");
+            assert_eq!(pool.supervisor_only_calls(), n);
+            assert!(pool.last_call() > Duration::ZERO);
         }
+        // No call reached the pool: no generation, no helper released
+        // (worker 1 ran nothing), no claim word, deque or slot written,
+        // and no placement compiled.
+        assert_untouched(&pool, 0, &[0]);
+        assert_eq!(*lock(&pool.shared.call), 0);
+        assert!(pool
+            .shared
+            .dydt
+            .iter()
+            .all(|v| v.load(Ordering::Relaxed) == 0));
+        assert!(!pool.placed());
+        assert!(pool.solo.ns > 0.0);
+        assert_eq!(pool.handoff_ns(), 0.0);
     }
 
     /// Each fault kind on the supervisor-only call it names, in a pool
@@ -1973,52 +1885,49 @@ mod tests {
     /// one, runs on the helper.
     #[test]
     fn a_born_serial_pool_acts_out_each_fault_on_the_solo_call_it_names() {
-        for strategy in Strategy::ALL {
-            let (g, one) = with_one_cluster(MODEL);
-            let y = [0.4, -0.3];
-            let mut expect = [0.0; 2];
-            one.eval_serial(0.6, &y, &mut expect);
-            let straggle = Duration::from_millis(30);
-            // Task 1 of a one-task call is its task 0.
-            let plan = FaultPlan::kill(2, 0)
-                .inject(3, 1, FaultKind::DropResult)
-                .inject(4, 0, FaultKind::CorruptNaN)
-                .inject(5, 0, FaultKind::Straggle(straggle))
-                .inject(6, 0, FaultKind::Panic);
-            let config = FaultConfig {
-                max_respawns: 1,
-                ..FaultConfig::default()
-            };
-            let schedule = om_codegen::lpt(&[1, 1], 2);
-            let mut pool =
-                ExecutorPool::born_serial(one, 2, plan, config, strategy, &schedule, move |_| {
-                    (Arc::new(g), vec![0, 1])
-                })
-                .unwrap();
-            let mut got = [0.0; 2];
-            for n in 1..=7u64 {
-                let start = Instant::now();
-                pool.rhs(0.6, &y, &mut got);
-                assert_eq!(got, expect, "{strategy}: call {n}");
-                assert_eq!(pool.faults().fired() as u64, (n - 1).min(5), "{strategy}");
-                assert_eq!(pool.supervisor_only_calls(), n.min(5), "{strategy}");
-                if n == 5 {
-                    assert!(start.elapsed() >= straggle, "{strategy}: delayed");
-                }
+        let (g, one) = with_one_cluster(MODEL);
+        let y = [0.4, -0.3];
+        let mut expect = [0.0; 2];
+        one.eval_serial(0.6, &y, &mut expect);
+        let straggle = Duration::from_millis(30);
+        // Task 1 of a one-task call is its task 0.
+        let plan = FaultPlan::kill(2, 0)
+            .inject(3, 1, FaultKind::DropResult)
+            .inject(4, 0, FaultKind::CorruptNaN)
+            .inject(5, 0, FaultKind::Straggle(straggle))
+            .inject(6, 0, FaultKind::Panic);
+        let config = FaultConfig {
+            max_respawns: 1,
+            ..FaultConfig::default()
+        };
+        let schedule = om_codegen::lpt(&[1, 1], 2);
+        let mut pool = ExecutorPool::born_serial(one, 2, plan, config, &schedule, move |_| {
+            (Arc::new(g), vec![0, 1])
+        })
+        .unwrap();
+        let mut got = [0.0; 2];
+        for n in 1..=7u64 {
+            let start = Instant::now();
+            pool.rhs(0.6, &y, &mut got);
+            assert_eq!(got, expect, "call {n}");
+            assert_eq!(pool.faults().fired() as u64, (n - 1).min(5));
+            assert_eq!(pool.supervisor_only_calls(), n.min(5));
+            if n == 5 {
+                assert!(start.elapsed() >= straggle, "delayed");
             }
-            assert!((0..5).all(|i| pool.faults().claimant(i) == Some(0)));
-            let expect_stats = RecoveryStats {
-                respawns: 1,
-                workers_lost: 1,
-                replayed_tasks: 2,
-                retries: 1,
-                nan_repairs: 1,
-                ..RecoveryStats::default()
-            };
-            assert_eq!(*pool.recovery(), expect_stats, "{strategy}");
-            assert_eq!(pool.live_workers(), 1, "{strategy}");
-            assert!(!pool.placed(), "{strategy}: the helper ran the solo graph");
         }
+        assert!((0..5).all(|i| pool.faults().claimant(i) == Some(0)));
+        let expect_stats = RecoveryStats {
+            respawns: 1,
+            workers_lost: 1,
+            replayed_tasks: 2,
+            retries: 1,
+            nan_repairs: 1,
+            ..RecoveryStats::default()
+        };
+        assert_eq!(*pool.recovery(), expect_stats);
+        assert_eq!(pool.live_workers(), 1);
+        assert!(!pool.placed(), "the helper ran the solo graph");
     }
 
     #[test]
@@ -2030,12 +1939,10 @@ mod tests {
         );
         let schedule = om_codegen::lpt(&[1], 2);
         let (plan, config) = (FaultPlan::none(), FaultConfig::default());
-        let strategy = Strategy::WorkStealing;
-        let mut pool =
-            ExecutorPool::born_serial(one, 2, plan, config, strategy, &schedule, move |_| {
-                (Arc::new(other), vec![1])
-            })
-            .unwrap();
+        let mut pool = ExecutorPool::born_serial(one, 2, plan, config, &schedule, move |_| {
+            (Arc::new(other), vec![1])
+        })
+        .unwrap();
         pool.later.as_mut().unwrap().seed = true;
         let mut got = [0.0; 2];
         assert!(matches!(
@@ -2046,75 +1953,67 @@ mod tests {
 
     #[test]
     fn a_placement_that_is_the_solo_graph_only_takes_the_assignment() {
-        for strategy in Strategy::ALL {
-            let (_, g) = graph(TWIN, true);
-            let y = [0.4, -0.3];
-            let mut expect = [0.0; 2];
-            g.eval_serial(0.5, &y, &mut expect);
-            let schedule = om_codegen::lpt(&[1, 1], 2);
-            let (plan, config) = (FaultPlan::none(), FaultConfig::default());
-            let mut pool =
-                ExecutorPool::born_serial(g, 2, plan, config, strategy, &schedule, |solo| {
-                    (Arc::clone(solo), vec![0, 1])
-                })
-                .unwrap();
-            let before = Arc::clone(&pool.shared);
-            let mut got = [0.0; 2];
-            pool.rhs(0.5, &y, &mut got);
-            pool.later.as_mut().unwrap().seed = true;
-            pool.rhs(0.5, &y, &mut got);
-            assert_eq!(got, expect, "{strategy}");
-            assert!(pool.placed());
-            assert!(
-                Arc::ptr_eq(&pool.shared, &before),
-                "{strategy}: same call state"
-            );
-            assert!(Arc::ptr_eq(&pool.shared.graph, &pool.solo.graph));
-            assert_eq!(pool.assignment(), &[0, 1]);
-            assert_eq!(pool.supervisor_only_calls(), 1);
-            assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
-        }
+        let (_, g) = graph(TWIN, true);
+        let y = [0.4, -0.3];
+        let mut expect = [0.0; 2];
+        g.eval_serial(0.5, &y, &mut expect);
+        let schedule = om_codegen::lpt(&[1, 1], 2);
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+        let mut pool = ExecutorPool::born_serial(g, 2, plan, config, &schedule, |solo| {
+            (Arc::clone(solo), vec![0, 1])
+        })
+        .unwrap();
+        let before = Arc::clone(&pool.shared);
+        let mut got = [0.0; 2];
+        pool.rhs(0.5, &y, &mut got);
+        pool.later.as_mut().unwrap().seed = true;
+        pool.rhs(0.5, &y, &mut got);
+        assert_eq!(got, expect);
+        assert!(pool.placed());
+        assert!(Arc::ptr_eq(&pool.shared, &before), "same call state");
+        assert!(Arc::ptr_eq(&pool.shared.graph, &pool.solo.graph));
+        assert_eq!(pool.assignment(), &[0, 1]);
+        assert_eq!(pool.supervisor_only_calls(), 1);
+        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn the_first_reschedule_probes_the_handoff_once() {
-        for strategy in Strategy::ALL {
-            let mut pool = born(TWIN, strategy);
-            let mut got = [0.0; 2];
-            pool.rhs(0.0, &[0.4, -0.3], &mut got);
-            pool.rebalance_from_measured();
-            // One wake-up and no task: the helper stamps and counts it,
-            // and the supervisor waited no longer than a helper could pay
-            // (a ~100 ns call), so it reads the answer later.
-            assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
-            for _ in 0..2000 {
-                if pool.shared.acks.load(Ordering::Acquire) == 1 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
+        let mut pool = born(TWIN);
+        let mut got = [0.0; 2];
+        pool.rhs(0.0, &[0.4, -0.3], &mut got);
+        pool.rebalance_from_measured();
+        // One wake-up and no task: the helper stamps and counts it, and
+        // the supervisor waited no longer than a helper could pay (a
+        // ~100 ns call), so it reads the answer later.
+        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+        for _ in 0..2000 {
+            if pool.shared.acks.load(Ordering::Acquire) == 1 {
+                break;
             }
-            assert_eq!(pool.shared.acks.load(Ordering::Relaxed), 1);
-            assert!(pool.shared.deques.iter().all(|d| lock(d).is_empty()));
-            pool.rhs(0.0, &[0.4, -0.3], &mut got);
-            pool.rebalance_from_measured();
-            let probed = pool.handoff_ns();
-            assert!(probed > 0.0, "{strategy}");
-            assert!(!pool.later.as_ref().unwrap().seed, "{strategy}");
-            for _ in 0..5 {
-                pool.rhs(0.0, &[0.4, -0.3], &mut got);
-                pool.rebalance_from_measured();
-            }
-            assert_eq!(pool.handoff_ns(), probed, "{strategy}: probed once");
-            assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
-            assert_eq!(pool.shared.acks.load(Ordering::Relaxed), 1);
+            std::thread::sleep(Duration::from_millis(1));
         }
+        assert_eq!(pool.shared.acks.load(Ordering::Relaxed), 1);
+        assert!(pool.shared.deques.iter().all(|d| lock(d).is_empty()));
+        pool.rhs(0.0, &[0.4, -0.3], &mut got);
+        pool.rebalance_from_measured();
+        let probed = pool.handoff_ns();
+        assert!(probed > 0.0);
+        assert!(!pool.later.as_ref().unwrap().seed);
+        for _ in 0..5 {
+            pool.rhs(0.0, &[0.4, -0.3], &mut got);
+            pool.rebalance_from_measured();
+        }
+        assert_eq!(pool.handoff_ns(), probed, "probed once");
+        assert_eq!(pool.shared.call_fast.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.shared.acks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn a_helper_is_seeded_only_when_the_schedule_beats_the_solo_time() {
         // Born serial: two tasks of equal static cost put half the solo
         // time on each worker, so a helper pays when H + T/2 < T.
-        let mut pool = born(TWIN, Strategy::WorkStealing);
+        let mut pool = born(TWIN);
         pool.handoff_ns = 500.0;
         // No solo call timed since the last reschedule: nothing to beat.
         assert!(!seeds(&mut pool, f64::INFINITY));
@@ -2171,7 +2070,7 @@ mod tests {
 
     #[test]
     fn a_step_change_in_the_solo_time_reopens_the_helper() {
-        let mut pool = born(TWIN, Strategy::WorkStealing);
+        let mut pool = born(TWIN);
         pool.handoff_ns = 5_000.0;
         let mut got = [0.0; 2];
         pool.rhs(0.0, &[0.4, -0.3], &mut got);
@@ -2240,46 +2139,55 @@ mod tests {
         assert_eq!(handoff_sample(3_000, &[Some(4_000), None], false), 0);
     }
 
-    // ---- fault-injection & recovery, under both policies ----------------
+    // ---- fault-injection & recovery --------------------------------------
 
     #[test]
     fn killed_worker_is_respawned_and_result_identical() {
-        for strategy in Strategy::ALL {
-            let (ir, g) = graph(MODEL, true);
-            let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
-            let plan = on_helper(FaultKind::Panic);
-            let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
-            call_once(&mut pool, 1.1, &[0.4, -0.3], &expect);
-            if strategy == Strategy::Barrier {
-                assert_eq!(pool.faults().claimant(1), Some(1));
-            }
-            let r = pool.recovery();
-            assert!(r.respawns >= 1 && r.replayed_tasks >= 1, "{r:?}");
-            assert_eq!(pool.live_workers(), 2, "the claimant respawned");
-            // The pool keeps working afterwards.
-            let mut got = [0.0; 2];
-            pool.try_rhs(1.1, &[0.4, -0.3], &mut got).unwrap();
-            assert_eq!(&got[..], &expect[..]);
-        }
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
+        let plan = on_helper(FaultKind::Panic);
+        let mut pool = faulty(g, 2, plan, FaultConfig::default());
+        call_once(&mut pool, 1.1, &[0.4, -0.3], &expect);
+        assert_eq!(pool.faults().claimant(1), Some(1));
+        let r = pool.recovery();
+        assert!(r.respawns >= 1 && r.replayed_tasks >= 1, "{r:?}");
+        assert_eq!(pool.live_workers(), 2, "the claimant respawned");
+        // The pool keeps working afterwards.
+        let mut got = [0.0; 2];
+        pool.try_rhs(1.1, &[0.4, -0.3], &mut got).unwrap();
+        assert_eq!(&got[..], &expect[..]);
+    }
+
+    /// A fault on task 0 of the first call, worker 0's own. The helper
+    /// could steal that task before the supervisor pops it, so it is
+    /// held on its own task 1, which stalls until a short timeout takes
+    /// it back: the plan's entry 1 records the supervisor.
+    fn on_supervisor(kind: FaultKind) -> (FaultPlan, FaultConfig) {
+        let plan = FaultPlan::none()
+            .inject(1, 1, FaultKind::Straggle(Duration::from_millis(1)))
+            .inject(1, 0, kind);
+        let config = FaultConfig {
+            task_timeout: Duration::from_millis(20),
+            ..FaultConfig::default()
+        };
+        (plan, config)
     }
 
     #[test]
     fn killed_supervisor_role_is_respawned_in_place() {
-        // Worker 0 claims its own task under the fence policy, and is
-        // the one worker of a supervisor-only call under either.
-        for (strategy, assignment) in [
-            (Strategy::Barrier, vec![0, 1]),
-            (Strategy::Barrier, vec![0, 0]),
-            (Strategy::WorkStealing, vec![0, 0]),
-        ] {
+        // Worker 0 claims its own task in a pooled call, and is the one
+        // worker of a supervisor-only call.
+        for assignment in [vec![0, 1], vec![0, 0]] {
             let (ir, g) = graph(MODEL, true);
             let expect = reference_rhs(&ir, 1.1, &[0.4, -0.3]);
-            let plan = FaultPlan::kill(1, 0);
-            let mut pool =
-                ExecutorPool::with_faults(g, 2, assignment, plan, FaultConfig::default(), strategy)
-                    .unwrap();
+            let (plan, config) = match assignment[1] {
+                1 => on_supervisor(FaultKind::Panic),
+                _ => (FaultPlan::kill(1, 0), FaultConfig::default()),
+            };
+            let kill = plan.len() - 1;
+            let mut pool = ExecutorPool::with_faults(g, 2, assignment, plan, config).unwrap();
             call_once(&mut pool, 1.1, &[0.4, -0.3], &expect);
-            assert_eq!(pool.faults().claimant(0), Some(0), "{strategy}");
+            assert_eq!(pool.faults().claimant(kill), Some(0));
             let r = pool.recovery();
             assert_eq!((r.respawns, r.replayed_tasks), (1, 1), "{r:?}");
             assert_eq!(pool.live_workers(), 2);
@@ -2288,77 +2196,60 @@ mod tests {
 
     #[test]
     fn dropped_result_is_retried() {
-        for (strategy, worker) in [
-            (Strategy::Barrier, 1),
-            (Strategy::WorkStealing, 1),
-            (Strategy::Barrier, 0),
-        ] {
+        for worker in [1, 0] {
             let (ir, g) = graph(MODEL, true);
             let expect = reference_rhs(&ir, 0.7, &[0.4, -0.3]);
+            let (plan, config) = match worker {
+                0 => on_supervisor(FaultKind::DropResult),
+                _ => (on_helper(FaultKind::DropResult), FaultConfig::default()),
+            };
             let config = FaultConfig {
                 task_timeout: Duration::from_millis(60),
-                ..FaultConfig::default()
+                ..config
             };
-            let plan = match worker {
-                0 => FaultPlan::none().inject(1, 0, FaultKind::DropResult),
-                _ => on_helper(FaultKind::DropResult),
-            };
-            let mut pool = faulty(g, 2, plan, config, strategy);
+            let mut pool = faulty(g, 2, plan, config);
             call_once(&mut pool, 0.7, &[0.4, -0.3], &expect);
-            if strategy == Strategy::Barrier {
-                let last = pool.faults().len() - 1;
-                assert_eq!(pool.faults().claimant(last), Some(worker));
-            }
+            let last = pool.faults().len() - 1;
+            assert_eq!(pool.faults().claimant(last), Some(worker));
             assert!(pool.recovery().retries >= 1, "{:?}", pool.recovery());
         }
     }
 
     #[test]
     fn corrupted_output_is_repaired_deterministically() {
-        for strategy in Strategy::ALL {
-            let (ir, g) = graph(MODEL, true);
-            let expect = reference_rhs(&ir, 0.3, &[0.4, -0.3]);
-            let plan = FaultPlan::none().inject(1, 0, FaultKind::CorruptNaN);
-            let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
-            call_once(&mut pool, 0.3, &[0.4, -0.3], &expect);
-            assert!(expect.iter().all(|v| v.is_finite()));
-            assert!(pool.recovery().nan_repairs >= 1, "{:?}", pool.recovery());
-        }
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.3, &[0.4, -0.3]);
+        let plan = FaultPlan::none().inject(1, 0, FaultKind::CorruptNaN);
+        let mut pool = faulty(g, 2, plan, FaultConfig::default());
+        call_once(&mut pool, 0.3, &[0.4, -0.3], &expect);
+        assert!(expect.iter().all(|v| v.is_finite()));
+        assert!(pool.recovery().nan_repairs >= 1, "{:?}", pool.recovery());
     }
 
     #[test]
     fn straggler_is_detected_and_the_call_completes() {
-        for strategy in Strategy::ALL {
-            let (ir, g) = graph(MODEL, true);
-            let expect = reference_rhs(&ir, 0.9, &[0.4, -0.3]);
-            let config = FaultConfig {
-                task_timeout: Duration::from_millis(40),
-                ..FaultConfig::default()
-            };
-            let plan = on_helper(FaultKind::Straggle(Duration::from_millis(400)));
-            let mut pool = faulty(g, 2, plan, config, strategy);
-            call_once(&mut pool, 0.9, &[0.4, -0.3], &expect);
-            if pool.faults().claimant(1) == Some(0) {
-                // The supervisor stole the task: nobody supervises its sleep.
-                assert_eq!(strategy, Strategy::WorkStealing);
-                assert_eq!(pool.recovery().retries, 0);
-                continue;
-            }
-            let r = pool.recovery();
-            assert!(r.retries >= 1, "{r:?}");
-            if strategy == Strategy::Barrier {
-                // Nobody may steal the retried task, so the sleeping
-                // worker is written off and the task replayed.
-                assert_eq!((r.workers_lost, pool.live_workers()), (1, 1), "{r:?}");
-            }
-            // The straggler wakes into a later call: its result must be
-            // filtered, not published.
-            std::thread::sleep(Duration::from_millis(450));
-            let mut got = [0.0; 2];
-            pool.try_rhs(0.9, &[0.4, -0.3], &mut got).unwrap();
-            assert_eq!(&got[..], &expect[..]);
-            assert!(pool.recovery().stale_results >= 1, "{:?}", pool.recovery());
-        }
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.9, &[0.4, -0.3]);
+        let config = FaultConfig {
+            task_timeout: Duration::from_millis(40),
+            ..FaultConfig::default()
+        };
+        let plan = on_helper(FaultKind::Straggle(Duration::from_millis(400)));
+        let mut pool = faulty(g, 2, plan, config);
+        call_once(&mut pool, 0.9, &[0.4, -0.3], &expect);
+        assert_eq!(pool.faults().claimant(1), Some(1));
+        let r = pool.recovery();
+        assert!(r.retries >= 1, "{r:?}");
+        // The retried task is stealable: the supervisor runs it, and the
+        // sleeping worker is not written off.
+        assert_eq!((r.workers_lost, pool.live_workers()), (0, 2), "{r:?}");
+        // The straggler wakes into a later call: its result must be
+        // filtered, not published.
+        std::thread::sleep(Duration::from_millis(450));
+        let mut got = [0.0; 2];
+        pool.try_rhs(0.9, &[0.4, -0.3], &mut got).unwrap();
+        assert_eq!(&got[..], &expect[..]);
+        assert!(pool.recovery().stale_results >= 1, "{:?}", pool.recovery());
     }
 
     /// A helper's straggle stalls until the supervisor takes its task
@@ -2372,57 +2263,52 @@ mod tests {
             task_timeout: timeout,
             ..FaultConfig::default()
         };
-        let straggle = FaultKind::Straggle(Duration::from_millis(1));
-        let plan = FaultPlan::none().inject(1, 1, straggle);
-        let mut pool = faulty(g, 2, plan, config, Strategy::Barrier);
+        let plan = on_helper(FaultKind::Straggle(Duration::from_millis(1)));
+        let mut pool = faulty(g, 2, plan, config);
         let start = Instant::now();
         call_once(&mut pool, 0.4, &[0.4, -0.3], &expect);
         assert!(start.elapsed() >= timeout);
-        assert_eq!(pool.faults().claimant(0), Some(1));
+        assert_eq!(pool.faults().claimant(1), Some(1));
         assert_eq!(pool.recovery().retries, 1, "{:?}", pool.recovery());
     }
 
     #[test]
     fn exhausted_pool_without_fallback_returns_err() {
-        for strategy in Strategy::ALL {
-            let (_, g) = graph(MODEL, true);
-            let config = FaultConfig {
-                max_respawns: 0,
-                sequential_fallback: false,
-                ..FaultConfig::default()
-            };
-            let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
-            let mut pool = faulty(g, 2, plan, config, strategy);
-            let mut got = [0.0; 2];
-            let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
-            assert_eq!(err, RuntimeError::PoolExhausted { workers: 2 });
-            // And it stays exhausted.
-            let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
-            assert_eq!(err, RuntimeError::PoolExhausted { workers: 2 });
-        }
+        let (_, g) = graph(MODEL, true);
+        let config = FaultConfig {
+            max_respawns: 0,
+            sequential_fallback: false,
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
+        let mut pool = faulty(g, 2, plan, config);
+        let mut got = [0.0; 2];
+        let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
+        assert_eq!(err, RuntimeError::PoolExhausted { workers: 2 });
+        // And it stays exhausted.
+        let err = pool.try_rhs(0.0, &[0.4, -0.3], &mut got).unwrap_err();
+        assert_eq!(err, RuntimeError::PoolExhausted { workers: 2 });
     }
 
     #[test]
     fn exhausted_pool_degrades_to_sequential_evaluation() {
-        for strategy in Strategy::ALL {
-            let (ir, g) = graph(MODEL, true);
-            let expect = reference_rhs(&ir, 0.2, &[0.4, -0.3]);
-            let config = FaultConfig {
-                max_respawns: 0,
-                ..FaultConfig::default()
-            };
-            let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
-            let mut pool = faulty(g, 2, plan, config, strategy);
-            call_once(&mut pool, 0.2, &[0.4, -0.3], &expect);
-            let r = pool.recovery();
-            assert_eq!(r.workers_lost, 2, "{r:?}");
-            assert!(r.degraded_calls >= 1, "{r:?}");
-            assert_eq!(pool.live_workers(), 0);
-            // Subsequent calls keep working in degraded mode.
-            let mut got = [0.0; 2];
-            pool.try_rhs(0.2, &[0.4, -0.3], &mut got).unwrap();
-            assert_eq!(&got[..], &expect[..]);
-        }
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.2, &[0.4, -0.3]);
+        let config = FaultConfig {
+            max_respawns: 0,
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::kill(1, 0).inject(1, 1, FaultKind::Panic);
+        let mut pool = faulty(g, 2, plan, config);
+        call_once(&mut pool, 0.2, &[0.4, -0.3], &expect);
+        let r = pool.recovery();
+        assert_eq!(r.workers_lost, 2, "{r:?}");
+        assert!(r.degraded_calls >= 1, "{r:?}");
+        assert_eq!(pool.live_workers(), 0);
+        // Subsequent calls keep working in degraded mode.
+        let mut got = [0.0; 2];
+        pool.try_rhs(0.2, &[0.4, -0.3], &mut got).unwrap();
+        assert_eq!(&got[..], &expect[..]);
     }
 
     #[test]
@@ -2448,107 +2334,29 @@ mod tests {
             max_respawns: 0,
             ..FaultConfig::default()
         };
-        // Task 1 of the first call is worker 1's.
-        let mut pool = faulty(g, 3, FaultPlan::kill(1, 1), config, Strategy::Barrier);
+        // Task 1 of the first call is worker 1's; with the supervisor held
+        // on task 0, a helper claims it: worker 1, or worker 2 stealing.
+        let mut pool = faulty(g, 3, on_helper(FaultKind::Panic), config);
         call_once(&mut pool, 0.6, &[0.4, -0.3], &expect);
+        let lost = pool.faults().claimant(1).unwrap();
+        assert_ne!(lost, 0, "a helper claimed the kill");
         assert_eq!(pool.live_workers(), 2);
         // After the loss the assignment must avoid the failed worker.
-        assert!(pool.assignment().iter().all(|&w| w != 1));
+        assert!(pool.assignment().iter().all(|&w| w != lost));
         pool.rebalance(&[100, 100]);
-        assert!(pool.assignment().iter().all(|&w| w != 1));
+        assert!(pool.assignment().iter().all(|&w| w != lost));
     }
 
     #[test]
-    fn requested_strategy_runs_the_ladder_itself() {
-        // Faults × strategy is a real matrix: an active plan never swaps
-        // the policy, and the recovery counted is the requested pool's.
-        for strategy in Strategy::ALL {
-            let (ir, g) = graph(MODEL, true);
-            let expect = reference_rhs(&ir, 0.0, &[0.4, -0.3]);
-            let plan = on_helper(FaultKind::Panic);
-            let mut pool = faulty(g, 2, plan, FaultConfig::default(), strategy);
-            assert_eq!(pool.strategy(), strategy);
-            call_once(&mut pool, 0.0, &[0.4, -0.3], &expect);
-            assert_eq!(pool.strategy(), strategy);
-            assert_ne!(*pool.recovery(), RecoveryStats::default(), "{strategy}");
-        }
-    }
-
-    /// How many times `watch` saw a task of level L+1 claimed in a call
-    /// in which some task of level L was not yet done. Reads the higher
-    /// level first: a level-L task seen unfinished *after* a level-L+1
-    /// task was seen started really was unfinished when it started.
-    fn fence_violations(strategy: Strategy) -> (usize, usize) {
-        let ir = om_models::compile_to_ir(&om_models::hydro::source()).unwrap();
-        let g = CodeGenerator::new(GenOptions {
-            inline_algebraics: false,
-            ..GenOptions::default()
-        })
-        .generate(&ir)
-        .graph;
-        let levels = g.levels();
-        assert!(levels.len() > 2, "hydro must be multi-level");
-        let assignment = (0..g.tasks.len()).map(|i| i % 4).collect();
-        // Stragglers hold levels open long enough to be looked at; a
-        // helper's stalls until a 4 ms timeout takes its task back.
-        let straggle = FaultKind::Straggle(Duration::from_millis(2));
-        let plan = (0..24).fold(FaultPlan::none(), |plan, k| {
-            plan.inject(1 + 2 * k as u64, 7 * k, straggle)
-        });
-        let config = FaultConfig {
-            task_timeout: Duration::from_millis(4),
-            ..FaultConfig::default()
-        };
-        let mut pool = ExecutorPool::with_faults(g, 4, assignment, plan, config, strategy).unwrap();
-        let shared = Arc::clone(&pool.shared);
-        let stop = AtomicBool::new(false);
-        let y0 = ir.initial_state();
-        let serial = {
-            let mut d = vec![0.0; y0.len()];
-            shared.graph.eval_serial(0.0, &y0, &mut d);
-            d
-        };
-        std::thread::scope(|scope| {
-            let watcher = scope.spawn(|| {
-                let (mut seen, mut violations) = (0, 0);
-                while !stop.load(Ordering::Acquire) {
-                    // Sample, don't spin: sibling tests measure wall time.
-                    std::thread::sleep(Duration::from_micros(50));
-                    for pair in levels.windows(2) {
-                        for &hi in &pair[1] {
-                            let call = claim_call(shared.claims[hi].load(Ordering::Acquire));
-                            if call == 0 {
-                                continue; // never claimed yet
-                            }
-                            let open = pair[0].iter().any(|&lo| {
-                                let word = shared.claims[lo].load(Ordering::Acquire);
-                                claim_call(word) < call
-                                    || (claim_call(word) == call && claim_state(word) != DONE)
-                            });
-                            seen += 1;
-                            violations += usize::from(open);
-                        }
-                    }
-                }
-                (seen, violations)
-            });
-            let mut dydt = vec![0.0; y0.len()];
-            for _ in 0..60 {
-                pool.try_rhs(0.0, &y0, &mut dydt).unwrap();
-                assert_eq!(dydt, serial);
-            }
-            stop.store(true, Ordering::Release);
-            watcher.join().unwrap()
-        })
-    }
-
-    #[test]
-    fn fence_policy_starts_no_level_before_the_previous_one_finished() {
-        let (seen, violations) = fence_violations(Strategy::Barrier);
-        assert!(seen > 0, "the watcher never saw a started task");
-        assert_eq!(violations, 0, "of {seen} observations");
-        // The watcher can see a breach: work stealing, which has no
-        // fence, runs ahead of the stragglers.
-        assert!(fence_violations(Strategy::WorkStealing).1 > 0);
+    fn an_active_plan_runs_the_ladder_on_the_pool_itself() {
+        // An active plan never swaps the pool for another: the recovery
+        // counted is this pool's, on the helper the plan targets.
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.0, &[0.4, -0.3]);
+        let plan = on_helper(FaultKind::Panic);
+        let mut pool = faulty(g, 2, plan, FaultConfig::default());
+        call_once(&mut pool, 0.0, &[0.4, -0.3], &expect);
+        assert_eq!(pool.faults().claimant(1), Some(1));
+        assert_ne!(*pool.recovery(), RecoveryStats::default());
     }
 }

@@ -145,7 +145,7 @@ impl<S: OdeSystem> OdeSystem for ModelSystem<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::Strategy;
+    use crate::fault::{FaultConfig, FaultPlan};
     use om_codegen::CodeGenerator;
     use om_ir::causalize;
     use om_solver::{dopri5, Tolerances};
@@ -160,8 +160,9 @@ mod tests {
         let ir = causalize(&om_lang::compile(src).unwrap()).unwrap();
         let program = CodeGenerator::default().generate(&ir);
         let sched = program.schedule(2);
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
         let pool =
-            ExecutorPool::build(program.graph, 2, sched.assignment, Strategy::default()).unwrap();
+            ExecutorPool::with_faults(program.graph, 2, sched.assignment, plan, config).unwrap();
         let mut rhs = ParallelRhs::new(pool, 8);
         let t_end = 2.0 * std::f64::consts::PI;
         let tol = Tolerances {
@@ -196,8 +197,9 @@ mod tests {
         // Parallel.
         let program = CodeGenerator::default().generate(&ir);
         let sched = program.schedule(2);
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
         let pool =
-            ExecutorPool::build(program.graph, 2, sched.assignment, Strategy::default()).unwrap();
+            ExecutorPool::with_faults(program.graph, 2, sched.assignment, plan, config).unwrap();
         let mut rhs = ParallelRhs::new(pool, 4);
         let par_sol = dopri5(&mut rhs, 0.0, &ir.initial_state(), 3.0, &tol).unwrap();
         for i in 0..2 {
@@ -210,7 +212,7 @@ mod tests {
 
     #[test]
     fn dead_pool_surfaces_as_solver_error_not_panic() {
-        use crate::fault::{FaultConfig, FaultKind, FaultPlan};
+        use crate::fault::FaultKind;
         let src = "model Osc;
             Real x(start=1.0); Real y;
             equation der(x) = y; der(y) = -x; end Osc;";
@@ -223,15 +225,8 @@ mod tests {
             sequential_fallback: false,
             ..FaultConfig::default()
         };
-        let pool = ExecutorPool::with_faults(
-            program.graph,
-            2,
-            sched.assignment,
-            plan,
-            config,
-            Strategy::default(),
-        )
-        .unwrap();
+        let pool =
+            ExecutorPool::with_faults(program.graph, 2, sched.assignment, plan, config).unwrap();
         let mut rhs = ParallelRhs::new(pool, 0);
         let err = dopri5(
             &mut rhs,

@@ -85,7 +85,7 @@ impl SemiDynamicScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::Strategy;
+    use crate::fault::{FaultConfig, FaultPlan};
     use om_codegen::cse::CseMode;
     use om_codegen::task::{compile_tasks, equation_tasks};
     use om_expr::CostModel;
@@ -109,7 +109,8 @@ mod tests {
         );
         let n = g.tasks.len();
         let assignment = (0..n).map(|i| i % workers).collect();
-        ExecutorPool::build(g, workers, assignment, Strategy::default()).unwrap()
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+        ExecutorPool::with_faults(g, workers, assignment, plan, config).unwrap()
     }
 
     #[test]

@@ -291,7 +291,6 @@ impl Server {
                     item,
                     run: req.run,
                     workers: req.workers,
-                    strategy: req.strategy,
                     faults: Arc::clone(&faults),
                     reply: tx.clone(),
                 });
@@ -677,7 +676,6 @@ mod tests {
         // More workers than a claim word can name (beyond what the
         // protocol admits): build refuses.
         req.workers = (1 << 16) + 1;
-        req.strategy = crate::strategy::Strategy::WorkStealing;
         let lines = server.handle_run(*req, &mut client, 0);
         assert!(lines[0].contains("\"type\":\"accepted\""), "{lines:#?}");
         let last = lines.last().unwrap();

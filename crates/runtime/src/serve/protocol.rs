@@ -7,7 +7,7 @@
 //! {"id":"r1","op":"run","model":{"source":"model Osc; ... end Osc;"},
 //!  "scenarios":[{"x":1.0},{"x":1.1}],
 //!  "tend":0.2,"h":0.01,"deadline_ms":500,"max_rhs":100000,"retries":2,
-//!  "workers":1,"executor":"barrier","batch":8}
+//!  "workers":1,"batch":8}
 //! {"id":"r2","op":"run","model":{"key":"00a1b2c3d4e5f607"},"scenarios":[{"x":1.2}]}
 //! {"id":"s1","op":"stats"}
 //! ```
@@ -18,7 +18,8 @@
 //! scenario object maps state names to initial-value overrides, exactly
 //! like one row of `omc sweep --params`. All solver/envelope fields are
 //! optional and default to the sweep defaults; `workers` is at most
-//! [`MAX_REQUEST_WORKERS`].
+//! [`MAX_REQUEST_WORKERS`]. An `executor` key may name `"ws"`, the one
+//! executor; any other value (the removed `"barrier"` too) is an `error`.
 //!
 //! ## Responses
 //!
@@ -67,7 +68,6 @@ pub struct RunRequest {
     pub run: ScenarioRunConfig,
     /// ODE workers per scenario (1 = in-thread serial evaluation).
     pub workers: usize,
-    pub strategy: Strategy,
     /// SoA lane width (above 1 only with `workers == 1`, like sweep).
     pub batch: usize,
 }
@@ -195,10 +195,10 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
         Some(w) => w,
         None => 1,
     };
-    let strategy = match doc.get("executor").and_then(Json::as_str) {
-        Some(token) => token.parse::<Strategy>()?,
-        None => Strategy::Barrier,
-    };
+    // The one executor's token, accepted for clients that still send it.
+    if let Some(token) = doc.get("executor").and_then(Json::as_str) {
+        token.parse::<Strategy>()?;
+    }
     let batch = match doc.get("batch").and_then(Json::as_usize) {
         Some(0) => return Err("'batch' must be at least 1".into()),
         Some(b) => b,
@@ -216,7 +216,6 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
         scenarios,
         run,
         workers,
-        strategy,
         batch,
     })
 }
@@ -312,7 +311,6 @@ mod tests {
         assert_eq!(req.run.max_rhs_calls, 1000);
         assert_eq!(req.run.max_retries, 3);
         assert_eq!(req.workers, 2);
-        assert_eq!(req.strategy, Strategy::WorkStealing);
         assert_eq!(req.batch, 1);
         // A lane width above 1 only parses beside `workers` 1.
         let Request::Run(req) = parse_request(&run_line(1, 4)).unwrap() else {
@@ -403,6 +401,10 @@ mod tests {
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"gpu"}"#,
                 "unknown executor",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"barrier"}"#,
+                "the one executor is 'ws'",
             ),
         ] {
             let err = parse_request(line).unwrap_err();

@@ -22,7 +22,6 @@
 //!   exchange per level boundary that crosses workers.
 
 use crate::machine::MachineSpec;
-use crate::strategy::Strategy;
 use om_codegen::comm::MessagePolicy;
 use om_codegen::task::{OutSlot, TaskGraph};
 
@@ -182,163 +181,6 @@ pub fn simulate_rhs_time(
         .map(|w| worker_done[w] - worker_ready[w])
         .fold(0.0f64, f64::max);
     // Communication time: whatever is not the critical worker's compute.
-    let comm = (total - max_compute).max(downlink_done);
-    SimBreakdown {
-        total,
-        comm,
-        max_compute,
-        total_compute,
-    }
-}
-
-/// Simulate one RHS call under either execution strategy.
-///
-/// [`Strategy::Barrier`] is the level-by-level model of
-/// [`simulate_rhs_time`]. [`Strategy::WorkStealing`] is a
-/// dependency-driven list simulation: no level barriers — a task starts
-/// as soon as all its predecessors have finished and a worker is free.
-/// Cross-worker dependence edges pay one wire hop *individually*
-/// (overlapped, instead of a global exchange at each level boundary),
-/// and executing a task away from its seeded worker pays one
-/// steal/migration overhead. Downlink and uplink match the barrier
-/// model, so any difference in `total` is attributable to the barrier
-/// itself.
-pub fn simulate_rhs_time_with(
-    graph: &TaskGraph,
-    assignment: &[usize],
-    workers: usize,
-    machine: &MachineSpec,
-    policy: MessagePolicy,
-    strategy: Strategy,
-) -> SimBreakdown {
-    match strategy {
-        Strategy::Barrier => simulate_rhs_time(graph, assignment, workers, machine, policy),
-        Strategy::WorkStealing => simulate_rhs_time_ws(graph, assignment, workers, machine, policy),
-    }
-}
-
-/// Dependency-driven (work-stealing) machine-model simulation.
-fn simulate_rhs_time_ws(
-    graph: &TaskGraph,
-    assignment: &[usize],
-    workers: usize,
-    machine: &MachineSpec,
-    policy: MessagePolicy,
-) -> SimBreakdown {
-    assert_eq!(assignment.len(), graph.tasks.len());
-    assert!(workers >= 1);
-    let f64_bytes = 8.0;
-    let ts = machine.timeshare_factor(workers);
-    let plan = om_codegen::comm::analyze(graph, assignment, workers, policy);
-    let n = graph.tasks.len();
-
-    // Downlink: identical to the barrier model (the state broadcast does
-    // not depend on the execution strategy).
-    let mut worker_ready = vec![0.0f64; workers];
-    let downlink_done;
-    if machine.tree_collectives {
-        let depth = (workers + 1).next_power_of_two().trailing_zeros() as f64;
-        for (ready, &down) in worker_ready.iter_mut().zip(&plan.send_down) {
-            let bytes = down as f64 * f64_bytes;
-            *ready = depth * (machine.send_overhead + bytes / machine.bandwidth + machine.latency);
-        }
-        downlink_done = machine.send_overhead;
-    } else {
-        let mut send_clock = 0.0f64;
-        for (ready, &down) in worker_ready.iter_mut().zip(&plan.send_down) {
-            let bytes = down as f64 * f64_bytes;
-            send_clock += machine.send_overhead + bytes / machine.bandwidth;
-            *ready = send_clock + machine.latency;
-        }
-        downlink_done = send_clock;
-    }
-
-    // Greedy list simulation over the dependence DAG: repeatedly place
-    // the (ready task, worker) pair with the earliest achievable start.
-    // Ties prefer the seeded (LPT) worker, then the larger task — the
-    // deque protocol's LIFO-longest-first order.
-    let succ = graph.successors();
-    let mut pending = graph.pred_counts();
-    let mut ready: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-    let mut worker_free = worker_ready.clone();
-    let mut exec_worker = vec![0usize; n];
-    let mut finish = vec![0.0f64; n];
-    let mut total_compute = 0.0;
-    let mut scheduled = 0usize;
-    while scheduled < n {
-        let mut best: Option<(f64, usize, usize)> = None; // (start, task, worker)
-        for &t in &ready {
-            for (w, &free) in worker_free.iter().enumerate() {
-                let mut avail = free;
-                for &d in &graph.deps[t] {
-                    let mut arr = finish[d];
-                    if exec_worker[d] != w {
-                        arr += machine.wire_time(8);
-                    }
-                    avail = avail.max(arr);
-                }
-                let mut start = avail;
-                if w != assignment[t] {
-                    start += machine.send_overhead; // steal / migration cost
-                }
-                let better = match best {
-                    None => true,
-                    Some((bs, bt, bw)) => {
-                        start < bs
-                            || (start == bs
-                                && (w == assignment[t] && bw != assignment[bt]
-                                    || graph.tasks[t].static_cost > graph.tasks[bt].static_cost))
-                    }
-                };
-                if better {
-                    best = Some((start, t, w));
-                }
-            }
-        }
-        let (start, t, w) = best.expect("ready set nonempty while tasks remain");
-        let secs = graph.tasks[t].static_cost as f64 * machine.sec_per_flop * ts;
-        finish[t] = start + secs;
-        total_compute += secs;
-        exec_worker[t] = w;
-        worker_free[w] = finish[t];
-        scheduled += 1;
-        ready.retain(|&x| x != t);
-        for &s in &succ[t] {
-            pending[s] -= 1;
-            if pending[s] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-
-    // Uplink: identical to the barrier model.
-    let worker_done = worker_free;
-    let total = if machine.tree_collectives {
-        let slowest = (0..workers)
-            .map(|w| {
-                let bytes = plan.send_up[w] as f64 * f64_bytes;
-                worker_done[w] + bytes / machine.bandwidth
-            })
-            .fold(0.0f64, f64::max);
-        let depth = (workers + 1).next_power_of_two().trailing_zeros() as f64;
-        slowest + depth * (machine.latency + machine.send_overhead)
-    } else {
-        let mut arrivals: Vec<f64> = (0..workers)
-            .map(|w| {
-                let bytes = plan.send_up[w] as f64 * f64_bytes;
-                worker_done[w] + machine.latency + bytes / machine.bandwidth
-            })
-            .collect();
-        arrivals.sort_by(f64::total_cmp);
-        let mut clock: f64 = 0.0;
-        for a in arrivals {
-            clock = clock.max(a) + machine.send_overhead;
-        }
-        clock
-    };
-    let max_compute = (0..workers)
-        .map(|w| worker_done[w] - worker_ready[w])
-        .fold(0.0f64, f64::max);
     let comm = (total - max_compute).max(downlink_done);
     SimBreakdown {
         total,

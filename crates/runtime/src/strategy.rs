@@ -1,42 +1,24 @@
-//! The execution-policy switch (`omc simulate --executor {barrier,ws}`).
+//! The `--executor` token, and the policy argument the benchmark ledger
+//! still passes to [`crate::ExecutorPool::build`].
 //!
-//! Both values run on the one executor core, [`crate::pool`]; see its
-//! module docs for what each policy does to the deques.
+//! The pool has one scheduling policy, dependency-counter work stealing
+//! ([`crate::pool`]). `ws` is its one token: the CLI flag and the serve
+//! protocol key still accept it because the frozen ledger passes it, and
+//! the removed level-fence token `barrier` is refused, naming `ws`.
 
-use std::fmt;
 use std::str::FromStr;
 
-/// How [`crate::ExecutorPool`] schedules the task graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// The policy argument of [`crate::ExecutorPool::build`]. Either value
+/// builds the one work-stealing pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// Level fences and static assignment (paper Figure 10): a level's
-    /// tasks become ready only when the previous level has drained, and
-    /// run on the worker they were assigned to. The Fig. 10/12
-    /// reproduction mode.
-    #[default]
+    /// The paper's level fence (Figure 10), removed from the pool. The
+    /// frozen benchmark ledger's traced replay still names it; the next
+    /// change to the benchmark removes this variant and `build`'s
+    /// parameter.
     Barrier,
-    /// Dependency-counter work stealing: no fence, tasks start the
-    /// moment their predecessors finish, idle workers steal.
+    /// Dependency-counter work stealing, the pool's one policy.
     WorkStealing,
-}
-
-impl Strategy {
-    /// Stable CLI/JSON token for this strategy.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Strategy::Barrier => "barrier",
-            Strategy::WorkStealing => "ws",
-        }
-    }
-
-    /// All strategies, for sweeps and CLI help text.
-    pub const ALL: [Strategy; 2] = [Strategy::Barrier, Strategy::WorkStealing];
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 impl FromStr for Strategy {
@@ -44,10 +26,12 @@ impl FromStr for Strategy {
 
     fn from_str(s: &str) -> Result<Strategy, String> {
         match s {
-            "barrier" => Ok(Strategy::Barrier),
-            "ws" | "work-stealing" | "worksteal" => Ok(Strategy::WorkStealing),
+            "ws" => Ok(Strategy::WorkStealing),
+            "barrier" => Err("the level-fence executor 'barrier' was removed; \
+                 the one executor is 'ws' (work stealing)"
+                .to_owned()),
             other => Err(format!(
-                "unknown executor '{other}' (expected 'barrier' or 'ws')"
+                "unknown executor '{other}' (the one executor is 'ws')"
             )),
         }
     }
@@ -58,11 +42,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strategy_round_trips_through_str() {
-        for s in Strategy::ALL {
-            assert_eq!(s.as_str().parse::<Strategy>().unwrap(), s);
+    fn only_ws_parses_and_barrier_names_it() {
+        assert_eq!("ws".parse::<Strategy>(), Ok(Strategy::WorkStealing));
+        for token in ["barrier", "hybrid", "work-stealing"] {
+            let err = token.parse::<Strategy>().unwrap_err();
+            assert!(err.contains("'ws'"), "{token}: {err}");
         }
-        assert!("hybrid".parse::<Strategy>().is_err());
-        assert_eq!(Strategy::default(), Strategy::Barrier);
     }
 }

@@ -6,18 +6,16 @@
 //! execution that wins a task's claim word publishes, so any replay — on
 //! a respawned worker, a survivor, or inline in the supervisor —
 //! reproduces exactly the same floating-point values. That makes
-//! "identical trajectory" an `assert_eq!`, not a tolerance. The recovery
-//! ladder is the same code under both scheduling policies, and every
-//! case here runs under both.
+//! "identical trajectory" an `assert_eq!`, not a tolerance.
 //!
 //! A fault names a (call, task) and fires on that call whoever claims
 //! the task, so every case runs a fixed number of calls and asserts that
-//! every planned fault fired. Which worker claimed it is decided by the
-//! assignment under the fence policy and recorded under work stealing.
+//! every planned fault fired. The plan records the claimant. A case that
+//! targets one worker pins it: the other worker is held on its own first
+//! task by a straggle ([`pin`]), so nobody steals the target's task.
 
-use om_runtime::{
-    ExecutorPool, FaultConfig, FaultKind, FaultPlan, ParallelRhs, RuntimeError, Strategy,
-};
+use om_codegen::TaskGraph;
+use om_runtime::{ExecutorPool, FaultConfig, FaultKind, FaultPlan, ParallelRhs, RuntimeError};
 use om_solver::{dopri5, Tolerances};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -40,43 +38,28 @@ const MODEL: &str = "model Chaos;
     end Chaos;";
 
 fn build_rhs(n_workers: usize, plan: FaultPlan, config: FaultConfig) -> (ParallelRhs, Vec<f64>) {
-    build_rhs_with(n_workers, plan, config, Strategy::Barrier)
-}
-
-fn build_rhs_with(
-    n_workers: usize,
-    plan: FaultPlan,
-    config: FaultConfig,
-    strategy: Strategy,
-) -> (ParallelRhs, Vec<f64>) {
     let ir = om_ir::causalize(&om_lang::compile(MODEL).unwrap()).unwrap();
     let program = om_codegen::CodeGenerator::default().generate(&ir);
     let sched = program.schedule(n_workers);
-    let pool = ExecutorPool::with_faults(
-        program.graph,
-        n_workers,
-        sched.assignment,
-        plan,
-        config,
-        strategy,
-    )
-    .unwrap();
+    let pool = ExecutorPool::with_faults(program.graph, n_workers, sched.assignment, plan, config)
+        .unwrap();
     (ParallelRhs::new(pool, 0), ir.initial_state())
 }
 
-/// Integrate the model and return the full `(ts, ys)` trajectory.
+/// Integrate the model on 3 workers and return the full `(ts, ys)`
+/// trajectory.
 fn trajectory(plan: FaultPlan, config: FaultConfig, tend: f64) -> (Vec<f64>, Vec<Vec<f64>>) {
-    trajectory_with(plan, config, tend, Strategy::Barrier)
+    trajectory_on(3, plan, config, tend)
 }
 
-/// Same, under an explicit scheduling policy.
-fn trajectory_with(
+/// Same, on `n_workers`.
+fn trajectory_on(
+    n_workers: usize,
     plan: FaultPlan,
     config: FaultConfig,
     tend: f64,
-    strategy: Strategy,
 ) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let (mut rhs, y0) = build_rhs_with(3, plan, config, strategy);
+    let (mut rhs, y0) = build_rhs(n_workers, plan, config);
     let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
     assert!(
         rhs.last_error.is_none(),
@@ -96,6 +79,41 @@ fn short_timeout() -> FaultConfig {
         task_timeout: Duration::from_millis(50),
         ..FaultConfig::default()
     }
+}
+
+/// The task worker `w` claims first in the first call of a fresh pool:
+/// of the tasks with no predecessor that `assignment` seeds on its deque,
+/// the one seeded last (the costliest, then the highest id), because a
+/// worker pops its own deque from the back before it steals.
+fn first_pop(graph: &TaskGraph, assignment: &[usize], w: usize) -> usize {
+    (0..graph.tasks.len())
+        .filter(|&j| assignment[j] == w && graph.deps[j].is_empty())
+        .max_by_key(|&j| (graph.tasks[j].static_cost, j))
+        .expect("worker has a root task")
+}
+
+/// How long [`pin`] holds the other worker.
+const HOLD: Duration = Duration::from_millis(30);
+
+/// Pin `target` of a fresh 2-worker pool as the claimant of its own
+/// tasks in `call`: the other worker is held on its first pop by a
+/// straggle, so it steals nothing from `target` first. On worker 0 that
+/// is a plain delay; on the helper it stalls until the supervisor takes
+/// the task back after the task timeout (or, if the supervisor stole the
+/// task before the helper woke, it is the supervisor's plain delay).
+fn pin(
+    plan: FaultPlan,
+    graph: &TaskGraph,
+    assignment: &[usize],
+    target: usize,
+    call: u64,
+) -> FaultPlan {
+    let other = 1 - target;
+    plan.inject(
+        call,
+        first_pop(graph, assignment, other),
+        FaultKind::Straggle(HOLD),
+    )
 }
 
 #[test]
@@ -183,44 +201,40 @@ fn exhausted_pool_returns_err_not_deadlock() {
 }
 
 #[test]
-fn ws_clean_trajectory_matches_barrier_bitwise() {
-    let barrier = trajectory_with(
-        FaultPlan::none(),
-        FaultConfig::default(),
+fn clean_pool_trajectory_matches_the_serial_graph_bitwise() {
+    let pooled = trajectory(FaultPlan::none(), FaultConfig::default(), 1.0);
+    let ir = om_ir::causalize(&om_lang::compile(MODEL).unwrap()).unwrap();
+    let graph = om_codegen::CodeGenerator::default().generate(&ir).graph;
+    let mut serial = om_solver::FnSystem::new(graph.dim, |t, y: &[f64], d: &mut [f64]| {
+        graph.eval_serial(t, y, d);
+    });
+    let sol = dopri5(
+        &mut serial,
+        0.0,
+        &ir.initial_state(),
         1.0,
-        Strategy::Barrier,
-    );
-    let ws = trajectory_with(
-        FaultPlan::none(),
-        FaultConfig::default(),
-        1.0,
-        Strategy::WorkStealing,
-    );
-    assert_eq!(barrier.0, ws.0, "time grids differ across strategies");
-    assert_eq!(barrier.1, ws.1, "states differ across strategies");
+        &Tolerances::default(),
+    )
+    .unwrap();
+    assert_eq!(pooled.0, sol.ts, "time grids differ");
+    assert_eq!(pooled.1, sol.ys, "states differ");
 }
 
 #[test]
-fn ws_with_faults_recovers_on_the_ws_pool_identically() {
-    // The `--executor ws` re-run of the fault suite: the ladder runs on
-    // the work-stealing pool itself, and the trajectory still matches
-    // the clean work-stealing run bitwise.
-    let clean_ws = trajectory_with(
-        FaultPlan::none(),
-        short_timeout(),
-        1.0,
-        Strategy::WorkStealing,
-    );
+fn faults_mid_integration_recover_identically_on_two_workers() {
+    // The single-fault cases above, on the product's common worker
+    // count: the trajectory still matches the clean 2-worker run.
+    let clean = trajectory_on(2, FaultPlan::none(), short_timeout(), 1.0);
     let plans = [
         FaultPlan::kill(5, 0),
         FaultPlan::none().inject(3, 1, FaultKind::DropResult),
-        FaultPlan::none().inject(2, 2, FaultKind::Straggle(Duration::from_millis(200))),
+        FaultPlan::none().inject(2, 1, FaultKind::Straggle(Duration::from_millis(200))),
         FaultPlan::none().inject(4, 0, FaultKind::CorruptNaN),
     ];
     for plan in plans {
-        let faulty = trajectory_with(plan, short_timeout(), 1.0, Strategy::WorkStealing);
-        assert_eq!(clean_ws.0, faulty.0);
-        assert_eq!(clean_ws.1, faulty.1);
+        let faulty = trajectory_on(2, plan, short_timeout(), 1.0);
+        assert_eq!(clean.0, faulty.0);
+        assert_eq!(clean.1, faulty.1);
     }
 }
 
@@ -239,110 +253,90 @@ fn multi_level_bearing() -> (om_ir::OdeIr, om_codegen::ParallelProgram) {
 }
 
 /// Every fault kind on every worker id — 0, the supervisor's own worker
-/// role, included — is acted out and recovered under both policies. The
-/// model is the multi-level, steal-heavy 2-D bearing on 4 workers, so
-/// faults land on stolen tasks, mid-level, and on the fence. Each fault
-/// names a task the schedule gives the worker in the first call: under
-/// the fence policy that worker claims it, under work stealing whoever
-/// claimed it shows the signature of its kind.
+/// role, included — is acted out by the worker it targets and recovered.
+/// The model is the multi-level 2-D bearing on 2 workers; each fault
+/// names the target's first pop, and [`pin`] holds the other worker, so
+/// the plan records the target as the claimant.
 #[test]
-fn every_fault_kind_on_every_worker_recovers_under_both_policies() {
+fn every_fault_kind_on_every_worker_recovers_on_its_target() {
     let _cores = cores();
     let (ir, program) = multi_level_bearing();
-    assert!(
-        program.graph.levels().len() > 1,
-        "bearing2d must be multi-level"
-    );
-    let n_workers = 4;
+    let n_workers = 2;
     let sched = program.schedule(n_workers);
+    let graph = &program.graph;
     let y0 = ir.initial_state();
     let mut expect = vec![0.0; y0.len()];
-    program.graph.eval_serial(0.25, &y0, &mut expect);
+    graph.eval_serial(0.25, &y0, &mut expect);
     let kinds = [
         FaultKind::Panic,
         FaultKind::Straggle(Duration::from_millis(120)),
         FaultKind::DropResult,
         FaultKind::CorruptNaN,
     ];
-    for strategy in Strategy::ALL {
-        for worker in 0..n_workers {
-            let own: Vec<usize> = (0..sched.assignment.len())
-                .filter(|&j| sched.assignment[j] == worker)
-                .collect();
-            assert!(!own.is_empty(), "worker {worker} has a task");
-            let task = own[own.len() / 2];
-            for kind in kinds {
-                let mut pool = ExecutorPool::with_faults(
-                    program.graph.clone(),
-                    n_workers,
-                    sched.assignment.clone(),
-                    FaultPlan::none().inject(1, task, kind),
-                    FaultConfig {
-                        task_timeout: Duration::from_millis(30),
-                        ..FaultConfig::default()
-                    },
-                    strategy,
-                )
-                .unwrap();
-                let mut dydt = vec![0.0; y0.len()];
-                pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
-                assert_eq!(dydt, expect, "{strategy} worker {worker} {kind:?}");
-                all_fired(pool.faults());
-                let claimant = pool.faults().claimant(0).unwrap();
-                if strategy == Strategy::Barrier {
-                    assert_eq!(claimant, worker, "{kind:?}: the assignment decides");
-                }
-                let r = pool.recovery();
-                let acted = match kind {
-                    FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
-                    // Nobody supervises the supervisor's own sleep.
-                    FaultKind::Straggle(_) => claimant == 0 || r.retries >= 1,
-                    FaultKind::DropResult => r.retries >= 1,
-                    FaultKind::CorruptNaN => r.nan_repairs >= 1,
-                };
-                assert!(
-                    acted,
-                    "{strategy} worker {worker} (claimant {claimant}) {kind:?}: {r:?}"
-                );
-            }
-        }
-    }
-}
-
-/// A seeded plan over every worker id including the supervisor, on the
-/// multi-level bearing with 4 workers: bitwise equal to the sequential
-/// oracle under both policies, call after call, over the 25 calls a
-/// seeded plan addresses.
-#[test]
-fn seeded_plans_on_the_bearing_match_eval_serial_under_both_policies() {
-    let (ir, program) = multi_level_bearing();
-    let sched = program.schedule(4);
-    let y0 = ir.initial_state();
-    for strategy in Strategy::ALL {
-        for seed in [1u64, 7, 42, 1995] {
-            let plan = FaultPlan::from_seed(seed, 4, 8);
+    for worker in 0..n_workers {
+        let task = first_pop(graph, &sched.assignment, worker);
+        for kind in kinds {
+            let plan =
+                pin(FaultPlan::none(), graph, &sched.assignment, worker, 1).inject(1, task, kind);
             let mut pool = ExecutorPool::with_faults(
-                program.graph.clone(),
-                4,
+                graph.clone(),
+                n_workers,
                 sched.assignment.clone(),
                 plan,
                 FaultConfig {
                     task_timeout: Duration::from_millis(30),
                     ..FaultConfig::default()
                 },
-                strategy,
             )
             .unwrap();
             let mut dydt = vec![0.0; y0.len()];
-            let mut expect = vec![0.0; y0.len()];
-            for k in 0..25 {
-                let t = 0.05 * k as f64;
-                program.graph.eval_serial(t, &y0, &mut expect);
-                pool.try_rhs(t, &y0, &mut dydt).unwrap();
-                assert_eq!(dydt, expect, "{strategy} seed {seed} call {k}");
-            }
+            pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
+            assert_eq!(dydt, expect, "worker {worker} {kind:?}");
             all_fired(pool.faults());
+            assert_eq!(pool.faults().claimant(1), Some(worker), "{kind:?}");
+            let r = pool.recovery();
+            let acted = match kind {
+                FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
+                // Nobody supervises the supervisor's own sleep.
+                FaultKind::Straggle(_) => worker == 0 || r.retries >= 1,
+                FaultKind::DropResult => r.retries >= 1,
+                FaultKind::CorruptNaN => r.nan_repairs >= 1,
+            };
+            assert!(acted, "worker {worker} {kind:?}: {r:?}");
         }
+    }
+}
+
+/// A seeded plan over every worker id including the supervisor, on the
+/// multi-level bearing with 4 workers: bitwise equal to the sequential
+/// oracle, call after call, over the 25 calls a seeded plan addresses.
+#[test]
+fn seeded_plans_on_the_bearing_match_eval_serial() {
+    let (ir, program) = multi_level_bearing();
+    let sched = program.schedule(4);
+    let y0 = ir.initial_state();
+    for seed in [1u64, 7, 42, 1995] {
+        let plan = FaultPlan::from_seed(seed, 4, 8);
+        let mut pool = ExecutorPool::with_faults(
+            program.graph.clone(),
+            4,
+            sched.assignment.clone(),
+            plan,
+            FaultConfig {
+                task_timeout: Duration::from_millis(30),
+                ..FaultConfig::default()
+            },
+        )
+        .unwrap();
+        let mut dydt = vec![0.0; y0.len()];
+        let mut expect = vec![0.0; y0.len()];
+        for k in 0..25 {
+            let t = 0.05 * k as f64;
+            program.graph.eval_serial(t, &y0, &mut expect);
+            pool.try_rhs(t, &y0, &mut dydt).unwrap();
+            assert_eq!(dydt, expect, "seed {seed} call {k}");
+        }
+        all_fired(pool.faults());
     }
 }
 
@@ -380,85 +374,83 @@ fn hex(v: &[f64]) -> Vec<String> {
 
 /// Seeded plans (panics, stragglers, dropped results, NaN poison) on the
 /// loop-task graph, 3 workers: hex-bit-identical to the scalarized
-/// serial oracle under both policies, call after call, over the 25 calls
-/// a seeded plan addresses.
+/// serial oracle, call after call, over the 25 calls a seeded plan
+/// addresses.
 #[test]
-fn seeded_plans_on_loop_tasks_match_the_scalarized_oracle_under_both_policies() {
+fn seeded_plans_on_loop_tasks_match_the_scalarized_oracle() {
     let (y0, program, oracle) = loop_heat();
     let _cores = cores();
     let sched = program.schedule(3);
-    for strategy in Strategy::ALL {
-        for seed in [3u64, 7, 1995] {
-            let mut pool = ExecutorPool::with_faults(
-                program.graph.clone(),
-                3,
-                sched.assignment.clone(),
-                FaultPlan::from_seed(seed, 3, 6),
-                FaultConfig {
-                    task_timeout: Duration::from_millis(50),
-                    ..FaultConfig::default()
-                },
-                strategy,
-            )
-            .unwrap();
-            let mut dydt = vec![0.0; y0.len()];
-            let mut expect = vec![0.0; y0.len()];
-            for k in 0..25 {
-                let t = 0.05 * k as f64;
-                let y: Vec<f64> = y0.iter().map(|v| v + 1e-3 * k as f64).collect();
-                oracle.eval_serial(t, &y, &mut expect);
-                pool.try_rhs(t, &y, &mut dydt).unwrap();
-                assert_eq!(hex(&dydt), hex(&expect), "{strategy} seed {seed} call {k}");
-            }
-            all_fired(pool.faults());
+    for seed in [3u64, 7, 1995] {
+        let mut pool = ExecutorPool::with_faults(
+            program.graph.clone(),
+            3,
+            sched.assignment.clone(),
+            FaultPlan::from_seed(seed, 3, 6),
+            FaultConfig {
+                task_timeout: Duration::from_millis(50),
+                ..FaultConfig::default()
+            },
+        )
+        .unwrap();
+        let mut dydt = vec![0.0; y0.len()];
+        let mut expect = vec![0.0; y0.len()];
+        for k in 0..25 {
+            let t = 0.05 * k as f64;
+            let y: Vec<f64> = y0.iter().map(|v| v + 1e-3 * k as f64).collect();
+            oracle.eval_serial(t, &y, &mut expect);
+            pool.try_rhs(t, &y, &mut dydt).unwrap();
+            assert_eq!(hex(&dydt), hex(&expect), "seed {seed} call {k}");
         }
+        all_fired(pool.faults());
     }
 }
 
 /// NaN poison on three 1 024-output loop chunks of one call, each
-/// assigned to the same worker, is repaired by rerunning the whole task,
-/// and every output comes back bitwise.
+/// assigned to the same worker and pinned to it, is repaired by rerunning
+/// the whole task, and every output comes back bitwise.
 #[test]
 fn nan_repair_reruns_a_loop_chunk_bitwise() {
     let (y0, program, oracle) = loop_heat();
     let _cores = cores();
     let sched = program.schedule(2);
+    let graph = &program.graph;
     let mut expect = vec![0.0; y0.len()];
     oracle.eval_serial(0.25, y0, &mut expect);
-    for strategy in Strategy::ALL {
-        for worker in 0..2 {
-            let chunks: Vec<usize> = (0..sched.assignment.len())
-                .filter(|&j| sched.assignment[j] == worker)
-                .filter(|&j| program.graph.tasks[j].loop_info.is_some())
-                .take(3)
-                .collect();
-            assert_eq!(chunks.len(), 3, "worker {worker} has three chunks");
-            let plan = chunks.iter().fold(FaultPlan::none(), |p, &task| {
-                p.inject(1, task, FaultKind::CorruptNaN)
-            });
-            let mut pool = ExecutorPool::with_faults(
-                program.graph.clone(),
-                2,
-                sched.assignment.clone(),
-                plan,
-                FaultConfig::default(),
-                strategy,
-            )
-            .unwrap();
-            let mut dydt = vec![0.0; y0.len()];
-            pool.try_rhs(0.25, y0, &mut dydt).unwrap();
-            assert_eq!(hex(&dydt), hex(&expect), "{strategy} worker {worker}");
-            all_fired(pool.faults());
-            if strategy == Strategy::Barrier {
-                assert!((0..3).all(|i| pool.faults().claimant(i) == Some(worker)));
-            }
-            assert_eq!(
-                pool.recovery().nan_repairs,
-                3,
-                "{strategy} worker {worker}: {:?}",
-                pool.recovery()
-            );
-        }
+    let config = FaultConfig {
+        task_timeout: Duration::from_millis(30),
+        ..FaultConfig::default()
+    };
+    for worker in 0..2 {
+        let chunks: Vec<usize> = (0..sched.assignment.len())
+            .filter(|&j| sched.assignment[j] == worker)
+            .filter(|&j| graph.tasks[j].loop_info.is_some())
+            .take(3)
+            .collect();
+        assert_eq!(chunks.len(), 3, "worker {worker} has three chunks");
+        let plan = chunks.iter().fold(
+            pin(FaultPlan::none(), graph, &sched.assignment, worker, 1),
+            |p, &task| p.inject(1, task, FaultKind::CorruptNaN),
+        );
+        let mut pool = ExecutorPool::with_faults(
+            graph.clone(),
+            2,
+            sched.assignment.clone(),
+            plan,
+            config.clone(),
+        )
+        .unwrap();
+        let mut dydt = vec![0.0; y0.len()];
+        pool.try_rhs(0.25, y0, &mut dydt).unwrap();
+        assert_eq!(hex(&dydt), hex(&expect), "worker {worker}");
+        all_fired(pool.faults());
+        assert!((1..4).all(|i| pool.faults().claimant(i) == Some(worker)));
+        assert_eq!(
+            pool.recovery().nan_repairs,
+            3,
+            "worker {worker}: {:?}",
+            pool.recovery()
+        );
     }
 }
 
@@ -475,87 +467,74 @@ fn clustered_bearing(m: usize) -> (Vec<f64>, om_codegen::Placement, om_codegen::
 }
 
 /// Seeded plans on the clustered bearing — every fault lands on a whole
-/// worker's share of the RHS — under both policies: hex-equal to the
-/// equation-level graph evaluated serially, call after call, over the 25
-/// calls a seeded plan addresses.
+/// worker's share of the RHS: hex-equal to the equation-level graph
+/// evaluated serially, call after call, over the 25 calls a seeded plan
+/// addresses.
 #[test]
 fn seeded_plans_on_the_clustered_bearing_match_the_serial_oracle() {
     let _cores = cores();
     for m in [2usize, 3] {
         let (y0, placement, oracle) = clustered_bearing(m);
-        for strategy in Strategy::ALL {
-            for seed in [1u64, 7, 42, 1995] {
-                let mut pool = ExecutorPool::with_faults(
-                    placement.graph.clone(),
-                    m,
-                    placement.assignment.clone(),
-                    FaultPlan::from_seed(seed, m, 8),
-                    FaultConfig {
-                        task_timeout: Duration::from_millis(30),
-                        ..FaultConfig::default()
-                    },
-                    strategy,
-                )
-                .unwrap();
-                let mut dydt = vec![0.0; y0.len()];
-                let mut expect = vec![0.0; y0.len()];
-                for k in 0..25 {
-                    let t = 0.05 * k as f64;
-                    let y: Vec<f64> = y0.iter().map(|v| v + 1e-4 * k as f64).collect();
-                    oracle.eval_serial(t, &y, &mut expect);
-                    pool.try_rhs(t, &y, &mut dydt).unwrap();
-                    assert_eq!(
-                        hex(&dydt),
-                        hex(&expect),
-                        "m={m} {strategy} seed {seed} call {k}"
-                    );
-                }
-                all_fired(pool.faults());
+        for seed in [1u64, 7, 42, 1995] {
+            let mut pool = ExecutorPool::with_faults(
+                placement.graph.clone(),
+                m,
+                placement.assignment.clone(),
+                FaultPlan::from_seed(seed, m, 8),
+                FaultConfig {
+                    task_timeout: Duration::from_millis(30),
+                    ..FaultConfig::default()
+                },
+            )
+            .unwrap();
+            let mut dydt = vec![0.0; y0.len()];
+            let mut expect = vec![0.0; y0.len()];
+            for k in 0..25 {
+                let t = 0.05 * k as f64;
+                let y: Vec<f64> = y0.iter().map(|v| v + 1e-4 * k as f64).collect();
+                oracle.eval_serial(t, &y, &mut expect);
+                pool.try_rhs(t, &y, &mut dydt).unwrap();
+                assert_eq!(hex(&dydt), hex(&expect), "m={m} seed {seed} call {k}");
             }
+            all_fired(pool.faults());
         }
     }
 }
 
-/// NaN poison on a cluster's first output, in each of three calls, is
-/// repaired by rerunning the whole cluster, and every output of it comes
-/// back bitwise.
+/// NaN poison on a cluster's first output, in each of three calls and
+/// pinned to the cluster's worker, is repaired by rerunning the whole
+/// cluster, and every output of it comes back bitwise.
 #[test]
 fn nan_repair_reruns_a_whole_cluster_bitwise() {
     let _cores = cores();
     let (y0, placement, oracle) = clustered_bearing(2);
+    let (graph, assignment) = (&placement.graph, &placement.assignment);
     let mut expect = vec![0.0; y0.len()];
     oracle.eval_serial(0.25, &y0, &mut expect);
-    for strategy in Strategy::ALL {
-        for worker in 0..2 {
-            let cluster = placement.assignment.iter().position(|&w| w == worker);
-            let cluster = cluster.expect("one cluster per worker");
-            let plan = (1..=3).fold(FaultPlan::none(), |p, call| {
-                p.inject(call, cluster, FaultKind::CorruptNaN)
-            });
-            let mut pool = ExecutorPool::with_faults(
-                placement.graph.clone(),
-                2,
-                placement.assignment.clone(),
-                plan,
-                FaultConfig::default(),
-                strategy,
-            )
-            .unwrap();
-            let mut dydt = vec![0.0; y0.len()];
-            for call in 1..=3 {
-                pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
-                assert_eq!(hex(&dydt), hex(&expect), "{strategy} worker {worker}");
-                assert_eq!(
-                    pool.recovery().nan_repairs,
-                    call,
-                    "{strategy} worker {worker}"
-                );
-            }
-            all_fired(pool.faults());
-            if strategy == Strategy::Barrier {
-                assert!((0..3).all(|i| pool.faults().claimant(i) == Some(worker)));
-            }
+    let config = FaultConfig {
+        task_timeout: Duration::from_millis(30),
+        ..FaultConfig::default()
+    };
+    for worker in 0..2 {
+        let cluster = assignment.iter().position(|&w| w == worker);
+        let cluster = cluster.expect("one cluster per worker");
+        // Entries 0, 2, 4 pin the worker; 1, 3, 5 poison its cluster.
+        let plan = (1..=3).fold(FaultPlan::none(), |p, call| {
+            pin(p, graph, assignment, worker, call).inject(call, cluster, FaultKind::CorruptNaN)
+        });
+        let mut pool =
+            ExecutorPool::with_faults(graph.clone(), 2, assignment.clone(), plan, config.clone())
+                .unwrap();
+        let mut dydt = vec![0.0; y0.len()];
+        for call in 1..=3 {
+            pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
+            assert_eq!(hex(&dydt), hex(&expect), "worker {worker}");
+            assert_eq!(pool.recovery().nan_repairs, call, "worker {worker}");
         }
+        all_fired(pool.faults());
+        assert!([1, 3, 5]
+            .iter()
+            .all(|&i| pool.faults().claimant(i) == Some(worker)));
     }
 }
 
@@ -578,18 +557,17 @@ proptest! {
         prop_assert_eq!(&clean.1, &faulty.1);
     }
 
-    /// The same property holds on the work-stealing policy, where the
-    /// ladder now runs in place.
+    /// The same property on 2 workers, where a seeded plan addresses
+    /// both of the pool's workers.
     #[test]
-    fn any_seeded_fault_plan_preserves_trajectory_under_ws(seed in 0u64..10_000) {
+    fn any_seeded_fault_plan_preserves_trajectory_on_two_workers(seed in 0u64..10_000) {
         let config = FaultConfig {
             task_timeout: Duration::from_millis(80),
             ..FaultConfig::default()
         };
-        let clean = trajectory_with(
-            FaultPlan::none(), config.clone(), 0.5, Strategy::WorkStealing);
-        let plan = FaultPlan::from_seed(seed, 3, 4);
-        let faulty = trajectory_with(plan, config, 0.5, Strategy::WorkStealing);
+        let clean = trajectory_on(2, FaultPlan::none(), config.clone(), 0.5);
+        let plan = FaultPlan::from_seed(seed, 2, 4);
+        let faulty = trajectory_on(2, plan, config, 0.5);
         prop_assert_eq!(&clean.0, &faulty.0);
         prop_assert_eq!(&clean.1, &faulty.1);
     }

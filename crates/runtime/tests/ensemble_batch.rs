@@ -15,11 +15,10 @@
 
 use om_codegen::registry::CompiledModel;
 use om_runtime::{
-    run_sweep, ScenarioRunConfig, ScenarioSpec, Strategy, SweepConfig, SweepError, SweepFaultPlan,
+    run_sweep, ScenarioRunConfig, ScenarioSpec, SweepConfig, SweepError, SweepFaultPlan,
     SweepResult,
 };
 use proptest::prelude::*;
-use proptest::strategy::Strategy as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -140,12 +139,11 @@ proptest! {
         // The same scenarios through each pooled substrate must agree
         // too — scalar there: a lane width above 1 beside a pool is a
         // config error, not a quiet scalar run.
-        for strategy in [Strategy::Barrier, Strategy::WorkStealing] {
+        for workers in [2, 3] {
             let mut cfg = SweepConfig {
                 run: run_cfg(),
                 concurrency: 2,
-                workers: 2,
-                strategy,
+                workers,
                 batch: batch_width,
                 ..SweepConfig::default()
             };
@@ -158,8 +156,8 @@ proptest! {
             prop_assert_eq!(
                 &pooled.manifest.render_json(),
                 &oracle_json,
-                "{} substrate",
-                strategy
+                "{}-worker substrate",
+                workers
             );
         }
     }
@@ -294,7 +292,7 @@ fn every_placement_of_the_bearing_renders_the_oracle_manifest() {
     let scenarios: Vec<ScenarioSpec> = (0..6)
         .map(|i| ScenarioSpec::new(i, vec![("y".into(), -5e-5 + 0.4e-5 * i as f64)]))
         .collect();
-    let cfg = |workers: usize, strategy: Strategy, batch: usize| SweepConfig {
+    let cfg = |workers: usize, batch: usize| SweepConfig {
         run: ScenarioRunConfig {
             tend: 2e-4,
             h: 1e-5,
@@ -302,23 +300,20 @@ fn every_placement_of_the_bearing_renders_the_oracle_manifest() {
         },
         concurrency: 2,
         workers,
-        strategy,
         batch,
         ..SweepConfig::default()
     };
-    let oracle = run_sweep(&model, &scenarios, &cfg(1, Strategy::Barrier, 1)).unwrap();
+    let oracle = run_sweep(&model, &scenarios, &cfg(1, 1)).unwrap();
     let oracle_json = oracle.manifest.render_json();
     assert!(oracle.manifest.is_fully_terminal());
-    let batched = run_sweep(&model, &scenarios, &cfg(1, Strategy::Barrier, 8)).unwrap();
+    let batched = run_sweep(&model, &scenarios, &cfg(1, 8)).unwrap();
     assert_eq!(batched.manifest.render_json(), oracle_json, "batch 8");
     for workers in [2, 3] {
-        for strategy in [Strategy::Barrier, Strategy::WorkStealing] {
-            let pooled = run_sweep(&model, &scenarios, &cfg(workers, strategy, 1)).unwrap();
-            assert_eq!(
-                pooled.manifest.render_json(),
-                oracle_json,
-                "workers={workers} {strategy}"
-            );
-        }
+        let pooled = run_sweep(&model, &scenarios, &cfg(workers, 1)).unwrap();
+        assert_eq!(
+            pooled.manifest.render_json(),
+            oracle_json,
+            "workers={workers}"
+        );
     }
 }

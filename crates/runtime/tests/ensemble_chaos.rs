@@ -1,23 +1,23 @@
-//! Chaos acceptance test for the ensemble driver (ISSUE acceptance
-//! criterion): a 256-scenario oscillator sweep with seeded per-scenario
-//! panics, stragglers past the deadline, and NaN-poisoned RHS calls must
+//! Chaos acceptance test for the ensemble driver: a 256-scenario
+//! oscillator sweep with seeded per-scenario panics, stragglers past the
+//! deadline, and NaN-poisoned RHS calls must
 //!
 //!   1. complete with every healthy scenario bitwise-identical to a
 //!      sequential no-fault oracle,
 //!   2. leave every faulted scenario in a terminal *typed* state
 //!      (completed-after-retry, quarantined, or deadline-exceeded —
 //!      never skipped, never a crash), and
-//!   3. do so under both executor strategies (`barrier` and `ws`)
-//!      as well as the in-thread serial substrate.
+//!   3. do so on executor pools of 2 and 3 workers as well as the
+//!      in-thread serial substrate.
 //!
-//! Bitwise identity holds because the serial evaluator and both pooled
-//! executors run the same bytecode with disjoint output slots, and the
+//! Bitwise identity holds because the serial evaluator and the pooled
+//! executor run the same bytecode with disjoint output slots, and the
 //! fixed-step RK4 keeps the RHS call sequence reproducible.
 
 use om_codegen::registry::CompiledModel;
 use om_runtime::{
-    run_sweep, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, Strategy, SweepConfig,
-    SweepFaultKind, SweepFaultPlan,
+    run_sweep, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, SweepConfig, SweepFaultKind,
+    SweepFaultPlan,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,12 +71,11 @@ fn oracle() -> om_runtime::SweepResult {
     run_sweep(&model(), &specs(), &cfg).unwrap()
 }
 
-fn chaos_cfg(concurrency: usize, workers: usize, strategy: Strategy) -> SweepConfig {
+fn chaos_cfg(concurrency: usize, workers: usize) -> SweepConfig {
     SweepConfig {
         run: run_cfg(),
         concurrency,
         workers,
-        strategy,
         faults: plan(),
         ..SweepConfig::default()
     }
@@ -176,24 +175,24 @@ fn check_against_oracle(
 #[test]
 fn chaos_sweep_serial_substrate() {
     let oracle = oracle();
-    let result = run_sweep(&model(), &specs(), &chaos_cfg(4, 1, Strategy::Barrier)).unwrap();
+    let result = run_sweep(&model(), &specs(), &chaos_cfg(4, 1)).unwrap();
     check_against_oracle(&result, &oracle, "serial");
 }
 
 #[test]
-fn chaos_sweep_barrier_executor() {
+fn chaos_sweep_three_worker_executor() {
     let oracle = oracle();
-    let cfg = chaos_cfg(4, 2, Strategy::Barrier);
+    let cfg = chaos_cfg(4, 3);
     let result = run_sweep(&model(), &specs(), &cfg).unwrap();
-    check_against_oracle(&result, &oracle, "barrier");
+    check_against_oracle(&result, &oracle, "3 workers");
 }
 
 #[test]
-fn chaos_sweep_work_stealing_executor() {
+fn chaos_sweep_two_worker_executor() {
     let oracle = oracle();
-    let cfg = chaos_cfg(4, 2, Strategy::WorkStealing);
+    let cfg = chaos_cfg(4, 2);
     let result = run_sweep(&model(), &specs(), &cfg).unwrap();
-    check_against_oracle(&result, &oracle, "ws");
+    check_against_oracle(&result, &oracle, "2 workers");
 }
 
 /// The faulted chaos manifests themselves must agree across substrates:
@@ -201,14 +200,14 @@ fn chaos_sweep_work_stealing_executor() {
 /// (Timing-dependent fields live in the report, not the manifest, and
 /// retry counts are seed-deterministic, so full JSON equality holds.)
 #[test]
-fn chaos_manifests_agree_across_strategies() {
-    let serial = run_sweep(&model(), &specs(), &chaos_cfg(4, 1, Strategy::Barrier)).unwrap();
-    for strategy in Strategy::ALL {
-        let pooled = run_sweep(&model(), &specs(), &chaos_cfg(2, 2, strategy)).unwrap();
+fn chaos_manifests_agree_across_substrates() {
+    let serial = run_sweep(&model(), &specs(), &chaos_cfg(4, 1)).unwrap();
+    for workers in [2, 3] {
+        let pooled = run_sweep(&model(), &specs(), &chaos_cfg(2, workers)).unwrap();
         assert_eq!(
             serial.manifest.render_json(),
             pooled.manifest.render_json(),
-            "strategy {strategy}"
+            "{workers} workers"
         );
     }
 }

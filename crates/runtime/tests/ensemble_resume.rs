@@ -15,8 +15,8 @@
 
 use om_codegen::registry::CompiledModel;
 use om_runtime::{
-    run_sweep, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, Strategy,
-    SweepConfig, SweepFaultKind, SweepFaultPlan,
+    run_sweep, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, SweepConfig,
+    SweepFaultKind, SweepFaultPlan,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -209,8 +209,8 @@ fn mid_file_corruption_is_rejected() {
 
 /// A checkpoint does not depend on the placement that wrote it (the
 /// identity is the model's, and every placement is bitwise the in-thread
-/// graph): a bearing sweep killed on a 2-worker work-stealing pool
-/// resumes on a 3-worker barrier pool, or in thread, to the
+/// graph): a bearing sweep killed on a 2-worker pool resumes on a
+/// 3-worker pool, or in thread, to the
 /// uninterrupted in-thread manifest byte for byte.
 #[test]
 fn resume_across_placements_is_bitwise_identical() {
@@ -222,7 +222,7 @@ fn resume_across_placements_is_bitwise_identical() {
     let specs: Vec<ScenarioSpec> = (0..6)
         .map(|i| ScenarioSpec::new(i, vec![("y".into(), -5e-5 + 0.4e-5 * i as f64)]))
         .collect();
-    let cfg = |workers: usize, strategy: Strategy| SweepConfig {
+    let cfg = |workers: usize| SweepConfig {
         run: ScenarioRunConfig {
             tend: 2e-4,
             h: 1e-5,
@@ -230,18 +230,17 @@ fn resume_across_placements_is_bitwise_identical() {
         },
         checkpoint_every: 1,
         workers,
-        strategy,
         ..SweepConfig::default()
     };
-    let oracle = run_sweep(&model, &specs, &cfg(1, Strategy::Barrier)).unwrap();
-    for (resume_workers, strategy) in [(3, Strategy::Barrier), (1, Strategy::WorkStealing)] {
+    let oracle = run_sweep(&model, &specs, &cfg(1)).unwrap();
+    for resume_workers in [3, 1] {
         let path = tmp_path(&format!("placements-{resume_workers}"));
         let _ = std::fs::remove_file(&path);
-        let mut first = cfg(2, Strategy::WorkStealing);
+        let mut first = cfg(2);
         first.checkpoint = Some(path.clone());
         first.stop_after = Some(2);
         run_sweep(&model, &specs, &first).unwrap();
-        let mut resume = cfg(resume_workers, strategy);
+        let mut resume = cfg(resume_workers);
         resume.checkpoint = Some(path.clone());
         resume.resume = true;
         let resumed = run_sweep(&model, &specs, &resume).unwrap();
@@ -249,7 +248,7 @@ fn resume_across_placements_is_bitwise_identical() {
         assert_eq!(
             resumed.manifest.render_json(),
             oracle.manifest.render_json(),
-            "resumed on {resume_workers} workers ({strategy})"
+            "resumed on {resume_workers} workers"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -6,16 +6,14 @@
 //! `run_scenario`/`run_scenario_batch` envelope as the sweep driver, so
 //! for identical scenario batches the `record` fragments must equal the
 //! sweep manifest rows byte for byte — across every execution substrate
-//! (serial, barrier pool, work stealing, SoA batch). This is the
+//! (serial, executor pools of 2 and 3 workers, SoA batch). This is the
 //! load-bearing guarantee that lets the sweep differential suites act
 //! as the serve oracle.
 
 use om_codegen::registry::ModelRegistry;
 use om_runtime::ensemble::checkpoint::render_record;
 use om_runtime::ensemble::json;
-use om_runtime::{
-    run_sweep, ScenarioRunConfig, ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig,
-};
+use om_runtime::{run_sweep, ScenarioRunConfig, ScenarioSpec, ServeConfig, Server, SweepConfig};
 
 const OSC: &str = "model Osc;
   Real x(start = 1.0);
@@ -69,7 +67,7 @@ fn bearing() -> Case {
 
 /// Sweep-side truth: run the library sweep and render each outcome the
 /// way the manifest does.
-fn sweep_records(case: &Case, workers: usize, strategy: Strategy, batch: usize) -> Vec<String> {
+fn sweep_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
     let registry = ModelRegistry::new();
     let model = registry.get_or_compile(&case.source).expect("compile");
     let scenarios: Vec<ScenarioSpec> = case
@@ -86,7 +84,6 @@ fn sweep_records(case: &Case, workers: usize, strategy: Strategy, batch: usize) 
         },
         concurrency: 2,
         workers,
-        strategy,
         batch,
         ..SweepConfig::default()
     };
@@ -98,7 +95,7 @@ fn sweep_records(case: &Case, workers: usize, strategy: Strategy, batch: usize) 
 
 /// Serve-side observation: drive the socket-free request handler and
 /// pull the `record` fragments out of the `scenario` response lines.
-fn serve_records(case: &Case, workers: usize, strategy: Strategy, batch: usize) -> Vec<String> {
+fn serve_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
     let server = Server::new(ServeConfig {
         pool_threads: 2,
         ..ServeConfig::default()
@@ -118,12 +115,11 @@ fn serve_records(case: &Case, workers: usize, strategy: Strategy, batch: usize) 
     let request = format!(
         "{{\"id\":\"d\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
          \"scenarios\":[{}],\"tend\":{},\"h\":{},\
-         \"workers\":{workers},\"executor\":\"{}\",\"batch\":{batch}}}",
+         \"workers\":{workers},\"executor\":\"ws\",\"batch\":{batch}}}",
         json::escape(&case.source),
         scenarios.join(","),
         case.tend,
         case.h,
-        strategy.as_str(),
     );
     let lines = server.handle_line(&request, &mut client, 0);
     assert!(
@@ -143,64 +139,59 @@ fn serve_records(case: &Case, workers: usize, strategy: Strategy, batch: usize) 
         .collect()
 }
 
-fn assert_identical(workers: usize, strategy: Strategy, batch: usize) {
+fn assert_identical(workers: usize, batch: usize) {
     let case = osc();
-    let sweep = sweep_records(&case, workers, strategy, batch);
-    let serve = serve_records(&case, workers, strategy, batch);
+    let sweep = sweep_records(&case, workers, batch);
+    let serve = serve_records(&case, workers, batch);
     assert_eq!(sweep.len(), serve.len());
     for (i, (a, b)) in sweep.iter().zip(&serve).enumerate() {
         assert_eq!(
-            a,
-            b,
-            "scenario {i} diverged (workers={workers}, strategy={}, batch={batch})",
-            strategy.as_str()
+            a, b,
+            "scenario {i} diverged (workers={workers}, batch={batch})"
         );
     }
 }
 
 #[test]
 fn serve_matches_sweep_serial() {
-    assert_identical(1, Strategy::Barrier, 1);
+    assert_identical(1, 1);
 }
 
 #[test]
-fn serve_matches_sweep_barrier_pool() {
-    assert_identical(2, Strategy::Barrier, 1);
+fn serve_matches_sweep_three_worker_pool() {
+    assert_identical(3, 1);
 }
 
 #[test]
-fn serve_matches_sweep_work_stealing() {
-    assert_identical(2, Strategy::WorkStealing, 1);
+fn serve_matches_sweep_two_worker_pool() {
+    assert_identical(2, 1);
 }
 
 #[test]
 fn serve_matches_sweep_batch8() {
-    assert_identical(1, Strategy::Barrier, 8);
+    assert_identical(1, 8);
 }
 
 /// Pools are built from the registry's per-worker-count placement, so
 /// 1, 2 and 3 workers run three different clustered graphs of the
 /// bearing: sweep and serve records are byte-identical to the in-thread
-/// one-cluster sweep at every worker count under both policies.
+/// one-cluster sweep at every worker count.
 #[test]
 fn every_placement_of_the_bearing_is_byte_identical() {
     let case = bearing();
-    let oracle = sweep_records(&case, 1, Strategy::Barrier, 1);
+    let oracle = sweep_records(&case, 1, 1);
     assert!(oracle.iter().all(|r| r.contains("completed")), "{oracle:?}");
     for workers in [1, 2, 3] {
-        for strategy in [Strategy::Barrier, Strategy::WorkStealing] {
-            let what = format!("workers={workers} {}", strategy.as_str());
-            assert_eq!(
-                sweep_records(&case, workers, strategy, 1),
-                oracle,
-                "sweep {what}"
-            );
-            assert_eq!(
-                serve_records(&case, workers, strategy, 1),
-                oracle,
-                "serve {what}"
-            );
-        }
+        assert_eq!(
+            sweep_records(&case, workers, 1),
+            oracle,
+            "sweep workers={workers}"
+        );
+        assert_eq!(
+            serve_records(&case, workers, 1),
+            oracle,
+            "serve workers={workers}"
+        );
     }
 }
 

@@ -1,14 +1,14 @@
 //! Work-stealing executor correctness properties.
 //!
-//! The work-stealing policy has no barrier, so its correctness
-//! rests on the determinism argument of `om_runtime::pool`: every task is a pure
-//! function of `(t, y, shared)` and every output slot is written exactly
-//! once, so the result must be *bitwise identical* to the sequential
-//! in-order evaluation (`TaskGraph::eval_serial`) and to the barrier
-//! executor — for every built-in model, every worker count, and any
-//! state vector. These tests check exactly that, plus agreement with the
-//! tree-walking `IrEvaluator` oracle and full-trajectory equality
-//! through the solver.
+//! The pool's one policy, work stealing, has no barrier, so its
+//! correctness rests on the determinism argument of `om_runtime::pool`:
+//! every task is a pure function of `(t, y, shared)` and every output
+//! slot is written exactly once, so the result must be *bitwise
+//! identical* to the sequential in-order evaluation
+//! (`TaskGraph::eval_serial`) — for every built-in model, every worker
+//! count, and any state vector. These tests check exactly that, plus
+//! agreement with the tree-walking `IrEvaluator` oracle and
+//! full-trajectory equality through the solver.
 
 use om_codegen::{BatchScratch, CodeGenerator, GenOptions};
 use om_models::{bearing2d, bearing3d, heat1d, hydro, oscillator, servo};
@@ -66,10 +66,12 @@ fn perturb(y0: &[f64], seed: u64) -> Vec<f64> {
 }
 
 /// One RHS evaluation through the work-stealing pool must be bitwise
-/// identical to the sequential in-order oracle and to the barrier pool,
-/// for all models × worker counts × inline modes.
+/// identical to the sequential in-order oracle, for all models × worker
+/// counts × inline modes — and so must the pool that the benchmark
+/// ledger still builds with the legacy `Strategy::Barrier` argument,
+/// which is the same pool.
 #[test]
-fn ws_rhs_is_bitwise_identical_to_serial_and_barrier() {
+fn ws_rhs_is_bitwise_identical_to_serial_and_to_a_legacy_barrier_build() {
     for (name, src) in builtin_sources() {
         for inline in [true, false] {
             let (ir, graph) = graph_for(&src, inline);
@@ -96,7 +98,7 @@ fn ws_rhs_is_bitwise_identical_to_serial_and_barrier() {
                     );
                     assert_eq!(
                         d_ws, d_barrier,
-                        "{name} inline={inline} workers={workers} seed={seed}: ws vs barrier"
+                        "{name} inline={inline} workers={workers} seed={seed}: ws vs legacy build"
                     );
                 }
             }
@@ -133,9 +135,9 @@ fn ws_rhs_matches_ir_evaluator_oracle() {
 }
 
 /// Full solver trajectories through `ParallelRhs` must be bitwise
-/// identical between the two strategies (both at several worker counts).
+/// identical at every worker count.
 #[test]
-fn ws_trajectories_are_bitwise_identical_to_barrier() {
+fn ws_trajectories_are_bitwise_identical_across_worker_counts() {
     for (name, src) in [
         ("oscillator", oscillator::source()),
         ("servo", servo::source()),
@@ -145,20 +147,22 @@ fn ws_trajectories_are_bitwise_identical_to_barrier() {
         let program = CodeGenerator::default().generate(&ir);
         let y0 = ir.initial_state();
         let mut reference: Option<(Vec<f64>, Vec<Vec<f64>>)> = None;
-        for strategy in Strategy::ALL {
-            for workers in [2usize, 4] {
-                let sched = program.schedule(workers);
-                let pool =
-                    ExecutorPool::build(program.graph.clone(), workers, sched.assignment, strategy)
-                        .unwrap();
-                let mut rhs = ParallelRhs::new(pool, 8);
-                let sol = dopri5(&mut rhs, 0.0, &y0, 0.5, &Tolerances::default()).unwrap();
-                match &reference {
-                    None => reference = Some((sol.ts, sol.ys)),
-                    Some((ts, ys)) => {
-                        assert_eq!(ts, &sol.ts, "{name} {strategy} w={workers}: grids");
-                        assert_eq!(ys, &sol.ys, "{name} {strategy} w={workers}: states");
-                    }
+        for workers in [1usize, 2, 4] {
+            let sched = program.schedule(workers);
+            let pool = ExecutorPool::build(
+                program.graph.clone(),
+                workers,
+                sched.assignment,
+                Strategy::WorkStealing,
+            )
+            .unwrap();
+            let mut rhs = ParallelRhs::new(pool, 8);
+            let sol = dopri5(&mut rhs, 0.0, &y0, 0.5, &Tolerances::default()).unwrap();
+            match &reference {
+                None => reference = Some((sol.ts, sol.ys)),
+                Some((ts, ys)) => {
+                    assert_eq!(ts, &sol.ts, "{name} w={workers}: grids");
+                    assert_eq!(ys, &sol.ys, "{name} w={workers}: states");
                 }
             }
         }
@@ -188,20 +192,18 @@ fn placed_bearing_trajectories_match_the_in_thread_run() {
     let reference = dopri5(&mut in_thread, 0.0, &y0, tend, &Tolerances::default()).unwrap();
     for m in [2, 3] {
         let placement = generator.place(&ir, &tasks, m);
-        for strategy in Strategy::ALL {
-            let pool = ExecutorPool::build(
-                placement.graph.clone(),
-                m,
-                placement.assignment.clone(),
-                strategy,
-            )
-            .unwrap();
-            let mut rhs = ParallelRhs::new(pool, 16);
-            let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
-            assert!(rhs.scheduler.reschedules > 0, "m={m} {strategy}");
-            assert_eq!(sol.ts, reference.ts, "m={m} {strategy}: grids");
-            assert_eq!(sol.ys, reference.ys, "m={m} {strategy}: states");
-        }
+        let pool = ExecutorPool::build(
+            placement.graph.clone(),
+            m,
+            placement.assignment.clone(),
+            Strategy::WorkStealing,
+        )
+        .unwrap();
+        let mut rhs = ParallelRhs::new(pool, 16);
+        let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+        assert!(rhs.scheduler.reschedules > 0, "m={m}");
+        assert_eq!(sol.ts, reference.ts, "m={m}: grids");
+        assert_eq!(sol.ys, reference.ys, "m={m}: states");
     }
 }
 
@@ -228,44 +230,39 @@ fn a_born_serial_bearing_pool_never_compiles_its_placement() {
         graph.eval_batch(t, y, d, &mut scratch);
     });
     let reference = dopri5(&mut in_thread, 0.0, &y0, tend, &Tolerances::default()).unwrap();
-    for strategy in Strategy::ALL {
-        let compiled = Arc::new(AtomicUsize::new(0));
-        let count = Arc::clone(&compiled);
-        let (ir, tasks) = (ir.clone(), tasks.clone());
-        let pool = ExecutorPool::born_serial(
-            one.graph.clone(),
-            2,
-            FaultPlan::none(),
-            FaultConfig::default(),
-            strategy,
-            &one.costs.schedule(2),
-            move |_| {
-                count.fetch_add(1, Ordering::Relaxed);
-                let placement = CodeGenerator::default().place(&ir, &tasks, 2);
-                (Arc::new(placement.graph), placement.assignment)
-            },
-        )
-        .unwrap();
-        let mut rhs = ParallelRhs::new(pool, 16);
-        let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
-        assert!(rhs.scheduler.reschedules > 0, "{strategy}");
-        assert!(rhs.pool.handoff_ns() > 0.0, "{strategy}: probed");
-        // The placement is compiled exactly when a call left the solo
-        // path.
-        let built = compiled.load(Ordering::Relaxed);
-        assert_eq!(built, usize::from(rhs.pool.placed()), "{strategy}");
-        let all_solo = rhs.pool.supervisor_only_calls() == rhs.calls as u64;
-        assert_eq!(all_solo, built == 0, "{strategy}");
-        // Optimised, a call takes ~2 µs and no wake-up is that short. An
-        // unoptimised build interprets ~15 times slower, long enough for
-        // a quick hand-off to pay, so there only the rule is checked.
-        if !cfg!(debug_assertions) {
-            let h = rhs.pool.handoff_ns();
-            assert_eq!(built, 0, "{strategy}: hand-off {h} ns");
-        }
-        assert_eq!(sol.ts, reference.ts, "{strategy}: grids");
-        assert_eq!(sol.ys, reference.ys, "{strategy}: states");
+    let compiled = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&compiled);
+    let pool = ExecutorPool::born_serial(
+        one.graph.clone(),
+        2,
+        FaultPlan::none(),
+        FaultConfig::default(),
+        &one.costs.schedule(2),
+        move |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+            let placement = CodeGenerator::default().place(&ir, &tasks, 2);
+            (Arc::new(placement.graph), placement.assignment)
+        },
+    )
+    .unwrap();
+    let mut rhs = ParallelRhs::new(pool, 16);
+    let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    assert!(rhs.scheduler.reschedules > 0);
+    assert!(rhs.pool.handoff_ns() > 0.0, "probed");
+    // The placement is compiled exactly when a call left the solo path.
+    let built = compiled.load(Ordering::Relaxed);
+    assert_eq!(built, usize::from(rhs.pool.placed()));
+    let all_solo = rhs.pool.supervisor_only_calls() == rhs.calls as u64;
+    assert_eq!(all_solo, built == 0);
+    // Optimised, a call takes ~2 µs and no wake-up is that short. An
+    // unoptimised build interprets ~15 times slower, long enough for a
+    // quick hand-off to pay, so there only the rule is checked.
+    if !cfg!(debug_assertions) {
+        let h = rhs.pool.handoff_ns();
+        assert_eq!(built, 0, "hand-off {h} ns");
     }
+    assert_eq!(sol.ts, reference.ts, "grids");
+    assert_eq!(sol.ys, reference.ys, "states");
 }
 
 /// A pool switches between its two placements from one call to the
@@ -277,8 +274,7 @@ fn a_born_serial_bearing_pool_never_compiles_its_placement() {
 /// trajectory — tasks of 2^40 ns spread over both workers; 1 ns tasks
 /// stay on the supervisor once a hand-off has been measured. The first
 /// forced seed compiles the placement, and the trajectory must be
-/// bitwise the in-thread one-cluster run's across the switch, for both
-/// policies.
+/// bitwise the in-thread one-cluster run's across the switch.
 #[test]
 fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
     const SOLO_FIRST: u64 = 8;
@@ -316,44 +312,41 @@ fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
         let placement = generator.place(ir, &tasks, 2);
         let n = placement.graph.tasks.len();
         assert!(n >= 2, "{name}: a helper needs a task");
-        for strategy in Strategy::ALL {
-            let (graph, assignment) = (placement.graph.clone(), placement.assignment.clone());
-            let mut pool = ExecutorPool::born_serial(
-                one.clone(),
-                2,
-                FaultPlan::none(),
-                FaultConfig::default(),
-                strategy,
-                &placement.schedule,
-                move |_| (Arc::new(graph), assignment),
-            )
-            .unwrap();
-            let mut calls = 0u64;
-            let sol = {
-                let mut alternating = FnSystem::new(one.dim, |t, y: &[f64], d: &mut [f64]| {
-                    if calls >= SOLO_FIRST {
-                        let cost = [1 << 40, 1][calls as usize & 1];
-                        pool.rebalance(&vec![cost; n]);
-                    }
-                    pool.rhs(t, y, d);
-                    calls += 1;
-                    let built = calls > SOLO_FIRST;
-                    assert_eq!(pool.placed(), built, "{name} {strategy}: call {calls}");
-                    if !built {
-                        assert_eq!(pool.supervisor_only_calls(), calls);
-                    }
-                });
-                dopri5(&mut alternating, 0.0, &y0, *tend, &Tolerances::default()).unwrap()
-            };
-            let solo = pool.supervisor_only_calls();
-            assert!(
-                solo > SOLO_FIRST && solo < calls,
-                "{name} {strategy}: {solo} of {calls}"
-            );
-            assert_eq!(pool.graph().tasks.len(), n, "{name} {strategy}");
-            assert_eq!(sol.ts, reference.ts, "{name} {strategy}: grids");
-            assert_eq!(sol.ys, reference.ys, "{name} {strategy}: states");
-        }
+        let (graph, assignment) = (placement.graph, placement.assignment);
+        let mut pool = ExecutorPool::born_serial(
+            one.clone(),
+            2,
+            FaultPlan::none(),
+            FaultConfig::default(),
+            &placement.schedule,
+            move |_| (Arc::new(graph), assignment),
+        )
+        .unwrap();
+        let mut calls = 0u64;
+        let sol = {
+            let mut alternating = FnSystem::new(one.dim, |t, y: &[f64], d: &mut [f64]| {
+                if calls >= SOLO_FIRST {
+                    let cost = [1 << 40, 1][calls as usize & 1];
+                    pool.rebalance(&vec![cost; n]);
+                }
+                pool.rhs(t, y, d);
+                calls += 1;
+                let built = calls > SOLO_FIRST;
+                assert_eq!(pool.placed(), built, "{name}: call {calls}");
+                if !built {
+                    assert_eq!(pool.supervisor_only_calls(), calls);
+                }
+            });
+            dopri5(&mut alternating, 0.0, &y0, *tend, &Tolerances::default()).unwrap()
+        };
+        let solo = pool.supervisor_only_calls();
+        assert!(
+            solo > SOLO_FIRST && solo < calls,
+            "{name}: {solo} of {calls}"
+        );
+        assert_eq!(pool.graph().tasks.len(), n, "{name}");
+        assert_eq!(sol.ts, reference.ts, "{name}: grids");
+        assert_eq!(sol.ys, reference.ys, "{name}: states");
     }
 }
 

@@ -81,7 +81,7 @@ fn main() {
         program.graph,
         workers,
         schedule.assignment,
-        Strategy::default(),
+        Strategy::WorkStealing,
     )
     .expect("valid pool");
     let mut rhs = ParallelRhs::new(pool, 32);

@@ -145,14 +145,13 @@ fn usage() -> String {
          --workers N               RHS workers (default 1: the generated code\n\
                                    evaluated in-thread, no pool; N > 1 runs the\n\
                                    same code on a pool; output is identical)\n\
-         --executor barrier|ws     scheduling policy of the worker pool (default\n\
-                                   barrier = level fences, static assignment;\n\
-                                   ws = dependency-driven work stealing)\n\
+         --executor ws             the worker pool's one policy, dependency-driven\n\
+                                   work stealing (accepted, not needed)\n\
          --set state=value         override a start value (repeatable)\n\
          --rtol R --atol A         tolerances (default 1e-6 / 1e-9)\n\
          --h H                     fixed step for rk4 (default (tend-t0)/1000)\n\
          --fault-seed SEED         seeded fault plan on the pool's RHS calls (chaos\n\
-                                   runs; recovered in place under either --executor;\n\
+                                   runs; recovered in place on the pool;\n\
                                    requires --workers > 1)\n\
        sweep                       run N parameter scenarios over one compiled model\n\
          --params FILE             scenario vectors: .json (array of objects) or\n\
@@ -164,7 +163,7 @@ fn usage() -> String {
                                    usage error for sweep/request)\n\
          --concurrency N           scenario workers (default 4)\n\
          --workers N               ODE workers per scenario (default 1 = serial)\n\
-         --executor barrier|ws     executor when --workers > 1\n\
+         --executor ws             as for simulate\n\
          --batch K                 evaluate K scenarios per batched integration\n\
                                    (SoA lanes, bitwise-identical to --batch 1;\n\
                                    requires --workers 1)\n\
@@ -422,7 +421,6 @@ struct Flags {
     solver: String,
     /// `--solver` was given (a usage error where no solver is selectable).
     solver_set: bool,
-    executor: Strategy,
     workers: usize,
     tend: f64,
     rtol: f64,
@@ -508,9 +506,10 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
                 f.solver_set = true;
             }
             "--executor" => {
-                f.executor = value("--executor")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--executor: {e}")))?
+                // The pool's one policy; the token is checked, not stored.
+                value("--executor")?
+                    .parse::<Strategy>()
+                    .map_err(|e| CliError::Usage(format!("--executor: {e}")))?;
             }
             "--workers" => {
                 f.workers = value("--workers")?
@@ -1099,7 +1098,6 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         },
         concurrency: opts.concurrency.max(1),
         workers: opts.workers.max(1),
-        strategy: opts.executor,
         batch: opts.batch.max(1),
         faults,
         checkpoint: opts.checkpoint.as_ref().map(std::path::PathBuf::from),
@@ -1130,14 +1128,13 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
     );
     println!(
         "  {} fresh + {} from checkpoint in {:.3}s ({:.1} scenarios/s, p50 {:.2}ms, \
-         p99 {:.2}ms, strategy {}, batch {}, registry {} hit(s) {} miss(es))",
+         p99 {:.2}ms, batch {}, registry {} hit(s) {} miss(es))",
         report.fresh,
         report.from_checkpoint,
         report.wall.as_secs_f64(),
         report.throughput_per_sec(),
         report.latency_percentile_ns(0.50) as f64 / 1e6,
         report.latency_percentile_ns(0.99) as f64 / 1e6,
-        cfg.strategy,
         report.effective_batch,
         registry.hits(),
         registry.misses(),
@@ -1251,7 +1248,7 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
     Ok(format!(
         "{{\"id\":\"{id}\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
          \"scenarios\":[{}],\"tend\":{},\"h\":{},\"deadline_ms\":{},\"max_rhs\":{},\
-         \"retries\":{},\"workers\":{},\"executor\":\"{}\",\"batch\":{}}}",
+         \"retries\":{},\"workers\":{},\"batch\":{}}}",
         json::escape(source),
         scenarios.join(","),
         fmt_f64(opts.tend),
@@ -1260,7 +1257,6 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
         opts.max_rhs,
         opts.retries,
         opts.workers.max(1),
-        opts.executor.as_str(),
         opts.batch.max(1),
     ))
 }
@@ -1467,7 +1463,6 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
         });
         solve(&mut ModelSystem::new(rhs, &ir))?
     } else {
-        let strategy = opts.executor;
         let m = opts.workers;
         let one = generator.place(&ir, &tasks, 1);
         let schedule = one.costs.schedule(m);
@@ -1488,15 +1483,8 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
             .fault_seed
             .map_or_else(FaultPlan::none, |s| FaultPlan::from_seed(s, m, m));
         let config = FaultConfig::default();
-        let pool =
-            ExecutorPool::born_serial(one.graph, m, plan, config, strategy, &schedule, place)
-                .map_err(CliError::Runtime)?;
-        // Record the strategy where `--metrics` can see it.
-        if om_obs::is_enabled() {
-            om_obs::metrics()
-                .counter(&format!("runtime.strategy.{strategy}"))
-                .inc();
-        }
+        let pool = ExecutorPool::born_serial(one.graph, m, plan, config, &schedule, place)
+            .map_err(CliError::Runtime)?;
         let mut sys = ModelSystem::new(ParallelRhs::new(pool, RESCHED_EVERY), &ir);
         let sol = match solve(&mut sys) {
             Ok(sol) => sol,
@@ -1517,7 +1505,7 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
             n => format!("{n} clusters"),
         };
         eprintln!(
-            "[parallel RHS ({strategy}): {placed}, {} calls, {:.0} calls/s, \
+            "[parallel RHS (ws): {placed}, {} calls, {:.0} calls/s, \
              scheduler overhead {:.3}%, {} supervisor-only, hand-off ≈ {:.1} µs, \
              supervisor-only on {} cluster{} / {} instrs]",
             rhs.calls,
@@ -1560,14 +1548,14 @@ mod tests {
 
     #[test]
     fn parse_flags_executor() {
-        let f = parse_flags(&args(&["--executor", "ws"])).expect("ws executor");
-        assert_eq!(f.executor, Strategy::WorkStealing);
-        let f = parse_flags(&args(&["--executor", "barrier"])).expect("barrier executor");
-        assert_eq!(f.executor, Strategy::Barrier);
-        assert!(matches!(
-            parse_flags(&args(&["--executor", "hybrid"])),
-            Err(CliError::Usage(_))
-        ));
+        parse_flags(&args(&["--executor", "ws"])).expect("ws executor");
+        for token in ["barrier", "hybrid"] {
+            match parse_flags(&args(&["--executor", token])) {
+                Err(CliError::Usage(e)) => assert!(e.contains("'ws'"), "{token}: {e}"),
+                Err(other) => panic!("{token}: expected a usage error, got {other}"),
+                Ok(_) => panic!("{token}: expected a usage error"),
+            }
+        }
     }
 
     #[test]
@@ -1576,7 +1564,6 @@ mod tests {
         assert_eq!(f.lang, "f90");
         assert_eq!(f.solver, "dopri5");
         assert_eq!(f.workers, 0);
-        assert_eq!(f.executor, Strategy::Barrier);
         assert_eq!(f.batch, 1);
         assert!(f.trace.is_none());
         assert!(!f.metrics);

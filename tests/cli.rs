@@ -334,8 +334,8 @@ fn metrics_without_workers_reports_solver_counters() {
 #[test]
 fn ws_executor_with_fault_seed_runs_ws_and_prints_the_same_states() {
     // The seeded plan is recovered on the work-stealing pool itself: no
-    // fallback warning, the strategy asked for is the strategy reported,
-    // and the trajectory is the fault-free one digit for digit.
+    // fallback warning, the one executor is the one reported, and the
+    // trajectory is the fault-free one digit for digit.
     let run = |extra: &[&str]| {
         let out = omc()
             .args(["bearing2d", "simulate", "--tend", "0.02", "--workers", "3"])
@@ -549,5 +549,28 @@ fn ignored_flag_combinations_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
         assert!(stderr.contains(named), "{command} {flags:?}: {stderr}");
+    }
+}
+
+/// The level-fence executor was removed: `--executor barrier` is refused
+/// with a usage error that names the one executor, never run as `ws`.
+#[test]
+fn the_removed_barrier_executor_is_a_usage_error_naming_ws() {
+    let path = write_model("barrier_executor", OSC);
+    for (command, extra) in [
+        ("simulate", &["--workers", "2"][..]),
+        ("sweep", &["--grid", "x=0:1:2", "--workers", "2"]),
+    ] {
+        let out = omc()
+            .arg(&path)
+            .arg(command)
+            .args(extra)
+            .args(["--executor", "barrier"])
+            .output()
+            .expect("run omc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("'ws'"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command}: nothing ran");
     }
 }

@@ -18,7 +18,7 @@ fn pipeline(source: &str, options: GenOptions, workers: usize) -> ParallelRhs {
             program.graph,
             workers,
             schedule.assignment,
-            Strategy::default(),
+            Strategy::WorkStealing,
         )
         .unwrap(),
         16,
@@ -144,7 +144,13 @@ fn runtime_settable_start_values_change_the_trajectory() {
     let program = CodeGenerator::default().generate(&ir);
     let schedule = program.schedule(1);
     let mut rhs = ParallelRhs::new(
-        ExecutorPool::build(program.graph, 1, schedule.assignment, Strategy::default()).unwrap(),
+        ExecutorPool::build(
+            program.graph,
+            1,
+            schedule.assignment,
+            Strategy::WorkStealing,
+        )
+        .unwrap(),
         0,
     );
     let sol = rk4(&mut rhs, 0.0, &ir.initial_state(), 1.0, 1e-3).unwrap();
@@ -172,8 +178,13 @@ fn all_paper_models_run_through_the_parallel_pipeline() {
         let program = CodeGenerator::default().generate(&ir);
         let schedule = program.schedule(3);
         let mut rhs = ParallelRhs::new(
-            ExecutorPool::build(program.graph, 3, schedule.assignment, Strategy::default())
-                .unwrap(),
+            ExecutorPool::build(
+                program.graph,
+                3,
+                schedule.assignment,
+                Strategy::WorkStealing,
+            )
+            .unwrap(),
             8,
         );
         let y0 = ir.initial_state();
