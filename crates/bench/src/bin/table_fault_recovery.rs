@@ -23,12 +23,6 @@ fn mean_us(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// The `q`-quantile of `xs` (nearest rank below), sorting in place.
-fn quantile(xs: &mut [f64], q: f64) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[((xs.len() - 1) as f64 * q) as usize]
-}
-
 /// The supervision-overhead target, as a fraction of the per-call cost.
 const TARGET: f64 = 0.05;
 
@@ -98,26 +92,16 @@ fn main() {
         task_timeout: Duration::from_secs(60),
         ..FaultConfig::default()
     });
-    let mut dydt = vec![0.0; y0.len()];
+    let (mut dydt, mut dydt_off) = (vec![0.0; y0.len()], vec![0.0; y0.len()]);
     let pairs = 40usize;
     let block_calls = calls / 20;
-    let (mut rel, mut default_all, mut off_all) = (Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..pairs {
-        let (on, off) = if pair % 2 == 0 {
-            let on = block(&mut pool_default, &mut dydt, block_calls);
-            (on, block(&mut pool_off, &mut dydt, block_calls))
-        } else {
-            let off = block(&mut pool_off, &mut dydt, block_calls);
-            (block(&mut pool_default, &mut dydt, block_calls), off)
-        };
-        rel.push((on - off) / off);
-        default_all.push(on);
-        off_all.push(off);
-    }
-    let default_us = quantile(&mut default_all, 0.5);
-    let off_us = quantile(&mut off_all, 0.5);
-    let overhead = quantile(&mut rel, 0.5);
-    let (q1, q3) = (quantile(&mut rel, 0.25), quantile(&mut rel, 0.75));
+    let paired = om_bench::paired_overhead(
+        pairs,
+        || block(&mut pool_off, &mut dydt_off, block_calls),
+        || block(&mut pool_default, &mut dydt, block_calls),
+    );
+    let (default_us, off_us) = (paired.treated, paired.base);
+    let (overhead, q1, q3) = (paired.overhead, paired.q1, paired.q3);
     println!("pool, default supervision  {default_us:>10.1} µs/call (median of {pairs} blocks)");
     println!("pool, 60s timeout (≈ off)  {off_us:>10.1} µs/call");
 
@@ -134,9 +118,9 @@ fn main() {
     println!("pool, 4ms detection        {tight_us:>10.1} µs/call (informational)");
 
     // Recovery latency: kill the claimant of one task mid-run, time every
-    // call, and find the call that absorbed the failure. The task is one
-    // the schedule seeds on worker 1, but an idle worker may steal it, so
-    // the claimant is read back from the plan.
+    // call, and read the one the plan names. The task is one the schedule
+    // seeds on worker 1, but an idle worker may steal it, so the claimant
+    // is read back from the plan.
     let sched = lpt(&costs, workers);
     let kill_at = 500u64;
     let task = sched.assignment.iter().position(|&w| w == 1).unwrap_or(0);
@@ -155,12 +139,8 @@ fn main() {
         pool.rhs(k as f64 * 1e-6, &y0, &mut dydt);
         samples.push(start.elapsed().as_secs_f64() * 1e6);
     }
-    let spike_idx = samples
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
+    // The pool's calls count from 1, so call `kill_at` is sample `kill_at - 1`.
+    let spike_idx = kill_at as usize - 1;
     let spike_us = samples[spike_idx];
     // Steady-state mean excluding the recovery neighbourhood.
     let steady: Vec<f64> = samples
@@ -190,7 +170,7 @@ fn main() {
         claimant.map_or("-".to_owned(), |w| w.to_string())
     );
     println!("  steady-state mean        {steady_us:>10.1} µs/call");
-    println!("  recovery call (#{spike_idx})    {spike_us:>10.1} µs");
+    println!("  recovery call (#{kill_at})    {spike_us:>10.1} µs");
     println!("  recovery latency         {recovery_us:>10.1} µs (detection + respawn + replay)");
     println!("  post-recovery mean       {after_us:>10.1} µs/call");
     println!(

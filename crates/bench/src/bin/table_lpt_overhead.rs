@@ -122,38 +122,12 @@ fn main() {
         }
         start.elapsed().as_secs_f64()
     };
-    // Measurement design for a contended one-core container (single reps
-    // swing tens of percent): (a) the two configurations measured
-    // back-to-back per rep, with reps short enough that both arms of a
-    // pair see the same load environment, (b) arm order alternated so
-    // "second run in the pair" bias cancels, (c) many pairs, with the
-    // *median of the per-pair relative differences* as the estimator —
-    // robust to load spikes corrupting individual pairs on either side.
-    let reps = 40;
-    let mut rel: Vec<f64> = Vec::with_capacity(reps);
-    let mut off: Vec<f64> = Vec::with_capacity(reps);
-    let mut on: Vec<f64> = Vec::with_capacity(reps);
-    for r in 0..reps {
-        let (t_off, t_on) = if r % 2 == 0 {
-            let a = timed_run(false);
-            let b = timed_run(true);
-            (a, b)
-        } else {
-            let b = timed_run(true);
-            let a = timed_run(false);
-            (a, b)
-        };
-        rel.push((t_on - t_off) / t_off);
-        off.push(t_off);
-        on.push(t_on);
-    }
+    // Paired, alternating, median of per-pair relative differences: see
+    // `om_bench::paired_overhead`.
+    let paired = om_bench::paired_overhead(40, || timed_run(false), || timed_run(true));
     om_obs::init(&om_obs::ObsConfig::disabled());
-    let median = |xs: &mut Vec<f64>| -> f64 {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        xs[xs.len() / 2]
-    };
-    let overhead = median(&mut rel).max(0.0);
-    let (t_off, t_on) = (median(&mut off), median(&mut on));
+    let overhead = paired.overhead.max(0.0);
+    let (t_off, t_on) = (paired.base, paired.treated);
     println!(
         "disabled: {t_off:.4}s   enabled: {t_on:.4}s   overhead: {:.3}%",
         100.0 * overhead

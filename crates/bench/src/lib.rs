@@ -111,6 +111,61 @@ pub fn rule(width: usize) -> String {
     "-".repeat(width)
 }
 
+/// Two timed arms compared pair by pair ([`paired_overhead`]).
+pub struct Paired {
+    /// Median time of the base arm.
+    pub base: f64,
+    /// Median time of the treated arm.
+    pub treated: f64,
+    /// Median of the per-pair relative differences, (treated − base) / base.
+    pub overhead: f64,
+    /// Lower quartile of the per-pair relative differences.
+    pub q1: f64,
+    /// Upper quartile of the per-pair relative differences.
+    pub q3: f64,
+}
+
+/// Compare two timed arms on a contended host, where single repetitions
+/// swing tens of percent: (a) the arms run back to back in each pair,
+/// short enough that both see the same load, (b) their order alternates
+/// so a "second in the pair" bias cancels, (c) over many pairs, with the
+/// *median of the per-pair relative differences* as the estimator,
+/// robust to a load spike in either arm. The quartiles of those
+/// differences say whether a target is resolved at all.
+pub fn paired_overhead(
+    pairs: usize,
+    mut base: impl FnMut() -> f64,
+    mut treated: impl FnMut() -> f64,
+) -> Paired {
+    let (mut rel, mut bases, mut treateds) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (b, t) = if pair % 2 == 0 {
+            let b = base();
+            (b, treated())
+        } else {
+            let t = treated();
+            (base(), t)
+        };
+        rel.push((t - b) / b);
+        bases.push(b);
+        treateds.push(t);
+    }
+    Paired {
+        base: quantile(&mut bases, 0.5),
+        treated: quantile(&mut treateds, 0.5),
+        overhead: quantile(&mut rel, 0.5),
+        q1: quantile(&mut rel, 0.25),
+        q3: quantile(&mut rel, 0.75),
+    }
+}
+
+/// The `q`-quantile of `xs` by rank `⌊len·q⌋` (the upper median for
+/// 0.5), sorting in place.
+fn quantile(xs: &mut [f64], q: f64) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[((xs.len() as f64 * q) as usize).min(xs.len() - 1)]
+}
+
 /// One checked gate: a named measurement against a named bound.
 struct GateRow {
     name: String,
@@ -307,6 +362,32 @@ mod tests {
         assert!(gates.failed());
         // finish() would exit(1) here, so only the bookkeeping is
         // asserted; the exit path is covered by the CI gate jobs.
+    }
+
+    #[test]
+    fn paired_overhead_alternates_the_arms_and_takes_medians() {
+        let order = std::cell::RefCell::new(String::new());
+        let treated = std::cell::Cell::new([11.0, 12.0, 9.0, 30.0].into_iter());
+        let p = paired_overhead(
+            4,
+            || {
+                order.borrow_mut().push('b');
+                10.0
+            },
+            || {
+                order.borrow_mut().push('t');
+                let mut rest = treated.take();
+                let t = rest.next().unwrap();
+                treated.set(rest);
+                t
+            },
+        );
+        assert_eq!(order.borrow().as_str(), "bttbbttb");
+        // Relative differences 0.1, 0.2, -0.1, 2.0: one spike moves the
+        // upper quartile, not the median.
+        assert_eq!((p.base, p.treated), (10.0, 12.0));
+        assert!((p.overhead - 0.2).abs() < 1e-12);
+        assert!((p.q1 - 0.1).abs() < 1e-12 && (p.q3 - 2.0).abs() < 1e-12);
     }
 
     #[test]

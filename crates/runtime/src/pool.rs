@@ -860,6 +860,12 @@ impl ExecutorPool {
             self.break_even();
             return;
         }
+        // Every task is the live supervisor's and the hand-off is no
+        // shorter than the solo call: a schedule that seeds a helper ends
+        // after the hand-off, so the comparison below would refuse it.
+        if self.goes_solo() && self.solo.ns > 0.0 && self.handoff_ns >= self.solo.ns {
+            return;
+        }
         let costs: Vec<u64> = self
             .measured
             .iter()
@@ -2250,6 +2256,37 @@ mod tests {
         pool.try_rhs(0.9, &[0.4, -0.3], &mut got).unwrap();
         assert_eq!(&got[..], &expect[..]);
         assert!(pool.recovery().stale_results >= 1, "{:?}", pool.recovery());
+    }
+
+    /// Rung 3 of the timeout ladder: a worker that still holds its task
+    /// one timeout after the retry is written off. The supervisor's role
+    /// is lost first (call 1 kills it in its supervisor-only call), so
+    /// nobody can steal the retried task from the stalled helper.
+    #[test]
+    fn a_helper_holding_its_retried_task_is_written_off() {
+        let (ir, g) = graph(MODEL, true);
+        let expect = reference_rhs(&ir, 0.8, &[0.4, -0.3]);
+        let config = FaultConfig {
+            task_timeout: Duration::from_millis(40),
+            max_respawns: 0,
+            ..FaultConfig::default()
+        };
+        let plan =
+            FaultPlan::kill(1, 0).inject(2, 0, FaultKind::Straggle(Duration::from_millis(400)));
+        let mut pool = ExecutorPool::with_faults(g, 2, vec![0, 0], plan, config).unwrap();
+        let mut got = [0.0; 2];
+        pool.try_rhs(0.8, &[0.4, -0.3], &mut got).unwrap();
+        assert_eq!(&got[..], &expect[..]);
+        assert_eq!(
+            (pool.faults().claimant(0), pool.live_workers()),
+            (Some(0), 1)
+        );
+        call_once(&mut pool, 0.8, &[0.4, -0.3], &expect);
+        assert_eq!(pool.faults().claimant(1), Some(1));
+        let r = pool.recovery();
+        assert_eq!((r.retries, r.workers_lost), (1, 2), "{r:?}");
+        assert!(r.degraded_calls >= 1, "{r:?}");
+        assert_eq!(pool.live_workers(), 0);
     }
 
     /// A helper's straggle stalls until the supervisor takes its task

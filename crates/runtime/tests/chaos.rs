@@ -95,12 +95,13 @@ fn first_pop(graph: &TaskGraph, assignment: &[usize], w: usize) -> usize {
 /// How long [`pin`] holds the other worker.
 const HOLD: Duration = Duration::from_millis(30);
 
-/// Pin `target` of a fresh 2-worker pool as the claimant of its own
-/// tasks in `call`: the other worker is held on its first pop by a
-/// straggle, so it steals nothing from `target` first. On worker 0 that
-/// is a plain delay; on the helper it stalls until the supervisor takes
-/// the task back after the task timeout (or, if the supervisor stole the
-/// task before the helper woke, it is the supervisor's plain delay).
+/// Pin `target` of a fresh pool as the claimant of its own tasks in
+/// `call`: every other worker is held on its first pop by a straggle, so
+/// it steals nothing from `target` first. On worker 0 that is a plain
+/// delay; on a helper it stalls until the supervisor takes the task back
+/// after the task timeout (or, if the supervisor stole the task before
+/// the helper woke, it is the supervisor's plain delay). Adds one plan
+/// entry per other worker.
 fn pin(
     plan: FaultPlan,
     graph: &TaskGraph,
@@ -108,12 +109,16 @@ fn pin(
     target: usize,
     call: u64,
 ) -> FaultPlan {
-    let other = 1 - target;
-    plan.inject(
-        call,
-        first_pop(graph, assignment, other),
-        FaultKind::Straggle(HOLD),
-    )
+    let n_workers = assignment.iter().max().map_or(1, |&w| w + 1);
+    (0..n_workers)
+        .filter(|&w| w != target)
+        .fold(plan, |plan, other| {
+            plan.inject(
+                call,
+                first_pop(graph, assignment, other),
+                FaultKind::Straggle(HOLD),
+            )
+        })
 }
 
 #[test]
@@ -254,14 +259,17 @@ fn multi_level_bearing() -> (om_ir::OdeIr, om_codegen::ParallelProgram) {
 
 /// Every fault kind on every worker id — 0, the supervisor's own worker
 /// role, included — is acted out by the worker it targets and recovered.
-/// The model is the multi-level 2-D bearing on 2 workers; each fault
-/// names the target's first pop, and [`pin`] holds the other worker, so
-/// the plan records the target as the claimant.
+/// The model is the multi-level 2-D bearing on 4 workers. Each fault
+/// names the target's first pop and [`pin`] holds every other worker, so
+/// the plan records the target as the claimant; a second fault names a
+/// task from the middle of the target's non-root ones, which reaches a
+/// deque by a successor push, and its recorded claimant shows the
+/// signature of its kind.
 #[test]
 fn every_fault_kind_on_every_worker_recovers_on_its_target() {
     let _cores = cores();
     let (ir, program) = multi_level_bearing();
-    let n_workers = 2;
+    let n_workers = 4;
     let sched = program.schedule(n_workers);
     let graph = &program.graph;
     let y0 = ir.initial_state();
@@ -274,35 +282,57 @@ fn every_fault_kind_on_every_worker_recovers_on_its_target() {
         FaultKind::CorruptNaN,
     ];
     for worker in 0..n_workers {
-        let task = first_pop(graph, &sched.assignment, worker);
-        for kind in kinds {
-            let plan =
-                pin(FaultPlan::none(), graph, &sched.assignment, worker, 1).inject(1, task, kind);
-            let mut pool = ExecutorPool::with_faults(
-                graph.clone(),
-                n_workers,
-                sched.assignment.clone(),
-                plan,
-                FaultConfig {
-                    task_timeout: Duration::from_millis(30),
-                    ..FaultConfig::default()
-                },
-            )
-            .unwrap();
-            let mut dydt = vec![0.0; y0.len()];
-            pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
-            assert_eq!(dydt, expect, "worker {worker} {kind:?}");
-            all_fired(pool.faults());
-            assert_eq!(pool.faults().claimant(1), Some(worker), "{kind:?}");
-            let r = pool.recovery();
-            let acted = match kind {
-                FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
-                // Nobody supervises the supervisor's own sleep.
-                FaultKind::Straggle(_) => worker == 0 || r.retries >= 1,
-                FaultKind::DropResult => r.retries >= 1,
-                FaultKind::CorruptNaN => r.nan_repairs >= 1,
-            };
-            assert!(acted, "worker {worker} {kind:?}: {r:?}");
+        let inner: Vec<usize> = (0..graph.tasks.len())
+            .filter(|&j| sched.assignment[j] == worker && !graph.deps[j].is_empty())
+            .collect();
+        assert!(!inner.is_empty(), "worker {worker} has a non-root task");
+        let cases = [
+            (true, first_pop(graph, &sched.assignment, worker)),
+            (false, inner[inner.len() / 2]),
+        ];
+        for (pinned, task) in cases {
+            for kind in kinds {
+                let plan = match pinned {
+                    true => pin(FaultPlan::none(), graph, &sched.assignment, worker, 1),
+                    false => FaultPlan::none(),
+                };
+                let plan = plan.inject(1, task, kind);
+                let target = plan.len() - 1;
+                let mut pool = ExecutorPool::with_faults(
+                    graph.clone(),
+                    n_workers,
+                    sched.assignment.clone(),
+                    plan,
+                    FaultConfig {
+                        task_timeout: Duration::from_millis(30),
+                        ..FaultConfig::default()
+                    },
+                )
+                .unwrap();
+                let mut dydt = vec![0.0; y0.len()];
+                pool.try_rhs(0.25, &y0, &mut dydt).unwrap();
+                let case = format!("worker {worker} task {task} {kind:?}");
+                assert_eq!(dydt, expect, "{case}");
+                all_fired(pool.faults());
+                let claimant = pool.faults().claimant(target).unwrap();
+                if pinned {
+                    assert_eq!(claimant, worker, "{case}: pinned");
+                }
+                // Each pin a helper claimed stalls until one retry takes
+                // its task back.
+                let held_helpers = (0..target)
+                    .filter(|&i| pool.faults().claimant(i) != Some(0))
+                    .count();
+                let r = pool.recovery();
+                let acted = match kind {
+                    FaultKind::Panic => r.respawns == 1 && r.replayed_tasks >= 1,
+                    // Nobody supervises the supervisor's own sleep.
+                    FaultKind::Straggle(_) => claimant == 0 || r.retries > held_helpers,
+                    FaultKind::DropResult => r.retries > held_helpers,
+                    FaultKind::CorruptNaN => r.nan_repairs >= 1,
+                };
+                assert!(acted, "{case} (claimant {claimant}): {r:?}");
+            }
         }
     }
 }
