@@ -7,8 +7,7 @@
 //! [`ModelKey`] — an FNV-1a hash of the model source (salted with a
 //! registry format version so a pipeline change invalidates old keys) —
 //! to an immutable [`CompiledModel`] holding the causalized internal
-//! form, the in-thread one-cluster graph every scenario runs, and a
-//! per-worker-count cache of the placements pools run.
+//! form and the in-thread one-cluster graph every scenario runs.
 //!
 //! Every [`CompiledModel`] also exposes a *structural identity*: a hash
 //! over the executed graph's bytecode instructions, task dependence
@@ -77,16 +76,14 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// An immutable compiled model: source key, causalized IR, the
-/// in-thread placement, structural identity, and a placement cache.
+/// in-thread placement and structural identity.
 pub struct CompiledModel {
     key: ModelKey,
     identity: u64,
     ir: OdeIr,
     generator: CodeGenerator,
-    /// The one-cluster placement every in-thread substrate executes.
-    serial: Arc<Placement>,
-    /// Placements for `m > 1` workers, compiled once per `m`.
-    placements: Mutex<HashMap<usize, Arc<Placement>>>,
+    /// The one-cluster placement every scenario executes.
+    serial: Placement,
     /// The equation-level program, compiled only when asked for.
     program: OnceLock<ParallelProgram>,
 }
@@ -113,8 +110,7 @@ impl CompiledModel {
             identity: graph_identity(&serial.graph),
             ir,
             generator: generator.clone(),
-            serial: Arc::new(serial),
-            placements: Mutex::new(HashMap::new()),
+            serial,
             program: OnceLock::new(),
         })
     }
@@ -143,8 +139,8 @@ impl CompiledModel {
         &self.ir
     }
 
-    /// The graph every in-thread substrate runs: one cluster with global
-    /// CSE (plus any loop or shared-slot tasks).
+    /// The graph every scenario runs: one cluster with global CSE (plus
+    /// any loop or shared-slot tasks).
     pub fn graph(&self) -> &TaskGraph {
         &self.serial.graph
     }
@@ -179,30 +175,9 @@ impl CompiledModel {
         units
     }
 
-    /// The placement on `m` workers (the graph and assignment a pool of
-    /// `m` runs), compiled once per `m` and cached.
-    pub fn placement(&self, m: usize) -> Arc<Placement> {
-        if m <= 1 {
-            return Arc::clone(&self.serial);
-        }
-        let mut cache = match self.placements.lock() {
-            Ok(guard) => guard,
-            // A panic while holding the lock can only leave a fully
-            // written entry or none: recompute through the poison.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        cache
-            .entry(m)
-            .or_insert_with(|| {
-                let tasks = self.generator.tasks(&self.ir);
-                Arc::new(self.generator.place(&self.ir, &tasks, m))
-            })
-            .clone()
-    }
-
-    /// The equation-level static schedule for `m` workers (the one
-    /// [`CompiledModel::placement`] clusters), from the costs the
-    /// in-thread placement kept: nothing is compiled.
+    /// The equation-level static schedule for `m` workers (the one a
+    /// placement on `m` workers clusters), from the costs the in-thread
+    /// placement kept: nothing is compiled.
     pub fn schedule(&self, m: usize) -> Schedule {
         self.serial.costs.schedule(m)
     }
@@ -497,16 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn placements_are_cached_per_worker_count() {
+    fn schedule_is_the_equation_level_schedule() {
         let m = CompiledModel::compile(OSC).unwrap();
-        assert!(Arc::ptr_eq(&m.placement(1), &m.placement(0)));
-        let p2a = m.placement(2);
-        let p2b = m.placement(2);
-        assert!(Arc::ptr_eq(&p2a, &p2b));
         assert_eq!(m.schedule(2), m.program().schedule(2));
-        assert_eq!(m.schedule(2), p2a.schedule);
         assert_eq!(m.schedule(4).loads.len(), 4);
-        assert_eq!(p2a.assignment.len(), p2a.graph.tasks.len());
         // The in-thread graph is the one the identity hashes.
         assert_eq!(m.identity(), graph_identity(m.graph()));
     }

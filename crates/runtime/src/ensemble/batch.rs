@@ -29,8 +29,8 @@
 //!   PR-6 scalar semantics instead of inventing new terminal states.
 
 use super::scenario::{
-    run_scenario, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, Substrate,
-    SweepFaultKind, SweepFaultPlan,
+    run_scenario, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, SweepFaultKind,
+    SweepFaultPlan,
 };
 use om_codegen::registry::CompiledModel;
 use om_codegen::task::{BatchScratch, TaskGraph};
@@ -184,14 +184,7 @@ pub(crate) fn run_scenario_batch(
     for (pos, (_, slot)) in outcomes.iter_mut().enumerate() {
         if slot.is_none() {
             let spec = &specs[pos];
-            let mut substrate = Substrate::serial(model.graph());
-            *slot = Some(run_scenario(
-                model,
-                spec,
-                plan.get(spec.index),
-                cfg,
-                &mut substrate,
-            ));
+            *slot = Some(run_scenario(model, spec, plan.get(spec.index), cfg));
         }
     }
 
@@ -242,8 +235,7 @@ mod tests {
         plan: &SweepFaultPlan,
         cfg: &ScenarioRunConfig,
     ) -> ScenarioOutcome {
-        let mut substrate = Substrate::serial(model.graph());
-        run_scenario(model, spec, plan.get(spec.index), cfg, &mut substrate)
+        run_scenario(model, spec, plan.get(spec.index), cfg)
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The resilient ensemble driver behind `omc sweep`.
 //!
 //! The paper's runtime parallelizes *within* one simulation; this module
-//! parallelizes *across* simulations: N parameter scenarios share one
-//! compiled model (see [`om_codegen::registry`]) and run concurrently on
-//! a pool of scenario workers, each wrapped in a robustness envelope —
+//! parallelizes *across* simulations, and only across them: N parameter
+//! scenarios share one compiled model (see [`om_codegen::registry`]) and
+//! run concurrently on a pool of scenario workers, each scenario in the
+//! thread that took it and wrapped in a robustness envelope —
 //! panic isolation at the scenario boundary, per-scenario deadlines and
 //! step budgets, bounded retry with exponential backoff for transient
 //! faults, quarantine for deterministic ones, periodic checkpointing
@@ -16,8 +17,11 @@
 //! session on its own. The sweep is the pool's supervisor: it admits
 //! (`stop_after` keeps the first N scenarios before anything is queued),
 //! checkpoints, and sheds (only the pool's first `k` workers take jobs);
-//! a failure — a dying checkpoint device, an executor pool that cannot
-//! be built — drops the queued items, whose scenarios end `skipped`.
+//! a dying checkpoint device drops the queued items, whose scenarios end
+//! `skipped`. A scenario never runs on an executor pool of its own: a
+//! helper inside one scenario competes with the next scenario for the
+//! same core, pays a hand-off the scenario axis does not, and measured
+//! slower at every size tried (EXPERIMENTS E24, E28).
 //!
 //! Scenario lifecycle:
 //!
@@ -35,9 +39,8 @@
 //! manifest; `--resume` re-queues exactly those while carrying every
 //! terminal outcome forward bit-for-bit.
 //!
-//! With `batch > 1` (which requires `workers == 1`), compatible scenarios are
-//! packed K at a time into one structure-of-arrays integration (see
-//! [`mod@batch`]): the bytecode VM and the RK4 stepper advance all K
+//! With `batch > 1`, compatible scenarios are packed K at a time into
+//! one structure-of-arrays integration (see [`mod@batch`]): the bytecode VM and the RK4 stepper advance all K
 //! lanes per instruction/step, which amortizes dispatch and turns each
 //! op into an auto-vectorizable loop — while every lane stays bitwise
 //! identical to its scalar run.
@@ -50,8 +53,8 @@ pub mod scenario;
 
 pub use checkpoint::{load as load_checkpoint, CheckpointHeader, CheckpointWriter};
 pub use scenario::{
-    run_scenario, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, Substrate,
-    SweepFaultKind, SweepFaultPlan,
+    run_scenario, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, SweepFaultKind,
+    SweepFaultPlan,
 };
 
 use checkpoint::render_record;
@@ -69,18 +72,11 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
     pub run: ScenarioRunConfig,
-    /// Scenario-worker threads (each runs whole scenarios).
+    /// Scenario-worker threads (each runs whole scenarios, in thread).
     pub concurrency: usize,
     /// Degradation floor: shedding never drops below this.
     pub min_concurrency: usize,
-    /// ODE workers *per scenario* (1 = in-thread serial evaluation;
-    /// >1 = an executor pool each scenario worker keeps).
-    pub workers: usize,
-    /// Scenarios evaluated per batched integration (lane width). A
-    /// width above 1 requires `workers == 1`: intra-scenario pools and
-    /// inter-scenario batching are competing uses of the same cores and
-    /// pooled RHS evaluation is not lane-sliced, so the combination is a
-    /// [`SweepError::Config`].
+    /// Scenarios evaluated per batched integration (lane width).
     pub batch: usize,
     pub faults: SweepFaultPlan,
     pub checkpoint: Option<PathBuf>,
@@ -101,7 +97,6 @@ impl Default for SweepConfig {
             run: ScenarioRunConfig::default(),
             concurrency: 4,
             min_concurrency: 1,
-            workers: 1,
             batch: 1,
             faults: SweepFaultPlan::none(),
             checkpoint: None,
@@ -327,7 +322,8 @@ impl WorkItem {
 /// batchable scenarios (see [`batch::batchable`]) accumulate into
 /// batches of `width`; non-batchable ones pass through as singles. A
 /// leftover batch of one degrades to a single (the scalar path is the
-/// same computation without the SoA detour).
+/// same computation without the SoA detour). `width` may come from an
+/// untrusted request, so nothing is sized by it.
 pub(crate) fn pack_work_items(
     pending: VecDeque<ScenarioSpec>,
     width: usize,
@@ -337,7 +333,7 @@ pub(crate) fn pack_work_items(
         return pending.into_iter().map(WorkItem::Single).collect();
     }
     let mut items = VecDeque::new();
-    let mut acc: Vec<ScenarioSpec> = Vec::with_capacity(width);
+    let mut acc: Vec<ScenarioSpec> = Vec::with_capacity(width.min(pending.len()));
     for spec in pending {
         if batch::batchable(faults.get(spec.index)) {
             acc.push(spec);
@@ -393,19 +389,11 @@ pub fn run_sweep(
     cfg: &SweepConfig,
 ) -> Result<SweepResult, SweepError> {
     let started = Instant::now();
-    if cfg.concurrency == 0 || cfg.workers == 0 {
-        return Err(SweepError::Config(
-            "concurrency and workers must be at least 1".into(),
-        ));
+    if cfg.concurrency == 0 {
+        return Err(SweepError::Config("concurrency must be at least 1".into()));
     }
     if cfg.batch == 0 {
         return Err(SweepError::Config("batch width must be at least 1".into()));
-    }
-    if cfg.batch > 1 && cfg.workers > 1 {
-        return Err(SweepError::Config(format!(
-            "batch width {} requires workers = 1, got {}",
-            cfg.batch, cfg.workers
-        )));
     }
     if cfg.min_concurrency == 0 || cfg.min_concurrency > cfg.concurrency {
         return Err(SweepError::Config(format!(
@@ -490,7 +478,6 @@ pub fn run_sweep(
             model: Arc::clone(model),
             item,
             run: cfg.run,
-            workers: cfg.workers,
             faults: Arc::clone(&faults),
             reply: tx.clone(),
         });
@@ -498,23 +485,15 @@ pub fn run_sweep(
     drop(tx);
 
     // Supervisor: collect results, checkpoint, degrade under pressure.
-    // A failure (an executor pool that cannot be built, a dying
-    // checkpoint device) stops admission: the queued items are dropped,
-    // their scenarios end `skipped`, and the items already running finish.
+    // A dying checkpoint device stops admission: the queued items are
+    // dropped, their scenarios end `skipped`, and the items already
+    // running finish.
     let mut fresh: HashMap<usize, ScenarioOutcome> = HashMap::new();
     let mut latencies_ns = Vec::with_capacity(n_pending);
     let mut consecutive_deadlines = 0u32;
     let mut degraded = false;
     let mut failure: Option<SweepError> = None;
-    for reply in rx {
-        let lanes = match reply {
-            Ok(lanes) => lanes,
-            Err(e) => {
-                failure.get_or_insert(SweepError::Config(format!("executor pool: {e}")));
-                pool.drop_queued();
-                continue;
-            }
-        };
+    for lanes in rx {
         for (index, outcome, latency_ns) in lanes {
             if let (Some(w), None) = (writer.as_mut(), &failure) {
                 if let Err(e) = w.record(index, &outcome) {
@@ -766,19 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn unbuildable_executor_pool_is_a_config_error() {
-        let model = model();
-        let mut cfg = quick_cfg();
-        // More workers than a claim word can name: build refuses.
-        cfg.workers = (1 << 16) + 1;
-        let err = run_sweep(&model, &specs(6), &cfg).unwrap_err();
-        assert!(
-            matches!(&err, SweepError::Config(m) if m.starts_with("executor pool: ")),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn resume_refuses_a_different_batch() {
         let model = model();
         let path =
@@ -878,17 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_under_pooled_workers_is_a_config_error() {
-        let model = model();
-        let mut cfg = quick_cfg();
-        cfg.batch = 8;
-        cfg.workers = 2;
-        cfg.concurrency = 2;
-        let err = run_sweep(&model, &specs(6), &cfg).unwrap_err();
-        assert!(matches!(err, SweepError::Config(_)), "{err}");
-    }
-
-    #[test]
     fn zero_batch_width_is_a_config_error() {
         let model = model();
         let mut cfg = quick_cfg();
@@ -928,16 +883,5 @@ mod tests {
             oracle.manifest.render_json()
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pooled_sweep_matches_serial_sweep_bitwise() {
-        let model = model();
-        let serial = run_sweep(&model, &specs(6), &quick_cfg()).unwrap();
-        let mut cfg = quick_cfg();
-        cfg.workers = 2;
-        cfg.concurrency = 2;
-        let pooled = run_sweep(&model, &specs(6), &cfg).unwrap();
-        assert_eq!(serial.manifest.render_json(), pooled.manifest.render_json());
     }
 }

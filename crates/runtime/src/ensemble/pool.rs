@@ -1,5 +1,7 @@
 //! The scenario-worker pool: a fixed set of threads pulling work items
-//! from one shared queue. It is the only place scenarios run.
+//! from one shared queue. It is the only place scenarios run, and the
+//! only parallelism an ensemble has: each scenario integrates in the
+//! thread that took it, never on an executor pool of its own.
 //!
 //! `omc serve` keeps one for the whole service and multiplexes the
 //! scenarios of many concurrent requests onto it; [`run_sweep`] opens a
@@ -7,7 +9,7 @@
 //! reads replies until the channel closes. Both submit the same
 //! [`WorkItem`]s — scalar scenarios or SoA batches — each tagged with a
 //! reply channel, so results route back to their submitter regardless of
-//! interleaving, one [`Reply`] per item. Execution goes through the one
+//! interleaving, one reply per item. Execution goes through the one
 //! scenario envelope (`run_scenario` / `run_scenario_batch`), which is
 //! what makes serve responses byte-identical to sweep manifest rows.
 //!
@@ -18,10 +20,9 @@
 //! [`run_sweep`]: crate::ensemble::run_sweep
 
 use super::batch::run_scenario_batch;
-use super::scenario::{run_scenario, ScenarioOutcome, ScenarioRunConfig, Substrate};
+use super::scenario::{run_scenario, ScenarioOutcome, ScenarioRunConfig};
 use super::{SweepFaultPlan, WorkItem};
-use crate::pool::{lock, ExecutorPool};
-use crate::{FaultConfig, FaultPlan, RuntimeError};
+use crate::pool::lock;
 use om_codegen::registry::CompiledModel;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -31,20 +32,14 @@ use std::time::Instant;
 /// One scenario's result: `(index, outcome, wall latency ns)`.
 pub(crate) type ScenarioReply = (usize, ScenarioOutcome, u64);
 
-/// One work item's result, in lane order, or the typed error that kept it
-/// from running (its executor pool could not be built).
-pub(crate) type Reply = Result<Vec<ScenarioReply>, RuntimeError>;
-
 /// A work item plus everything a worker needs to execute and route it.
 pub(crate) struct Job {
     pub model: Arc<CompiledModel>,
     pub item: WorkItem,
     pub run: ScenarioRunConfig,
-    /// ODE workers per scenario; > 1 runs the item's scenarios on an
-    /// executor pool the scenario worker keeps across jobs.
-    pub workers: usize,
     pub faults: Arc<SweepFaultPlan>,
-    pub reply: mpsc::Sender<Reply>,
+    /// The item's results, in lane order.
+    pub reply: mpsc::Sender<Vec<ScenarioReply>>,
 }
 
 struct Shared {
@@ -55,39 +50,6 @@ struct Shared {
     active: AtomicUsize,
     /// Jobs each worker has taken.
     taken: Vec<AtomicU64>,
-    /// Executor pools built by the scenario workers.
-    pools_built: AtomicU64,
-}
-
-/// A scenario-private executor pool on `workers`, born serial: it runs
-/// `model`'s one-cluster graph in thread and asks the registry for the
-/// placement on `workers` ([`CompiledModel::placement`]) only on the
-/// first call that seeds a helper.
-fn scenario_pool(model: &Arc<CompiledModel>, workers: usize) -> Result<ExecutorPool, RuntimeError> {
-    let later = Arc::clone(model);
-    ExecutorPool::born_serial(
-        model.graph().clone(),
-        workers,
-        FaultPlan::none(),
-        FaultConfig::default(),
-        &model.schedule(workers),
-        move |_| {
-            let placement = later.placement(workers);
-            (
-                Arc::new(placement.graph.clone()),
-                placement.assignment.clone(),
-            )
-        },
-    )
-}
-
-/// The executor pool a scenario worker keeps across jobs that share its
-/// model and worker count. Reuse is bitwise-safe: every
-/// substrate computes the same RHS bits.
-struct HeldPool {
-    model: Arc<CompiledModel>,
-    workers: usize,
-    pool: ExecutorPool,
 }
 
 /// The pool. Dropping it shuts the workers down (idempotent with an
@@ -107,7 +69,6 @@ impl ScenarioPool {
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(threads),
             taken: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            pools_built: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(threads);
         for wid in 0..threads {
@@ -181,12 +142,6 @@ impl ScenarioPool {
         let taken = &self.shared.taken;
         taken.iter().map(|n| n.load(Ordering::Relaxed)).collect()
     }
-
-    /// Executor pools the workers have built.
-    #[cfg(test)]
-    pub(crate) fn executor_pools_built(&self) -> u64 {
-        self.shared.pools_built.load(Ordering::Relaxed)
-    }
 }
 
 impl Drop for ScenarioPool {
@@ -196,7 +151,6 @@ impl Drop for ScenarioPool {
 }
 
 fn worker_loop(wid: usize, shared: &Shared) {
-    let mut held: Option<HeldPool> = None;
     loop {
         let job = {
             let mut queue = lock(&shared.queue);
@@ -218,25 +172,19 @@ fn worker_loop(wid: usize, shared: &Shared) {
         shared.taken[wid].fetch_add(1, Ordering::Relaxed);
         // A disconnected reply channel (submitter gone) drops this
         // item's results only.
-        let _ = job.reply.send(execute(&job, &mut held, shared));
+        let _ = job.reply.send(execute(&job));
     }
 }
 
 /// Run one job through the scenario envelope.
-fn execute(job: &Job, held: &mut Option<HeldPool>, shared: &Shared) -> Reply {
+fn execute(job: &Job) -> Vec<ScenarioReply> {
     let model = &job.model;
     match &job.item {
         WorkItem::Single(spec) => {
-            let mut substrate = if job.workers > 1 {
-                Substrate::Pool(&mut held_pool(held, job, shared)?.pool)
-            } else {
-                Substrate::serial(model.graph())
-            };
             let begun = Instant::now();
             let fault = job.faults.get(spec.index);
-            let outcome = run_scenario(model, spec, fault, &job.run, &mut substrate);
-            let latency_ns = begun.elapsed().as_nanos() as u64;
-            Ok(vec![(spec.index, outcome, latency_ns)])
+            let outcome = run_scenario(model, spec, fault, &job.run);
+            vec![(spec.index, outcome, begun.elapsed().as_nanos() as u64)]
         }
         WorkItem::Batch(specs) => {
             let begun = Instant::now();
@@ -244,35 +192,10 @@ fn execute(job: &Job, held: &mut Option<HeldPool>, shared: &Shared) -> Reply {
             // The batch's wall time was shared by all lanes; attribute
             // an even share to each.
             let per_lane = begun.elapsed().as_nanos() as u64 / specs.len().max(1) as u64;
-            Ok(outcomes
+            outcomes
                 .into_iter()
                 .map(|(index, outcome)| (index, outcome, per_lane))
-                .collect())
-        }
-    }
-}
-
-/// The worker's executor pool for `job`: the held one when it fits,
-/// else a new one that replaces it.
-fn held_pool<'a>(
-    held: &'a mut Option<HeldPool>,
-    job: &Job,
-    shared: &Shared,
-) -> Result<&'a mut HeldPool, RuntimeError> {
-    match held.take() {
-        Some(h) if Arc::ptr_eq(&h.model, &job.model) && h.workers == job.workers => {
-            Ok(held.insert(h))
-        }
-        stale => {
-            // Join the old pool's helpers before spawning new ones.
-            drop(stale);
-            let pool = scenario_pool(&job.model, job.workers)?;
-            shared.pools_built.fetch_add(1, Ordering::Relaxed);
-            Ok(held.insert(HeldPool {
-                model: Arc::clone(&job.model),
-                workers: job.workers,
-                pool,
-            }))
+                .collect()
         }
     }
 }
@@ -294,12 +217,11 @@ mod tests {
         }
     }
 
-    fn submit_with(
+    fn submit_all(
         pool: &ScenarioPool,
         model: &Arc<CompiledModel>,
         specs: Vec<ScenarioSpec>,
         batch: usize,
-        workers: usize,
     ) -> Vec<ScenarioReply> {
         let n = specs.len();
         let (tx, rx) = mpsc::channel();
@@ -309,25 +231,15 @@ mod tests {
                 model: Arc::clone(model),
                 item,
                 run: quick_run(),
-                workers,
                 faults: Arc::clone(&faults),
                 reply: tx.clone(),
             });
         }
         drop(tx);
-        let mut replies: Vec<ScenarioReply> = rx.iter().flat_map(|r| r.unwrap()).collect();
+        let mut replies: Vec<ScenarioReply> = rx.iter().flatten().collect();
         assert_eq!(replies.len(), n, "every scenario must reply");
         replies.sort_by_key(|(i, _, _)| *i);
         replies
-    }
-
-    fn submit_all(
-        pool: &ScenarioPool,
-        model: &Arc<CompiledModel>,
-        specs: Vec<ScenarioSpec>,
-        batch: usize,
-    ) -> Vec<ScenarioReply> {
-        submit_with(pool, model, specs, batch, 1)
     }
 
     fn osc_specs(n: usize) -> Vec<ScenarioSpec> {
@@ -346,48 +258,9 @@ mod tests {
         let scalar = submit_all(&pool, &model, specs.clone(), 1);
         let batched = submit_all(&pool, &model, specs.clone(), 4);
         for (i, spec) in specs.iter().enumerate() {
-            let mut substrate = Substrate::serial(model.graph());
-            let oracle = run_scenario(&model, spec, None, &quick_run(), &mut substrate);
+            let oracle = run_scenario(&model, spec, None, &quick_run());
             assert_eq!(scalar[i].1, oracle, "scalar scenario {i}");
             assert_eq!(batched[i].1, oracle, "batched scenario {i}");
-        }
-    }
-
-    #[test]
-    fn unbuildable_executor_pool_fails_the_job_typed() {
-        let model = Arc::new(CompiledModel::compile(OSC).unwrap());
-        let pool = ScenarioPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        pool.submit(Job {
-            model: Arc::clone(&model),
-            item: WorkItem::Single(ScenarioSpec::new(0, vec![("x".into(), 1.5)])),
-            run: quick_run(),
-            // More workers than a claim word can name: build refuses.
-            workers: (1 << 16) + 1,
-            faults: Arc::new(SweepFaultPlan::none()),
-            reply: tx,
-        });
-        let reply = rx.recv().unwrap();
-        assert!(
-            matches!(reply, Err(RuntimeError::InvalidConfig { .. })),
-            "{reply:?}"
-        );
-        assert_eq!(pool.executor_pools_built(), 0);
-    }
-
-    #[test]
-    fn a_job_for_another_model_replaces_the_held_executor_pool() {
-        let model = Arc::new(CompiledModel::compile(OSC).unwrap());
-        let other = Arc::new(CompiledModel::compile(OSC).unwrap());
-        let pool = ScenarioPool::new(1);
-        submit_with(&pool, &model, osc_specs(2), 1, 2);
-        assert_eq!(pool.executor_pools_built(), 1);
-        let replies = submit_with(&pool, &other, osc_specs(2), 1, 2);
-        assert_eq!(pool.executor_pools_built(), 2);
-        for (spec, (_, outcome, _)) in osc_specs(2).iter().zip(&replies) {
-            let mut substrate = Substrate::serial(other.graph());
-            let oracle = run_scenario(&other, spec, None, &quick_run(), &mut substrate);
-            assert_eq!(*outcome, oracle, "scenario {}", spec.index);
         }
     }
 

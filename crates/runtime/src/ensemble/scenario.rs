@@ -5,14 +5,14 @@
 //! A *scenario* is the shared compiled model plus a parameter vector
 //! (initial-state overrides). Running one never mutates shared state:
 //! the overrides are applied to a private copy of the initial state and
-//! the integration happens either in-thread (one-lane [`om_codegen::task::TaskGraph::eval_batch`])
-//! or on a scenario-private [`ExecutorPool`] — both execute the same
-//! bytecode with disjoint writes, so results are bitwise identical
-//! across substrates. That identity is what lets the chaos tests compare
-//! a concurrent faulted sweep against a sequential no-fault oracle.
+//! the integration happens in the scenario worker's thread, through one
+//! one-lane [`om_codegen::task::TaskGraph::eval_batch`] scratch held
+//! across the scenario's RHS calls. An ensemble parallelizes across
+//! scenarios only: a scenario never gets an executor pool of its own.
+//! Every scenario therefore runs the same bytecode in the same order
+//! wherever it lands, which is what lets the chaos tests compare a
+//! concurrent faulted sweep against a sequential no-fault oracle.
 
-use crate::pool::ExecutorPool;
-use crate::sched_dyn::{SemiDynamicScheduler, RESCHED_EVERY};
 use om_codegen::registry::CompiledModel;
 use om_codegen::task::{BatchScratch, TaskGraph};
 use om_solver::{rk4_budgeted, Budget, OdeSystem, RhsError, SolveError};
@@ -258,36 +258,17 @@ impl ScenarioOutcome {
 /// the executor pool's injected worker panic in [`crate::pool`]).
 pub(crate) struct InjectedScenarioPanic;
 
-/// The integration substrate a scenario runs on.
-pub enum Substrate<'a> {
-    /// In-thread one-lane bytecode evaluation (the oracle path), with the
-    /// scratch it evaluates through held across the scenario's RHS calls.
-    Serial(&'a TaskGraph, BatchScratch),
-    /// A scenario-private executor pool, rescheduled
-    /// from its measurements as `omc simulate` reschedules its pool.
-    Pool(&'a mut ExecutorPool),
-}
-
-impl<'a> Substrate<'a> {
-    /// The serial substrate for `graph`.
-    pub fn serial(graph: &'a TaskGraph) -> Substrate<'a> {
-        Substrate::Serial(graph, BatchScratch::new(graph, 1))
-    }
-}
-
 /// The shared compiled RHS wrapped with per-scenario fault injection.
-struct ScenarioSystem<'a, 'b> {
-    substrate: &'a mut Substrate<'b>,
+struct ScenarioSystem<'a> {
+    graph: &'a TaskGraph,
+    scratch: &'a mut BatchScratch,
     dim: usize,
     fault: Option<&'a ScenarioFault>,
     attempt: u32,
     calls: u64,
-    /// Reschedules a [`Substrate::Pool`] after each successful call
-    /// (made at the first one, so the serial substrate never builds it).
-    scheduler: Option<SemiDynamicScheduler>,
 }
 
-impl ScenarioSystem<'_, '_> {
+impl ScenarioSystem<'_> {
     fn eval(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RhsError> {
         self.calls += 1;
         let fires = self
@@ -309,24 +290,12 @@ impl ScenarioSystem<'_, '_> {
                 }
             }
         }
-        match self.substrate {
-            Substrate::Serial(graph, scratch) => {
-                graph.eval_batch(t, y, dydt, scratch);
-                Ok(())
-            }
-            Substrate::Pool(pool) => {
-                pool.try_rhs(t, y, dydt)
-                    .map_err(|e| RhsError::new(e.to_string()))?;
-                self.scheduler
-                    .get_or_insert_with(|| SemiDynamicScheduler::new(RESCHED_EVERY))
-                    .after_rhs_call(pool);
-                Ok(())
-            }
-        }
+        self.graph.eval_batch(t, y, dydt, self.scratch);
+        Ok(())
     }
 }
 
-impl OdeSystem for ScenarioSystem<'_, '_> {
+impl OdeSystem for ScenarioSystem<'_> {
     fn dim(&self) -> usize {
         self.dim
     }
@@ -365,7 +334,6 @@ pub fn run_scenario(
     spec: &ScenarioSpec,
     fault: Option<&ScenarioFault>,
     cfg: &ScenarioRunConfig,
-    substrate: &mut Substrate<'_>,
 ) -> ScenarioOutcome {
     let y0 = match spec.initial_state(model) {
         Ok(y0) => y0,
@@ -373,6 +341,8 @@ pub fn run_scenario(
             return ScenarioOutcome::Quarantined { attempts: 0, error };
         }
     };
+    let graph = model.graph();
+    let mut scratch = BatchScratch::new(graph, 1);
     let mut attempt: u32 = 0;
     loop {
         let budget = Budget {
@@ -380,12 +350,12 @@ pub fn run_scenario(
             max_rhs_calls: cfg.max_rhs_calls,
         };
         let mut sys = ScenarioSystem {
-            substrate,
+            graph,
+            scratch: &mut scratch,
             dim: model.dim(),
             fault,
             attempt,
             calls: 0,
-            scheduler: None,
         };
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
             rk4_budgeted(&mut sys, cfg.t0, &y0, cfg.tend, cfg.h, &budget)
@@ -453,8 +423,7 @@ mod tests {
     fn clean_scenario_completes_with_override_applied() {
         let model = model();
         let spec = ScenarioSpec::new(0, vec![("x".into(), 2.0)]);
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, None, &quick_cfg(), &mut substrate);
+        let out = run_scenario(&model, &spec, None, &quick_cfg());
         let ScenarioOutcome::Completed {
             retries, y_bits, ..
         } = out
@@ -471,8 +440,7 @@ mod tests {
     fn unknown_override_is_quarantined_not_retried() {
         let model = model();
         let spec = ScenarioSpec::new(3, vec![("bogus".into(), 1.0)]);
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, None, &quick_cfg(), &mut substrate);
+        let out = run_scenario(&model, &spec, None, &quick_cfg());
         let ScenarioOutcome::Quarantined { attempts, error } = out else {
             panic!("expected quarantine, got {out:?}");
         };
@@ -489,8 +457,7 @@ mod tests {
             after_calls: 3,
             fail_attempts: 2,
         };
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg(), &mut substrate);
+        let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg());
         let ScenarioOutcome::Completed { retries, .. } = out else {
             panic!("expected completion after retries, got {out:?}");
         };
@@ -506,8 +473,7 @@ mod tests {
             after_calls: 1,
             fail_attempts: u32::MAX,
         };
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg(), &mut substrate);
+        let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg());
         let ScenarioOutcome::Quarantined { attempts, error } = out else {
             panic!("expected quarantine, got {out:?}");
         };
@@ -524,8 +490,7 @@ mod tests {
             after_calls: 2,
             fail_attempts: u32::MAX,
         };
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg(), &mut substrate);
+        let out = run_scenario(&model, &spec, Some(&fault), &quick_cfg());
         let ScenarioOutcome::Quarantined { attempts, error } = out else {
             panic!("expected quarantine, got {out:?}");
         };
@@ -546,8 +511,7 @@ mod tests {
             deadline: Some(Duration::from_millis(10)),
             ..quick_cfg()
         };
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, Some(&fault), &cfg, &mut substrate);
+        let out = run_scenario(&model, &spec, Some(&fault), &cfg);
         let ScenarioOutcome::DeadlineExceeded { attempts } = out else {
             panic!("expected deadline, got {out:?}");
         };
@@ -562,29 +526,11 @@ mod tests {
             max_rhs_calls: 10,
             ..quick_cfg()
         };
-        let mut substrate = Substrate::serial(model.graph());
-        let out = run_scenario(&model, &spec, None, &cfg, &mut substrate);
+        let out = run_scenario(&model, &spec, None, &cfg);
         assert!(
             matches!(out, ScenarioOutcome::Quarantined { .. }),
             "got {out:?}"
         );
-    }
-
-    #[test]
-    fn serial_and_pool_substrates_are_bitwise_identical() {
-        let model = model();
-        let spec = ScenarioSpec::new(0, vec![("x".into(), 1.5)]);
-        let cfg = quick_cfg();
-        let mut serial = Substrate::serial(model.graph());
-        let a = run_scenario(&model, &spec, None, &cfg, &mut serial);
-        let sched = model.schedule(2);
-        let (plan, config) = (crate::FaultPlan::none(), crate::FaultConfig::default());
-        let graph = model.program().graph.clone();
-        let mut pool =
-            ExecutorPool::with_faults(graph, 2, sched.assignment.clone(), plan, config).unwrap();
-        let mut pooled = Substrate::Pool(&mut pool);
-        let b = run_scenario(&model, &spec, None, &cfg, &mut pooled);
-        assert_eq!(a, b, "serial vs pool substrate must agree bit-for-bit");
     }
 
     #[test]

@@ -290,7 +290,6 @@ impl Server {
                     model: Arc::clone(&model),
                     item,
                     run: req.run,
-                    workers: req.workers,
                     faults: Arc::clone(&faults),
                     reply: tx.clone(),
                 });
@@ -298,20 +297,10 @@ impl Server {
         }
         drop(tx);
 
-        // Collect every admitted scenario. A job whose executor pool could
-        // not be built, or the reply channel closing early (pool shut down
-        // mid-request), ends the request with an error line rather than
-        // leaving scenarios silently missing.
-        let mut replies: Vec<ScenarioReply> = Vec::with_capacity(n);
-        let mut failure = None;
-        for reply in rx {
-            match reply {
-                Ok(lanes) => replies.extend(lanes),
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
+        // Collect every admitted scenario. The reply channel closing early
+        // (pool shut down mid-request) ends the request with an error line
+        // rather than leaving scenarios silently missing.
+        let mut replies: Vec<ScenarioReply> = rx.iter().flatten().collect();
         let mut latencies: Vec<u64> = replies.iter().map(|(_, _, ns)| *ns).collect();
         replies.sort_by_key(|(index, _, _)| *index);
         let (mut completed, mut quarantined, mut deadline) = (0usize, 0usize, 0usize);
@@ -326,17 +315,12 @@ impl Server {
                 &render_record(*index, outcome),
             ));
         }
-        let failure = match failure {
-            Some(e) => Some(format!("executor pool: {e}")),
-            None => (replies.len() != n).then(|| {
-                format!(
-                    "internal: {} of {n} scenarios lost (service shutting down mid-request)",
-                    n - replies.len()
-                )
-            }),
-        };
-        if let Some(message) = failure {
+        if replies.len() != n {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            let message = format!(
+                "internal: {} of {n} scenarios lost (service shutting down mid-request)",
+                n - replies.len()
+            );
             lines.push(protocol::render_error(&req.id, &message));
         } else {
             lines.push(protocol::render_done(
@@ -664,49 +648,6 @@ mod tests {
         let shed = doc.get("shed").unwrap();
         assert_eq!(shed.get("inflight").and_then(json::Json::as_usize), Some(1));
         assert_eq!(shed.get("rate").and_then(json::Json::as_usize), Some(0));
-    }
-
-    #[test]
-    fn unbuildable_executor_pool_answers_an_error_line() {
-        let server = Server::new(ServeConfig::default());
-        let mut client = server.new_client();
-        let Ok(Request::Run(mut req)) = protocol::parse_request(&run_request_line(2)) else {
-            panic!("run request expected");
-        };
-        // More workers than a claim word can name (beyond what the
-        // protocol admits): build refuses.
-        req.workers = (1 << 16) + 1;
-        let lines = server.handle_run(*req, &mut client, 0);
-        assert!(lines[0].contains("\"type\":\"accepted\""), "{lines:#?}");
-        let last = lines.last().unwrap();
-        assert!(last.contains("\"type\":\"error\""), "{last}");
-        assert!(last.contains("executor pool: "), "{last}");
-        assert!(lines.iter().all(|l| !l.contains("\"type\":\"done\"")));
-        assert_eq!(server.inflight.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn pooled_requests_reuse_each_workers_executor_pool() {
-        let server = Server::new(ServeConfig {
-            pool_threads: 2,
-            ..ServeConfig::default()
-        });
-        let mut client = server.new_client();
-        let serial = server.handle_line(&run_request_line(4), &mut client, 0);
-        let pooled_line = run_request_line(4).replace(
-            "\"tend\":0.2",
-            "\"workers\":2,\"executor\":\"ws\",\"tend\":0.2",
-        );
-        for _ in 0..3 {
-            let pooled = server.handle_line(&pooled_line, &mut client, 0);
-            // Same scenario records, bit for bit, as the serial substrate.
-            assert_eq!(pooled[1..5], serial[1..5]);
-        }
-        let built = crate::pool::lock(&server.pool).executor_pools_built();
-        assert!(
-            (1..=2).contains(&built),
-            "{built} executor pools for 12 jobs"
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! {"id":"r1","op":"run","model":{"source":"model Osc; ... end Osc;"},
 //!  "scenarios":[{"x":1.0},{"x":1.1}],
 //!  "tend":0.2,"h":0.01,"deadline_ms":500,"max_rhs":100000,"retries":2,
-//!  "workers":1,"batch":8}
+//!  "batch":8}
 //! {"id":"r2","op":"run","model":{"key":"00a1b2c3d4e5f607"},"scenarios":[{"x":1.2}]}
 //! {"id":"s1","op":"stats"}
 //! ```
@@ -17,9 +17,14 @@
 //! warm fast path: no source bytes shipped, no hash computed). Every
 //! scenario object maps state names to initial-value overrides, exactly
 //! like one row of `omc sweep --params`. All solver/envelope fields are
-//! optional and default to the sweep defaults; `workers` is at most
-//! [`MAX_REQUEST_WORKERS`]. An `executor` key may name `"ws"`, the one
-//! executor; any other value (the removed `"barrier"` too) is an `error`.
+//! optional and default to the sweep defaults; one that is present must
+//! have its documented type (`t0`/`tend`/`h` numbers, `deadline_ms`/
+//! `max_rhs`/`retries` non-negative integers, `batch` a positive
+//! integer), or the request is an `error`. A scenario runs in the thread
+//! of the service worker that takes it, so a `workers` key may only say
+//! `1` (the service's `--concurrency` is the parallel axis). An
+//! `executor` key may name `"ws"`, the one executor; any other value (the
+//! removed `"barrier"` too) is an `error`.
 //!
 //! ## Responses
 //!
@@ -37,8 +42,8 @@
 //!   draining, optional `retry_ms` hint, the client's running shed
 //!   count. The request executed nothing.
 //! * `error` — malformed request, unknown model key, or compile failure;
-//!   after `accepted`, it ends a request whose scenario executor pool
-//!   could not be built (`executor pool: …`) in place of `done`.
+//!   after `accepted`, it ends (in place of `done`) only a request whose
+//!   scenarios the service lost to a shutdown mid-request.
 //! * `stats` — service-level counters (for `op":"stats"`).
 
 use super::quota::ShedReason;
@@ -66,9 +71,7 @@ pub struct RunRequest {
     pub model: ModelRef,
     pub scenarios: Vec<ScenarioSpec>,
     pub run: ScenarioRunConfig,
-    /// ODE workers per scenario (1 = in-thread serial evaluation).
-    pub workers: usize,
-    /// SoA lane width (above 1 only with `workers == 1`, like sweep).
+    /// SoA lane width, as for `omc sweep --batch`.
     pub batch: usize,
 }
 
@@ -98,11 +101,6 @@ fn render_id(doc: &Json) -> String {
         _ => "null".into(),
     }
 }
-
-/// Most ODE workers a request may ask for: each `workers > 1` scenario
-/// builds a private executor pool of that many threads, so the count is
-/// bounded where the untrusted bytes enter.
-pub const MAX_REQUEST_WORKERS: usize = 64;
 
 /// Decode one request line. The error string is already client-facing
 /// (it goes into an `error` response verbatim).
@@ -157,10 +155,12 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
     }
 
     let mut run = ScenarioRunConfig::default();
-    if let Some(t0) = doc.get("t0").and_then(Json::as_f64) {
+    let number = |key| optional(doc, key, "a number", Json::as_f64);
+    let count = |key| optional(doc, key, "a non-negative integer", Json::as_u64);
+    if let Some(t0) = number("t0")? {
         run.t0 = t0;
     }
-    if let Some(tend) = doc.get("tend").and_then(Json::as_f64) {
+    if let Some(tend) = number("tend")? {
         run.tend = tend;
     }
     if !(run.t0.is_finite() && run.tend.is_finite() && run.tend > run.t0) {
@@ -169,55 +169,64 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
             run.tend, run.t0
         ));
     }
-    if let Some(h) = doc.get("h").and_then(Json::as_f64) {
+    if let Some(h) = number("h")? {
         if !(h.is_finite() && h > 0.0) {
             return Err("'h' must be a positive finite step".into());
         }
         run.h = h;
     }
-    if let Some(ms) = doc.get("deadline_ms").and_then(Json::as_u64) {
+    if let Some(ms) = count("deadline_ms")? {
         run.deadline = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    if let Some(cap) = doc.get("max_rhs").and_then(Json::as_u64) {
+    if let Some(cap) = count("max_rhs")? {
         run.max_rhs_calls = cap;
     }
-    if let Some(r) = doc.get("retries").and_then(Json::as_u64) {
+    if let Some(r) = count("retries")? {
         run.max_retries = r.min(u32::MAX as u64) as u32;
     }
-
-    let workers = match doc.get("workers").and_then(Json::as_usize) {
-        Some(0) => return Err("'workers' must be at least 1".into()),
-        Some(w) if w > MAX_REQUEST_WORKERS => {
+    // Accepted at 1 for clients that still send it.
+    match count("workers")? {
+        None | Some(1) => {}
+        Some(w) => {
             return Err(format!(
-                "'workers' {w} exceeds the per-request maximum {MAX_REQUEST_WORKERS}"
+                "'workers' {w} is not supported: a scenario runs in one service worker's \
+                 thread (parallelize across scenarios with `omc serve --concurrency`)"
             ));
         }
-        Some(w) => w,
-        None => 1,
-    };
+    }
     // The one executor's token, accepted for clients that still send it.
-    if let Some(token) = doc.get("executor").and_then(Json::as_str) {
+    if let Some(token) = optional(doc, "executor", "a string", Json::as_str)? {
         token.parse::<Strategy>()?;
     }
-    let batch = match doc.get("batch").and_then(Json::as_usize) {
+    let batch = match count("batch")? {
         Some(0) => return Err("'batch' must be at least 1".into()),
-        Some(b) => b,
+        Some(b) => usize::try_from(b).unwrap_or(usize::MAX),
         None => 1,
     };
-    if batch > 1 && workers > 1 {
-        return Err(format!(
-            "'batch' {batch} requires 'workers' 1, got {workers}"
-        ));
-    }
 
     Ok(RunRequest {
         id,
         model,
         scenarios,
         run,
-        workers,
         batch,
     })
+}
+
+/// An optional request field: absent is `Ok(None)`; present but not of
+/// the kind `as_kind` accepts is an error naming the key.
+fn optional<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    kind: &str,
+    as_kind: fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match doc.get(key) {
+        None => Ok(None),
+        Some(value) => as_kind(value)
+            .map(Some)
+            .ok_or_else(|| format!("'{key}' must be {kind}")),
+    }
 }
 
 /// `accepted` response line.
@@ -285,11 +294,11 @@ mod tests {
 
     const OSC: &str = "model Osc; Real x(start=1.0); equation der(x) = -x; end Osc;";
 
-    fn run_line(workers: usize, batch: usize) -> String {
+    fn run_line(batch: usize) -> String {
         format!(
             "{{\"id\":\"r1\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
              \"scenarios\":[{{\"x\":1.0}},{{\"x\":1.5}}],\"tend\":0.2,\"h\":0.01,\
-             \"deadline_ms\":500,\"max_rhs\":1000,\"retries\":3,\"workers\":{workers},\
+             \"deadline_ms\":500,\"max_rhs\":1000,\"retries\":3,\"workers\":1,\
              \"executor\":\"ws\",\"batch\":{batch}}}",
             json::escape(OSC)
         )
@@ -297,7 +306,7 @@ mod tests {
 
     #[test]
     fn run_request_round_trips_every_field() {
-        let Request::Run(req) = parse_request(&run_line(2, 1)).unwrap() else {
+        let Request::Run(req) = parse_request(&run_line(4)).unwrap() else {
             panic!("expected run request");
         };
         assert_eq!(req.id, "\"r1\"");
@@ -310,13 +319,7 @@ mod tests {
         assert_eq!(req.run.deadline, Some(Duration::from_millis(500)));
         assert_eq!(req.run.max_rhs_calls, 1000);
         assert_eq!(req.run.max_retries, 3);
-        assert_eq!(req.workers, 2);
-        assert_eq!(req.batch, 1);
-        // A lane width above 1 only parses beside `workers` 1.
-        let Request::Run(req) = parse_request(&run_line(1, 4)).unwrap() else {
-            panic!("expected run request");
-        };
-        assert_eq!((req.workers, req.batch), (1, 4));
+        assert_eq!(req.batch, 4);
     }
 
     #[test]
@@ -363,16 +366,28 @@ mod tests {
                 "workers",
             ),
             (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":65}"#,
-                "'workers' 65 exceeds",
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":2}"#,
+                "--concurrency",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":"1"}"#,
+                "'workers' must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"retries":-1}"#,
+                "'retries' must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":"1"}"#,
+                "'tend' must be a number",
+            ),
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":7}"#,
+                "'executor' must be a string",
             ),
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":0}"#,
                 "batch",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":4,"workers":2}"#,
-                "requires 'workers' 1",
             ),
             (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"h":-0.1}"#,

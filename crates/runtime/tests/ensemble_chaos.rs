@@ -7,12 +7,11 @@
 //!   2. leave every faulted scenario in a terminal *typed* state
 //!      (completed-after-retry, quarantined, or deadline-exceeded —
 //!      never skipped, never a crash), and
-//!   3. do so on executor pools of 2 and 3 workers as well as the
-//!      in-thread serial substrate.
+//!   3. do so at every scenario concurrency, with one canonical manifest.
 //!
-//! Bitwise identity holds because the serial evaluator and the pooled
-//! executor run the same bytecode with disjoint output slots, and the
-//! fixed-step RK4 keeps the RHS call sequence reproducible.
+//! Bitwise identity holds because every scenario runs the same bytecode
+//! in its worker's thread, and the fixed-step RK4 keeps the RHS call
+//! sequence reproducible.
 
 use om_codegen::registry::CompiledModel;
 use om_runtime::{
@@ -65,17 +64,15 @@ fn oracle() -> om_runtime::SweepResult {
     let cfg = SweepConfig {
         run: run_cfg(),
         concurrency: 1,
-        workers: 1,
         ..SweepConfig::default()
     };
     run_sweep(&model(), &specs(), &cfg).unwrap()
 }
 
-fn chaos_cfg(concurrency: usize, workers: usize) -> SweepConfig {
+fn chaos_cfg(concurrency: usize) -> SweepConfig {
     SweepConfig {
         run: run_cfg(),
         concurrency,
-        workers,
         faults: plan(),
         ..SweepConfig::default()
     }
@@ -173,41 +170,26 @@ fn check_against_oracle(
 }
 
 #[test]
-fn chaos_sweep_serial_substrate() {
+fn chaos_sweep_matches_the_oracle() {
     let oracle = oracle();
-    let result = run_sweep(&model(), &specs(), &chaos_cfg(4, 1)).unwrap();
-    check_against_oracle(&result, &oracle, "serial");
+    let result = run_sweep(&model(), &specs(), &chaos_cfg(4)).unwrap();
+    check_against_oracle(&result, &oracle, "concurrency 4");
 }
 
+/// The faulted chaos manifests themselves must agree across scenario
+/// concurrency: one canonical account of the batch regardless of how it
+/// was scheduled. (Timing-dependent fields live in the report, not the
+/// manifest, and retry counts are seed-deterministic, so full JSON
+/// equality holds.)
 #[test]
-fn chaos_sweep_three_worker_executor() {
-    let oracle = oracle();
-    let cfg = chaos_cfg(4, 3);
-    let result = run_sweep(&model(), &specs(), &cfg).unwrap();
-    check_against_oracle(&result, &oracle, "3 workers");
-}
-
-#[test]
-fn chaos_sweep_two_worker_executor() {
-    let oracle = oracle();
-    let cfg = chaos_cfg(4, 2);
-    let result = run_sweep(&model(), &specs(), &cfg).unwrap();
-    check_against_oracle(&result, &oracle, "2 workers");
-}
-
-/// The faulted chaos manifests themselves must agree across substrates:
-/// one canonical account of the batch regardless of how it executed.
-/// (Timing-dependent fields live in the report, not the manifest, and
-/// retry counts are seed-deterministic, so full JSON equality holds.)
-#[test]
-fn chaos_manifests_agree_across_substrates() {
-    let serial = run_sweep(&model(), &specs(), &chaos_cfg(4, 1)).unwrap();
-    for workers in [2, 3] {
-        let pooled = run_sweep(&model(), &specs(), &chaos_cfg(2, workers)).unwrap();
+fn chaos_manifests_agree_across_concurrency() {
+    let wide = run_sweep(&model(), &specs(), &chaos_cfg(4)).unwrap();
+    for concurrency in [1, 2] {
+        let narrow = run_sweep(&model(), &specs(), &chaos_cfg(concurrency)).unwrap();
         assert_eq!(
-            serial.manifest.render_json(),
-            pooled.manifest.render_json(),
-            "{workers} workers"
+            wide.manifest.render_json(),
+            narrow.manifest.render_json(),
+            "concurrency {concurrency}"
         );
     }
 }

@@ -207,13 +207,11 @@ fn mid_file_corruption_is_rejected() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A checkpoint does not depend on the placement that wrote it (the
-/// identity is the model's, and every placement is bitwise the in-thread
-/// graph): a bearing sweep killed on a 2-worker pool resumes on a
-/// 3-worker pool, or in thread, to the
-/// uninterrupted in-thread manifest byte for byte.
+/// A checkpoint does not depend on the lane width that wrote it: a
+/// bearing sweep killed while running scalar resumes with 8-lane batches,
+/// or scalar again, to the uninterrupted manifest byte for byte.
 #[test]
-fn resume_across_placements_is_bitwise_identical() {
+fn resume_across_lane_widths_is_bitwise_identical() {
     let source = om_models::bearing2d::source(&om_models::bearing2d::BearingConfig {
         rollers: 3,
         ..Default::default()
@@ -222,25 +220,25 @@ fn resume_across_placements_is_bitwise_identical() {
     let specs: Vec<ScenarioSpec> = (0..6)
         .map(|i| ScenarioSpec::new(i, vec![("y".into(), -5e-5 + 0.4e-5 * i as f64)]))
         .collect();
-    let cfg = |workers: usize| SweepConfig {
+    let cfg = |batch: usize| SweepConfig {
         run: ScenarioRunConfig {
             tend: 2e-4,
             h: 1e-5,
             ..ScenarioRunConfig::default()
         },
         checkpoint_every: 1,
-        workers,
+        batch,
         ..SweepConfig::default()
     };
     let oracle = run_sweep(&model, &specs, &cfg(1)).unwrap();
-    for resume_workers in [3, 1] {
-        let path = tmp_path(&format!("placements-{resume_workers}"));
+    for resume_batch in [8, 1] {
+        let path = tmp_path(&format!("lanes-{resume_batch}"));
         let _ = std::fs::remove_file(&path);
-        let mut first = cfg(2);
+        let mut first = cfg(1);
         first.checkpoint = Some(path.clone());
         first.stop_after = Some(2);
         run_sweep(&model, &specs, &first).unwrap();
-        let mut resume = cfg(resume_workers);
+        let mut resume = cfg(resume_batch);
         resume.checkpoint = Some(path.clone());
         resume.resume = true;
         let resumed = run_sweep(&model, &specs, &resume).unwrap();
@@ -248,7 +246,7 @@ fn resume_across_placements_is_bitwise_identical() {
         assert_eq!(
             resumed.manifest.render_json(),
             oracle.manifest.render_json(),
-            "resumed on {resume_workers} workers"
+            "resumed at batch {resume_batch}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -5,8 +5,7 @@
 //! `scenario` response line and executes through the same
 //! `run_scenario`/`run_scenario_batch` envelope as the sweep driver, so
 //! for identical scenario batches the `record` fragments must equal the
-//! sweep manifest rows byte for byte — across every execution substrate
-//! (serial, executor pools of 2 and 3 workers, SoA batch). This is the
+//! sweep manifest rows byte for byte — scalar and SoA-batched. This is the
 //! load-bearing guarantee that lets the sweep differential suites act
 //! as the serve oracle.
 
@@ -48,8 +47,7 @@ fn osc() -> Case {
     }
 }
 
-/// The 3-roller bearing: enough equation groups that 2 and 3 workers
-/// get one cluster each, so every placement compiles a different graph.
+/// The 3-roller bearing, the paper's model at its smallest size.
 fn bearing() -> Case {
     let cfg = om_models::bearing2d::BearingConfig {
         rollers: 3,
@@ -67,7 +65,7 @@ fn bearing() -> Case {
 
 /// Sweep-side truth: run the library sweep and render each outcome the
 /// way the manifest does.
-fn sweep_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
+fn sweep_records(case: &Case, batch: usize) -> Vec<String> {
     let registry = ModelRegistry::new();
     let model = registry.get_or_compile(&case.source).expect("compile");
     let scenarios: Vec<ScenarioSpec> = case
@@ -83,7 +81,6 @@ fn sweep_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
             ..ScenarioRunConfig::default()
         },
         concurrency: 2,
-        workers,
         batch,
         ..SweepConfig::default()
     };
@@ -95,7 +92,7 @@ fn sweep_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
 
 /// Serve-side observation: drive the socket-free request handler and
 /// pull the `record` fragments out of the `scenario` response lines.
-fn serve_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
+fn serve_records(case: &Case, batch: usize) -> Vec<String> {
     let server = Server::new(ServeConfig {
         pool_threads: 2,
         ..ServeConfig::default()
@@ -115,7 +112,7 @@ fn serve_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
     let request = format!(
         "{{\"id\":\"d\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
          \"scenarios\":[{}],\"tend\":{},\"h\":{},\
-         \"workers\":{workers},\"executor\":\"ws\",\"batch\":{batch}}}",
+         \"workers\":1,\"executor\":\"ws\",\"batch\":{batch}}}",
         json::escape(&case.source),
         scenarios.join(","),
         case.tend,
@@ -139,59 +136,35 @@ fn serve_records(case: &Case, workers: usize, batch: usize) -> Vec<String> {
         .collect()
 }
 
-fn assert_identical(workers: usize, batch: usize) {
-    let case = osc();
-    let sweep = sweep_records(&case, workers, batch);
-    let serve = serve_records(&case, workers, batch);
+fn assert_identical(case: &Case, batch: usize) {
+    let sweep = sweep_records(case, batch);
+    let serve = serve_records(case, batch);
     assert_eq!(sweep.len(), serve.len());
     for (i, (a, b)) in sweep.iter().zip(&serve).enumerate() {
-        assert_eq!(
-            a, b,
-            "scenario {i} diverged (workers={workers}, batch={batch})"
-        );
+        assert_eq!(a, b, "scenario {i} diverged (batch={batch})");
     }
 }
 
 #[test]
 fn serve_matches_sweep_serial() {
-    assert_identical(1, 1);
-}
-
-#[test]
-fn serve_matches_sweep_three_worker_pool() {
-    assert_identical(3, 1);
-}
-
-#[test]
-fn serve_matches_sweep_two_worker_pool() {
-    assert_identical(2, 1);
+    assert_identical(&osc(), 1);
 }
 
 #[test]
 fn serve_matches_sweep_batch8() {
-    assert_identical(1, 8);
+    assert_identical(&osc(), 8);
 }
 
-/// Pools are built from the registry's per-worker-count placement, so
-/// 1, 2 and 3 workers run three different clustered graphs of the
-/// bearing: sweep and serve records are byte-identical to the in-thread
-/// one-cluster sweep at every worker count.
+/// The bearing's sweep and serve records are byte-identical to the
+/// scalar sweep, scalar and in 8-lane batches.
 #[test]
-fn every_placement_of_the_bearing_is_byte_identical() {
+fn the_bearing_is_byte_identical_scalar_and_batched() {
     let case = bearing();
-    let oracle = sweep_records(&case, 1, 1);
+    let oracle = sweep_records(&case, 1);
     assert!(oracle.iter().all(|r| r.contains("completed")), "{oracle:?}");
-    for workers in [1, 2, 3] {
-        assert_eq!(
-            sweep_records(&case, workers, 1),
-            oracle,
-            "sweep workers={workers}"
-        );
-        assert_eq!(
-            serve_records(&case, workers, 1),
-            oracle,
-            "serve workers={workers}"
-        );
+    for batch in [1, 8] {
+        assert_eq!(sweep_records(&case, batch), oracle, "sweep batch={batch}");
+        assert_eq!(serve_records(&case, batch), oracle, "serve batch={batch}");
     }
 }
 

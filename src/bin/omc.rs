@@ -161,12 +161,12 @@ fn usage() -> String {
          --tend T --h H            fixed-step RK4 span per scenario (bit-reproducible;\n\
                                    the only integrator here: --solver is a\n\
                                    usage error for sweep/request)\n\
-         --concurrency N           scenario workers (default 4)\n\
-         --workers N               ODE workers per scenario (default 1 = serial)\n\
+         --concurrency N           scenario workers (default 4), the one parallel\n\
+                                   axis: each scenario runs in its worker's\n\
+                                   thread (--workers N > 1 is a usage error)\n\
          --executor ws             as for simulate\n\
          --batch K                 evaluate K scenarios per batched integration\n\
-                                   (SoA lanes, bitwise-identical to --batch 1;\n\
-                                   requires --workers 1)\n\
+                                   (SoA lanes, bitwise-identical to --batch 1)\n\
          --deadline-ms MS          per-scenario wall-clock deadline\n\
          --max-rhs N               per-scenario RHS call budget\n\
          --retries N               retries for transient faults (default 2)\n\
@@ -197,7 +197,7 @@ fn usage() -> String {
                                    transcript on stdout\n\
          --socket PATH             connect to a serving `omc serve --socket PATH`\n\
          --grid/--params/--tend/--h/--deadline-ms/--max-rhs/--retries/\n\
-         --workers/--executor/--batch   exactly as for sweep\n\
+         --executor/--batch        exactly as for sweep (so is --workers N > 1)\n\
          --repeat N                send the request N times on one connection\n\
                                    (the 2nd+ hit the warm registry; default 1)\n\
          --stats                   also send an op:\"stats\" request at the end\n\
@@ -1029,11 +1029,11 @@ fn check_ensemble_flags(command: &str, opts: &Flags) -> Result<(), CliError> {
              fixed-step RK4; set the step with --h)"
         )));
     }
-    if opts.batch > 1 && opts.workers > 1 {
+    if opts.workers > 1 {
         return Err(CliError::Usage(format!(
-            "{command}: --batch {} needs --workers 1, got --workers {} (batched lanes and \
-             per-scenario pools compete for the same cores)",
-            opts.batch, opts.workers
+            "{command}: --workers {} is not supported here (each scenario runs in one \
+             thread; parallelize across scenarios with --concurrency)",
+            opts.workers
         )));
     }
     if opts.array_aware {
@@ -1097,7 +1097,6 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
             ..ScenarioRunConfig::default()
         },
         concurrency: opts.concurrency.max(1),
-        workers: opts.workers.max(1),
         batch: opts.batch.max(1),
         faults,
         checkpoint: opts.checkpoint.as_ref().map(std::path::PathBuf::from),
@@ -1248,7 +1247,7 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
     Ok(format!(
         "{{\"id\":\"{id}\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
          \"scenarios\":[{}],\"tend\":{},\"h\":{},\"deadline_ms\":{},\"max_rhs\":{},\
-         \"retries\":{},\"workers\":{},\"batch\":{}}}",
+         \"retries\":{},\"batch\":{}}}",
         json::escape(source),
         scenarios.join(","),
         fmt_f64(opts.tend),
@@ -1256,7 +1255,6 @@ fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, C
         opts.deadline_ms,
         opts.max_rhs,
         opts.retries,
-        opts.workers.max(1),
         opts.batch.max(1),
     ))
 }

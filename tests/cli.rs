@@ -529,8 +529,14 @@ fn ignored_flag_combinations_are_usage_errors() {
     let scenarios = ["--grid", "x=0:1:2", "--socket", "/nonexistent.sock"];
     for (command, flags, named) in [
         ("simulate", &["--fault-seed", "7"][..], "--fault-seed"),
-        ("sweep", &["--batch", "4", "--workers", "2"], "--batch"),
-        ("request", &["--batch", "4", "--workers", "2"], "--batch"),
+        // Scenarios parallelize across --concurrency only.
+        ("sweep", &["--workers", "2"], "--concurrency"),
+        ("request", &["--workers", "2"], "--concurrency"),
+        (
+            "sweep",
+            &["--batch", "4", "--workers", "2"],
+            "--concurrency",
+        ),
         ("sweep", &["--array-aware"], "--array-aware"),
         ("request", &["--array-aware"], "--array-aware"),
         // Scenarios integrate with fixed-step RK4 only: any --solver,
@@ -559,7 +565,7 @@ fn the_removed_barrier_executor_is_a_usage_error_naming_ws() {
     let path = write_model("barrier_executor", OSC);
     for (command, extra) in [
         ("simulate", &["--workers", "2"][..]),
-        ("sweep", &["--grid", "x=0:1:2", "--workers", "2"]),
+        ("sweep", &["--grid", "x=0:1:2"]),
     ] {
         let out = omc()
             .arg(&path)

@@ -157,6 +157,51 @@ fn stdio_mode_serves_a_session_without_a_socket() {
     assert!(stdout.contains("\"type\":\"stats\""), "{stdout}");
 }
 
+/// A request's `"batch"` is untrusted: a lane width far past the
+/// scenario count (1e15 would ask for petabytes if anything were sized by
+/// it, 1e18 overflows a capacity) packs the request's scenarios into one
+/// batch like any width above their count, and the service keeps serving.
+#[test]
+fn hostile_batch_widths_are_answered_and_the_service_lives_on() {
+    use std::io::Write as _;
+
+    let mut cmd = omc();
+    cmd.args(["serve", "--stdio"]);
+    cmd.stdin(Stdio::piped());
+    cmd.stdout(Stdio::piped());
+    cmd.stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("spawn omc serve --stdio");
+    let mut session = String::new();
+    for (id, batch) in [("b15", "1e15"), ("b18", "1e18")] {
+        session.push_str(&format!(
+            "{{\"id\":\"{id}\",\"op\":\"run\",\"model\":{{\"source\":\"model M; Real x(start=1.0); \
+             equation der(x) = -x; end M;\"}},\"scenarios\":[{{\"x\":1.0}},{{\"x\":2.0}}],\
+             \"tend\":0.1,\"h\":0.01,\"batch\":{batch}}}\n"
+        ));
+    }
+    session.push_str("{\"id\":\"s\",\"op\":\"stats\"}\n");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(session.as_bytes())
+        .expect("write requests");
+    let out = child.wait_with_output().expect("wait");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}\n{stderr}");
+    for id in ["b15", "b18"] {
+        let done = format!("{{\"type\":\"done\",\"id\":\"{id}\",\"completed\":2,");
+        assert!(stdout.contains(&done), "{id}: {stdout}");
+    }
+    assert_eq!(
+        stdout.matches("\"type\":\"scenario\"").count(),
+        4,
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"type\":\"stats\""), "{stdout}");
+}
+
 #[test]
 fn request_against_missing_socket_is_an_io_error() {
     let model = write_model("serve_nosock");

@@ -39,6 +39,30 @@ fn clean_sweep_exits_zero_and_writes_manifest() {
     std::fs::remove_file(&model).ok();
 }
 
+/// No allocation is sized by `--batch`: a width of 1e18 over two
+/// scenarios runs them as one two-lane batch.
+#[test]
+fn a_batch_width_past_the_scenario_count_runs_one_batch() {
+    let model = write_model("huge_batch");
+    let out = run(&[
+        model.to_str().unwrap(),
+        "sweep",
+        "--grid",
+        "x=0.9:1.1:2",
+        "--tend",
+        "0.2",
+        "--h",
+        "0.01",
+        "--batch",
+        "1000000000000000000",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}\n{stderr}");
+    assert!(stdout.contains("2 scenarios = 2 completed"), "{stdout}");
+    std::fs::remove_file(&model).ok();
+}
+
 #[test]
 fn faulted_sweep_exits_partial_failure() {
     let model = write_model("faulted");
