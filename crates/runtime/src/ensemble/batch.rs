@@ -29,12 +29,12 @@
 //!   PR-6 scalar semantics instead of inventing new terminal states.
 
 use super::scenario::{
-    run_scenario, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, SweepFaultKind,
-    SweepFaultPlan,
+    run_scenario, ScenarioFault, ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, ScenarioSystem,
+    SweepFaultKind, SweepFaultPlan,
 };
 use om_codegen::registry::CompiledModel;
-use om_codegen::task::{BatchScratch, TaskGraph};
-use om_solver::{rk4_batch, BatchedOdeSystem, Budget, RhsError};
+use om_codegen::task::BatchScratch;
+use om_solver::{rk4_batch, Budget};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -44,50 +44,6 @@ pub(crate) fn batchable(fault: Option<&ScenarioFault>) -> bool {
     match fault {
         None => true,
         Some(f) => matches!(f.kind, SweepFaultKind::PoisonNaN),
-    }
-}
-
-/// The shared compiled RHS evaluated over K lanes at once, with
-/// lane-local NaN poison injection. `calls` counts batch call events,
-/// which in lockstep equals every lane's scalar call count — so a fault
-/// keyed on `after_calls` fires at the same point of the trajectory as
-/// it would scalar.
-struct BatchedScenarioSystem<'a> {
-    graph: &'a TaskGraph,
-    dim: usize,
-    lanes: usize,
-    scratch: BatchScratch,
-    faults: Vec<Option<ScenarioFault>>,
-    calls: u64,
-}
-
-impl BatchedOdeSystem for BatchedScenarioSystem<'_> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn rhs_batch(&mut self, t: f64, ys: &[f64], dydts: &mut [f64]) -> Result<(), RhsError> {
-        self.calls += 1;
-        self.graph.eval_batch(t, ys, dydts, &mut self.scratch);
-        for (l, fault) in self.faults.iter().enumerate() {
-            let fires = fault
-                .as_ref()
-                .is_some_and(|f| f.fail_attempts > 0 && self.calls == f.after_calls);
-            if fires {
-                // Only PoisonNaN reaches a batch (see `batchable`); the
-                // poison overwrites exactly this lane's columns, so the
-                // faulted lane sees the same NaN derivative its scalar
-                // run would and the siblings see nothing at all.
-                for i in 0..self.dim {
-                    dydts[i * self.lanes + l] = f64::NAN;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -132,15 +88,16 @@ pub(crate) fn run_scenario_batch(
                 y0[i * lanes + l] = lane_y0[i];
             }
         }
-        let mut sys = BatchedScenarioSystem {
+        let faults: Vec<Option<ScenarioFault>> = live
+            .iter()
+            .map(|&pos| plan.get(specs[pos].index).copied())
+            .collect();
+        let mut scratch = BatchScratch::new(graph, lanes);
+        let mut sys = ScenarioSystem {
             graph,
-            dim,
-            lanes,
-            scratch: BatchScratch::new(graph, lanes),
-            faults: live
-                .iter()
-                .map(|&pos| plan.get(specs[pos].index).copied())
-                .collect(),
+            scratch: &mut scratch,
+            faults: &faults,
+            attempt: 0,
             calls: 0,
         };
         let budget = Budget {
@@ -148,7 +105,7 @@ pub(crate) fn run_scenario_batch(
             max_rhs_calls: cfg.max_rhs_calls,
         };
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            rk4_batch(&mut sys, cfg.t0, &y0, cfg.tend, cfg.h, &budget)
+            rk4_batch(&mut sys, 0.0, &y0, cfg.tend, cfg.h, &budget)
         }));
         if let Ok(Ok(sol)) = attempt {
             for (l, &pos) in live.iter().enumerate() {

@@ -74,8 +74,6 @@ pub struct SweepConfig {
     pub run: ScenarioRunConfig,
     /// Scenario-worker threads (each runs whole scenarios, in thread).
     pub concurrency: usize,
-    /// Degradation floor: shedding never drops below this.
-    pub min_concurrency: usize,
     /// Scenarios evaluated per batched integration (lane width).
     pub batch: usize,
     pub faults: SweepFaultPlan,
@@ -87,23 +85,22 @@ pub struct SweepConfig {
     /// Admit only the first this-many pending scenarios (test hook that
     /// simulates an interrupted run; the rest end `skipped`).
     pub stop_after: Option<usize>,
-    /// Consecutive deadline failures before concurrency is halved.
-    pub shed_after: u32,
 }
+
+/// Consecutive deadline failures before a sweep halves its concurrency.
+const SHED_AFTER: u32 = 3;
 
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig {
             run: ScenarioRunConfig::default(),
             concurrency: 4,
-            min_concurrency: 1,
             batch: 1,
             faults: SweepFaultPlan::none(),
             checkpoint: None,
             checkpoint_every: 8,
             resume: false,
             stop_after: None,
-            shed_after: 3,
         }
     }
 }
@@ -382,6 +379,50 @@ fn obs_outcome(outcome: &ScenarioOutcome) {
     }
 }
 
+/// Check a run's settings against its model, before anything runs: the
+/// one check behind `omc sweep` ([`run_sweep`]) and `omc serve` (each
+/// `run` request), so both refuse the same settings with the same
+/// message. `concurrency` is the scenario workers the run gets.
+pub fn check_settings(
+    model: &CompiledModel,
+    scenarios: &[ScenarioSpec],
+    run: &ScenarioRunConfig,
+    batch: usize,
+    concurrency: usize,
+) -> Result<(), String> {
+    for (key, value) in [("tend", run.tend), ("h", run.h)] {
+        if !(value.is_finite() && value > 0.0) {
+            return Err(format!(
+                "'{key}' must be a positive finite number, got {value}"
+            ));
+        }
+    }
+    if batch == 0 {
+        return Err("batch width must be at least 1".into());
+    }
+    if concurrency == 0 {
+        return Err("concurrency must be at least 1".into());
+    }
+    let mut seen = HashSet::new();
+    for spec in scenarios {
+        if !seen.insert(spec.index) {
+            return Err(format!("duplicate scenario index {}", spec.index));
+        }
+        if let Some((name, _)) = spec
+            .overrides
+            .iter()
+            .find(|(name, _)| model.ir().find_state(name).is_none())
+        {
+            return Err(format!(
+                "no state named '{name}' in model '{}' (scenario {})",
+                model.ir().name,
+                spec.index
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Run a parameter sweep of `scenarios` over one compiled model.
 pub fn run_sweep(
     model: &Arc<CompiledModel>,
@@ -389,29 +430,8 @@ pub fn run_sweep(
     cfg: &SweepConfig,
 ) -> Result<SweepResult, SweepError> {
     let started = Instant::now();
-    if cfg.concurrency == 0 {
-        return Err(SweepError::Config("concurrency must be at least 1".into()));
-    }
-    if cfg.batch == 0 {
-        return Err(SweepError::Config("batch width must be at least 1".into()));
-    }
-    if cfg.min_concurrency == 0 || cfg.min_concurrency > cfg.concurrency {
-        return Err(SweepError::Config(format!(
-            "min_concurrency {} outside 1..={}",
-            cfg.min_concurrency, cfg.concurrency
-        )));
-    }
-    {
-        let mut seen = HashSet::new();
-        for spec in scenarios {
-            if !seen.insert(spec.index) {
-                return Err(SweepError::Config(format!(
-                    "duplicate scenario index {}",
-                    spec.index
-                )));
-            }
-        }
-    }
+    check_settings(model, scenarios, &cfg.run, cfg.batch, cfg.concurrency)
+        .map_err(SweepError::Config)?;
 
     let header = CheckpointHeader {
         model_key: model.key().0,
@@ -505,11 +525,11 @@ pub fn run_sweep(
             match outcome {
                 ScenarioOutcome::DeadlineExceeded { .. } => {
                     consecutive_deadlines += 1;
-                    if consecutive_deadlines >= cfg.shed_after.max(1) {
+                    if consecutive_deadlines >= SHED_AFTER {
                         consecutive_deadlines = 0;
                         let current = pool.active();
-                        if current > cfg.min_concurrency {
-                            pool.set_active((current / 2).max(cfg.min_concurrency));
+                        if current > 1 {
+                            pool.set_active(current / 2);
                             degraded = true;
                             if om_obs::is_enabled() {
                                 om_obs::instant("sweep.shed", "ensemble");
@@ -768,8 +788,6 @@ mod tests {
         let model = model();
         let mut cfg = quick_cfg();
         cfg.concurrency = 4;
-        cfg.min_concurrency = 1;
-        cfg.shed_after = 2;
         cfg.run.deadline = Some(Duration::from_millis(8));
         let mut faults = SweepFaultPlan::none();
         for i in 0..12 {

@@ -5,17 +5,19 @@
 //! A *scenario* is the shared compiled model plus a parameter vector
 //! (initial-state overrides). Running one never mutates shared state:
 //! the overrides are applied to a private copy of the initial state and
-//! the integration happens in the scenario worker's thread, through one
-//! one-lane [`om_codegen::task::TaskGraph::eval_batch`] scratch held
-//! across the scenario's RHS calls. An ensemble parallelizes across
-//! scenarios only: a scenario never gets an executor pool of its own.
-//! Every scenario therefore runs the same bytecode in the same order
-//! wherever it lands, which is what lets the chaos tests compare a
-//! concurrent faulted sweep against a sequential no-fault oracle.
+//! the integration happens in the scenario worker's thread, as a
+//! one-lane [`om_solver::rk4_batch`] over
+//! [`om_codegen::task::TaskGraph::eval_batch`] — the batched path at
+//! width 1, which keeps only the end state however long the span. An
+//! ensemble parallelizes across scenarios only: a scenario never gets an
+//! executor pool of its own. Every scenario therefore runs the same
+//! bytecode in the same order wherever it lands, which is what lets the
+//! chaos tests compare a concurrent faulted sweep against a sequential
+//! no-fault oracle.
 
 use om_codegen::registry::CompiledModel;
 use om_codegen::task::{BatchScratch, TaskGraph};
-use om_solver::{rk4_budgeted, Budget, OdeSystem, RhsError, SolveError};
+use om_solver::{rk4_batch, BatchedOdeSystem, Budget, RhsError, SolveError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -164,9 +166,9 @@ impl SweepFaultPlan {
 }
 
 /// Per-scenario integration settings and the robustness envelope.
-#[derive(Clone, Copy, Debug)]
+/// Every scenario integrates forward from t = 0.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScenarioRunConfig {
-    pub t0: f64,
     pub tend: f64,
     /// Fixed RK4 step (fixed-step keeps the RHS call sequence — and
     /// therefore the results — bit-for-bit reproducible).
@@ -185,7 +187,6 @@ pub struct ScenarioRunConfig {
 impl Default for ScenarioRunConfig {
     fn default() -> ScenarioRunConfig {
         ScenarioRunConfig {
-            t0: 0.0,
             tend: 1.0,
             h: 1e-3,
             deadline: None,
@@ -258,26 +259,41 @@ impl ScenarioOutcome {
 /// the executor pool's injected worker panic in [`crate::pool`]).
 pub(crate) struct InjectedScenarioPanic;
 
-/// The shared compiled RHS wrapped with per-scenario fault injection.
-struct ScenarioSystem<'a> {
-    graph: &'a TaskGraph,
-    scratch: &'a mut BatchScratch,
-    dim: usize,
-    fault: Option<&'a ScenarioFault>,
-    attempt: u32,
-    calls: u64,
+/// The shared compiled RHS over one lane per scenario, with each lane's
+/// injected fault. `calls` counts call events, which in lockstep equals
+/// every lane's scalar call count, so a fault keyed on `after_calls`
+/// fires at the same point of the trajectory at any lane width. A
+/// `PoisonNaN` writes only its own lane's derivative columns; a `Panic`
+/// or `Straggle` hits the whole call, so those scenarios run alone (see
+/// [`super::batch::batchable`]).
+pub(crate) struct ScenarioSystem<'a> {
+    pub graph: &'a TaskGraph,
+    pub scratch: &'a mut BatchScratch,
+    /// One entry per lane.
+    pub faults: &'a [Option<ScenarioFault>],
+    /// Attempt number: a fault fires on attempts `< fail_attempts`.
+    pub attempt: u32,
+    pub calls: u64,
 }
 
-impl ScenarioSystem<'_> {
-    fn eval(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RhsError> {
+impl BatchedOdeSystem for ScenarioSystem<'_> {
+    fn dim(&self) -> usize {
+        self.graph.dim
+    }
+
+    fn lanes(&self) -> usize {
+        self.faults.len()
+    }
+
+    fn rhs_batch(&mut self, t: f64, ys: &[f64], dydts: &mut [f64]) -> Result<(), RhsError> {
         self.calls += 1;
-        let fires = self
-            .fault
-            .is_some_and(|f| self.attempt < f.fail_attempts && self.calls == f.after_calls);
-        if fires {
-            // Infallible: `fires` required `self.fault` to be Some.
-            let Some(fault) = self.fault else {
-                return Err(RhsError::new("scenario fault disappeared"));
+        self.graph.eval_batch(t, ys, dydts, self.scratch);
+        let lanes = self.faults.len();
+        for (l, fault) in self.faults.iter().enumerate() {
+            let Some(fault) =
+                fault.filter(|f| self.attempt < f.fail_attempts && self.calls == f.after_calls)
+            else {
+                continue;
             };
             match fault.kind {
                 SweepFaultKind::Panic => {
@@ -285,29 +301,13 @@ impl ScenarioSystem<'_> {
                 }
                 SweepFaultKind::Straggle(delay) => std::thread::sleep(delay),
                 SweepFaultKind::PoisonNaN => {
-                    dydt.fill(f64::NAN);
-                    return Ok(());
+                    for i in 0..self.graph.dim {
+                        dydts[i * lanes + l] = f64::NAN;
+                    }
                 }
             }
         }
-        self.graph.eval_batch(t, y, dydt, self.scratch);
         Ok(())
-    }
-}
-
-impl OdeSystem for ScenarioSystem<'_> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        if self.eval(t, y, dydt).is_err() {
-            dydt.fill(f64::NAN);
-        }
-    }
-
-    fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RhsError> {
-        self.eval(t, y, dydt)
     }
 }
 
@@ -343,6 +343,7 @@ pub fn run_scenario(
     };
     let graph = model.graph();
     let mut scratch = BatchScratch::new(graph, 1);
+    let faults = [fault.copied()];
     let mut attempt: u32 = 0;
     loop {
         let budget = Budget {
@@ -352,23 +353,27 @@ pub fn run_scenario(
         let mut sys = ScenarioSystem {
             graph,
             scratch: &mut scratch,
-            dim: model.dim(),
-            fault,
+            faults: &faults,
             attempt,
             calls: 0,
         };
+        // The lane's own failure (non-finite state, call budget) is the
+        // error its solve would have returned.
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-            rk4_budgeted(&mut sys, cfg.t0, &y0, cfg.tend, cfg.h, &budget)
+            rk4_batch(&mut sys, 0.0, &y0, cfg.tend, cfg.h, &budget).and_then(|mut sol| {
+                match sol.lane_status.pop() {
+                    Some(Err(e)) => Err(e),
+                    _ => Ok(sol),
+                }
+            })
         }));
         let error = match attempt_result {
             Ok(Ok(sol)) => {
-                let t_bits = sol.t_end().to_bits();
-                let y_bits = sol.y_end().iter().map(|v| v.to_bits()).collect();
                 return ScenarioOutcome::Completed {
                     retries: attempt,
                     rhs_calls: sol.stats.rhs_calls as u64,
-                    t_bits,
-                    y_bits,
+                    t_bits: sol.t_end.to_bits(),
+                    y_bits: sol.y_end.iter().map(|v| v.to_bits()).collect(),
                 };
             }
             Ok(Err(SolveError::DeadlineExceeded { .. })) => {

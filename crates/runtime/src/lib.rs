@@ -34,6 +34,10 @@
 //! next step", §3.2.3) and tracks its own overhead, which experiment E6
 //! compares against the paper's <1 % claim.
 
+// Outside tests, no `unwrap`/`expect` anywhere in the runtime: the pool,
+// the ensemble driver and the serve protocol answer typed errors.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ensemble;
 pub mod error;
 pub mod fault;

@@ -97,8 +97,6 @@
 //! and a `Straggle` just delays the call (nobody supervises the
 //! supervisor).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::RuntimeError;
 use crate::fault::{FaultConfig, FaultKind, FaultPlan, RecoveryStats};
 use crate::strategy::Strategy;

@@ -11,8 +11,9 @@
 //! ## Request lifecycle
 //!
 //! ```text
-//!   line ─▶ decode ─▶ admission ─▶ enqueue ─▶ collect ─▶ respond
-//!             │           │   (all-or-nothing)     (index order)
+//!   line ─▶ decode ─▶ admission ─▶ model + settings ─▶ enqueue ─▶ collect ─▶ respond
+//!             │           │                   │     (all-or-nothing)   (index order)
+//!             │           │                   └─▶ error{message}
 //!             │           └─▶ overloaded{rate|inflight|capacity|draining}
 //!             └─▶ error{message}
 //! ```
@@ -37,7 +38,7 @@ pub mod quota;
 
 use crate::ensemble::checkpoint::render_record;
 use crate::ensemble::pool::{Job, ScenarioPool, ScenarioReply};
-use crate::ensemble::{pack_work_items, ScenarioOutcome, SweepFaultPlan};
+use crate::ensemble::{check_settings, pack_work_items, ScenarioOutcome, SweepFaultPlan};
 use om_codegen::registry::{ModelKey, ModelRegistry};
 use protocol::{ModelRef, Request, RunRequest};
 use quota::{ClientState, InflightReservation, ShedReason, TokenBucket};
@@ -100,10 +101,7 @@ const LATENCY_WINDOW: usize = 4096;
 
 impl ServeStats {
     fn record_latencies(&self, fresh: &[u64]) {
-        let mut ring = match self.latencies_ns.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut ring = crate::pool::lock(&self.latencies_ns);
         for &ns in fresh {
             if ring.len() == LATENCY_WINDOW {
                 ring.remove(0);
@@ -113,10 +111,7 @@ impl ServeStats {
     }
 
     fn latency_percentile_ns(&self, q: f64) -> u64 {
-        let ring = match self.latencies_ns.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let ring = crate::pool::lock(&self.latencies_ns);
         if ring.is_empty() {
             return 0;
         }
@@ -196,9 +191,9 @@ impl Server {
     pub fn handle_line(&self, line: &str, client: &mut ClientState, now_ns: u64) -> Vec<String> {
         let request = match protocol::parse_request(line) {
             Ok(request) => request,
-            Err(message) => {
+            Err(error) => {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return vec![protocol::render_error("null", &message)];
+                return vec![protocol::render_error(&error.id, &error.message)];
             }
         };
         match request {
@@ -258,6 +253,13 @@ impl Server {
             },
         };
         let warm = self.registry.misses() == misses_before;
+        let pool = crate::pool::lock(&self.pool);
+        if let Err(message) =
+            check_settings(&model, &req.scenarios, &req.run, req.batch, pool.threads())
+        {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            return vec![protocol::render_error(&req.id, &message)];
+        }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.scenarios.fetch_add(n as u64, Ordering::Relaxed);
         if om_obs::is_enabled() {
@@ -282,19 +284,17 @@ impl Server {
         // driver.
         let begun = Instant::now();
         let (tx, rx) = mpsc::channel();
-        {
-            let pool = crate::pool::lock(&self.pool);
-            let faults = Arc::new(SweepFaultPlan::none());
-            for item in pack_work_items(req.scenarios.into(), req.batch, &faults) {
-                pool.submit(Job {
-                    model: Arc::clone(&model),
-                    item,
-                    run: req.run,
-                    faults: Arc::clone(&faults),
-                    reply: tx.clone(),
-                });
-            }
+        let faults = Arc::new(SweepFaultPlan::none());
+        for item in pack_work_items(req.scenarios.into(), req.batch, &faults) {
+            pool.submit(Job {
+                model: Arc::clone(&model),
+                item,
+                run: req.run,
+                faults: Arc::clone(&faults),
+                reply: tx.clone(),
+            });
         }
+        drop(pool);
         drop(tx);
 
         // Collect every admitted scenario. The reply channel closing early
@@ -465,10 +465,7 @@ impl Server {
             // requests complete before run_unix returns.
         });
         let _ = std::fs::remove_file(socket);
-        match self.pool.lock() {
-            Ok(mut guard) => guard.shutdown(),
-            Err(poisoned) => poisoned.into_inner().shutdown(),
-        }
+        crate::pool::lock(&self.pool).shutdown();
         accept_result
     }
 
@@ -500,10 +497,7 @@ impl Server {
             }
             out.flush()?;
         }
-        match self.pool.lock() {
-            Ok(mut guard) => guard.shutdown(),
-            Err(poisoned) => poisoned.into_inner().shutdown(),
-        }
+        crate::pool::lock(&self.pool).shutdown();
         Ok(())
     }
 }
@@ -648,6 +642,109 @@ mod tests {
         let shed = doc.get("shed").unwrap();
         assert_eq!(shed.get("inflight").and_then(json::Json::as_usize), Some(1));
         assert_eq!(shed.get("rate").and_then(json::Json::as_usize), Some(0));
+    }
+
+    /// One settings check behind both drivers: every bad setting is
+    /// `SweepError::Config(m)` from `run_sweep` and exactly one `error`
+    /// line with message `m` and the request's id from the service,
+    /// before any `accepted` line, with the capacity released.
+    #[test]
+    fn sweep_and_serve_refuse_bad_settings_with_one_message() {
+        use crate::ensemble::{run_sweep, SweepConfig, SweepError};
+        use om_codegen::registry::CompiledModel;
+
+        let model = Arc::new(CompiledModel::compile(OSC).unwrap());
+        let server = Server::new(ServeConfig::default());
+        let mut client = server.new_client();
+        for (n, (field, value)) in [
+            ("batch", "0"),
+            ("tend", "0"),
+            ("tend", "-1"),
+            ("tend", "1e999"),
+            ("h", "0"),
+            ("h", "-0.1"),
+            ("h", "1e999"),
+            ("scenarios", r#"[{"x":1.0},{"bogus":2.0}]"#),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut fields = [
+                ("scenarios", r#"[{"x":1.0},{"x":2.0}]"#),
+                ("tend", "0.2"),
+                ("h", "0.01"),
+                ("batch", "1"),
+            ];
+            fields.iter_mut().find(|f| f.0 == field).unwrap().1 = value;
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            let line = format!(
+                "{{\"id\":\"p{n}\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},{}}}",
+                json::escape(OSC),
+                body.join(",")
+            );
+            let Ok(protocol::Request::Run(req)) = protocol::parse_request(&line) else {
+                panic!("{line} must parse");
+            };
+            let cfg = SweepConfig {
+                run: req.run,
+                batch: req.batch,
+                ..SweepConfig::default()
+            };
+            let Err(SweepError::Config(message)) = run_sweep(&model, &req.scenarios, &cfg) else {
+                panic!("{field} {value}: run_sweep must refuse");
+            };
+            let lines = server.handle_line(&line, &mut client, 0);
+            assert_eq!(
+                lines,
+                [protocol::render_error(&format!("\"p{n}\""), &message)],
+                "{field} {value}"
+            );
+            assert_eq!(server.inflight.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    #[test]
+    fn a_refused_request_line_keeps_its_id() {
+        let server = Server::new(ServeConfig::default());
+        let mut client = server.new_client();
+        for (line, id) in [
+            (r#"{"id":"w2","op":"run","workers":2}"#.to_owned(), "\"w2\""),
+            (
+                run_request_line(1).replace("\"id\":\"r\"", "\"id\":9,\"t0\":1"),
+                "9",
+            ),
+            ("{\"id\":\"cut\"".to_owned(), "null"),
+        ] {
+            let lines = server.handle_line(&line, &mut client, 0);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(
+                lines[0].starts_with(&format!("{{\"type\":\"error\",\"id\":{id},")),
+                "{lines:?}"
+            );
+        }
+    }
+
+    /// A span that never ends under its step no longer grows memory: the
+    /// scenario keeps only its end state, the deadline stops it, and the
+    /// service answers the next line.
+    #[test]
+    fn an_endless_span_ends_at_its_deadline_and_the_service_lives_on() {
+        let server = Server::new(ServeConfig {
+            pool_threads: 1,
+            ..ServeConfig::default()
+        });
+        let mut client = server.new_client();
+        let line = format!(
+            "{{\"id\":\"far\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
+             \"scenarios\":[{{\"x\":1.0}}],\"tend\":1e300,\"h\":1,\"deadline_ms\":200}}",
+            json::escape(OSC)
+        );
+        let lines = server.handle_line(&line, &mut client, 0);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[1].contains("\"status\":\"deadline\""), "{}", lines[1]);
+        assert!(lines[2].contains("\"deadline\":1"), "{}", lines[2]);
+        let stats = server.handle_line(r#"{"id":"s","op":"stats"}"#, &mut client, 0);
+        assert!(stats[0].starts_with("{\"type\":\"stats\""), "{stats:?}");
     }
 
     #[test]

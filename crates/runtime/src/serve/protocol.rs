@@ -16,16 +16,24 @@
 //! the content key a previous `accepted` response reported (`key` — the
 //! warm fast path: no source bytes shipped, no hash computed). Every
 //! scenario object maps state names to initial-value overrides, exactly
-//! like one row of `omc sweep --params`. All solver/envelope fields are
-//! optional and default to the sweep defaults; one that is present must
-//! have its documented type (`t0`/`tend`/`h` numbers, `deadline_ms`/
-//! `max_rhs`/`retries` non-negative integers, `batch` a positive
-//! integer), or the request is an `error`. A scenario runs in the thread
-//! of the service worker that takes it, so a `workers` key may only say
-//! `1` (the service's `--concurrency` is the parallel axis). An
-//! `executor` key may name `"ws"`, the one executor; any other value (the
-//! removed `"barrier"` too) is an `error`.
+//! like one row of `omc sweep --params`.
 //!
+//! A `run` line carries only the keys in [`RUN_KEYS`]; any other key is
+//! an `error` that names it. A client that still sends `workers`,
+//! `executor` or `t0` is refused the same way: a scenario runs in the
+//! thread of the service worker that takes it (the service's
+//! `--concurrency` is the parallel axis), the pool has one policy, and
+//! every scenario integrates from t = 0. The solver/envelope fields are
+//! optional and default to the sweep defaults; one that is present must
+//! have its documented type (`tend`/`h` numbers, `deadline_ms`/`max_rhs`/
+//! `retries`/`batch` non-negative integers), or the request is an
+//! `error`. The settings themselves (a positive finite `tend` and `h`, a
+//! `batch` of at least 1, override names the model has) are checked once
+//! the model is resolved, by the same
+//! [`check_settings`](crate::ensemble::check_settings) `omc sweep` runs,
+//! so both refuse alike. [`render_run`] writes the line `omc request`
+//! sends, and [`parse_request`] reads it back to the same request.
+
 //! ## Responses
 //!
 //! Every line is a JSON object with a `type` and the request's `id`
@@ -41,15 +49,16 @@
 //! * `overloaded` — typed shed: `reason` ∈ rate|inflight|capacity|
 //!   draining, optional `retry_ms` hint, the client's running shed
 //!   count. The request executed nothing.
-//! * `error` — malformed request, unknown model key, or compile failure;
-//!   after `accepted`, it ends (in place of `done`) only a request whose
+//! * `error` — malformed request, unknown model key, compile failure, or
+//!   settings the model cannot run; it carries the request's `id` when
+//!   the line was a JSON object with one (`null` otherwise). After
+//!   `accepted`, it ends (in place of `done`) only a request whose
 //!   scenarios the service lost to a shutdown mid-request.
 //! * `stats` — service-level counters (for `op":"stats"`).
 
 use super::quota::ShedReason;
 use crate::ensemble::json::{self, Json};
 use crate::ensemble::{ScenarioRunConfig, ScenarioSpec};
-use crate::strategy::Strategy;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -62,8 +71,22 @@ pub enum ModelRef {
     Key(u64),
 }
 
+/// The keys a `run` request line may carry.
+pub const RUN_KEYS: [&str; 10] = [
+    "id",
+    "op",
+    "model",
+    "scenarios",
+    "tend",
+    "h",
+    "deadline_ms",
+    "max_rhs",
+    "retries",
+    "batch",
+];
+
 /// A decoded `op:"run"` request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunRequest {
     /// The request id, pre-rendered as a JSON fragment for echoing
     /// (`"r1"` or `17` or `null`).
@@ -76,19 +99,10 @@ pub struct RunRequest {
 }
 
 /// Any decoded request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     Run(Box<RunRequest>),
     Stats { id: String },
-}
-
-impl Request {
-    pub fn id(&self) -> &str {
-        match self {
-            Request::Run(r) => &r.id,
-            Request::Stats { id } => id,
-        }
-    }
 }
 
 /// Render a request `id` value as a JSON fragment for echoing. Strings
@@ -102,25 +116,48 @@ fn render_id(doc: &Json) -> String {
     }
 }
 
-/// Decode one request line. The error string is already client-facing
-/// (it goes into an `error` response verbatim).
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = json::parse(line).map_err(|e| format!("malformed request JSON: {e}"))?;
+/// A request line the protocol refuses: the client-facing message (it
+/// goes into an `error` response verbatim) and the request's rendered
+/// `id`, `null` when the line is not a JSON object with one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RequestError {
+    pub id: String,
+    pub message: String,
+}
+
+/// Decode one request line.
+pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    let doc = json::parse(line).map_err(|e| RequestError {
+        id: "null".into(),
+        message: format!("malformed request JSON: {e}"),
+    })?;
     let id = render_id(&doc);
-    let op = doc
+    let parsed = doc
         .get("op")
         .and_then(Json::as_str)
-        .ok_or("missing 'op' field (expected \"run\" or \"stats\")")?;
-    match op {
-        "stats" => Ok(Request::Stats { id }),
-        "run" => parse_run(&doc, id).map(|r| Request::Run(Box::new(r))),
-        other => Err(format!(
-            "unknown op '{other}' (expected \"run\" or \"stats\")"
-        )),
-    }
+        .ok_or_else(|| "missing 'op' field (expected \"run\" or \"stats\")".to_owned())
+        .and_then(|op| match op {
+            "stats" => Ok(Request::Stats { id: id.clone() }),
+            "run" => parse_run(&doc, id.clone()).map(|r| Request::Run(Box::new(r))),
+            other => Err(format!(
+                "unknown op '{other}' (expected \"run\" or \"stats\")"
+            )),
+        });
+    parsed.map_err(|message| RequestError { id, message })
 }
 
 fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
+    if let Some((key, _)) = doc
+        .as_obj()
+        .into_iter()
+        .flatten()
+        .find(|(key, _)| !RUN_KEYS.contains(&key.as_str()))
+    {
+        return Err(format!(
+            "unknown key '{key}' in a run request (a run line carries only {})",
+            RUN_KEYS.join(", ")
+        ));
+    }
     let model_field = doc.get("model").ok_or("missing 'model' object")?;
     let model = if let Some(src) = model_field.get("source").and_then(Json::as_str) {
         ModelRef::Source(src.to_string())
@@ -157,22 +194,10 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
     let mut run = ScenarioRunConfig::default();
     let number = |key| optional(doc, key, "a number", Json::as_f64);
     let count = |key| optional(doc, key, "a non-negative integer", Json::as_u64);
-    if let Some(t0) = number("t0")? {
-        run.t0 = t0;
-    }
     if let Some(tend) = number("tend")? {
         run.tend = tend;
     }
-    if !(run.t0.is_finite() && run.tend.is_finite() && run.tend > run.t0) {
-        return Err(format!(
-            "'tend' {} must be a finite time after 't0' {}",
-            run.tend, run.t0
-        ));
-    }
     if let Some(h) = number("h")? {
-        if !(h.is_finite() && h > 0.0) {
-            return Err("'h' must be a positive finite step".into());
-        }
         run.h = h;
     }
     if let Some(ms) = count("deadline_ms")? {
@@ -184,25 +209,7 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
     if let Some(r) = count("retries")? {
         run.max_retries = r.min(u32::MAX as u64) as u32;
     }
-    // Accepted at 1 for clients that still send it.
-    match count("workers")? {
-        None | Some(1) => {}
-        Some(w) => {
-            return Err(format!(
-                "'workers' {w} is not supported: a scenario runs in one service worker's \
-                 thread (parallelize across scenarios with `omc serve --concurrency`)"
-            ));
-        }
-    }
-    // The one executor's token, accepted for clients that still send it.
-    if let Some(token) = optional(doc, "executor", "a string", Json::as_str)? {
-        token.parse::<Strategy>()?;
-    }
-    let batch = match count("batch")? {
-        Some(0) => return Err("'batch' must be at least 1".into()),
-        Some(b) => usize::try_from(b).unwrap_or(usize::MAX),
-        None => 1,
-    };
+    let batch = count("batch")?.map_or(1, |b| usize::try_from(b).unwrap_or(usize::MAX));
 
     Ok(RunRequest {
         id,
@@ -211,6 +218,42 @@ fn parse_run(doc: &Json, id: String) -> Result<RunRequest, String> {
         run,
         batch,
     })
+}
+
+/// The request line for `req`, every wire field written out. Numbers
+/// are rendered shortest-round-trip, so [`parse_request`] reads back the
+/// same request (finite values; the envelope's backoff is not on the
+/// wire and comes back as the default).
+pub fn render_run(req: &RunRequest) -> String {
+    let model = match &req.model {
+        ModelRef::Source(source) => format!("{{\"source\":\"{}\"}}", json::escape(source)),
+        ModelRef::Key(key) => format!("{{\"key\":\"{key:016x}\"}}"),
+    };
+    let scenarios: Vec<String> = req
+        .scenarios
+        .iter()
+        .map(|spec| {
+            let fields: Vec<String> = spec
+                .overrides
+                .iter()
+                .map(|(name, v)| format!("\"{}\":{v:e}", json::escape(name)))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        })
+        .collect();
+    let run = &req.run;
+    format!(
+        "{{\"id\":{},\"op\":\"run\",\"model\":{model},\"scenarios\":[{}],\"tend\":{:e},\
+         \"h\":{:e},\"deadline_ms\":{},\"max_rhs\":{},\"retries\":{},\"batch\":{}}}",
+        req.id,
+        scenarios.join(","),
+        run.tend,
+        run.h,
+        run.deadline.map_or(0, |d| d.as_millis()),
+        run.max_rhs_calls,
+        run.max_retries,
+        req.batch,
+    )
 }
 
 /// An optional request field: absent is `Ok(None)`; present but not of
@@ -298,8 +341,7 @@ mod tests {
         format!(
             "{{\"id\":\"r1\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
              \"scenarios\":[{{\"x\":1.0}},{{\"x\":1.5}}],\"tend\":0.2,\"h\":0.01,\
-             \"deadline_ms\":500,\"max_rhs\":1000,\"retries\":3,\"workers\":1,\
-             \"executor\":\"ws\",\"batch\":{batch}}}",
+             \"deadline_ms\":500,\"max_rhs\":1000,\"retries\":3,\"batch\":{batch}}}",
             json::escape(OSC)
         )
     }
@@ -336,8 +378,7 @@ mod tests {
     #[test]
     fn stats_request_parses() {
         let req = parse_request(r#"{"id":"s","op":"stats"}"#).unwrap();
-        assert!(matches!(req, Request::Stats { .. }));
-        assert_eq!(req.id(), "\"s\"");
+        assert_eq!(req, Request::Stats { id: "\"s\"".into() });
     }
 
     #[test]
@@ -362,18 +403,6 @@ mod tests {
                 "not a number",
             ),
             (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":0}"#,
-                "workers",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":2}"#,
-                "--concurrency",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":"1"}"#,
-                "'workers' must be a non-negative integer",
-            ),
-            (
                 r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"retries":-1}"#,
                 "'retries' must be a non-negative integer",
             ),
@@ -382,48 +411,29 @@ mod tests {
                 "'tend' must be a number",
             ),
             (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":7}"#,
-                "'executor' must be a string",
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":-1}"#,
+                "'batch' must be a non-negative integer",
+            ),
+            // Keys outside the run line's set, the retired ones included.
+            (
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"workers":1}"#,
+                "unknown key 'workers'",
             ),
             (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"batch":0}"#,
-                "batch",
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"ws"}"#,
+                "unknown key 'executor'",
             ),
             (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"h":-0.1}"#,
-                "positive",
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"t0":0}"#,
+                "unknown key 't0'",
             ),
             (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"h":0}"#,
-                "positive",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":0}"#,
-                "'tend' 0 must be a finite time after 't0' 0",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":-1}"#,
-                "'tend' -1 must be",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"t0":2,"tend":1}"#,
-                "after 't0' 2",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"tend":1e999}"#,
-                "finite",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"gpu"}"#,
-                "unknown executor",
-            ),
-            (
-                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"executor":"barrier"}"#,
-                "the one executor is 'ws'",
+                r#"{"op":"run","model":{"source":"m"},"scenarios":[{"x":1}],"deadline":500}"#,
+                "unknown key 'deadline'",
             ),
         ] {
             let err = parse_request(line).unwrap_err();
-            assert!(err.contains(needle), "line {line}: got '{err}'");
+            assert!(err.message.contains(needle), "line {line}: got {err:?}");
         }
     }
 

@@ -111,8 +111,7 @@ fn serve_records(case: &Case, batch: usize) -> Vec<String> {
         .collect();
     let request = format!(
         "{{\"id\":\"d\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
-         \"scenarios\":[{}],\"tend\":{},\"h\":{},\
-         \"workers\":1,\"executor\":\"ws\",\"batch\":{batch}}}",
+         \"scenarios\":[{}],\"tend\":{},\"h\":{},\"batch\":{batch}}}",
         json::escape(&case.source),
         scenarios.join(","),
         case.tend,

@@ -3,16 +3,19 @@
 //! Request lines are untrusted bytes. Starting from one valid `run`
 //! line, each case drops keys, swaps value types, puts boundary numbers
 //! (0, negative, fractional, `1e300`, 2^64, 1e15, 1e18) into the integer
-//! envelope fields, truncates the line, or replaces it with arbitrary
-//! bytes. `parse_request` must never panic; a line the protocol refuses
-//! must come back as a typed `Err`, and a line it accepts as `Ok`. Every
-//! line then goes through the service's line handler: a refused line
-//! answers one `error` line, an accepted one a complete transcript, and
-//! the service keeps answering `stats` after all of them.
+//! envelope fields, adds a key outside the run line's set, truncates the
+//! line, or replaces it with arbitrary bytes. `parse_request` must never
+//! panic; a line the protocol refuses must come back as a typed `Err`,
+//! and a line it accepts as `Ok`. Every line then goes through the
+//! service's line handler: a refused line answers one `error` line (a
+//! parsed line whose settings the model cannot run too), an accepted one
+//! a complete transcript, and the service keeps answering `stats` after
+//! all of them. Finally, the line `omc request` renders parses back to
+//! the request it was rendered from.
 
 use om_runtime::ensemble::json::{self, Json};
-use om_runtime::serve::protocol::parse_request;
-use om_runtime::{ServeConfig, Server};
+use om_runtime::serve::protocol::{parse_request, render_run, ModelRef, Request, RunRequest};
+use om_runtime::{ScenarioRunConfig, ScenarioSpec, ServeConfig, Server};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -23,7 +26,7 @@ const OSC: &str = "model Osc; Real x(start=1.0); Real y; \
 const REQUIRED: [&str; 3] = ["op", "model", "scenarios"];
 
 /// The integer envelope fields and the values tried in them.
-const COUNT_KEYS: [&str; 5] = ["batch", "workers", "max_rhs", "retries", "deadline_ms"];
+const COUNT_KEYS: [&str; 4] = ["batch", "max_rhs", "retries", "deadline_ms"];
 const NUMBERS: [&str; 11] = [
     "0",
     "1",
@@ -47,15 +50,18 @@ struct Field {
     key: &'static str,
     /// The value's JSON text; `None` once the key is dropped.
     value: Option<String>,
-    /// Whether the protocol accepts the value.
-    valid: bool,
+    /// Whether `parse_request` accepts the value.
+    parses: bool,
+    /// Whether the service runs it (the settings check passes too).
+    runs: bool,
 }
 
 fn base() -> Vec<Field> {
     let field = |key, value: &str| Field {
         key,
         value: Some(value.to_owned()),
-        valid: true,
+        parses: true,
+        runs: true,
     };
     vec![
         field("id", "\"p\""),
@@ -70,8 +76,6 @@ fn base() -> Vec<Field> {
         field("deadline_ms", "5000"),
         field("max_rhs", "1000"),
         field("retries", "2"),
-        field("workers", "1"),
-        field("executor", "\"ws\""),
         field("batch", "2"),
     ]
 }
@@ -84,20 +88,15 @@ fn render(fields: &[Field]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-/// The protocol's rule for an integer envelope field: a non-negative
-/// integer (2^64 and above saturate), `batch` at least 1, `workers`
-/// exactly 1.
-fn count_is_valid(key: &str, text: &str) -> bool {
+/// The protocol's rule for an integer envelope field: `(parses, runs)`.
+/// It parses as a non-negative integer (2^64 and above saturate), and
+/// the settings check runs a `batch` of at least 1.
+fn count_verdict(key: &str, text: &str) -> (bool, bool) {
     let Ok(x) = text.parse::<f64>() else {
-        return false;
+        return (false, false);
     };
     let count = x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64;
-    count
-        && match key {
-            "batch" => x >= 1.0,
-            "workers" => x == 1.0,
-            _ => true,
-        }
+    (count, count && (key != "batch" || x >= 1.0))
 }
 
 /// Apply mutation `kind` to the field picked by `which`, with `pick`
@@ -108,13 +107,15 @@ fn mutate(fields: &mut [Field], kind: usize, which: usize, pick: usize) {
         0 => {
             let field = &mut fields[which % fields.len()];
             field.value = None;
-            field.valid = !REQUIRED.contains(&field.key);
+            field.parses = !REQUIRED.contains(&field.key);
+            field.runs = field.parses;
         }
         // Swap in a value of the wrong type (any `id` is echoed as is).
         1 => {
             let field = &mut fields[which % fields.len()];
             field.value = Some(WRONG_TYPES[pick % WRONG_TYPES.len()].to_owned());
-            field.valid = field.key == "id";
+            field.parses = field.key == "id";
+            field.runs = field.parses;
         }
         // A boundary number in an integer envelope field.
         _ => {
@@ -122,7 +123,7 @@ fn mutate(fields: &mut [Field], kind: usize, which: usize, pick: usize) {
             let text = NUMBERS[pick % NUMBERS.len()];
             if let Some(field) = fields.iter_mut().find(|f| f.key == key) {
                 field.value = Some(text.to_owned());
-                field.valid = count_is_valid(key, text);
+                (field.parses, field.runs) = count_verdict(key, text);
             }
         }
     }
@@ -152,6 +153,10 @@ fn line_type(line: &str) -> String {
 /// Run `line` through the handler: a refused line answers exactly one
 /// `error` line; an accepted one `accepted`, two scenarios and `done`.
 fn check_handler(line: &str, accepted: bool) -> Result<(), TestCaseError> {
+    check_handler_lines(line, accepted).map(|_| ())
+}
+
+fn check_handler_lines(line: &str, accepted: bool) -> Result<Vec<String>, TestCaseError> {
     let server = server();
     let mut client = server.new_client();
     let lines = server.handle_line(line, &mut client, 0);
@@ -169,8 +174,34 @@ fn check_handler(line: &str, accepted: bool) -> Result<(), TestCaseError> {
     }
     let stats = server.handle_line(r#"{"id":"s","op":"stats"}"#, &mut client, 0);
     prop_assert_eq!(line_type(&stats[0]), "stats", "{:?}", stats);
-    Ok(())
+    Ok(lines)
 }
+
+/// Keys a `run` line must not carry: the retired ones, near misses of
+/// real ones, and arbitrary words.
+const FOREIGN_KEYS: [&str; 8] = [
+    "workers",
+    "executor",
+    "t0",
+    "deadline",
+    "bach",
+    "max_rhs_calls",
+    "source",
+    "ID",
+];
+
+/// A finite f64 from arbitrary bits (subnormals, -0, huge exponents).
+fn finite(bits: u64) -> f64 {
+    let x = f64::from_bits(bits);
+    if x.is_finite() {
+        x
+    } else {
+        f64::from_bits(bits >> 12)
+    }
+}
+
+/// JSON integers travel as f64: counts stay below 2^53.
+const EXACT: u64 = 1 << 53;
 
 #[test]
 fn the_unmutated_line_is_accepted() {
@@ -193,10 +224,92 @@ proptest! {
             mutate(&mut fields, kind, which, pick);
         }
         let line = render(&fields);
-        let expect_ok = fields.iter().all(|f| f.valid);
+        let parses = fields.iter().all(|f| f.parses);
         let parsed = parse_request(&line);
-        prop_assert_eq!(parsed.is_ok(), expect_ok, "{}: {:?}", line, parsed.err());
-        check_handler(&line, expect_ok)?;
+        prop_assert_eq!(parsed.is_ok(), parses, "{}: {:?}", line, parsed.err());
+        check_handler(&line, fields.iter().all(|f| f.runs))?;
+    }
+
+    /// A valid line plus one key outside the run line's set is refused
+    /// with an error that names the key and keeps the request's id.
+    #[test]
+    fn a_key_outside_the_set_is_refused_by_name(
+        pick in 0usize..16,
+        word in "[a-z_]{1,10}",
+        at in 0usize..64,
+        value in 0usize..4,
+    ) {
+        let mut key = FOREIGN_KEYS.get(pick).map_or(word, |k| (*k).to_owned());
+        if base().iter().any(|f| f.key == key) {
+            key.insert(0, 'x');
+        }
+        let mut body: Vec<String> = base()
+            .iter()
+            .filter_map(|f| f.value.as_ref().map(|v| format!("\"{}\":{v}", f.key)))
+            .collect();
+        let text = ["1", "\"ws\"", "0", "[]"][value];
+        body.insert(at % (body.len() + 1), format!("\"{key}\":{text}"));
+        let line = format!("{{{}}}", body.join(","));
+        let err = parse_request(&line).expect_err("a foreign key is refused");
+        prop_assert!(err.message.contains(&format!("'{key}'")), "{}: {:?}", line, err);
+        prop_assert_eq!(err.id.as_str(), "\"p\"");
+        let lines = check_handler_lines(&line, false)?;
+        prop_assert!(lines[0].contains("\"id\":\"p\""), "{:?}", lines);
+    }
+
+    /// `parse_request(render_run(r)) == r` for run requests with finite
+    /// values.
+    #[test]
+    fn a_rendered_run_request_parses_back_to_itself(
+        id in 0u64..1000,
+        text_id in proptest::bool::ANY,
+        keyed in proptest::bool::ANY,
+        key in 0u64..u64::MAX,
+        source in "[a-zA-Z0-9 ;=()\"\\\n]{0,40}",
+        rows in proptest::collection::vec(
+            proptest::collection::vec(("[a-z\"\\ ]{1,4}", 0u64..u64::MAX), 0..4),
+            1..4,
+        ),
+        span in (0u64..u64::MAX, 0u64..u64::MAX),
+        deadline_ms in 0u64..EXACT,
+        max_rhs in 0u64..EXACT,
+        retries in 0u32..u32::MAX,
+        batch in 0u64..EXACT,
+    ) {
+        let req = RunRequest {
+            id: if text_id { format!("\"r{id}\"") } else { id.to_string() },
+            model: if keyed {
+                ModelRef::Key(key)
+            } else {
+                ModelRef::Source(source)
+            },
+            scenarios: rows
+                .into_iter()
+                .enumerate()
+                .map(|(index, row)| {
+                    let overrides = row
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (name, bits))| (format!("{i}{name}"), finite(bits)))
+                        .collect();
+                    ScenarioSpec::new(index, overrides)
+                })
+                .collect(),
+            run: ScenarioRunConfig {
+                tend: finite(span.0),
+                h: finite(span.1),
+                deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
+                max_rhs_calls: max_rhs,
+                max_retries: retries,
+                ..ScenarioRunConfig::default()
+            },
+            batch: batch as usize,
+        };
+        let line = render_run(&req);
+        match parse_request(&line) {
+            Ok(Request::Run(back)) => prop_assert_eq!(*back, req, "{}", line),
+            other => prop_assert!(false, "{}: {:?}", line, other),
+        }
     }
 
     /// Every strict prefix of a valid line is malformed, whatever it

@@ -18,6 +18,7 @@ use objectmath::codegen::task::{cluster_assignment, TaskGraph};
 use objectmath::codegen::{emit_cpp, emit_fortran, BatchScratch, CodeGenerator, ModelRegistry};
 use objectmath::ir::{causalize, OdeIr};
 use objectmath::runtime::ensemble::json;
+use objectmath::runtime::serve::protocol::{self, ModelRef, RunRequest};
 use objectmath::runtime::{
     model_sparsity, run_sweep, ExecutorPool, FaultConfig, FaultPlan, ModelSystem, ParallelRhs,
     RuntimeError, ScenarioRunConfig, ScenarioSpec, ServeConfig, Server, Strategy, SweepConfig,
@@ -163,8 +164,7 @@ fn usage() -> String {
                                    usage error for sweep/request)\n\
          --concurrency N           scenario workers (default 4), the one parallel\n\
                                    axis: each scenario runs in its worker's\n\
-                                   thread (--workers N > 1 is a usage error)\n\
-         --executor ws             as for simulate\n\
+                                   thread (--workers is a usage error)\n\
          --batch K                 evaluate K scenarios per batched integration\n\
                                    (SoA lanes, bitwise-identical to --batch 1)\n\
          --deadline-ms MS          per-scenario wall-clock deadline\n\
@@ -197,7 +197,7 @@ fn usage() -> String {
                                    transcript on stdout\n\
          --socket PATH             connect to a serving `omc serve --socket PATH`\n\
          --grid/--params/--tend/--h/--deadline-ms/--max-rhs/--retries/\n\
-         --executor/--batch        exactly as for sweep (so is --workers N > 1)\n\
+         --batch                   exactly as for sweep\n\
          --repeat N                send the request N times on one connection\n\
                                    (the 2nd+ hit the warm registry; default 1)\n\
          --stats                   also send an op:\"stats\" request at the end\n\
@@ -207,6 +207,8 @@ fn usage() -> String {
      observability (any command):\n\
        --trace FILE.json           write a chrome://tracing / Perfetto trace\n\
        --metrics                   print span totals and metrics to stderr\n\
+     \n\
+     a flag the command does not take is a usage error (exit 2), never ignored\n\
      \n\
      exit codes: 0 ok; 1 io/compile/checkpoint; 2 usage; 3 solver; 4 runtime;\n\
                  5/6/7 lint errors/denied warnings/denied info;\n\
@@ -278,7 +280,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // `omc serve` is a resident process, not a per-model invocation: no
     // model operand (models arrive inside requests).
     if args[0] == "serve" {
-        let opts = parse_flags(&args[1..])?;
+        let opts = command_flags("serve", &args[1..])?;
         if opts.trace.is_some() || opts.metrics {
             om_obs::init(&om_obs::ObsConfig::enabled());
         }
@@ -290,7 +292,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // `omc request --stats --socket PATH` queries service stats without
     // a model operand; `omc MODEL request ...` (below) runs scenarios.
     if args[0] == "request" {
-        let opts = parse_flags(&args[1..])?;
+        let opts = command_flags("request", &args[1..])?;
         if !opts.stats {
             return Err(CliError::Usage(
                 "request without a model operand needs --stats (to run scenarios: \
@@ -303,7 +305,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     let path = &args[0];
     let command = args[1].as_str();
-    let opts = parse_flags(&args[2..])?;
+    if !MODEL_COMMANDS.contains(&command) {
+        return Err(CliError::Usage(format!(
+            "unknown command `{command}`\n{}",
+            usage()
+        )));
+    }
+    let opts = command_flags(command, &args[2..])?;
 
     // Switch recording on before any instrumented object is built (pools
     // cache their metric handles at construction time).
@@ -364,11 +372,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "analyze" => analyze(&ir, &opts),
         "emit" => emit(&ir, &opts),
         "tasks" => tasks(&ir, &opts),
-        "simulate" => simulate(ir, &opts),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n{}",
-            usage()
-        ))),
+        // The last of MODEL_COMMANDS: the others have returned above.
+        _ => simulate(ir, &opts),
     };
     // Export even after a failed command — a trace of a failing run is
     // exactly when you want one — but keep the command's error.
@@ -419,8 +424,6 @@ struct Flags {
     deny: Option<String>,
     lang: String,
     solver: String,
-    /// `--solver` was given (a usage error where no solver is selectable).
-    solver_set: bool,
     workers: usize,
     tend: f64,
     rtol: f64,
@@ -456,6 +459,98 @@ struct Flags {
     rate_per_sec: f64,
     repeat: usize,
     stats: bool,
+    /// The table row of every flag given, in command-line order.
+    given: Vec<&'static FlagRow>,
+}
+
+/// A flag, the commands that take it, and what to say when an ensemble
+/// command (`sweep`, `request`, `serve`) is given it anyway.
+type FlagRow = (&'static str, &'static [&'static str], &'static str);
+
+/// The commands that take a model operand.
+const MODEL_COMMANDS: [&str; 7] = [
+    "analyze", "lint", "emit", "tasks", "simulate", "sweep", "request",
+];
+const ANY: &[&str] = &[
+    "analyze", "lint", "emit", "tasks", "simulate", "sweep", "request", "serve",
+];
+/// The commands that compile through `omc`'s own pipeline (the ensemble
+/// commands compile through the model registry).
+const COMPILED: &[&str] = &["analyze", "lint", "emit", "tasks", "simulate"];
+
+/// Which commands take each flag: the one place a flag composes with a
+/// command or is refused. A flag outside its row is a usage error
+/// before anything runs, never a quiet no-op.
+const FLAGS: &[FlagRow] = &[
+    ("--size", &MODEL_COMMANDS, ""),
+    (
+        "--array-aware",
+        COMPILED,
+        "ensemble models compile scalarized through the model registry",
+    ),
+    ("--dot", &["analyze"], ""),
+    ("--serial", &["emit"], ""),
+    ("--json", &["lint"], ""),
+    ("--deny", &["lint"], ""),
+    ("--metrics", ANY, ""),
+    ("--trace", ANY, ""),
+    ("--lang", &["emit"], ""),
+    (
+        "--solver",
+        &["simulate"],
+        "every scenario integrates with fixed-step RK4; set the step with --h",
+    ),
+    ("--executor", &["simulate"], ""),
+    (
+        "--workers",
+        &["emit", "tasks", "simulate"],
+        "each scenario runs in one thread; parallelize across scenarios with --concurrency",
+    ),
+    ("--tend", &["simulate", "sweep", "request"], ""),
+    ("--rtol", &["simulate"], ""),
+    ("--atol", &["simulate"], ""),
+    ("--h", &["simulate", "sweep", "request"], ""),
+    ("--set", &["simulate"], ""),
+    ("--params", &["sweep", "request"], ""),
+    ("--grid", &["sweep", "request"], ""),
+    ("--concurrency", &["sweep", "serve"], ""),
+    ("--batch", &["sweep", "request"], ""),
+    ("--deadline-ms", &["sweep", "request"], ""),
+    ("--max-rhs", &["sweep", "request"], ""),
+    ("--retries", &["sweep", "request"], ""),
+    ("--checkpoint", &["sweep"], ""),
+    ("--resume", &["sweep"], ""),
+    ("--manifest", &["sweep"], ""),
+    ("--stop-after", &["sweep"], ""),
+    ("--fault-seed", &["simulate", "sweep"], ""),
+    ("--fault-rates", &["sweep"], ""),
+    ("--straggle-ms", &["sweep"], ""),
+    ("--socket", &["request", "serve"], ""),
+    ("--stdio", &["serve"], ""),
+    ("--registry-cap", &["serve"], ""),
+    ("--max-scenarios", &["serve"], ""),
+    ("--max-inflight", &["serve"], ""),
+    ("--rate-burst", &["serve"], ""),
+    ("--rate-per-sec", &["serve"], ""),
+    ("--repeat", &["request"], ""),
+    ("--stats", &["request"], ""),
+];
+
+/// Parse `rest` as `command`'s flags, refusing the first one given that
+/// `command` does not take.
+fn command_flags(command: &str, rest: &[String]) -> Result<Flags, CliError> {
+    let opts = parse_flags(rest)?;
+    let Some((flag, takers, hint)) = opts.given.iter().find(|row| !row.1.contains(&command)) else {
+        return Ok(opts);
+    };
+    let hint = match command {
+        "sweep" | "request" | "serve" if !hint.is_empty() => format!(" ({hint})"),
+        _ => String::new(),
+    };
+    Err(CliError::Usage(format!(
+        "{command} does not take {flag}; {flag} is for {}{hint}",
+        takers.join(", ")
+    )))
 }
 
 fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
@@ -479,168 +574,84 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
         ..Flags::default()
     };
     let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
+    while let Some(arg) = it.next() {
+        let Some(row) = FLAGS.iter().find(|row| row.0 == arg) else {
+            return Err(CliError::Usage(format!(
+                "unknown flag `{arg}`\n{}",
+                usage()
+            )));
+        };
+        f.given.push(row);
+        let flag = row.0;
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| CliError::Usage(format!("flag {name} needs a value")))
+                .ok_or_else(|| CliError::Usage(format!("flag {flag} needs a value")))
         };
-        match flag.as_str() {
-            "--size" => {
-                f.size = Some(
-                    value("--size")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--size: {e}")))?,
-                )
-            }
+        match flag {
+            "--size" => f.size = Some(parsed(flag, &value()?)?),
             "--array-aware" => f.array_aware = true,
             "--dot" => f.dot = true,
             "--serial" => f.serial = true,
             "--json" => f.json = true,
-            "--deny" => f.deny = Some(value("--deny")?),
+            "--deny" => f.deny = Some(value()?),
             "--metrics" => f.metrics = true,
-            "--trace" => f.trace = Some(value("--trace")?),
-            "--lang" => f.lang = value("--lang")?,
-            "--solver" => {
-                f.solver = value("--solver")?;
-                f.solver_set = true;
-            }
+            "--trace" => f.trace = Some(value()?),
+            "--lang" => f.lang = value()?,
+            "--solver" => f.solver = value()?,
+            // The pool's one policy; the token is checked, not stored.
             "--executor" => {
-                // The pool's one policy; the token is checked, not stored.
-                value("--executor")?
-                    .parse::<Strategy>()
-                    .map_err(|e| CliError::Usage(format!("--executor: {e}")))?;
+                parsed::<Strategy>(flag, &value()?)?;
             }
-            "--workers" => {
-                f.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--workers: {e}")))?
-            }
-            "--tend" => f.tend = positive_finite("--tend", &value("--tend")?)?,
-            "--rtol" => {
-                f.rtol = value("--rtol")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--rtol: {e}")))?
-            }
-            "--atol" => {
-                f.atol = value("--atol")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--atol: {e}")))?
-            }
-            "--h" => f.h = positive_finite("--h", &value("--h")?)?,
+            "--workers" => f.workers = parsed(flag, &value()?)?,
+            "--tend" => f.tend = positive_finite(flag, &value()?)?,
+            "--rtol" => f.rtol = parsed(flag, &value()?)?,
+            "--atol" => f.atol = parsed(flag, &value()?)?,
+            "--h" => f.h = positive_finite(flag, &value()?)?,
             "--set" => {
-                let spec = value("--set")?;
+                let spec = value()?;
                 let (name, val) = spec.split_once('=').ok_or_else(|| {
                     CliError::Usage(format!("--set expects state=value, got `{spec}`"))
                 })?;
-                let val: f64 = val
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--set {name}: {e}")))?;
+                let val: f64 = parsed(&format!("--set {name}"), val)?;
                 f.sets.push((name.to_owned(), val));
             }
-            "--params" => f.params = Some(value("--params")?),
-            "--grid" => f.grid.push(value("--grid")?),
-            "--concurrency" => {
-                f.concurrency = value("--concurrency")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--concurrency: {e}")))?
-            }
-            "--batch" => {
-                f.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--batch: {e}")))?
-            }
-            "--deadline-ms" => {
-                f.deadline_ms = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--deadline-ms: {e}")))?
-            }
-            "--max-rhs" => {
-                f.max_rhs = value("--max-rhs")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--max-rhs: {e}")))?
-            }
-            "--retries" => {
-                f.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--retries: {e}")))?
-            }
-            "--checkpoint" => f.checkpoint = Some(value("--checkpoint")?),
+            "--params" => f.params = Some(value()?),
+            "--grid" => f.grid.push(value()?),
+            "--concurrency" => f.concurrency = at_least_one(flag, &value()?)?,
+            "--batch" => f.batch = at_least_one(flag, &value()?)?,
+            "--deadline-ms" => f.deadline_ms = parsed(flag, &value()?)?,
+            "--max-rhs" => f.max_rhs = parsed(flag, &value()?)?,
+            "--retries" => f.retries = parsed(flag, &value()?)?,
+            "--checkpoint" => f.checkpoint = Some(value()?),
             "--resume" => f.resume = true,
-            "--manifest" => f.manifest = Some(value("--manifest")?),
-            "--stop-after" => {
-                f.stop_after = Some(
-                    value("--stop-after")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--stop-after: {e}")))?,
-                )
-            }
-            "--fault-seed" => {
-                f.fault_seed = Some(
-                    value("--fault-seed")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-seed: {e}")))?,
-                )
-            }
+            "--manifest" => f.manifest = Some(value()?),
+            "--stop-after" => f.stop_after = Some(parsed(flag, &value()?)?),
+            "--fault-seed" => f.fault_seed = Some(parsed(flag, &value()?)?),
             "--fault-rates" => {
-                let spec = value("--fault-rates")?;
-                let parts: Vec<&str> = spec.split(',').collect();
-                let parse = |s: &str| -> Result<u32, CliError> {
-                    s.trim()
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-rates `{spec}`: {e}")))
-                };
-                if parts.len() != 3 {
+                let spec = value()?;
+                let rates = spec
+                    .split(',')
+                    .map(|s| parsed(&format!("--fault-rates `{spec}`"), s.trim()))
+                    .collect::<Result<Vec<u32>, _>>()?;
+                let [p, s, n] = rates[..] else {
                     return Err(CliError::Usage(format!(
                         "--fault-rates expects panic,straggle,nan per-mille, got `{spec}`"
                     )));
-                }
-                f.fault_rates = (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
+                };
+                f.fault_rates = (p, s, n);
             }
-            "--straggle-ms" => {
-                f.straggle_ms = value("--straggle-ms")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--straggle-ms: {e}")))?
-            }
-            "--socket" => f.socket = Some(value("--socket")?),
+            "--straggle-ms" => f.straggle_ms = parsed(flag, &value()?)?,
+            "--socket" => f.socket = Some(value()?),
             "--stdio" => f.stdio = true,
-            "--registry-cap" => {
-                f.registry_cap = value("--registry-cap")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--registry-cap: {e}")))?
-            }
-            "--max-scenarios" => {
-                f.max_scenarios = value("--max-scenarios")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--max-scenarios: {e}")))?
-            }
-            "--max-inflight" => {
-                f.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--max-inflight: {e}")))?
-            }
-            "--rate-burst" => {
-                f.rate_burst = value("--rate-burst")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--rate-burst: {e}")))?
-            }
-            "--rate-per-sec" => {
-                f.rate_per_sec = value("--rate-per-sec")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--rate-per-sec: {e}")))?
-            }
-            "--repeat" => {
-                f.repeat = value("--repeat")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--repeat: {e}")))?
-            }
+            "--registry-cap" => f.registry_cap = parsed(flag, &value()?)?,
+            "--max-scenarios" => f.max_scenarios = parsed(flag, &value()?)?,
+            "--max-inflight" => f.max_inflight = parsed(flag, &value()?)?,
+            "--rate-burst" => f.rate_burst = parsed(flag, &value()?)?,
+            "--rate-per-sec" => f.rate_per_sec = parsed(flag, &value()?)?,
+            "--repeat" => f.repeat = at_least_one(flag, &value()?)?,
             "--stats" => f.stats = true,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown flag `{other}`\n{}",
-                    usage()
-                )))
-            }
+            _ => return Err(CliError::Usage(format!("flag {flag} has no parser"))),
         }
     }
     // The fixed step of rk4 and of every ensemble scenario defaults to a
@@ -657,13 +668,31 @@ fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
     Ok(f)
 }
 
+/// A flag's value; one that does not parse is a usage error naming the
+/// flag.
+fn parsed<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CliError>
+where
+    T::Err: fmt::Display,
+{
+    text.parse()
+        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))
+}
+
+/// A count of workers, lanes or repeats: 0 would run nothing.
+fn at_least_one(flag: &str, text: &str) -> Result<usize, CliError> {
+    match parsed(flag, text)? {
+        0 => Err(CliError::Usage(format!(
+            "{flag} must be at least 1, got `{text}`"
+        ))),
+        n => Ok(n),
+    }
+}
+
 /// A `--tend` or `--h` value. Every solver integrates forward from
 /// t = 0 with a positive step, so anything but a positive finite number
 /// is a usage error here rather than a solver panic later.
 fn positive_finite(flag: &str, text: &str) -> Result<f64, CliError> {
-    let v: f64 = text
-        .parse()
-        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))?;
+    let v: f64 = parsed(flag, text)?;
     if v.is_finite() && v > 0.0 {
         Ok(v)
     } else {
@@ -1002,9 +1031,13 @@ fn params_scenarios(path: &str) -> Result<Vec<Vec<(String, f64)>>, CliError> {
     }
 }
 
-/// The scenario vectors of `sweep` / `request`: `--params` rows, then the
-/// `--grid` product. `command` names the caller in the empty-set error.
-fn scenario_vectors(command: &str, opts: &Flags) -> Result<Vec<Vec<(String, f64)>>, CliError> {
+/// The run `sweep` and `request` describe: the scenarios (`--params`
+/// rows, then the `--grid` product), the per-scenario settings and the
+/// lane width. `command` names the caller in the empty-set error.
+fn ensemble_run(
+    command: &str,
+    opts: &Flags,
+) -> Result<(Vec<ScenarioSpec>, ScenarioRunConfig, usize), CliError> {
     let mut vectors = Vec::new();
     if let Some(path) = &opts.params {
         vectors.extend(params_scenarios(path)?);
@@ -1017,61 +1050,30 @@ fn scenario_vectors(command: &str, opts: &Flags) -> Result<Vec<Vec<(String, f64)
             "{command} needs scenarios: --params FILE and/or --grid state=a:b:n"
         )));
     }
-    Ok(vectors)
-}
-
-/// Flag combinations `sweep` / `request` cannot honour are usage errors,
-/// never a quiet scalar or scalarized run.
-fn check_ensemble_flags(command: &str, opts: &Flags) -> Result<(), CliError> {
-    if opts.solver_set {
-        return Err(CliError::Usage(format!(
-            "{command}: --solver is not supported here (every scenario integrates with \
-             fixed-step RK4; set the step with --h)"
-        )));
-    }
-    if opts.workers > 1 {
-        return Err(CliError::Usage(format!(
-            "{command}: --workers {} is not supported here (each scenario runs in one \
-             thread; parallelize across scenarios with --concurrency)",
-            opts.workers
-        )));
-    }
-    if opts.array_aware {
-        return Err(CliError::Usage(format!(
-            "{command}: --array-aware is not supported here (ensemble models compile \
-             scalarized through the model registry)"
-        )));
-    }
-    Ok(())
+    let scenarios = vectors
+        .into_iter()
+        .enumerate()
+        .map(|(i, overrides)| ScenarioSpec::new(i, overrides))
+        .collect();
+    let run = ScenarioRunConfig {
+        tend: opts.tend,
+        h: opts.h,
+        deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
+        max_rhs_calls: opts.max_rhs,
+        max_retries: opts.retries,
+        ..ScenarioRunConfig::default()
+    };
+    Ok((scenarios, run, opts.batch))
 }
 
 /// The resilient ensemble driver: compile once through the registry, run
 /// every scenario to a terminal typed state, account for all of them.
 fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
-    check_ensemble_flags("sweep", opts)?;
     let registry = ModelRegistry::new();
     let model = registry
         .get_or_compile(source)
         .map_err(|e| CliError::Compile(e.to_string()))?;
-
-    let vectors = scenario_vectors("sweep", opts)?;
-    // Fail fast on unknown state names (before spinning anything up).
-    for vector in &vectors {
-        for (name, _) in vector {
-            if model.ir().find_state(name).is_none() {
-                return Err(CliError::Usage(format!(
-                    "sweep: no state named `{name}` in model `{}`",
-                    model.ir().name
-                )));
-            }
-        }
-    }
-    let scenarios: Vec<ScenarioSpec> = vectors
-        .into_iter()
-        .enumerate()
-        .map(|(i, overrides)| ScenarioSpec::new(i, overrides))
-        .collect();
-
+    let (scenarios, run, batch) = ensemble_run("sweep", opts)?;
     let faults = match opts.fault_seed {
         Some(seed) => {
             let (p, s, n) = opts.fault_rates;
@@ -1087,17 +1089,9 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
         None => SweepFaultPlan::none(),
     };
     let cfg = SweepConfig {
-        run: ScenarioRunConfig {
-            t0: 0.0,
-            tend: opts.tend,
-            h: opts.h,
-            deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
-            max_rhs_calls: opts.max_rhs,
-            max_retries: opts.retries,
-            ..ScenarioRunConfig::default()
-        },
-        concurrency: opts.concurrency.max(1),
-        batch: opts.batch.max(1),
+        run,
+        concurrency: opts.concurrency,
+        batch,
         faults,
         checkpoint: opts.checkpoint.as_ref().map(std::path::PathBuf::from),
         resume: opts.resume,
@@ -1165,7 +1159,7 @@ fn sweep(source: &str, opts: &Flags) -> Result<(), CliError> {
 /// (graceful drain) or, in `--stdio` mode, stdin EOF.
 fn serve_cmd(opts: &Flags) -> Result<(), CliError> {
     let cfg = ServeConfig {
-        pool_threads: opts.concurrency.max(1),
+        pool_threads: opts.concurrency,
         registry_capacity: opts.registry_cap,
         max_scenarios_per_request: opts.max_scenarios,
         max_inflight: opts.max_inflight,
@@ -1176,10 +1170,7 @@ fn serve_cmd(opts: &Flags) -> Result<(), CliError> {
     sigterm::install(server.drain_flag());
 
     if opts.stdio {
-        eprintln!(
-            "[omc serve: stdio mode, {} workers]",
-            opts.concurrency.max(1)
-        );
+        eprintln!("[omc serve: stdio mode, {} workers]", opts.concurrency);
         return server
             .run_stdio()
             .map_err(|e| CliError::Io(format!("serve: {e}")));
@@ -1190,8 +1181,7 @@ fn serve_cmd(opts: &Flags) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Usage("serve needs --socket PATH or --stdio".into()))?;
     eprintln!(
         "[omc serve: listening on {socket}, {} workers, registry cap {}]",
-        opts.concurrency.max(1),
-        opts.registry_cap
+        opts.concurrency, opts.registry_cap
     );
     server
         .run_unix(std::path::Path::new(socket))
@@ -1231,46 +1221,6 @@ mod sigterm {
     }
 }
 
-/// Render the `op:"run"` request line `omc MODEL request` sends, from
-/// the same `--grid`/`--params` vectors and envelope flags sweep uses.
-fn render_request_line(id: &str, source: &str, opts: &Flags) -> Result<String, CliError> {
-    let scenarios: Vec<String> = scenario_vectors("request", opts)?
-        .iter()
-        .map(|overrides| {
-            let fields: Vec<String> = overrides
-                .iter()
-                .map(|(name, v)| format!("\"{}\":{}", json::escape(name), fmt_f64(*v)))
-                .collect();
-            format!("{{{}}}", fields.join(","))
-        })
-        .collect();
-    Ok(format!(
-        "{{\"id\":\"{id}\",\"op\":\"run\",\"model\":{{\"source\":\"{}\"}},\
-         \"scenarios\":[{}],\"tend\":{},\"h\":{},\"deadline_ms\":{},\"max_rhs\":{},\
-         \"retries\":{},\"batch\":{}}}",
-        json::escape(source),
-        scenarios.join(","),
-        fmt_f64(opts.tend),
-        fmt_f64(opts.h),
-        opts.deadline_ms,
-        opts.max_rhs,
-        opts.retries,
-        opts.batch.max(1),
-    ))
-}
-
-/// A float rendered so the service's JSON parser round-trips it (always
-/// with a decimal point or exponent — never bare `1`, which is fine for
-/// JSON but keeps the line self-describing).
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 /// `omc [MODEL] request`: a thin JSONL client for `omc serve`. Prints
 /// every response line to stdout (the transcript IS the output) and maps
 /// the terminal line to an exit code: `done` with all scenarios
@@ -1278,9 +1228,20 @@ fn fmt_f64(v: f64) -> String {
 fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
     use std::io::{BufRead, BufReader, Write};
 
-    if source.is_some() {
-        check_ensemble_flags("request", opts)?;
-    }
+    // The run line, rendered by the protocol that parses it.
+    let mut request = match source {
+        Some(source) => {
+            let (scenarios, run, batch) = ensemble_run("request", opts)?;
+            Some(RunRequest {
+                id: String::new(),
+                model: ModelRef::Source(source.to_owned()),
+                scenarios,
+                run,
+                batch,
+            })
+        }
+        None => None,
+    };
     let socket = opts
         .socket
         .as_deref()
@@ -1298,9 +1259,10 @@ fn request_cmd(source: Option<&str>, opts: &Flags) -> Result<(), CliError> {
     let mut incomplete = 0usize;
     let mut scenarios_sent = 0usize;
 
-    if let Some(source) = source {
-        for rep in 0..opts.repeat.max(1) {
-            let line = render_request_line(&format!("r{rep}"), source, opts)?;
+    if let Some(request) = &mut request {
+        for rep in 0..opts.repeat {
+            request.id = format!("\"r{rep}\"");
+            let line = protocol::render_run(request);
             writer.write_all(line.as_bytes()).map_err(io)?;
             writer.write_all(b"\n").map_err(io)?;
             // Read this request's response stream to its terminal line.
@@ -1615,6 +1577,66 @@ mod tests {
             parse_flags(&args(&["--deny"])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    /// Every (flag, command) cell of [`FLAGS`]: inside the flag's row it
+    /// parses; outside it, it is the usage error that names the flag.
+    #[test]
+    fn every_cell_of_the_flag_table_composes_or_refuses() {
+        let switches = [
+            "--array-aware",
+            "--dot",
+            "--serial",
+            "--json",
+            "--metrics",
+            "--resume",
+            "--stdio",
+            "--stats",
+        ];
+        let sample = |flag: &str| match flag {
+            "--deny" => "warnings",
+            "--lang" => "cpp",
+            "--solver" => "rk4",
+            "--executor" => "ws",
+            "--set" => "x=1",
+            "--grid" => "x=0:1:2",
+            "--fault-rates" => "1,2,3",
+            "--trace" | "--params" | "--checkpoint" | "--manifest" | "--socket" => "out",
+            _ => "2",
+        };
+        let mut cells = 0;
+        for (flag, takers, _) in FLAGS {
+            let mut given = args(&[flag]);
+            if !switches.contains(flag) {
+                given.push(sample(flag).to_owned());
+            }
+            for command in ANY {
+                cells += 1;
+                match command_flags(command, &given) {
+                    Ok(f) if takers.contains(command) => assert_eq!(f.given.len(), 1),
+                    Err(CliError::Usage(m)) if !takers.contains(command) => {
+                        assert!(
+                            m.starts_with(&format!("{command} does not take {flag};")),
+                            "{command} {flag}: {m}"
+                        )
+                    }
+                    Ok(_) => panic!("{command} {flag}: ran outside the flag's row"),
+                    Err(e) => panic!("{command} {flag}: {e}"),
+                }
+            }
+        }
+        assert_eq!(cells, 40 * 8);
+    }
+
+    #[test]
+    fn a_count_of_zero_is_a_usage_error() {
+        for flag in ["--concurrency", "--batch", "--repeat"] {
+            match parse_flags(&args(&[flag, "0"])) {
+                Err(CliError::Usage(m)) => assert!(m.contains("at least 1"), "{flag}: {m}"),
+                Err(e) => panic!("{flag}: {e}"),
+                Ok(_) => panic!("{flag} 0 parsed"),
+            }
+        }
     }
 
     #[test]

@@ -523,10 +523,14 @@ fn a_span_that_is_not_positive_and_finite_is_a_usage_error() {
     );
 }
 
+/// A flag the command does not take (or a count of 0) is refused before
+/// anything runs: exit 2 naming the flag, nothing on stdout, no file
+/// written.
 #[test]
 fn ignored_flag_combinations_are_usage_errors() {
     let path = write_model("ignored_flags", OSC);
-    let scenarios = ["--grid", "x=0:1:2", "--socket", "/nonexistent.sock"];
+    let file = std::env::temp_dir().join(format!("omc_test_{}_ignored.out", std::process::id()));
+    let file = file.to_str().expect("utf-8 temp path");
     for (command, flags, named) in [
         ("simulate", &["--fault-seed", "7"][..], "--fault-seed"),
         // Scenarios parallelize across --concurrency only.
@@ -544,17 +548,47 @@ fn ignored_flag_combinations_are_usage_errors() {
         ("sweep", &["--solver", "nonsense"], "--solver"),
         ("sweep", &["--solver", "bdf"], "--solver"),
         ("request", &["--solver", "dopri5"], "--solver"),
+        // Flags outside their command's row in the flag table.
+        ("request", &["--fault-seed", "3"], "--fault-seed"),
+        ("request", &["--manifest", file], "--manifest"),
+        ("request", &["--checkpoint", file], "--checkpoint"),
+        ("request", &["--concurrency", "9"], "--concurrency"),
+        ("simulate", &["--batch", "8"], "--batch"),
+        ("simulate", &["--grid", "x=0:1:2"], "--grid"),
+        ("emit", &["--solver", "bdf", "--tend", "3"], "--solver"),
+        // A count of 0 would run nothing.
+        (
+            "sweep",
+            &["--concurrency", "0", "--manifest", file],
+            "--concurrency",
+        ),
+        ("sweep", &["--batch", "0", "--manifest", file], "--batch"),
     ] {
         let out = omc()
             .arg(&path)
             .arg(command)
-            .args(scenarios)
+            .args(scenario_flags(command))
             .args(flags)
             .output()
             .expect("run omc");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
         assert!(stderr.contains(named), "{command} {flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} {flags:?}: nothing ran");
+        assert!(
+            !std::path::Path::new(file).exists(),
+            "{command} {flags:?}: wrote {file}"
+        );
+    }
+}
+
+/// The scenario flags that make `command` otherwise runnable (none for
+/// `simulate`, which takes no scenarios).
+fn scenario_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "sweep" => &["--grid", "x=0:1:2"],
+        "request" => &["--grid", "x=0:1:2", "--socket", "/nonexistent.sock"],
+        _ => &[],
     }
 }
 
