@@ -50,6 +50,24 @@ impl Symbol {
         Symbol(id)
     }
 
+    /// The symbol already interned for `name`, if any. Unlike
+    /// [`Symbol::intern`] this never grows the interner, so names that
+    /// arrive from outside the compiler (a client's state overrides) can
+    /// be resolved without living for the rest of the process.
+    pub fn lookup(name: &str) -> Option<Symbol> {
+        let i = interner().lock().expect("symbol interner poisoned");
+        i.lookup.get(name).map(|&id| Symbol(id))
+    }
+
+    /// How many names the interner holds.
+    pub fn interned() -> usize {
+        interner()
+            .lock()
+            .expect("symbol interner poisoned")
+            .names
+            .len()
+    }
+
     /// The interned string this symbol refers to.
     pub fn name(self) -> &'static str {
         let i = interner().lock().expect("symbol interner poisoned");
@@ -131,6 +149,14 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.name(), "alpha");
         assert_eq!(b.name(), "beta");
+    }
+
+    #[test]
+    fn lookup_finds_only_interned_names() {
+        let a = Symbol::intern("looked_up");
+        assert_eq!(Symbol::lookup("looked_up"), Some(a));
+        assert_eq!(Symbol::lookup("never_interned"), None);
+        assert_eq!(Symbol::lookup("never_interned"), None);
     }
 
     #[test]

@@ -205,9 +205,12 @@ impl OdeIr {
     }
 
     /// Set a state's start value by name (runtime-settable start values,
-    /// paper §3.2: "start values … changed without re-compilation").
+    /// paper §3.2: "start values … changed without re-compilation"). An
+    /// unknown name returns false and is not interned.
     pub fn set_start(&mut self, name: &str, value: f64) -> bool {
-        let sym = Symbol::intern(name);
+        let Some(sym) = Symbol::lookup(name) else {
+            return false;
+        };
         for s in &mut self.states {
             if s.sym == sym {
                 s.start = value;
@@ -219,7 +222,7 @@ impl OdeIr {
 
     /// Find a state's index by name.
     pub fn find_state(&self, name: &str) -> Option<usize> {
-        let sym = Symbol::intern(name);
+        let sym = Symbol::lookup(name)?;
         self.states.iter().position(|s| s.sym == sym)
     }
 }

@@ -98,8 +98,7 @@ pub fn model_sparsity(ir: &OdeIr) -> Sparsity {
 /// implicit solver through the same RHS-call sequence.
 ///
 /// The pattern is derived on the first `sparsity()` call and kept: an
-/// explicit solver never asks and never pays for it, and each BDF that
-/// `lsoda` starts after a non-stiff stretch reuses the one colouring.
+/// explicit solver never asks and never pays for it.
 pub struct ModelSystem<'a, S> {
     pub inner: S,
     ir: &'a OdeIr,
@@ -139,6 +138,10 @@ impl<S: OdeSystem> OdeSystem for ModelSystem<'_, S> {
             self.sparsity
                 .get_or_insert_with(|| Arc::new(model_sparsity(ir))),
         ))
+    }
+
+    fn accepted(&mut self, t: f64, y: &[f64]) {
+        self.inner.accepted(t, y)
     }
 }
 

@@ -8,7 +8,7 @@
 //! pool, and under work stealing.
 
 use om_runtime::{ExecutorPool, FaultConfig, FaultPlan, ParallelRhs, Strategy};
-use om_solver::{dopri5, OdeSystem, Tolerances};
+use om_solver::{dopri5, OdeSystem, Recorder, Tolerances};
 
 /// Advection-diffusion stencil with distinct coefficients per indexed
 /// term (sibling ordering decided by constants, so the interior rows
@@ -58,9 +58,16 @@ fn pooled_trajectory(ir: &om_ir::OdeIr, n_workers: usize, y0: &[f64]) -> (Vec<f6
     )
     .unwrap();
     let mut rhs = ParallelRhs::new(pool, 0);
-    let sol = dopri5(&mut rhs, 0.0, y0, 1.5, &Tolerances::default()).unwrap();
+    let trajectory = dopri5_steps(&mut rhs, y0);
     assert!(rhs.last_error.is_none(), "{:?}", rhs.last_error);
-    (sol.ts, sol.ys)
+    trajectory
+}
+
+/// Every accepted `(t, y)` of a default-tolerance dopri5 solve to 1.5.
+fn dopri5_steps(sys: &mut dyn OdeSystem, y0: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let mut run = Recorder::new(sys);
+    dopri5(&mut run, 0.0, y0, 1.5, &Tolerances::default()).unwrap();
+    (run.ts, run.ys)
 }
 
 #[test]
@@ -83,21 +90,21 @@ fn loop_task_trajectories_match_oracle_across_executors() {
             graph: generate(&oracle).graph,
             dim: n,
         };
-        dopri5(&mut sys, 0.0, &y0, 1.5, &Tolerances::default()).unwrap()
+        dopri5_steps(&mut sys, &y0)
     };
     // Array-aware serial.
     let mut aware_serial = SerialGraph {
         graph: aware_prog.graph,
         dim: n,
     };
-    let serial = dopri5(&mut aware_serial, 0.0, &y0, 1.5, &Tolerances::default()).unwrap();
-    assert_eq!(reference.ts, serial.ts, "serial time grid differs");
-    assert_eq!(reference.ys, serial.ys, "serial states differ");
+    let serial = dopri5_steps(&mut aware_serial, &y0);
+    assert_eq!(reference.0, serial.0, "serial time grid differs");
+    assert_eq!(reference.1, serial.1, "serial states differ");
     // Array-aware pools.
     for n_workers in [2, 3] {
         let (ts, ys) = pooled_trajectory(&aware, n_workers, &y0);
-        assert_eq!(reference.ts, ts, "{n_workers} workers: time grid differs");
-        assert_eq!(reference.ys, ys, "{n_workers} workers: states differ");
+        assert_eq!(reference.0, ts, "{n_workers} workers: time grid differs");
+        assert_eq!(reference.1, ys, "{n_workers} workers: states differ");
     }
 }
 

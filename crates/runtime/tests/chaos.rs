@@ -16,7 +16,7 @@
 
 use om_codegen::TaskGraph;
 use om_runtime::{ExecutorPool, FaultConfig, FaultKind, FaultPlan, ParallelRhs, RuntimeError};
-use om_solver::{dopri5, Tolerances};
+use om_solver::{dopri5, Recorder, Tolerances};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -59,15 +59,17 @@ fn trajectory_on(
     config: FaultConfig,
     tend: f64,
 ) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let (mut rhs, y0) = build_rhs(n_workers, plan, config);
-    let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    let (rhs, y0) = build_rhs(n_workers, plan, config);
+    let mut run = Recorder::new(rhs);
+    dopri5(&mut run, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    let rhs = run.sys;
     assert!(
         rhs.last_error.is_none(),
         "unexpected runtime error: {:?}",
         rhs.last_error
     );
     all_fired(rhs.pool.faults());
-    (sol.ts, sol.ys)
+    (run.ts, run.ys)
 }
 
 fn all_fired(plan: &FaultPlan) {
@@ -210,10 +212,13 @@ fn clean_pool_trajectory_matches_the_serial_graph_bitwise() {
     let pooled = trajectory(FaultPlan::none(), FaultConfig::default(), 1.0);
     let ir = om_ir::causalize(&om_lang::compile(MODEL).unwrap()).unwrap();
     let graph = om_codegen::CodeGenerator::default().generate(&ir).graph;
-    let mut serial = om_solver::FnSystem::new(graph.dim, |t, y: &[f64], d: &mut [f64]| {
-        graph.eval_serial(t, y, d);
-    });
-    let sol = dopri5(
+    let mut serial = Recorder::new(om_solver::FnSystem::new(
+        graph.dim,
+        |t, y: &[f64], d: &mut [f64]| {
+            graph.eval_serial(t, y, d);
+        },
+    ));
+    dopri5(
         &mut serial,
         0.0,
         &ir.initial_state(),
@@ -221,8 +226,8 @@ fn clean_pool_trajectory_matches_the_serial_graph_bitwise() {
         &Tolerances::default(),
     )
     .unwrap();
-    assert_eq!(pooled.0, sol.ts, "time grids differ");
-    assert_eq!(pooled.1, sol.ys, "states differ");
+    assert_eq!(pooled.0, serial.ts, "time grids differ");
+    assert_eq!(pooled.1, serial.ys, "states differ");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 use om_codegen::{BatchScratch, CodeGenerator, GenOptions};
 use om_models::{bearing2d, bearing3d, heat1d, hydro, oscillator, servo};
 use om_runtime::{ExecutorPool, FaultConfig, FaultPlan, ParallelRhs, Strategy};
-use om_solver::{dopri5, FnSystem, Tolerances};
+use om_solver::{dopri5, FnSystem, OdeSystem, Recorder, Tolerances};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,6 +49,14 @@ fn graph_for(src: &str, inline: bool) -> (om_ir::OdeIr, om_codegen::TaskGraph) {
 fn ws_pool(graph: &om_codegen::TaskGraph, workers: usize) -> ExecutorPool {
     let assignment = (0..graph.tasks.len()).map(|i| i % workers).collect();
     ExecutorPool::build(graph.clone(), workers, assignment, Strategy::WorkStealing).unwrap()
+}
+
+/// Every accepted `(t, y)` of a default-tolerance dopri5 solve from 0 to
+/// `tend`, as the solver reported it.
+fn dopri5_steps(sys: &mut dyn OdeSystem, y0: &[f64], tend: f64) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let mut run = Recorder::new(sys);
+    dopri5(&mut run, 0.0, y0, tend, &Tolerances::default()).unwrap();
+    (run.ts, run.ys)
 }
 
 /// Deterministic pseudo-random state perturbation (no external RNG).
@@ -157,12 +165,12 @@ fn ws_trajectories_are_bitwise_identical_across_worker_counts() {
             )
             .unwrap();
             let mut rhs = ParallelRhs::new(pool, 8);
-            let sol = dopri5(&mut rhs, 0.0, &y0, 0.5, &Tolerances::default()).unwrap();
+            let (sol_ts, sol_ys) = dopri5_steps(&mut rhs, &y0, 0.5);
             match &reference {
-                None => reference = Some((sol.ts, sol.ys)),
+                None => reference = Some((sol_ts, sol_ys)),
                 Some((ts, ys)) => {
-                    assert_eq!(ts, &sol.ts, "{name} w={workers}: grids");
-                    assert_eq!(ys, &sol.ys, "{name} w={workers}: states");
+                    assert_eq!(ts, &sol_ts, "{name} w={workers}: grids");
+                    assert_eq!(ys, &sol_ys, "{name} w={workers}: states");
                 }
             }
         }
@@ -189,7 +197,7 @@ fn placed_bearing_trajectories_match_the_in_thread_run() {
     let mut in_thread = FnSystem::new(one.dim, move |t, y: &[f64], d: &mut [f64]| {
         one.eval_batch(t, y, d, &mut scratch);
     });
-    let reference = dopri5(&mut in_thread, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    let reference = dopri5_steps(&mut in_thread, &y0, tend);
     for m in [2, 3] {
         let placement = generator.place(&ir, &tasks, m);
         let pool = ExecutorPool::build(
@@ -200,10 +208,10 @@ fn placed_bearing_trajectories_match_the_in_thread_run() {
         )
         .unwrap();
         let mut rhs = ParallelRhs::new(pool, 16);
-        let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+        let sol = dopri5_steps(&mut rhs, &y0, tend);
         assert!(rhs.scheduler.reschedules > 0, "m={m}");
-        assert_eq!(sol.ts, reference.ts, "m={m}: grids");
-        assert_eq!(sol.ys, reference.ys, "m={m}: states");
+        assert_eq!(sol.0, reference.0, "m={m}: grids");
+        assert_eq!(sol.1, reference.1, "m={m}: states");
     }
 }
 
@@ -229,7 +237,7 @@ fn a_born_serial_bearing_pool_never_compiles_its_placement() {
     let mut in_thread = FnSystem::new(graph.dim, move |t, y: &[f64], d: &mut [f64]| {
         graph.eval_batch(t, y, d, &mut scratch);
     });
-    let reference = dopri5(&mut in_thread, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    let reference = dopri5_steps(&mut in_thread, &y0, tend);
     let compiled = Arc::new(AtomicUsize::new(0));
     let count = Arc::clone(&compiled);
     let pool = ExecutorPool::born_serial(
@@ -246,7 +254,7 @@ fn a_born_serial_bearing_pool_never_compiles_its_placement() {
     )
     .unwrap();
     let mut rhs = ParallelRhs::new(pool, 16);
-    let sol = dopri5(&mut rhs, 0.0, &y0, tend, &Tolerances::default()).unwrap();
+    let sol = dopri5_steps(&mut rhs, &y0, tend);
     assert!(rhs.scheduler.reschedules > 0);
     assert!(rhs.pool.handoff_ns() > 0.0, "probed");
     // The placement is compiled exactly when a call left the solo path.
@@ -261,8 +269,8 @@ fn a_born_serial_bearing_pool_never_compiles_its_placement() {
         let h = rhs.pool.handoff_ns();
         assert_eq!(built, 0, "hand-off {h} ns");
     }
-    assert_eq!(sol.ts, reference.ts, "grids");
-    assert_eq!(sol.ys, reference.ys, "states");
+    assert_eq!(sol.0, reference.0, "grids");
+    assert_eq!(sol.1, reference.1, "states");
 }
 
 /// A pool switches between its two placements from one call to the
@@ -308,7 +316,7 @@ fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
         let mut in_thread = FnSystem::new(one.dim, |t, y: &[f64], d: &mut [f64]| {
             one.eval_batch(t, y, d, &mut scratch);
         });
-        let reference = dopri5(&mut in_thread, 0.0, &y0, *tend, &Tolerances::default()).unwrap();
+        let reference = dopri5_steps(&mut in_thread, &y0, *tend);
         let placement = generator.place(ir, &tasks, 2);
         let n = placement.graph.tasks.len();
         assert!(n >= 2, "{name}: a helper needs a task");
@@ -337,7 +345,7 @@ fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
                     assert_eq!(pool.supervisor_only_calls(), calls);
                 }
             });
-            dopri5(&mut alternating, 0.0, &y0, *tend, &Tolerances::default()).unwrap()
+            dopri5_steps(&mut alternating, &y0, *tend)
         };
         let solo = pool.supervisor_only_calls();
         assert!(
@@ -345,8 +353,8 @@ fn switching_between_solo_and_seeded_calls_is_bitwise_the_in_thread_run() {
             "{name}: {solo} of {calls}"
         );
         assert_eq!(pool.graph().tasks.len(), n, "{name}");
-        assert_eq!(sol.ts, reference.ts, "{name}: grids");
-        assert_eq!(sol.ys, reference.ys, "{name}: states");
+        assert_eq!(sol.0, reference.0, "{name}: grids");
+        assert_eq!(sol.1, reference.1, "{name}: states");
     }
 }
 

@@ -16,9 +16,10 @@
 //! (multi-step methods)").
 
 use crate::ode::{
-    check_finite, eval_rhs, obs_step, OdeSystem, Solution, SolveError, SolveStats, Tolerances,
+    check_finite, eval_rhs, obs_step, Budget, OdeSystem, Solution, SolveError, SolveStats,
+    Tolerances,
 };
-use crate::rk::rk4;
+use crate::rk::Rk4;
 
 /// Integrate with adaptive 4th-order Adams–Bashforth–Moulton.
 pub fn abm4(
@@ -31,130 +32,169 @@ pub fn abm4(
     assert!(tend > t0, "forward integration only");
     let n = sys.dim();
     assert_eq!(y0.len(), n);
-    let mut sol = Solution {
-        ts: vec![t0],
-        ys: vec![y0.to_vec()],
-        stats: SolveStats::default(),
-    };
-    let span = tend - t0;
-    let mut h = if tol.h0 > 0.0 { tol.h0 } else { span / 1000.0 };
-    let mut t = t0;
-    let mut y = y0.to_vec();
+    sys.accepted(t0, y0);
+    let mut stats = SolveStats::default();
+    let (mut t, mut y) = (t0, y0.to_vec());
+    Abm4::new(n).advance(sys, &mut t, &mut y, tend, tol, &mut stats)?;
+    Ok(Solution::new(t, y, stats))
+}
 
-    // Derivative history: f[0] newest. Rebuilt after every step change.
-    let mut history: Vec<Vec<f64>> = Vec::new();
+/// The Adams stepper's buffers: the four-deep derivative history, the
+/// predictor/corrector vectors and the RK4 primer. [`crate::lsoda`] keeps
+/// one across its non-stiff windows.
+pub(crate) struct Abm4 {
+    /// `history[0]` is the newest derivative; the first `valid` are
+    /// current (an equidistant history at the present step).
+    history: [Vec<f64>; 4],
+    valid: usize,
+    yp: Vec<f64>,
+    fp: Vec<f64>,
+    yc: Vec<f64>,
+    err: Vec<f64>,
+    primer: Rk4,
+}
 
-    let mut yp = vec![0.0; n];
-    let mut fp = vec![0.0; n];
-    let mut yc = vec![0.0; n];
-    let mut err = vec![0.0; n];
-
-    while t < tend - 1e-14 * tend.abs().max(1.0) {
-        if sol.stats.steps + sol.stats.rejected > tol.max_steps {
-            return Err(SolveError::TooMuchWork {
-                t,
-                steps: tol.max_steps,
-            });
-        }
-        if h < 1e-14 * t.abs().max(1.0) + 1e-300 {
-            return Err(SolveError::StepSizeUnderflow { t });
-        }
-        tol.budget.check(t, &sol.stats)?;
-        // Never step past tend; if close, shrink h for the final stretch
-        // (bootstrap will rebuild the history at the smaller h).
-        if t + 4.0 * h > tend && t + h < tend {
-            h = (tend - t) / (((tend - t) / h).ceil());
-            history.clear();
-        } else if t + h > tend {
-            h = tend - t;
-            history.clear();
-        }
-
-        // (Re)bootstrap the history with RK4 when invalid.
-        if history.len() < 4 {
-            history.clear();
-            let mut f = vec![0.0; n];
-            eval_rhs(sys, t, &y, &mut f, &mut sol.stats)?;
-            history.push(f);
-            // Three RK4 priming steps (only if room remains).
-            let mut prime_t = t;
-            let mut prime_y = y.clone();
-            for _ in 0..3 {
-                if prime_t + h > tend + 1e-14 {
-                    break;
-                }
-                let step = rk4(sys, prime_t, &prime_y, prime_t + h, h)?;
-                sol.stats.rhs_calls += step.stats.rhs_calls;
-                prime_t = step.t_end();
-                prime_y = step.y_end().to_vec();
-                check_finite(prime_t, &prime_y)?;
-                sol.stats.steps += 1;
-                sol.ts.push(prime_t);
-                sol.ys.push(prime_y.clone());
-                let mut f = vec![0.0; n];
-                eval_rhs(sys, prime_t, &prime_y, &mut f, &mut sol.stats)?;
-                history.insert(0, f);
-            }
-            t = prime_t;
-            y = prime_y;
-            if history.len() < 4 {
-                // Not enough room before tend: finish with RK4.
-                if t < tend - 1e-14 {
-                    let step = rk4(sys, t, &y, tend, h.min(tend - t))?;
-                    sol.stats.rhs_calls += step.stats.rhs_calls;
-                    sol.stats.steps += step.stats.steps;
-                    for (ts, ys) in step.ts.iter().zip(&step.ys).skip(1) {
-                        sol.ts.push(*ts);
-                        sol.ys.push(ys.clone());
-                    }
-                }
-                break;
-            }
-            continue;
-        }
-
-        // Predict (AB4).
-        let (f0, f1, f2, f3) = (&history[0], &history[1], &history[2], &history[3]);
-        for i in 0..n {
-            yp[i] = y[i] + h / 24.0 * (55.0 * f0[i] - 59.0 * f1[i] + 37.0 * f2[i] - 9.0 * f3[i]);
-        }
-        // Evaluate.
-        eval_rhs(sys, t + h, &yp, &mut fp, &mut sol.stats)?;
-        // Correct (AM4).
-        for i in 0..n {
-            yc[i] = y[i] + h / 24.0 * (9.0 * fp[i] + 19.0 * f0[i] - 5.0 * f1[i] + f2[i]);
-        }
-        // Milne error estimate.
-        for i in 0..n {
-            err[i] = 19.0 / 270.0 * (yc[i] - yp[i]);
-        }
-        let err_norm = tol.error_norm(&err, &yc).max(1e-16);
-        if err_norm <= 1.0 {
-            t += h;
-            y.copy_from_slice(&yc);
-            check_finite(t, &y)?;
-            sol.stats.steps += 1;
-            obs_step("abm4.reject", true, h);
-            sol.ts.push(t);
-            sol.ys.push(y.clone());
-            // Final evaluation for the history (PECE).
-            let mut f_new = vec![0.0; n];
-            eval_rhs(sys, t, &y, &mut f_new, &mut sol.stats)?;
-            history.insert(0, f_new);
-            history.truncate(4);
-            // Hysteretic step doubling.
-            if err_norm < 0.01 {
-                h *= 2.0;
-                history.clear();
-            }
-        } else {
-            sol.stats.rejected += 1;
-            obs_step("abm4.reject", false, h);
-            h *= 0.5;
-            history.clear();
+impl Abm4 {
+    pub(crate) fn new(n: usize) -> Abm4 {
+        Abm4 {
+            history: std::array::from_fn(|_| vec![0.0; n]),
+            valid: 0,
+            yp: vec![0.0; n],
+            fp: vec![0.0; n],
+            yc: vec![0.0; n],
+            err: vec![0.0; n],
+            primer: Rk4::new(n),
         }
     }
-    Ok(sol)
+
+    /// Push `f(t, y)` as the newest derivative, dropping the oldest.
+    fn push(
+        &mut self,
+        sys: &mut dyn OdeSystem,
+        t: f64,
+        y: &[f64],
+        stats: &mut SolveStats,
+    ) -> Result<(), SolveError> {
+        self.history.rotate_right(1);
+        eval_rhs(sys, t, y, &mut self.history[0], stats)?;
+        self.valid = (self.valid + 1).min(4);
+        Ok(())
+    }
+
+    /// Step `(t, y)` to `tend` from a fresh history, with a first step of
+    /// `tol.h0` or a thousandth of the span, reporting each accepted step
+    /// (the RK4 primer's included) to the system. When it gives up (step
+    /// size underflow, too much work), `(t, y)` is the last accepted point.
+    pub(crate) fn advance(
+        &mut self,
+        sys: &mut dyn OdeSystem,
+        t: &mut f64,
+        y: &mut [f64],
+        tend: f64,
+        tol: &Tolerances,
+        stats: &mut SolveStats,
+    ) -> Result<(), SolveError> {
+        let n = y.len();
+        let span = tend - *t;
+        let mut h = if tol.h0 > 0.0 { tol.h0 } else { span / 1000.0 };
+        // Rebuilt after every step change.
+        self.valid = 0;
+
+        while *t < tend - 1e-14 * tend.abs().max(1.0) {
+            if stats.steps + stats.rejected > tol.max_steps {
+                return Err(SolveError::TooMuchWork {
+                    t: *t,
+                    steps: tol.max_steps,
+                });
+            }
+            if h < 1e-14 * t.abs().max(1.0) + 1e-300 {
+                return Err(SolveError::StepSizeUnderflow { t: *t });
+            }
+            tol.budget.check(*t, stats)?;
+            // Never step past tend; if close, shrink h for the final
+            // stretch (bootstrap will rebuild the history at the smaller
+            // h).
+            if *t + 4.0 * h > tend && *t + h < tend {
+                h = (tend - *t) / (((tend - *t) / h).ceil());
+                self.valid = 0;
+            } else if *t + h > tend {
+                h = tend - *t;
+                self.valid = 0;
+            }
+
+            // (Re)bootstrap the history with RK4 when invalid.
+            if self.valid < 4 {
+                self.valid = 0;
+                self.push(sys, *t, y, stats)?;
+                // Three RK4 priming steps (only if room remains).
+                for _ in 0..3 {
+                    if *t + h > tend + 1e-14 {
+                        break;
+                    }
+                    let to = *t + h;
+                    self.primer
+                        .advance(sys, t, y, to, h, &Budget::unlimited(), stats)?;
+                    self.push(sys, *t, y, stats)?;
+                }
+                if self.valid < 4 {
+                    // Not enough room before tend: finish with RK4.
+                    if *t < tend - 1e-14 {
+                        let h = h.min(tend - *t);
+                        self.primer
+                            .advance(sys, t, y, tend, h, &Budget::unlimited(), stats)?;
+                    }
+                    break;
+                }
+                continue;
+            }
+
+            // Predict (AB4).
+            let Abm4 {
+                history: [f0, f1, f2, f3],
+                yp,
+                fp,
+                yc,
+                err,
+                ..
+            } = self;
+            for i in 0..n {
+                yp[i] =
+                    y[i] + h / 24.0 * (55.0 * f0[i] - 59.0 * f1[i] + 37.0 * f2[i] - 9.0 * f3[i]);
+            }
+            // Evaluate.
+            eval_rhs(sys, *t + h, yp, fp, stats)?;
+            // Correct (AM4).
+            for i in 0..n {
+                yc[i] = y[i] + h / 24.0 * (9.0 * fp[i] + 19.0 * f0[i] - 5.0 * f1[i] + f2[i]);
+            }
+            // Milne error estimate.
+            for i in 0..n {
+                err[i] = 19.0 / 270.0 * (yc[i] - yp[i]);
+            }
+            let err_norm = tol.error_norm(err, yc).max(1e-16);
+            if err_norm <= 1.0 {
+                *t += h;
+                y.copy_from_slice(yc);
+                check_finite(*t, y)?;
+                stats.steps += 1;
+                obs_step("abm4.reject", true, h);
+                sys.accepted(*t, y);
+                // Final evaluation for the history (PECE).
+                self.push(sys, *t, y, stats)?;
+                // Hysteretic step doubling.
+                if err_norm < 0.01 {
+                    h *= 2.0;
+                    self.valid = 0;
+                }
+            } else {
+                stats.rejected += 1;
+                obs_step("abm4.reject", false, h);
+                h *= 0.5;
+                self.valid = 0;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -114,14 +114,11 @@ pub fn bdf(
     tend: f64,
     opts: &BdfOptions,
 ) -> Result<Solution, SolveError> {
-    let mut sol = Solution {
-        ts: vec![t0],
-        ys: vec![y0.to_vec()],
-        stats: SolveStats::default(),
-    };
-    let mut stepper = BdfStepper::new(sys, t0, y0, tend, opts, &mut sol.stats)?;
-    stepper.integrate(sys, tend, &mut sol)?;
-    Ok(sol)
+    let mut stats = SolveStats::default();
+    let mut stepper = BdfStepper::new(sys, t0, y0, tend, opts, &mut stats)?;
+    sys.accepted(t0, y0);
+    stepper.integrate(sys, tend, &mut stats)?;
+    Ok(Solution::new(stepper.t, stepper.z.swap_remove(0), stats))
 }
 
 /// BDF-q's coefficients in LSODE's normalisation (`cfode`, method 2).
@@ -223,30 +220,16 @@ impl BdfStepper {
         opts: &BdfOptions,
         stats: &mut SolveStats,
     ) -> Result<BdfStepper, SolveError> {
-        assert!(tend > t0, "forward integration only");
         assert!((1..=5).contains(&opts.max_order));
         assert!(opts.max_newton >= 1);
         let n = sys.dim();
-        assert_eq!(y0.len(), n);
-        let tol = opts.tol;
-        let h = if tol.h0 > 0.0 {
-            tol.h0
-        } else {
-            (tend - t0) / 1000.0
-        };
-        let mut z = vec![vec![0.0; n]; opts.max_order + 1];
-        z[0].copy_from_slice(y0);
-        let mut f = vec![0.0; n];
-        eval_rhs(sys, t0, y0, &mut f, stats)?;
-        for (z1, f) in z[1].iter_mut().zip(&f) {
-            *z1 = h * f;
-        }
-        Ok(BdfStepper {
-            tol,
+        let z = vec![vec![0.0; n]; opts.max_order + 1];
+        let mut stepper = BdfStepper {
+            tol: opts.tol,
             max_order: opts.max_order,
             max_newton: opts.max_newton,
             t: t0,
-            h,
+            h: 0.0,
             clipped_from: None,
             q: 1,
             coeffs: std::array::from_fn(|k| Coeffs::bdf(k + 1)),
@@ -255,14 +238,55 @@ impl BdfStepper {
             acor: vec![0.0; n],
             acor_prev: vec![0.0; n],
             y: vec![0.0; n],
-            f,
+            f: vec![0.0; n],
             del: vec![0.0; n],
             jac: JacCache::new(sys),
             hold: 2,
             rmax: 1e4,
             crate_: 0.7,
             nst: 0,
-        })
+        };
+        stepper.restart(sys, t0, y0, tend, stats)?;
+        Ok(stepper)
+    }
+
+    /// Start over as [`BdfStepper::new`] would, at `(t0, y0)` toward
+    /// `tend`, in the buffers this stepper already holds: the history
+    /// restarts at order 1 and the Jacobian is due before the first step.
+    /// [`crate::lsoda`] restarts its one stepper on each return to BDF.
+    pub(crate) fn restart(
+        &mut self,
+        sys: &mut dyn OdeSystem,
+        t0: f64,
+        y0: &[f64],
+        tend: f64,
+        stats: &mut SolveStats,
+    ) -> Result<(), SolveError> {
+        assert!(tend > t0, "forward integration only");
+        assert_eq!(y0.len(), self.y.len());
+        let h = if self.tol.h0 > 0.0 {
+            self.tol.h0
+        } else {
+            (tend - t0) / 1000.0
+        };
+        self.z.iter_mut().for_each(|col| col.fill(0.0));
+        self.z[0].copy_from_slice(y0);
+        eval_rhs(sys, t0, y0, &mut self.f, stats)?;
+        for (z1, f) in self.z[1].iter_mut().zip(&self.f) {
+            *z1 = h * f;
+        }
+        self.t = t0;
+        self.h = h;
+        self.clipped_from = None;
+        self.q = 1;
+        self.hold = 2;
+        self.rmax = 1e4;
+        self.crate_ = 0.7;
+        self.nst = 0;
+        self.jac.current = false;
+        self.jac.j_step = None;
+        self.jac.p = None;
+        Ok(())
     }
 
     /// The current time.
@@ -270,22 +294,26 @@ impl BdfStepper {
         self.t
     }
 
-    /// Step to `tend`, appending every accepted step to `sol` and
-    /// counting the work in `sol.stats`. The last step is clipped to land
-    /// on `tend`.
+    /// The current state.
+    pub(crate) fn y(&self) -> &[f64] {
+        &self.z[0]
+    }
+
+    /// Step to `tend`, reporting every accepted step to the system and
+    /// counting the work in `stats`. The last step is clipped to land on
+    /// `tend`.
     pub(crate) fn integrate(
         &mut self,
         sys: &mut dyn OdeSystem,
         tend: f64,
-        sol: &mut Solution,
+        stats: &mut SolveStats,
     ) -> Result<(), SolveError> {
         if let Some(h) = self.clipped_from.take() {
             self.rescale(h / self.h);
         }
         while self.t < tend - 1e-14 * tend.abs().max(1.0) {
-            self.step(sys, tend, &mut sol.stats)?;
-            sol.ts.push(self.t);
-            sol.ys.push(self.z[0].clone());
+            self.step(sys, tend, stats)?;
+            sys.accepted(self.t, &self.z[0]);
         }
         Ok(())
     }
@@ -771,7 +799,7 @@ pub fn fd_jacobian(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ode::FnSystem;
+    use crate::ode::{FnSystem, Recorder};
 
     #[test]
     fn decay_matches_exact_solution() {
@@ -935,19 +963,20 @@ mod tests {
         let n = 24;
         // Long enough for several Jacobian refreshes under the reuse rule.
         let run = |structured: bool| {
-            let mut sys = Stencil::new(n, structured);
-            let y0 = sys.y0();
-            bdf(&mut sys, 0.0, &y0, 0.5, &BdfOptions::default()).unwrap()
+            let mut sys = Recorder::new(Stencil::new(n, structured));
+            let y0 = sys.sys.y0();
+            let sol = bdf(&mut sys, 0.0, &y0, 0.5, &BdfOptions::default()).unwrap();
+            (sol, sys)
         };
-        let (dense, banded) = (run(false), run(true));
-        let bits = |sol: &Solution| -> Vec<Vec<u64>> {
-            sol.ys
+        let ((dense, dense_run), (banded, banded_run)) = (run(false), run(true));
+        let bits = |run: &Recorder<Stencil>| -> Vec<Vec<u64>> {
+            run.ys
                 .iter()
                 .map(|y| y.iter().map(|v| v.to_bits()).collect())
                 .collect()
         };
-        assert_eq!(bits(&banded), bits(&dense));
-        assert_eq!(banded.ts, dense.ts);
+        assert_eq!(bits(&banded_run), bits(&dense_run));
+        assert_eq!(banded_run.ts, dense_run.ts);
         assert!(dense.stats.jac_evals > 3 && dense.stats.rejected + dense.stats.steps > 10);
         // χ = 3 instead of n RHS calls per refresh; every other counter
         // is untouched.
@@ -1147,6 +1176,37 @@ mod tests {
         assert!(stats.rejected > before.rejected, "{stats:?}");
         assert!(stepper.q + 1 >= q, "order {q} → {}", stepper.q);
         assert!(stepper.q > 1);
+    }
+
+    /// LSODA restarts its one stepper on each return to the stiff phase:
+    /// a stepper 30 steps in (order ≥ 3, a held J, a factored P) must
+    /// restart as exactly the stepper `new` builds.
+    #[test]
+    fn a_restarted_stepper_is_bitwise_a_new_one() {
+        let (mut sys, mut used, _) = stencil_stepper(30);
+        assert!(used.q >= 3 && used.jac.p.is_some());
+        let y1: Vec<f64> = sys.y0().iter().map(|v| 0.5 * v - 0.1).collect();
+        let (t1, t2) = (0.25, 0.75);
+        let opts = BdfOptions::default();
+        let run = |stepper: &mut BdfStepper, sys: &mut Stencil, mut stats: SolveStats| {
+            let mut points = Vec::new();
+            while stepper.t() < t2 - 1e-14 {
+                stepper.step(sys, t2, &mut stats).unwrap();
+                points.push((
+                    stepper.t().to_bits(),
+                    stepper.y().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                ));
+            }
+            (points, stats)
+        };
+        let mut stats = SolveStats::default();
+        let mut fresh = BdfStepper::new(&mut sys, t1, &y1, t2, &opts, &mut stats).unwrap();
+        let fresh_run = run(&mut fresh, &mut sys, stats);
+        let mut stats = SolveStats::default();
+        used.restart(&mut sys, t1, &y1, t2, &mut stats).unwrap();
+        let restarted_run = run(&mut used, &mut sys, stats);
+        assert!(fresh_run.0.len() > 10 && fresh_run.1.jac_evals > 0);
+        assert_eq!(restarted_run, fresh_run);
     }
 
     #[test]

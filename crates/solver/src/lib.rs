@@ -11,8 +11,10 @@
 //! the equation-system-level parallelism experiments:
 //!
 //! * [`ode`] — the [`ode::OdeSystem`] trait (`ẏ = f(y, t)`, optional
-//!   user-supplied Jacobian and structural pattern) and
-//!   solution/statistics types,
+//!   user-supplied Jacobian and structural pattern, and the `accepted`
+//!   step hook), the end-point [`ode::Solution`] and statistics types,
+//!   and the [`ode::Recorder`] that keeps a trajectory for callers that
+//!   want one,
 //! * [`sparsity`] — structural Jacobian patterns: column colouring and
 //!   bandwidths derived once, shared by the differencing and the LU,
 //! * [`linalg`] — matrices and one LU with partial pivoting, limited to
@@ -48,7 +50,7 @@ pub use bdf::{bdf, fd_jacobian, BdfOptions};
 pub use linalg::{LuFactors, Matrix};
 pub use lsoda::{lsoda, LsodaOptions, Phase};
 pub use ode::{
-    Budget, FnSystem, OdeSystem, RhsError, Solution, SolveError, SolveStats, Tolerances,
+    Budget, FnSystem, OdeSystem, Recorder, RhsError, Solution, SolveError, SolveStats, Tolerances,
 };
 pub use partitioned::{CoSimulation, Coupling, SubsystemSpec};
 pub use rk::{dopri5, rk4, rk4_budgeted};

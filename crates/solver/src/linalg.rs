@@ -148,9 +148,9 @@ pub struct LuFactors {
     ku: usize,
     w: usize,
     data: Vec<f64>,
-    /// `pivots[c]` is the row exchanged with row `c` at step `c`. Empty
-    /// until [`LuFactors::factor_in_place`] has run.
-    pivots: Vec<usize>,
+    /// `row_swaps[c]` is the row exchanged with row `c` at step `c`.
+    /// Empty until [`LuFactors::factor_in_place`] has run.
+    row_swaps: Vec<usize>,
 }
 
 #[inline]
@@ -172,14 +172,14 @@ impl LuFactors {
             ku,
             w,
             data: vec![0.0; n * w],
-            pivots: Vec::with_capacity(n),
+            row_swaps: Vec::with_capacity(n),
         }
     }
 
     /// Back to the all-zero unfactored state, keeping the allocation.
     pub(crate) fn clear(&mut self) {
         self.data.fill(0.0);
-        self.pivots.clear();
+        self.row_swaps.clear();
     }
 
     /// First column of row `i`'s window.
@@ -203,7 +203,7 @@ impl LuFactors {
     /// Gaussian elimination with partial pivoting over the band.
     pub(crate) fn factor_in_place(&mut self) -> Result<(), SolveError> {
         let (n, kl, ku, w) = (self.n, self.kl, self.ku, self.w);
-        self.pivots.clear();
+        self.row_swaps.clear();
         for col in 0..n {
             let last_row = (col + kl).min(n - 1);
             let last_col = (col + kl + ku).min(n - 1);
@@ -229,7 +229,7 @@ impl LuFactors {
                         .swap(col * w + j - start_col, pivot_row * w + j - start_pivot);
                 }
             }
-            self.pivots.push(pivot_row);
+            self.row_swaps.push(pivot_row);
 
             let (head, below) = self.data.split_at_mut((col + 1) * w);
             let pivot = &head[col * w..];
@@ -260,11 +260,11 @@ impl LuFactors {
     pub fn solve_in_place(&self, b: &mut [f64]) {
         let (n, kl, ku, w) = (self.n, self.kl, self.ku, self.w);
         assert_eq!(b.len(), n);
-        assert_eq!(self.pivots.len(), n, "solve before factorization");
+        assert_eq!(self.row_swaps.len(), n, "solve before factorization");
         // Forward sweep: replay each step's interchange, then eliminate
         // its column (L has unit diagonal).
         for col in 0..n {
-            b.swap(col, self.pivots[col]);
+            b.swap(col, self.row_swaps[col]);
             let x = b[col];
             for row in col + 1..=(col + kl).min(n - 1) {
                 b[row] -= self.data[row * w + col - self.start(row)] * x;
@@ -513,7 +513,7 @@ mod tests {
                     prop_assert_eq!(bits(&banded.solve(b)), bits(&x));
                     prop_assert_eq!(bits(&full.solve(b)), bits(&x));
                     prop_assert_eq!(bits(&measured.solve(b)), bits(&x));
-                    prop_assert_eq!(&banded.pivots, &full.pivots);
+                    prop_assert_eq!(&banded.row_swaps, &full.row_swaps);
                     let mut in_place = b.to_vec();
                     banded.solve_in_place(&mut in_place);
                     prop_assert_eq!(bits(&in_place), bits(&x));

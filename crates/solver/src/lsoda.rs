@@ -20,7 +20,7 @@
 //! line-by-line port of the LSODA switching test, which relies on
 //! method-internal order information.
 
-use crate::adams::abm4;
+use crate::adams::Abm4;
 use crate::bdf::{BdfOptions, BdfStepper};
 use crate::ode::{OdeSystem, Solution, SolveError, SolveStats, Tolerances};
 
@@ -52,7 +52,7 @@ impl Default for LsodaOptions {
     }
 }
 
-/// The result of an auto-switching solve: the trajectory plus the phase
+/// The result of an auto-switching solve: where it ended plus the phase
 /// history.
 #[derive(Clone, Debug)]
 pub struct LsodaSolution {
@@ -101,25 +101,27 @@ pub fn lsoda(
 ) -> Result<LsodaSolution, SolveError> {
     assert!(tend > t0, "forward integration only");
     assert!(opts.windows >= 1);
+    let n = sys.dim();
+    assert_eq!(y0.len(), n);
+    sys.accepted(t0, y0);
     let window = (tend - t0) / opts.windows as f64;
     let mut t = t0;
     let mut y = y0.to_vec();
     let mut phase = Phase::NonStiff;
     let mut phases = Vec::with_capacity(opts.windows);
-    let mut total = Solution {
-        ts: vec![t0],
-        ys: vec![y0.to_vec()],
-        stats: SolveStats::default(),
-    };
+    let mut total = SolveStats::default();
     // Most recent per-window RHS cost of each method (None = not tried).
     let mut cost_nonstiff: Option<usize> = None;
     let mut cost_stiff: Option<usize> = None;
-    // The BDF of the previous window, while windows stay stiff: its held
-    // Jacobian, step and order carry into the next one.
-    let mut stiff: Option<BdfStepper> = None;
-    let bo = BdfOptions {
-        tol: opts.tol,
-        ..BdfOptions::default()
+    // One stepper per method for the whole solve.
+    let mut adams = Abm4::new(n);
+    let mut stiff = StiffPhase {
+        opts: BdfOptions {
+            tol: opts.tol,
+            ..BdfOptions::default()
+        },
+        stepper: None,
+        resume: false,
     };
 
     for w in 0..opts.windows {
@@ -129,45 +131,41 @@ pub fn lsoda(
             t0 + (w + 1) as f64 * window
         };
         phases.push((t, phase));
+        let mut chunk = SolveStats::default();
         let result = match phase {
-            Phase::NonStiff => abm4(sys, t, &y, t_next, &opts.tol),
-            Phase::Stiff => bdf_window(sys, &mut stiff, t, &y, t_next, &bo),
+            Phase::NonStiff => adams.advance(sys, &mut t, &mut y, t_next, &opts.tol, &mut chunk),
+            Phase::Stiff => stiff.window(sys, &mut t, &mut y, t_next, &mut chunk),
         };
-        let chunk = match result {
-            Ok(chunk) => chunk,
+        match result {
+            Ok(()) => {}
             Err(SolveError::StepSizeUnderflow { .. }) | Err(SolveError::TooMuchWork { .. })
                 if phase == Phase::NonStiff =>
             {
                 // The non-stiff method died: classic stiffness signature.
-                // Redo the window with BDF.
+                // Its accepted steps stand (they were reported); BDF
+                // finishes the window from the last of them.
                 phase = Phase::Stiff;
                 obs_switch(phase);
                 if let Some(last) = phases.last_mut() {
-                    *last = (t, phase);
+                    last.1 = phase;
                 }
-                bdf_window(sys, &mut stiff, t, &y, t_next, &bo)?
+                total.merge(&chunk);
+                chunk = SolveStats::default();
+                stiff.window(sys, &mut t, &mut y, t_next, &mut chunk)?;
             }
             Err(e) => return Err(e),
-        };
-        let cost = chunk.stats.rhs_calls;
+        }
+        let cost = chunk.rhs_calls;
         // Rejection-heavy windows are the classic signature of an
         // explicit method running at its *stability* limit: the error
         // estimate looks tiny, the step doubles, the doubled step goes
         // unstable and is rejected.
-        let rejection_storm =
-            chunk.stats.rejected >= 4 && 2 * chunk.stats.rejected >= chunk.stats.steps;
+        let rejection_storm = chunk.rejected >= 4 && 2 * chunk.rejected >= chunk.steps;
         match phase {
             Phase::NonStiff => cost_nonstiff = Some(cost),
             Phase::Stiff => cost_stiff = Some(cost),
         }
-        // Append the chunk (skip its duplicated start point).
-        t = chunk.t_end();
-        y = chunk.y_end().to_vec();
-        total.stats.merge(&chunk.stats);
-        for (ts, ys) in chunk.ts.iter().zip(&chunk.ys).skip(1) {
-            total.ts.push(*ts);
-            total.ys.push(ys.clone());
-        }
+        total.merge(&chunk);
 
         // Switching policy for the next window.
         match phase {
@@ -179,7 +177,7 @@ pub fn lsoda(
                 if rejection_storm || stiff_cheaper {
                     phase = Phase::Stiff;
                     obs_switch(phase);
-                } else if cost_stiff.is_none() && chunk.stats.steps > 60 {
+                } else if cost_stiff.is_none() && chunk.steps > 60 {
                     // Suspiciously many steps for one window and BDF has
                     // never been probed: probe it once. If it is not
                     // actually cheaper, the cost comparison flips back.
@@ -195,47 +193,62 @@ pub fn lsoda(
                 // Probe non-stiff again when BDF looks lazy (few Newton
                 // iterations per step → problem may have left the stiff
                 // region) or when it is measurably cheaper.
-                let lazy = chunk.stats.steps > 0
-                    && chunk.stats.newton_iters < 2 * chunk.stats.steps
-                    && chunk.stats.rejected == 0;
+                let lazy =
+                    chunk.steps > 0 && chunk.newton_iters < 2 * chunk.steps && chunk.rejected == 0;
                 if nonstiff_cheaper || (lazy && cost_nonstiff.is_none_or(|ns| ns < 4 * cost)) {
                     phase = Phase::NonStiff;
                     obs_switch(phase);
-                    stiff = None;
+                    stiff.resume = false;
                 }
             }
         }
     }
     Ok(LsodaSolution {
-        solution: total,
+        solution: Solution::new(t, y, total),
         phases,
     })
 }
 
-/// One stiff window `[t, t_next]`: resume `stiff`, the previous
-/// window's BDF, or start a new one at `(t, y)`.
-fn bdf_window(
-    sys: &mut dyn OdeSystem,
-    stiff: &mut Option<BdfStepper>,
-    t: f64,
-    y: &[f64],
-    t_next: f64,
-    opts: &BdfOptions,
-) -> Result<Solution, SolveError> {
-    let mut chunk = Solution {
-        ts: vec![t],
-        ys: vec![y.to_vec()],
-        stats: SolveStats::default(),
-    };
-    let stepper = match stiff {
-        Some(stepper) => {
-            debug_assert_eq!(stepper.t(), t, "resumed where the last window ended");
-            stepper
-        }
-        None => stiff.insert(BdfStepper::new(sys, t, y, t_next, opts, &mut chunk.stats)?),
-    };
-    stepper.integrate(sys, t_next, &mut chunk)?;
-    Ok(chunk)
+/// LSODA's BDF: built at the first stiff window, resumed across
+/// consecutive stiff windows (its held Jacobian, step, order and
+/// history carry over) and restarted, in the same buffers, after a
+/// non-stiff stretch.
+struct StiffPhase {
+    opts: BdfOptions,
+    stepper: Option<BdfStepper>,
+    /// Whether the stepper ended the previous window.
+    resume: bool,
+}
+
+impl StiffPhase {
+    /// Integrate the window `[t, t_next]`; `(t, y)` follows the stepper.
+    fn window(
+        &mut self,
+        sys: &mut dyn OdeSystem,
+        t: &mut f64,
+        y: &mut [f64],
+        t_next: f64,
+        stats: &mut SolveStats,
+    ) -> Result<(), SolveError> {
+        let stepper = match &mut self.stepper {
+            Some(stepper) if self.resume => {
+                debug_assert_eq!(stepper.t(), *t, "resumed where the last window ended");
+                stepper
+            }
+            Some(stepper) => {
+                stepper.restart(sys, *t, y, t_next, stats)?;
+                stepper
+            }
+            None => self
+                .stepper
+                .insert(BdfStepper::new(sys, *t, y, t_next, &self.opts, stats)?),
+        };
+        self.resume = true;
+        let result = stepper.integrate(sys, t_next, stats);
+        *t = stepper.t();
+        y.copy_from_slice(stepper.y());
+        result
+    }
 }
 
 #[cfg(test)]

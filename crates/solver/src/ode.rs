@@ -45,6 +45,37 @@ pub trait OdeSystem {
     fn sparsity(&mut self) -> Option<Arc<Sparsity>> {
         None
     }
+
+    /// Told where the integration is: once at `(t0, y0)` before the first
+    /// step, then once per accepted step with the new `(t, y)`, in
+    /// strictly increasing `t`. Rejected attempts, Newton iterates and
+    /// stage values are never reported. `y` is the solver's own state, so
+    /// an implementation that wants the trajectory copies it ([`Recorder`]
+    /// does). Default: nothing; the solvers keep only where they are.
+    fn accepted(&mut self, _t: f64, _y: &[f64]) {}
+}
+
+/// A borrowed system is a system, so a solver can run on `&mut sys` behind
+/// an adapter such as [`Recorder`] and hand it back afterwards.
+impl<S: OdeSystem + ?Sized> OdeSystem for &mut S {
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+    fn rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
+        (**self).rhs(t, y, dydt)
+    }
+    fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RhsError> {
+        (**self).try_rhs(t, y, dydt)
+    }
+    fn jacobian(&mut self, t: f64, y: &[f64], jac: &mut [f64]) -> bool {
+        (**self).jacobian(t, y, jac)
+    }
+    fn sparsity(&mut self) -> Option<Arc<Sparsity>> {
+        (**self).sparsity()
+    }
+    fn accepted(&mut self, t: f64, y: &[f64]) {
+        (**self).accepted(t, y)
+    }
 }
 
 /// A plain-function system (for tests and closed-form benchmarks).
@@ -300,31 +331,55 @@ impl SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// A computed trajectory: accepted step points plus work counters.
-#[derive(Clone, Debug, Default)]
+/// Where a solve ended, plus its work counters. The solvers keep O(n)
+/// state, never the trajectory: a caller that wants the accepted steps
+/// wraps its system in a [`Recorder`].
+#[derive(Clone, Debug)]
 pub struct Solution {
-    pub ts: Vec<f64>,
-    /// `ys[k]` is the state at `ts[k]`.
-    pub ys: Vec<Vec<f64>>,
+    t: f64,
+    y: Vec<f64>,
     pub stats: SolveStats,
 }
 
 impl Solution {
-    /// Final time. Every solver seeds its solution with the start point,
-    /// so the fallback (NaN for a malformed empty solution) is
-    /// unreachable through this crate's public API.
+    pub(crate) fn new(t: f64, y: Vec<f64>, stats: SolveStats) -> Solution {
+        Solution { t, y, stats }
+    }
+
+    /// Final time.
     pub fn t_end(&self) -> f64 {
-        self.ts.last().copied().unwrap_or(f64::NAN)
+        self.t
     }
 
-    /// Final state (empty slice for a malformed empty solution; see
-    /// [`Solution::t_end`]).
+    /// Final state.
     pub fn y_end(&self) -> &[f64] {
-        self.ys.last().map(Vec::as_slice).unwrap_or(&[])
+        &self.y
+    }
+}
+
+/// An [`OdeSystem`] adapter that keeps every point the solver reports
+/// through [`OdeSystem::accepted`]: `ys[k]` is the state at `ts[k]`, the
+/// first point is `(t0, y0)` and the last is the solve's
+/// `(t_end(), y_end())`. Everything else is forwarded to `sys`.
+#[derive(Clone, Debug)]
+pub struct Recorder<S> {
+    pub sys: S,
+    pub ts: Vec<f64>,
+    pub ys: Vec<Vec<f64>>,
+}
+
+impl<S: OdeSystem> Recorder<S> {
+    pub fn new(sys: S) -> Recorder<S> {
+        Recorder {
+            sys,
+            ts: Vec::new(),
+            ys: Vec::new(),
+        }
     }
 
-    /// Linear interpolation of the state at `t` (for comparisons between
-    /// solvers with different step points).
+    /// Linear interpolation of the recorded state at `t` (for comparisons
+    /// between solvers with different step points), clamped to the
+    /// recorded span.
     pub fn sample(&self, t: f64) -> Vec<f64> {
         let n = self.ts.len();
         if t <= self.ts[0] {
@@ -345,10 +400,34 @@ impl Solution {
 
     /// Average accepted step size.
     pub fn mean_step(&self) -> f64 {
-        if self.ts.len() < 2 {
+        let n = self.ts.len();
+        if n < 2 {
             return 0.0;
         }
-        (self.t_end() - self.ts[0]) / (self.ts.len() - 1) as f64
+        (self.ts[n - 1] - self.ts[0]) / (n - 1) as f64
+    }
+}
+
+impl<S: OdeSystem> OdeSystem for Recorder<S> {
+    fn dim(&self) -> usize {
+        self.sys.dim()
+    }
+    fn rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
+        self.sys.rhs(t, y, dydt)
+    }
+    fn try_rhs(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) -> Result<(), RhsError> {
+        self.sys.try_rhs(t, y, dydt)
+    }
+    fn jacobian(&mut self, t: f64, y: &[f64], jac: &mut [f64]) -> bool {
+        self.sys.jacobian(t, y, jac)
+    }
+    fn sparsity(&mut self) -> Option<Arc<Sparsity>> {
+        self.sys.sparsity()
+    }
+    fn accepted(&mut self, t: f64, y: &[f64]) {
+        self.ts.push(t);
+        self.ys.push(y.to_vec());
+        self.sys.accepted(t, y);
     }
 }
 
@@ -428,17 +507,18 @@ mod tests {
     }
 
     #[test]
-    fn solution_sampling_interpolates() {
-        let sol = Solution {
-            ts: vec![0.0, 1.0, 2.0],
-            ys: vec![vec![0.0], vec![10.0], vec![20.0]],
-            stats: SolveStats::default(),
-        };
-        assert_eq!(sol.sample(0.5), vec![5.0]);
-        assert_eq!(sol.sample(1.5), vec![15.0]);
-        assert_eq!(sol.sample(-1.0), vec![0.0]);
-        assert_eq!(sol.sample(99.0), vec![20.0]);
-        assert_eq!(sol.mean_step(), 1.0);
+    fn recorder_sampling_interpolates() {
+        let mut rec = Recorder::new(FnSystem::new(1, |_t, _y: &[f64], d: &mut [f64]| {
+            d[0] = 10.0
+        }));
+        for (t, y) in [(0.0, 0.0), (1.0, 10.0), (2.0, 20.0)] {
+            rec.accepted(t, &[y]);
+        }
+        assert_eq!(rec.sample(0.5), vec![5.0]);
+        assert_eq!(rec.sample(1.5), vec![15.0]);
+        assert_eq!(rec.sample(-1.0), vec![0.0]);
+        assert_eq!(rec.sample(99.0), vec![20.0]);
+        assert_eq!(rec.mean_step(), 1.0);
     }
 
     #[test]

@@ -36,45 +36,74 @@ pub fn rk4_budgeted(
     assert!(h > 0.0 && tend > t0, "forward integration only");
     let n = sys.dim();
     assert_eq!(y0.len(), n);
-    let mut sol = Solution {
-        ts: vec![t0],
-        ys: vec![y0.to_vec()],
-        stats: SolveStats::default(),
-    };
-    let mut t = t0;
-    let mut y = y0.to_vec();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    while t < tend - 1e-14 * tend.abs().max(1.0) {
-        budget.check(t, &sol.stats)?;
-        let h_step = h.min(tend - t);
-        eval_rhs(sys, t, &y, &mut k1, &mut sol.stats)?;
-        for i in 0..n {
-            tmp[i] = y[i] + 0.5 * h_step * k1[i];
+    sys.accepted(t0, y0);
+    let mut stats = SolveStats::default();
+    let (mut t, mut y) = (t0, y0.to_vec());
+    Rk4::new(n).advance(sys, &mut t, &mut y, tend, h, budget, &mut stats)?;
+    Ok(Solution::new(t, y, stats))
+}
+
+/// RK4's stage buffers. [`Rk4::advance`] steps a caller-owned `(t, y)`
+/// in place, so [`rk4`] and the Adams primer share one stepper and
+/// neither allocates per step.
+pub(crate) struct Rk4 {
+    k: [Vec<f64>; 4],
+    tmp: Vec<f64>,
+}
+
+impl Rk4 {
+    pub(crate) fn new(n: usize) -> Rk4 {
+        Rk4 {
+            k: std::array::from_fn(|_| vec![0.0; n]),
+            tmp: vec![0.0; n],
         }
-        eval_rhs(sys, t + 0.5 * h_step, &tmp, &mut k2, &mut sol.stats)?;
-        for i in 0..n {
-            tmp[i] = y[i] + 0.5 * h_step * k2[i];
-        }
-        eval_rhs(sys, t + 0.5 * h_step, &tmp, &mut k3, &mut sol.stats)?;
-        for i in 0..n {
-            tmp[i] = y[i] + h_step * k3[i];
-        }
-        eval_rhs(sys, t + h_step, &tmp, &mut k4, &mut sol.stats)?;
-        for i in 0..n {
-            y[i] += h_step / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        t += h_step;
-        sol.stats.steps += 1;
-        obs_step("rk4.reject", true, h_step);
-        check_finite(t, &y)?;
-        sol.ts.push(t);
-        sol.ys.push(y.clone());
     }
-    Ok(sol)
+
+    /// Step `(t, y)` to `tend` at step `h`, the last step clipped to land
+    /// on `tend`, reporting each accepted step to the system.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn advance(
+        &mut self,
+        sys: &mut dyn OdeSystem,
+        t: &mut f64,
+        y: &mut [f64],
+        tend: f64,
+        h: f64,
+        budget: &Budget,
+        stats: &mut SolveStats,
+    ) -> Result<(), SolveError> {
+        let Rk4 {
+            k: [k1, k2, k3, k4],
+            tmp,
+        } = self;
+        let n = y.len();
+        while *t < tend - 1e-14 * tend.abs().max(1.0) {
+            budget.check(*t, stats)?;
+            let h_step = h.min(tend - *t);
+            eval_rhs(sys, *t, y, k1, stats)?;
+            for i in 0..n {
+                tmp[i] = y[i] + 0.5 * h_step * k1[i];
+            }
+            eval_rhs(sys, *t + 0.5 * h_step, tmp, k2, stats)?;
+            for i in 0..n {
+                tmp[i] = y[i] + 0.5 * h_step * k2[i];
+            }
+            eval_rhs(sys, *t + 0.5 * h_step, tmp, k3, stats)?;
+            for i in 0..n {
+                tmp[i] = y[i] + h_step * k3[i];
+            }
+            eval_rhs(sys, *t + h_step, tmp, k4, stats)?;
+            for i in 0..n {
+                y[i] += h_step / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+            }
+            *t += h_step;
+            stats.steps += 1;
+            obs_step("rk4.reject", true, h_step);
+            check_finite(*t, y)?;
+            sys.accepted(*t, y);
+        }
+        Ok(())
+    }
 }
 
 // Dormand–Prince 5(4) coefficients.
@@ -141,20 +170,17 @@ pub fn dopri5(
     assert!(tend > t0, "forward integration only");
     let n = sys.dim();
     assert_eq!(y0.len(), n);
-    let mut sol = Solution {
-        ts: vec![t0],
-        ys: vec![y0.to_vec()],
-        stats: SolveStats::default(),
-    };
+    sys.accepted(t0, y0);
+    let mut stats = SolveStats::default();
     let mut t = t0;
     let mut y = y0.to_vec();
     let mut k: Vec<Vec<f64>> = vec![vec![0.0; n]; 7];
-    eval_rhs(sys, t, &y, &mut k[0], &mut sol.stats)?;
+    eval_rhs(sys, t, &y, &mut k[0], &mut stats)?;
 
     let mut h = if tol.h0 > 0.0 {
         tol.h0
     } else {
-        initial_step(sys, t, &y, &k[0].clone(), tend, tol, &mut sol.stats)?
+        initial_step(sys, t, &y, &k[0], tend, tol, &mut stats)?
     };
     let mut err_prev: f64 = 1.0;
     let mut tmp = vec![0.0; n];
@@ -162,13 +188,13 @@ pub fn dopri5(
     let mut err = vec![0.0; n];
 
     while t < tend - 1e-14 * tend.abs().max(1.0) {
-        if sol.stats.steps + sol.stats.rejected > tol.max_steps {
+        if stats.steps + stats.rejected > tol.max_steps {
             return Err(SolveError::TooMuchWork {
                 t,
                 steps: tol.max_steps,
             });
         }
-        tol.budget.check(t, &sol.stats)?;
+        tol.budget.check(t, &stats)?;
         h = h.min(tend - t);
         if h < 1e-14 * t.abs().max(1.0) {
             return Err(SolveError::StepSizeUnderflow { t });
@@ -182,7 +208,7 @@ pub fn dopri5(
                 }
                 tmp[i] = y[i] + h * acc;
             }
-            eval_rhs(sys, t + C[s] * h, &tmp, &mut k[s + 1], &mut sol.stats)?;
+            eval_rhs(sys, t + C[s] * h, &tmp, &mut k[s + 1], &mut stats)?;
         }
         // 5th order solution and embedded error.
         for i in 0..n {
@@ -201,24 +227,23 @@ pub fn dopri5(
             t += h;
             y.copy_from_slice(&y5);
             check_finite(t, &y)?;
-            sol.stats.steps += 1;
+            stats.steps += 1;
             obs_step("dopri5.reject", true, h);
-            sol.ts.push(t);
-            sol.ys.push(y.clone());
-            // FSAL: k7 is the RHS at the new point.
-            let last = k[6].clone();
-            k[0].copy_from_slice(&last);
+            sys.accepted(t, &y);
+            // FSAL: k7 is the RHS at the new point. The next step's stages
+            // overwrite k[6] before reading it, so a swap is the copy.
+            k.swap(0, 6);
             let factor = 0.9 * err_norm.powf(-0.7 / 5.0) * err_prev.powf(0.4 / 5.0);
             h *= factor.clamp(0.2, 5.0);
             err_prev = err_norm;
         } else {
-            sol.stats.rejected += 1;
+            stats.rejected += 1;
             obs_step("dopri5.reject", false, h);
             let factor = 0.9 * err_norm.powf(-1.0 / 5.0);
             h *= factor.clamp(0.1, 0.9);
         }
     }
-    Ok(sol)
+    Ok(Solution::new(t, y, stats))
 }
 
 /// Standard automatic initial-step heuristic (Hairer–Nørsett–Wanner).
@@ -261,7 +286,7 @@ fn initial_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ode::FnSystem;
+    use crate::ode::{FnSystem, Recorder};
 
     fn decay() -> FnSystem<impl FnMut(f64, &[f64], &mut [f64])> {
         FnSystem::new(1, |_t, y: &[f64], dydt: &mut [f64]| dydt[0] = -y[0])
@@ -315,11 +340,11 @@ mod tests {
     #[test]
     fn dopri5_adapts_step_size() {
         // y' = cos(10 t) · 10 — smooth but oscillatory; steps must vary.
-        let mut sys = FnSystem::new(1, |t: f64, _y: &[f64], dydt: &mut [f64]| {
+        let mut sys = Recorder::new(FnSystem::new(1, |t: f64, _y: &[f64], dydt: &mut [f64]| {
             dydt[0] = 10.0 * (10.0 * t).cos();
-        });
+        }));
         let sol = dopri5(&mut sys, 0.0, &[0.0], 3.0, &Tolerances::default()).unwrap();
-        let steps: Vec<f64> = sol.ts.windows(2).map(|w| w[1] - w[0]).collect();
+        let steps: Vec<f64> = sys.ts.windows(2).map(|w| w[1] - w[0]).collect();
         let min = steps.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = steps.iter().cloned().fold(0.0, f64::max);
         assert!(max > 1.5 * min, "steps did not vary: {min} … {max}");

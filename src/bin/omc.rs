@@ -149,8 +149,9 @@ fn usage() -> String {
          --executor ws             the worker pool's one policy, dependency-driven\n\
                                    work stealing (accepted, not needed)\n\
          --set state=value         override a start value (repeatable)\n\
-         --rtol R --atol A         tolerances (default 1e-6 / 1e-9)\n\
-         --h H                     fixed step for rk4 (default (tend-t0)/1000)\n\
+         --rtol R --atol A         tolerances (default 1e-6 / 1e-9; every solver\n\
+                                   but rk4)\n\
+         --h H                     fixed step (rk4 only; default (tend-t0)/1000)\n\
          --fault-seed SEED         seeded fault plan on the pool's RHS calls (chaos\n\
                                    runs; recovered in place on the pool;\n\
                                    requires --workers > 1)\n\
@@ -175,8 +176,10 @@ fn usage() -> String {
          --manifest FILE           write the deterministic manifest JSON\n\
          --stop-after N            admit only N scenarios (interruption test hook)\n\
          --fault-seed SEED         seeded per-scenario fault plan (panic/straggle/NaN)\n\
-         --fault-rates P,S,N       per-mille rates for the seeded plan (default 60,40,50)\n\
-         --straggle-ms MS          injected straggler sleep (default 50)\n\
+         --fault-rates P,S,N       per-mille rates for the seeded plan (default 60,40,50;\n\
+                                   with --fault-seed)\n\
+         --straggle-ms MS          injected straggler sleep (default 50; with\n\
+                                   --fault-seed)\n\
        serve                       resident ensemble service: JSONL requests over\n\
                                    a Unix socket, compiled models stay warm across\n\
                                    requests (no model operand; SIGTERM drains\n\
@@ -202,13 +205,15 @@ fn usage() -> String {
                                    (the 2nd+ hit the warm registry; default 1)\n\
          --stats                   also send an op:\"stats\" request at the end\n\
                                    (`omc request --stats --socket PATH` alone\n\
-                                   queries stats without running anything)\n\
+                                   queries stats without running anything and\n\
+                                   takes no other flag)\n\
      \n\
      observability (any command):\n\
        --trace FILE.json           write a chrome://tracing / Perfetto trace\n\
        --metrics                   print span totals and metrics to stderr\n\
      \n\
-     a flag the command does not take is a usage error (exit 2), never ignored\n\
+     a flag the command does not take, or one this run's other options leave\n\
+     unread, is a usage error (exit 2), never ignored\n\
      \n\
      exit codes: 0 ok; 1 io/compile/checkpoint; 2 usage; 3 solver; 4 runtime;\n\
                  5/6/7 lint errors/denied warnings/denied info;\n\
@@ -300,6 +305,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     .into(),
             ));
         }
+        check_values("request", &opts, false)?;
         return request_cmd(None, &opts);
     }
 
@@ -312,6 +318,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         )));
     }
     let opts = command_flags(command, &args[2..])?;
+    check_values(command, &opts, true)?;
 
     // Switch recording on before any instrumented object is built (pools
     // cache their metric handles at construction time).
@@ -411,9 +418,22 @@ fn export_obs(opts: &Flags) -> Result<(), CliError> {
         );
     }
     if opts.metrics {
+        if let Some(kb) = peak_rss_kb() {
+            om_obs::metrics()
+                .gauge("process.peak_rss_kb")
+                .set(kb as f64);
+        }
         eprint!("{}", om_obs::summary(&trace));
     }
     Ok(())
+}
+
+/// This process's peak resident set (`VmHWM`) in kilobytes; `None` where
+/// `/proc/self/status` does not exist or does not carry it.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 #[derive(Default)]
@@ -551,6 +571,63 @@ fn command_flags(command: &str, rest: &[String]) -> Result<Flags, CliError> {
         "{command} does not take {flag}; {flag} is for {}{hint}",
         takers.join(", ")
     )))
+}
+
+/// The value half of composing flags: a flag that `command` takes but
+/// that this invocation's other values leave unread is a usage error
+/// naming the option that would read it, never a quiet no-op.
+/// `has_model` is false for the model-less `omc request --stats`.
+fn check_values(command: &str, opts: &Flags, has_model: bool) -> Result<(), CliError> {
+    // The first of `flags` given on the command line.
+    let given = |flags: &[&'static str]| {
+        let given = |flag: &&str| opts.given.iter().any(|row| row.0 == *flag);
+        flags.iter().copied().find(given)
+    };
+    let unread = match command {
+        "simulate" if opts.solver == "rk4" => given(&["--rtol", "--atol"]).map(|flag| {
+            format!(
+                "simulate --solver rk4 does not read {flag}; {flag} is read by the adaptive \
+                 solvers (--solver dopri5|abm|bdf|lsoda)"
+            )
+        }),
+        "simulate" => given(&["--h"]).map(|_| {
+            format!(
+                "simulate --solver {} does not read --h; --h is the fixed step of --solver rk4",
+                opts.solver
+            )
+        }),
+        "sweep" if opts.fault_seed.is_none() => {
+            given(&["--fault-rates", "--straggle-ms"]).map(|flag| {
+                format!(
+                    "sweep plans no faults without --fault-seed; {flag} is read by \
+                     --fault-seed SEED"
+                )
+            })
+        }
+        "request" if !has_model => opts
+            .given
+            .iter()
+            .find(|row| !matches!(row.0, "--socket" | "--stats"))
+            .map(|row| {
+                format!(
+                    "request --stats without a model operand only queries the service; {} is \
+                     read by the running form (omc MODEL request ...)",
+                    row.0
+                )
+            }),
+        _ => None,
+    };
+    if let Some(message) = unread {
+        return Err(CliError::Usage(message));
+    }
+    if command == "simulate" && opts.fault_seed.is_some() && opts.workers <= 1 {
+        return Err(CliError::Usage(
+            "simulate: --fault-seed plans faults on a pool's RHS calls and needs \
+             --workers N > 1 (the in-thread run has no pool to fault)"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
@@ -1355,13 +1432,6 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
             return Err(CliError::Usage(format!("--set: no state named `{name}`")));
         }
     }
-    if opts.fault_seed.is_some() && opts.workers <= 1 {
-        return Err(CliError::Usage(
-            "simulate: --fault-seed plans faults on a pool's RHS calls and needs \
-             --workers N > 1 (the in-thread run has no pool to fault)"
-                .into(),
-        ));
-    }
     let tol = Tolerances {
         rtol: opts.rtol,
         atol: opts.atol,
@@ -1480,9 +1550,11 @@ fn simulate(mut ir: OdeIr, opts: &Flags) -> Result<(), CliError> {
         sol
     };
 
-    // One buffer, one write (a large model has thousands of states).
+    // One buffer, one write (a large model has thousands of states). The
+    // end time prints in shortest round-trip form: a span of 1e-8 must
+    // not read as 0.
     let mut report = format!(
-        "t = {:.6}: {} steps, {} RHS calls{}\n",
+        "t = {:?}: {} steps, {} RHS calls{}\n",
         sol.t_end(),
         sol.stats.steps,
         sol.stats.rhs_calls,

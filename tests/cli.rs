@@ -582,6 +582,61 @@ fn ignored_flag_combinations_are_usage_errors() {
     }
 }
 
+/// A flag that its command takes but that the run's other values leave
+/// unread is a usage error naming the option that would read it, before
+/// anything runs — never the same bytes as the run without it.
+#[test]
+fn unread_flag_values_are_usage_errors_naming_their_reader() {
+    let path = write_model("unread_values", OSC);
+    let path = path.to_str().expect("utf-8 temp path");
+    let stats = ["request", "--stats", "--socket", "/nonexistent.sock"];
+    for (args, named) in [
+        // Only rk4 reads the fixed step.
+        (
+            &[path, "simulate", "--solver", "dopri5", "--h", "0.5"][..],
+            "--solver rk4",
+        ),
+        (&[path, "simulate", "--h", "0.5"], "--solver rk4"),
+        (
+            &[path, "simulate", "--solver", "bdf", "--h", "0.5"],
+            "--solver rk4",
+        ),
+        // Only the adaptive solvers read the tolerances.
+        (
+            &[path, "simulate", "--solver", "rk4", "--rtol", "1e-2"],
+            "--solver dopri5|",
+        ),
+        (
+            &[path, "simulate", "--solver", "rk4", "--atol", "1e-2"],
+            "--solver dopri5|",
+        ),
+        // Only a fault plan reads its rates and its straggle.
+        (
+            &[path, "sweep", "--grid", "x=0:1:2", "--fault-rates", "1,2,3"],
+            "--fault-seed",
+        ),
+        (
+            &[path, "sweep", "--grid", "x=0:1:2", "--straggle-ms", "5"],
+            "--fault-seed",
+        ),
+        // The model-less stats query reads none of the running form's flags.
+        (
+            &[&stats[..], &["--grid", "x=0:1:2"]].concat(),
+            "MODEL request",
+        ),
+        (&[&stats[..], &["--repeat", "2"]].concat(), "MODEL request"),
+        (&[&stats[..], &["--tend", "3"]].concat(), "MODEL request"),
+    ] {
+        let out = omc().args(args).output().expect("run omc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        let unread = args[args.len() - 2];
+        assert!(stderr.contains(unread), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
 /// The scenario flags that make `command` otherwise runnable (none for
 /// `simulate`, which takes no scenarios).
 fn scenario_flags(command: &str) -> &'static [&'static str] {

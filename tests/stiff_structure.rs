@@ -8,7 +8,7 @@ use objectmath::ir::jacobian::{jacobian_pattern, symbolic_jacobian};
 use objectmath::ir::{causalize, OdeIr};
 use objectmath::models::{bearing2d, bearing3d, heat1d, hydro};
 use objectmath::runtime::{model_sparsity, ModelSystem};
-use objectmath::solver::{bdf, fd_jacobian, BdfOptions, FnSystem, OdeSystem, Sparsity};
+use objectmath::solver::{bdf, fd_jacobian, BdfOptions, FnSystem, OdeSystem, Recorder, Sparsity};
 
 /// The generated task graph evaluated in this thread: the RHS
 /// `omc simulate --workers 1` integrates.
@@ -173,11 +173,10 @@ fn heat128_bdf_counts_are_pinned() {
     assert_eq!(pattern.bandwidth(), (1, 1));
     assert_eq!(pattern.nnz(), 3 * 128 - 2);
 
-    let structured = {
-        let mut sys = ModelSystem::new(graph_rhs(&ir), &ir);
-        bdf(&mut sys, 0.0, &y0, 0.02, &opts).expect("bdf")
-    };
-    let stats = structured.stats;
+    let mut structured = Recorder::new(ModelSystem::new(graph_rhs(&ir), &ir));
+    let stats = bdf(&mut structured, 0.0, &y0, 0.02, &opts)
+        .expect("bdf")
+        .stats;
     assert_eq!(
         (stats.steps, stats.rejected, stats.newton_iters),
         (59, 2, 76)
@@ -192,8 +191,9 @@ fn heat128_bdf_counts_are_pinned() {
 
     // The same RHS without the model behind it: dense, n-colour — and
     // the same trajectory to the last bit.
-    let dense = bdf(&mut graph_rhs(&ir), 0.0, &y0, 0.02, &opts).expect("bdf");
-    assert_eq!(dense.stats.rhs_calls, 1 + 76 + 2 * 128);
+    let mut dense = Recorder::new(graph_rhs(&ir));
+    let dense_stats = bdf(&mut dense, 0.0, &y0, 0.02, &opts).expect("bdf").stats;
+    assert_eq!(dense_stats.rhs_calls, 1 + 76 + 2 * 128);
     assert_eq!(dense.ts, structured.ts);
     for (a, b) in dense.ys.iter().zip(&structured.ys) {
         let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
